@@ -8,8 +8,9 @@ from ordeq import parse_instance
 inst = parse_instance("fixtures/i2_constrained.json")
 
 # Before solving, check the preconditions at the seed: phi and psi must be
-# increasing upward, their values universally inductive (automatic at
-# finite scale), and the seed pair must admit a witness above it.
+# increasing upward, their values universally inductive (a theorem for
+# finite nonempty sets, so it is reported, not computed), and the seed
+# pair must admit a witness above it.
 hyp = inst.check_hypotheses(("c0", "d0"))
 print("phi increasing upward:", hyp.phi_monotonicity.increasing_upward)
 print("psi increasing upward:", hyp.psi_monotonicity.increasing_upward)

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .poset import (
-    CompletenessReport,
     GridPoset,
     Poset,
     ProductPoset,
@@ -54,7 +53,6 @@ __all__ = [
     "Subset",
     "ProductPoset",
     "GridPoset",
-    "CompletenessReport",
     "load_poset",
     "product",
     "grid_poset",

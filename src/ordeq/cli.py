@@ -14,7 +14,14 @@ import time
 
 from . import __version__
 from .equilibrium import ProblemInstance
-from .errors import HypothesisFailed, NoSolution, OrdeqError, ParseError, ValidationError
+from .errors import (
+    HypothesisFailed,
+    InvariantBreach,
+    NoSolution,
+    OrdeqError,
+    ParseError,
+    ValidationError,
+)
 from .fileio import (
     POSET_SCHEMA,
     build_report,
@@ -251,6 +258,9 @@ def main(argv=None) -> int:
     except NoSolution as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
+    except InvariantBreach as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ParseError, ValidationError, OrdeqError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from typing import Mapping, Optional
 
 from .errors import (
     HypothesisFailed,
+    InvariantBreach,
     NoSolution,
     UnknownElement,
     UtilityNotTotal,
@@ -88,30 +89,31 @@ class HypothesisReport:
 
     Mirrors the three conditions the existence argument needs: both
     order-optimization maps increasing upward, universally inductive values
-    (vacuously true at finite scale, still evaluated), and a witnessed seed
+    (a theorem at finite scale, so not evaluated), and a witnessed seed
     condition: some z' in psi(y') above x' and u' in phi(x') above y'.
     """
 
     seed: Pair
     phi_monotonicity: MonotonicityReport
     psi_monotonicity: MonotonicityReport
-    phi_value_completeness: tuple
-    psi_value_completeness: tuple
     seed_condition: bool
     seed_witness: Optional[Pair]  # (z', u') when seed_condition holds
 
     @property
     def values_universally_inductive(self) -> bool:
-        return all(r.universally_inductive for r in self.phi_value_completeness) and all(
-            r.universally_inductive for r in self.psi_value_completeness
-        )
+        """Always True: every phi/psi value is a finite nonempty subset.
+
+        A chain dominated by members of such a value is finite, so it has a
+        maximum; any member dominating that maximum is an upper bound of the
+        chain inside the value.
+        """
+        return True
 
     @property
     def passes(self) -> bool:
         return (
             self.phi_monotonicity.increasing_upward
             and self.psi_monotonicity.increasing_upward
-            and self.values_universally_inductive
             and self.seed_condition
         )
 
@@ -121,8 +123,6 @@ class HypothesisReport:
             out.append("phi is not increasing upward")
         if not self.psi_monotonicity.increasing_upward:
             out.append("psi is not increasing upward")
-        if not self.values_universally_inductive:
-            out.append("some phi/psi value fails universal inductivity")
         if not self.seed_condition:
             out.append(f"seed condition has no witness at {self.seed!r}")
         return out
@@ -301,28 +301,12 @@ class ProblemInstance:
     def psi_monotonicity(self) -> MonotonicityReport:
         return monotonicity_report(self.psi_map)
 
-    @cached_property
-    def _phi_value_completeness(self) -> tuple:
-        return tuple(
-            self.D.parent.subset(self.phi_map(x)).order_completeness_report()
-            for x in self.C.ordered()
-        )
-
-    @cached_property
-    def _psi_value_completeness(self) -> tuple:
-        return tuple(
-            self.C.parent.subset(self.psi_map(y)).order_completeness_report()
-            for y in self.D.ordered()
-        )
-
     def check_hypotheses(self, seed: Optional[Pair] = None) -> HypothesisReport:
         """Evaluate the existence-theorem preconditions at a seed pair."""
         seed = self._resolve_seed(seed)
         x0, y0 = seed
         phi_rep = self.phi_monotonicity
         psi_rep = self.psi_monotonicity
-        phi_compl = self._phi_value_completeness
-        psi_compl = self._psi_value_completeness
         witness = None
         for z in sorted_by(self.C, self.psi_map(y0)):
             if witness:
@@ -335,8 +319,6 @@ class ProblemInstance:
             seed=seed,
             phi_monotonicity=phi_rep,
             psi_monotonicity=psi_rep,
-            phi_value_completeness=phi_compl,
-            psi_value_completeness=psi_compl,
             seed_condition=witness is not None,
             seed_witness=witness,
         )
@@ -410,7 +392,8 @@ class ProblemInstance:
             s for s in above if not any(self.pair_lt(s, t) for t in above)
         ]
         if fixed is not None:
-            assert fixed in self.solution_set, "gamma fixed point must be a solution"
+            if fixed not in self.solution_set:
+                raise InvariantBreach(f"gamma fixed point {fixed!r} is not a solution")
             candidates = [s for s in maximal_above if self.pair_leq(fixed, s)]
         else:
             candidates = maximal_above
@@ -457,10 +440,12 @@ class ProblemInstance:
 
     def _check_trace(self, trace: list, descending: bool = False) -> None:
         bound = len(self.C) * len(self.D)
-        assert len(trace) <= bound, f"climb trace length {len(trace)} exceeds {bound}"
+        if len(trace) > bound:
+            raise InvariantBreach(f"climb trace length {len(trace)} exceeds {bound}")
         for a, b in zip(trace, trace[1:]):
             lo, hi = (b, a) if descending else (a, b)
-            assert self.pair_lt(lo, hi), "climb trace must strictly ascend"
+            if not self.pair_lt(lo, hi):
+                raise InvariantBreach(f"climb trace must strictly ascend at {a!r} -> {b!r}")
 
     # -- special cases and transforms -----------------------------------------
 

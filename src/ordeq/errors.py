@@ -55,3 +55,7 @@ class ParseError(OrdeqError):
 
 class ValidationError(OrdeqError):
     """Structured data was read but does not describe a valid object."""
+
+
+class InvariantBreach(OrdeqError):
+    """An internal invariant failed; always a bug, never a property of the input."""

@@ -225,8 +225,15 @@ def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
 
 
 def _poset_doc(p: Poset) -> dict:
+    # distinct elements with one string form would not parse back
+    ids = [element_id(e) for e in p.elements]
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValidationError(f"cannot serialize: two elements share the id {i!r}")
+        seen.add(i)
     return {
-        "elements": [element_id(e) for e in p.elements],
+        "elements": ids,
         "edges": sorted(
             [element_id(a), element_id(b)] for a, b in p.hasse_edges()
         ),

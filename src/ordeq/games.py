@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .equilibrium import ObjectiveMap, Pair, ProblemInstance, SolutionReport
-from .errors import ValidationError
+from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap, constant_map
 from .poset import GridPoset, Subset, grid_poset, load_poset
 
@@ -122,9 +122,11 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
     v = game.payoff[(x, y)]
     row_ok = all(game.payoff[(x2, y)] <= v for x2 in game.G(y))
     col_ok = all(v <= game.payoff[(x, y2)] for y2 in game.F(x))
-    assert row_ok and col_ok, "reported equilibrium failed the saddle re-verification"
-    return GameReport(report=rep, equilibrium=(x, y), value=v,
-                      saddle_verified=row_ok and col_ok)
+    if not (row_ok and col_ok):
+        raise InvariantBreach(
+            f"reported equilibrium {(x, y)!r} failed the saddle re-verification"
+        )
+    return GameReport(report=rep, equilibrium=(x, y), value=v, saddle_verified=True)
 
 
 def transpose_game(game: ZeroSumGame) -> ZeroSumGame:

@@ -1,4 +1,4 @@
-"""Finite partial orders: validated relations, extremal points, products, chains.
+"""Finite partial orders: validated relations, extremal points, products, grids.
 
 Every poset stores its full reflexive, transitively closed boolean incidence
 matrix, so order queries are table lookups.  All objects are immutable after
@@ -8,7 +8,6 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -160,87 +159,6 @@ class Poset:
             for i, j in np.argwhere(covers)
         ]
 
-    # -- chain machinery ---------------------------------------------------
-    #
-    # Chains are enumerated once per poset along a fixed linear extension
-    # (sorting by down-set size), so each totally ordered subset appears
-    # exactly once, listed bottom to top.  Intended for desk-scale posets;
-    # the chain count of an n-element total order is 2**n - 1.
-
-    @cached_property
-    def _extension(self) -> tuple[int, ...]:
-        return tuple(
-            int(i) for i in np.argsort(self.leq_matrix.sum(axis=0), kind="stable")
-        )
-
-    @cached_property
-    def chains(self) -> tuple[tuple[int, ...], ...]:
-        """All nonempty chains, as index tuples ascending in the order."""
-        order = self._extension
-        pos = {i: k for k, i in enumerate(order)}
-        leq = self.leq_matrix
-        above = {
-            i: [j for j in order[pos[i] + 1 :] if leq[i, j]] for i in order
-        }
-        out: list[tuple[int, ...]] = []
-
-        def grow(chain: list[int]) -> None:
-            out.append(tuple(chain))
-            for j in above[chain[-1]]:
-                chain.append(j)
-                grow(chain)
-                chain.pop()
-
-        for i in order:
-            grow([i])
-        return tuple(out)
-
-    @cached_property
-    def _chain_matrix(self) -> np.ndarray:
-        m = np.zeros((len(self.chains), len(self)), dtype=bool)
-        for r, chain in enumerate(self.chains):
-            m[r, list(chain)] = True
-        m.flags.writeable = False
-        return m
-
-    @cached_property
-    def _chain_upper_bounds(self) -> np.ndarray:
-        # [r, u] iff u dominates every element of chain r
-        ub = ~_bool_matmul(self._chain_matrix, ~self.leq_matrix)
-        ub.flags.writeable = False
-        return ub
-
-    @cached_property
-    def _chain_lower_bounds(self) -> np.ndarray:
-        lb = ~_bool_matmul(self._chain_matrix, ~self.leq_matrix.T)
-        lb.flags.writeable = False
-        return lb
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Finite-scale order-completeness flags of a subset.
-
-    All four are provably true for every finite nonempty subset (a finite
-    chain's maximum is its supremum and lies in the chain); the evaluation
-    is still performed by exhaustive chain enumeration and the result is
-    asserted, so a False here is always a bug.
-    """
-
-    chain_complete: bool
-    inductive: bool
-    bi_inductive: bool
-    universally_inductive: bool
-
-    @property
-    def all_true(self) -> bool:
-        return (
-            self.chain_complete
-            and self.inductive
-            and self.bi_inductive
-            and self.universally_inductive
-        )
-
 
 @dataclass(frozen=True)
 class Subset:
@@ -267,12 +185,6 @@ class Subset:
     def ordered(self) -> tuple:
         """Members in parent element order (deterministic)."""
         return tuple(e for e in self.parent.elements if e in self.members)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(len(self.parent), dtype=bool)
-        for e in self.members:
-            m[self.parent.index(e)] = True
-        return m
 
     def maximal_points(self) -> "Subset":
         """Members with no strictly greater member (an antichain, never empty)."""
@@ -311,47 +223,6 @@ class Subset:
             others = all(self.parent.leq(g, e) for e in self.members)
             return g if others else None
         return None
-
-    def order_completeness_report(self) -> CompletenessReport:
-        """Evaluate the four completeness predicates by chain enumeration.
-
-        chain_complete: every chain inside the subset has a least upper
-        bound inside the subset.  inductive: every such chain has some
-        upper bound inside it.  bi_inductive: inductive for the order and
-        its dual.  universally_inductive: every chain of the parent poset
-        whose elements are each dominated by a member has an upper bound
-        among the members.
-        """
-        if not self.members:
-            raise EmptySubset("completeness report needs a nonempty subset")
-        p = self.parent
-        leq = p.leq_matrix
-        ch = p._chain_matrix
-        s = self.mask()
-        ub_in = p._chain_upper_bounds & s
-        lb_in = p._chain_lower_bounds & s
-
-        inside = ~(ch & ~s).any(axis=1)
-        inductive = bool(ub_in[inside].any(axis=1).all())
-        dual_inductive = bool(lb_in[inside].any(axis=1).all())
-
-        # least upper bound: a bound below every other bound in the subset
-        cand = ub_in[inside]
-        not_least = _bool_matmul(cand, (~leq).T)
-        chain_complete = bool((cand & ~not_least).any(axis=1).all())
-
-        dominated = (leq & s).any(axis=1)
-        covered = ~(ch & ~dominated).any(axis=1)
-        universally = bool(ub_in[covered].any(axis=1).all())
-
-        report = CompletenessReport(
-            chain_complete=chain_complete,
-            inductive=inductive,
-            bi_inductive=inductive and dual_inductive,
-            universally_inductive=universally,
-        )
-        assert report.all_true, f"finite completeness must hold, got {report}"
-        return report
 
 
 class ProductPoset(Poset):

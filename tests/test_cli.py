@@ -2,8 +2,9 @@
 
 import json
 
-from ordeq import parse_instance, replay_report
+from ordeq import ProblemInstance, parse_instance, replay_report
 from ordeq.cli import main
+from ordeq.errors import InvariantBreach
 
 from conftest import FIXTURES
 
@@ -198,3 +199,12 @@ class TestExitCodeContract:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_invariant_breach_is_exit_4(self, capsys, monkeypatch):
+        def breach(self, trace, descending=False):
+            raise InvariantBreach("planted")
+
+        monkeypatch.setattr(ProblemInstance, "_check_trace", breach)
+        code, _, err = run(capsys, "solve", FIXTURES["i2"])
+        assert code == 4
+        assert "InvariantBreach: planted" in err

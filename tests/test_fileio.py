@@ -5,11 +5,14 @@ import json
 import pytest
 
 from ordeq import (
+    ObjectiveMap,
     ProblemInstance,
     ZeroSumGame,
+    constant_map,
     gen_instance,
     GenSpec,
     instance_digest,
+    load_poset,
     parse_instance,
     replay_report,
     serialize_instance,
@@ -147,6 +150,19 @@ class TestRoundTrip:
             parse_instance_dict(serialize_instance(reparsed))
         )
         assert reparsed.solution_set == inst.solution_set
+
+    def test_colliding_element_ids_refused(self):
+        # 1 and "1" both print as "1": the document would not parse back
+        X = load_poset(["c0", "c1"], [("c0", "c1")])
+        C = X.full_subset()
+        U = load_poset([1, "1"], [(1, "1")])
+        T = ObjectiveMap(U, {("c0", "c0"): 1, ("c0", "c1"): "1",
+                             ("c1", "c0"): "1", ("c1", "c1"): 1})
+        inst = ProblemInstance(C, C, T, constant_map(C, C), constant_map(C, C))
+        with pytest.raises(ValidationError, match="share the id '1'"):
+            serialize_instance(inst)
+        with pytest.raises(ValidationError, match="share the id '1'"):
+            instance_digest(inst)
 
     def test_digest_stable_and_sensitive(self):
         a = parse_instance(FIXTURES["i2"])

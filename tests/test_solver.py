@@ -1,11 +1,17 @@
 """Monotone climb solver: traces, promotion, duals, forced runs."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from ordeq import ObjectiveMap, ProblemInstance, constant_map, load_poset
+from ordeq import ObjectiveMap, ProblemInstance, build_game, constant_map, load_poset
 from ordeq.errors import HypothesisFailed, NoSolution
 
-from conftest import chain, int_chain
+from conftest import FIXTURES, chain, int_chain
 
 
 class TestSolveMaximal:
@@ -129,3 +135,40 @@ class TestDualInstance:
             rep.phi_monotonicity.increasing_upward
             == i2.phi_monotonicity.increasing_downward
         )
+
+
+class TestChainGameScale:
+    def test_twenty_chain_game_checks_and_solves_quickly(self):
+        # checking the hypotheses once enumerated every chain of both
+        # strategy posets (2**20 - 1 each): over 20 s on a 2-core machine
+        C, D = chain("c", 20).full_subset(), chain("d", 20).full_subset()
+        payoff = {(f"c{i}", f"d{j}"): i - j for i in range(20) for j in range(20)}
+        inst = build_game(C, D, payoff, seed=("c0", "d0"))
+        started = time.perf_counter()
+        hyp = inst.check_hypotheses()
+        rep = inst.solve_maximal()
+        elapsed = time.perf_counter() - started
+        assert hyp.passes and hyp.values_universally_inductive
+        assert rep.solution == ("c19", "d19")
+        assert elapsed < 2.0, f"check + solve took {elapsed:.2f} s"
+
+
+class TestInvariantBreach:
+    def test_non_ascending_trace_raises_under_optimize(self):
+        # the invariant must not be an assert, which -O strips
+        script = (
+            "import sys\n"
+            "from ordeq import parse_instance\n"
+            "from ordeq.errors import InvariantBreach\n"
+            f"inst = parse_instance({FIXTURES['i1']!r})\n"
+            "try:\n"
+            "    inst._check_trace([('c1', 'd1'), ('c0', 'd0')])\n"
+            "except InvariantBreach:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
