@@ -33,6 +33,7 @@ print("col deviations checked:", cert.col_candidates, "violators:", cert.col_vio
 down = inst.solve_minimal(("c1", "d1"))
 print("\nminimal solution from the top pair:", down.solution)
 
-# The brute-force oracle agrees with the fixed points of gamma, always.
-assert inst.gamma_fixed_points == inst.solution_set
-print("oracle identity holds:", True)
+# The solutions are exactly the fixed points of gamma: (x, y) in gamma(x, y).
+fixed = {(x, y) for x in inst.C for y in inst.D if (x, y) in inst.gamma(x, y)}
+assert fixed == inst.solution_set
+print("fixed points of gamma:", sorted(fixed))

@@ -42,16 +42,16 @@ EXIT_NO_SOLUTION = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_seed_flag(text: str):
-    if ":" in text:
-        parts = text.split(":")
-    else:
-        parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError(
-            f"--seed must be two elements separated by ':' (or a single comma), got {text!r}"
-        )
-    return (parts[0], parts[1])
+def _parse_seed_flag(text: str, obj):
+    # ids may contain the separator: keep the one split into members of C and D
+    sep = ":" if ":" in text else ","
+    splits = [(text[:k], text[k + 1:]) for k, ch in enumerate(text) if ch == sep]
+    fits = [s for s in splits if s[0] in obj.C and s[1] in obj.D]
+    if len(fits) != 1:
+        what = "is ambiguous" if fits else "names no pair of C and D members"
+        tried = "; ".join(f"{x!r} and {y!r}" for x, y in fits or splits) or "none"
+        raise ValidationError(f"--seed {text!r} {what}; candidate splits: {tried}")
+    return fits[0]
 
 
 def _pair_str(pair) -> str:
@@ -62,20 +62,25 @@ def _core_instance(obj) -> ProblemInstance:
     return obj.instance if isinstance(obj, ZeroSumGame) else obj
 
 
-def _write_report(path, doc) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write_report(args, command, obj, code, started, digest, **fields) -> None:
+    if args.report:
+        doc = build_report(command, obj, code, time.perf_counter() - started,
+                           digest=digest, **fields)
+        with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
 
 
 def _describe(obj) -> str:
+    """Print the instance line; return the instance digest, computed once per op."""
     inst = _core_instance(obj)
     mode = "game" if isinstance(obj, ZeroSumGame) else "roep"
-    return (
+    digest = instance_digest(obj)
+    print(
         f"instance: mode={mode} |C|={len(inst.C)} |D|={len(inst.D)} "
-        f"|U|={len(inst.U)} digest={instance_digest(obj)[:12]}"
+        f"|U|={len(inst.U)} digest={digest[:12]}"
     )
+    return digest
 
 
 def cmd_validate(args) -> int:
@@ -90,8 +95,7 @@ def cmd_validate(args) -> int:
         poset = parse_poset_doc(doc)
         print(f"poset: {len(poset)} elements, {len(poset.hasse_edges())} cover edges")
     else:
-        obj = parse_instance_dict(doc)
-        print(_describe(obj))
+        _describe(parse_instance_dict(doc))
     print("valid")
     return EXIT_OK
 
@@ -100,9 +104,9 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
     inst = _core_instance(obj)
-    seed = _parse_seed_flag(args.seed) if args.seed else None
+    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
     hyp = inst.check_hypotheses(seed)
-    print(_describe(obj))
+    digest = _describe(obj)
     print(f"seed: {_pair_str(hyp.seed)}")
     print(f"phi increasing upward: {hyp.phi_monotonicity.increasing_upward}")
     print(f"psi increasing upward: {hyp.psi_monotonicity.increasing_upward}")
@@ -111,8 +115,7 @@ def cmd_check(args) -> int:
     print(f"seed condition: {hyp.seed_condition} witness={witness}")
     code = EXIT_OK if hyp.passes else EXIT_HYPOTHESES
     print("hypotheses: " + ("pass" if hyp.passes else "FAIL: " + "; ".join(hyp.failures())))
-    _write_report(args.report, build_report(
-        "check", obj, code, time.perf_counter() - started, hypothesis_report=hyp))
+    _write_report(args, "check", obj, code, started, digest, hypothesis_report=hyp)
     return code
 
 
@@ -120,16 +123,15 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
     inst = _core_instance(obj)
-    seed = _parse_seed_flag(args.seed) if args.seed else None
+    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
     solver = inst.solve_minimal if args.minimal else inst.solve_maximal
     rep = solver(seed, force=args.force)
-    print(_describe(obj))
+    digest = _describe(obj)
     print("climb: " + " -> ".join(_pair_str(p) for p in rep.climb_trace))
     print(f"solution ({rep.direction}): {_pair_str(rep.solution)}")
     if not rep.existence_guaranteed:
         print("note: hypotheses failed; existence was not guaranteed (forced run)")
-    _write_report(args.report, build_report(
-        "solve", obj, EXIT_OK, time.perf_counter() - started, solution_report=rep))
+    _write_report(args, "solve", obj, EXIT_OK, started, digest, solution_report=rep)
     return EXIT_OK
 
 
@@ -138,13 +140,12 @@ def cmd_enumerate(args) -> int:
     obj = parse_instance(args.file)
     inst = _core_instance(obj)
     solutions = sorted(inst.solution_set, key=inst.pair_index)
-    print(_describe(obj))
+    digest = _describe(obj)
     print(f"solutions: {len(solutions)}")
     for s in solutions:
         print("  " + _pair_str(s))
     code = EXIT_OK if solutions else EXIT_NO_SOLUTION
-    _write_report(args.report, build_report(
-        "enumerate", obj, code, time.perf_counter() - started, solutions=solutions))
+    _write_report(args, "enumerate", obj, code, started, digest, solutions=solutions)
     return code
 
 
@@ -153,16 +154,15 @@ def cmd_game(args) -> int:
     obj = parse_instance(args.file)
     if not isinstance(obj, ZeroSumGame):
         raise ValidationError("the 'game' command needs a mode=game instance file")
-    seed = _parse_seed_flag(args.seed) if args.seed else None
+    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
     result = solve_game(obj, seed, force=args.force)
-    print(_describe(obj))
+    digest = _describe(obj)
     print("climb: " + " -> ".join(_pair_str(p) for p in result.report.climb_trace))
     print(f"equilibrium: {_pair_str(result.equilibrium)}")
     print(f"value: {result.value}")
     print(f"saddle inequalities verified: {result.saddle_verified}")
-    _write_report(args.report, build_report(
-        "game", obj, EXIT_OK, time.perf_counter() - started,
-        solution_report=result.report, game_value=result.value))
+    _write_report(args, "game", obj, EXIT_OK, started, digest,
+                  solution_report=result.report, game_value=result.value)
     return EXIT_OK
 
 

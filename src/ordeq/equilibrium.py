@@ -9,16 +9,20 @@ among feasible row deviations, and minimal among feasible column deviations.
 The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x)
 of the two order-optimization maps: a monotone climb from a seed pair reaches
 a fixed point of gamma, which is exactly a solution, and is then promoted to
-a maximal solution above the seed by exhaustive scan.  A brute-force
-enumeration of the full solution set serves as the independent oracle.
+a maximal solution above the seed.  Inside, an instance is index-coded once
+(positions instead of element ids): phi and psi are boolean masks built by
+array broadcasts, and the solution set is where both masks hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .errors import (
     HypothesisFailed,
@@ -150,8 +154,8 @@ class SolutionReport:
 class ProblemInstance:
     """An immutable constrained ordered equilibrium problem.
 
-    All operations are pure; phi/psi tables and the brute-force solution
-    set are computed lazily and cached on the instance.
+    All operations are pure; the index codes, the phi and psi masks and the
+    solution set are computed lazily and cached on the instance.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
@@ -167,19 +171,12 @@ class ProblemInstance:
         for x in C.ordered():
             for y in D.ordered():
                 T.value(x, y)  # totality; raises UnknownElement on a hole
-        if seed is not None:
-            x0, y0 = seed
-            if x0 not in C:
-                raise UnknownElement(f"seed first component {x0!r} is not in C")
-            if y0 not in D:
-                raise UnknownElement(f"seed second component {y0!r} is not in D")
-            seed = (x0, y0)
         self.C = C
         self.D = D
         self.T = T
         self.F = F
         self.G = G
-        self.seed = seed
+        self.seed = None if seed is None else self._resolve_seed(seed)
 
     @property
     def U(self) -> Poset:
@@ -192,46 +189,43 @@ class ProblemInstance:
 
     # -- order-optimization mappings ----------------------------------------
 
-    def _value_optima(self, images: list, maximize: bool) -> frozenset:
-        # keep carriers whose image has no strictly better image in the list
-        U = self.U
-        keep = []
-        for carrier, v in images:
-            if maximize:
-                beaten = any(U.lt(v, w) for _, w in images)
-            else:
-                beaten = any(U.lt(w, v) for _, w in images)
-            if not beaten:
-                keep.append(carrier)
-        return frozenset(keep)
+    @cached_property
+    def _codes(self) -> "_Codes":
+        return _Codes(self)
+
+    @cached_property
+    def _phi_mask(self) -> np.ndarray:
+        # row i: phi(x_i) over the members of D
+        k = self._codes
+        return _optima(k.T, k.F, k.lt)
+
+    @cached_property
+    def _psi_mask(self) -> np.ndarray:
+        # row j: psi(y_j) over the members of C
+        k = self._codes
+        return _optima(k.T.T, k.G.T, k.lt.T)
 
     def phi(self, x) -> frozenset:
         """Feasible argmin: y in F(x) whose value T(x, y) is minimal in T(x, F(x))."""
-        if x not in self.C:
-            raise UnknownElement(f"{x!r} is not in C")
-        images = [(y, self.T.value(x, y)) for y in sorted_by(self.D, self.F(x))]
-        return self._value_optima(images, maximize=False)
+        k = self._codes
+        return _ids(k.ds, self._phi_mask[k.row(x)])
 
     def psi(self, y) -> frozenset:
         """Feasible argmax: x in G(y) whose value T(x, y) is maximal in T(G(y), y)."""
-        if y not in self.D:
-            raise UnknownElement(f"{y!r} is not in D")
-        images = [(x, self.T.value(x, y)) for x in sorted_by(self.C, self.G(y))]
-        return self._value_optima(images, maximize=True)
+        k = self._codes
+        return _ids(k.cs, self._psi_mask[k.col(y)])
 
     def global_phi(self, x) -> frozenset:
         """phi with the restriction map replaced by the constant map onto D."""
-        if x not in self.C:
-            raise UnknownElement(f"{x!r} is not in C")
-        images = [(y, self.T.value(x, y)) for y in self.D.ordered()]
-        return self._value_optima(images, maximize=False)
+        k = self._codes
+        values = k.T[[k.row(x)]]
+        return _ids(k.ds, _optima(values, np.ones(values.shape, bool), k.lt)[0])
 
     def global_psi(self, y) -> frozenset:
         """psi with the restriction map replaced by the constant map onto C."""
-        if y not in self.D:
-            raise UnknownElement(f"{y!r} is not in D")
-        images = [(x, self.T.value(x, y)) for x in self.C.ordered()]
-        return self._value_optima(images, maximize=True)
+        k = self._codes
+        values = k.T.T[[k.col(y)]]
+        return _ids(k.cs, _optima(values, np.ones(values.shape, bool), k.lt.T)[0])
 
     @cached_property
     def phi_map(self) -> SetValuedMap:
@@ -249,23 +243,19 @@ class ProblemInstance:
 
     def solution_certificate(self, x, y) -> SolutionCertificate:
         """Check the solution conditions for (x, y), recording all evidence."""
-        if x not in self.C:
-            raise UnknownElement(f"{x!r} is not in C")
-        if y not in self.D:
-            raise UnknownElement(f"{y!r} is not in D")
-        rows = sorted_by(self.C, self.G(y))
-        cols = sorted_by(self.D, self.F(x))
-        v = self.T.value(x, y)
-        row_viol = tuple(x2 for x2 in rows if self.U.lt(v, self.T.value(x2, y)))
-        col_viol = tuple(y2 for y2 in cols if self.U.lt(self.T.value(x, y2), v))
+        k = self._codes
+        i, j = k.row(x), k.col(y)
+        v = k.T[i, j]
+        rows = np.flatnonzero(k.G[:, j])
+        cols = np.flatnonzero(k.F[i])
         return SolutionCertificate(
             pair=(x, y),
-            feasible_in_g=x in self.G(y),
-            feasible_in_f=y in self.F(x),
-            row_candidates=rows,
-            col_candidates=cols,
-            row_violators=row_viol,
-            col_violators=col_viol,
+            feasible_in_g=bool(k.G[i, j]),
+            feasible_in_f=bool(k.F[i, j]),
+            row_candidates=_ids(k.cs, rows, tuple),
+            col_candidates=_ids(k.ds, cols, tuple),
+            row_violators=_ids(k.cs, rows[k.lt[v, k.T[rows, j]]], tuple),
+            col_violators=_ids(k.ds, cols[k.lt[k.T[i, cols], v]], tuple),
         )
 
     def is_solution(self, x, y) -> bool:
@@ -273,23 +263,26 @@ class ProblemInstance:
 
     @cached_property
     def solution_set(self) -> frozenset:
-        """Brute-force enumeration of every solution pair over C x D."""
-        return frozenset(
-            (x, y)
-            for x in self.C.ordered()
-            for y in self.D.ordered()
-            if self.is_solution(x, y)
-        )
+        """Every solution pair: feasible, with no row and no column violator.
 
-    @cached_property
-    def gamma_fixed_points(self) -> frozenset:
-        """Pairs with (x, y) in gamma(x, y); provably equal to solution_set."""
-        return frozenset(
-            (x, y)
-            for x in self.C.ordered()
-            for y in self.D.ordered()
-            if x in self.psi_map(y) and y in self.phi_map(x)
-        )
+        These are the fixed points of gamma: y in phi(x) and x in psi(y).
+        """
+        return self._codes.pairs(self._phi_mask & self._psi_mask.T)
+
+    def extremal_solutions(self, seed: Optional[Pair] = None,
+                           direction: str = "maximal") -> frozenset:
+        """Solutions above the seed with no solution strictly above them.
+
+        With direction "minimal": below the seed, none strictly below.
+        """
+        k = self._codes
+        x0, y0 = self._resolve_seed(seed)
+        c_leq, d_leq = k.orders(direction)
+        above = self._phi_mask & self._psi_mask.T
+        above &= c_leq[k.row(x0)][:, None] & d_leq[k.col(y0)][None, :]
+        # how many pairs of `above` lie at or above each pair: 1 is itself only
+        count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
+        return k.pairs(above & (count == 1))
 
     # -- hypotheses and solving ----------------------------------------------
 
@@ -301,27 +294,28 @@ class ProblemInstance:
     def psi_monotonicity(self) -> MonotonicityReport:
         return monotonicity_report(self.psi_map)
 
-    def check_hypotheses(self, seed: Optional[Pair] = None) -> HypothesisReport:
-        """Evaluate the existence-theorem preconditions at a seed pair."""
+    def check_hypotheses(self, seed: Optional[Pair] = None,
+                         direction: str = "maximal") -> HypothesisReport:
+        """Evaluate the existence-theorem preconditions at a seed pair.
+
+        With direction "minimal" these are the order-dual conditions of the
+        descending climb: phi and psi increasing downward (reported under
+        the upward names, as for the dual instance), and a witness below
+        the seed.
+        """
         seed = self._resolve_seed(seed)
-        x0, y0 = seed
         phi_rep = self.phi_monotonicity
         psi_rep = self.psi_monotonicity
-        witness = None
-        for z in sorted_by(self.C, self.psi_map(y0)):
-            if witness:
-                break
-            for u in sorted_by(self.D, self.phi_map(x0)):
-                if self.C.parent.leq(x0, z) and self.D.parent.leq(y0, u):
-                    witness = (z, u)
-                    break
-        return HypothesisReport(
-            seed=seed,
-            phi_monotonicity=phi_rep,
-            psi_monotonicity=psi_rep,
-            seed_condition=witness is not None,
-            seed_witness=witness,
-        )
+        k = self._codes
+        c_leq, d_leq = k.orders(direction)
+        if direction == "minimal":
+            phi_rep, psi_rep = _flip(phi_rep), _flip(psi_rep)
+        i, j = k.row(seed[0]), k.col(seed[1])
+        zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
+        us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
+        witness = (k.cs[zs[0]], k.ds[us[0]]) if len(zs) and len(us) else None
+        return HypothesisReport(seed=seed, phi_monotonicity=phi_rep, psi_monotonicity=psi_rep,
+                                seed_condition=witness is not None, seed_witness=witness)
 
     def _resolve_seed(self, seed: Optional[Pair]) -> Pair:
         if seed is None:
@@ -353,89 +347,66 @@ class ProblemInstance:
         lexicographically smallest element indices.  When no strictly
         greater successor remains, p lies in gamma(p), hence is a solution.
         The returned solution is a maximal element of the solution set
-        restricted to the up-set of the seed (exhaustive scan), above the
-        fixed point the climb reached.
+        restricted to the up-set of the seed, above the fixed point the
+        climb reached.
 
         Raises HypothesisFailed unless the preconditions hold or ``force``
         is set; raises NoSolution when no solution exists above the seed.
         """
-        hyp = self.check_hypotheses(seed)
-        start = hyp.seed
+        return self._solve(seed, force, "maximal")
+
+    def solve_minimal(self, seed: Optional[Pair] = None, force: bool = False) -> SolutionReport:
+        """Descending climb: solve_maximal under the reversed orders of C and D.
+
+        Requires the dual hypotheses (phi, psi increasing downward and the
+        reversed seed condition).  phi and psi themselves only involve the
+        utility order, so the solution set is unchanged; only the climb
+        direction and the promotion target (minimal below the seed) flip.
+        """
+        return self._solve(seed, force, "minimal")
+
+    def _solve(self, seed: Optional[Pair], force: bool, direction: str) -> SolutionReport:
+        hyp = self.check_hypotheses(seed, direction)
         if not hyp.passes and not force:
             raise HypothesisFailed(
                 "solver preconditions failed: " + "; ".join(hyp.failures()), report=hyp
             )
-
-        trace = [start]
-        p = start
-        fixed = None
+        k = self._codes
+        c_leq, d_leq = k.orders(direction)
+        phi, psi = self._phi_mask, self._psi_mask
+        p = (k.row(hyp.seed[0]), k.col(hyp.seed[1]))
+        trace = [p]
         while True:
-            gam = self.gamma(*p)
-            successors = [q for q in gam if self.pair_lt(p, q)]
-            if successors:
-                p = min(successors, key=self.pair_index)
-                trace.append(p)
-                continue
-            if p in gam:
-                fixed = p
-            # with failing hypotheses a forced climb can strand at a
-            # non-fixed point; the exhaustive scan below still answers
-            break
-
-        above = {s for s in self.solution_set if self.pair_leq(start, s)}
-        if not above:
+            i, j = p
+            zs = np.flatnonzero(psi[j] & c_leq[i])[:2].tolist()
+            us = np.flatnonzero(phi[i] & d_leq[j])[:2].tolist()
+            # the lexicographically first q in gamma(p) strictly beyond p
+            q = next(((z, u) for z in zs for u in us if (z, u) != p), None)
+            if q is None:
+                break
+            p = q
+            trace.append(p)
+        # with failing hypotheses a forced climb can strand at a non-fixed
+        # point; the promotion then picks from all extremal solutions
+        fixed = phi[i, j] and psi[j, i]
+        best = [s for s in self.extremal_solutions(hyp.seed, direction)
+                if not fixed or c_leq[i, k.row(s[0])] and d_leq[j, k.col(s[1])]]
+        if not best:
             raise NoSolution(
-                f"no solution above seed {start!r}"
+                f"no solution above seed {hyp.seed!r}"
                 + ("" if hyp.passes else " (hypotheses were not satisfied)")
             )
-        maximal_above = [
-            s for s in above if not any(self.pair_lt(s, t) for t in above)
-        ]
-        if fixed is not None:
-            if fixed not in self.solution_set:
-                raise InvariantBreach(f"gamma fixed point {fixed!r} is not a solution")
-            candidates = [s for s in maximal_above if self.pair_leq(fixed, s)]
-        else:
-            candidates = maximal_above
-        solution = min(candidates, key=self.pair_index)
-        if fixed is not None and solution != fixed:
+        solution = min(best, key=self.pair_index)
+        trace = [(k.cs[a], k.ds[b]) for a, b in trace]
+        if fixed and solution != trace[-1]:
             trace.append(solution)
-
-        self._check_trace(trace)
+        self._check_trace(trace, descending=direction == "minimal")
+        maximal, minimal = (solution, None) if direction == "maximal" else (None, solution)
         return SolutionReport(
-            direction="maximal",
-            seed=start,
-            solutions=self.solution_set,
-            maximal_solution=solution,
-            minimal_solution=None,
-            hypotheses=hyp,
-            climb_trace=tuple(trace),
+            direction=direction, seed=hyp.seed, solutions=self.solution_set,
+            maximal_solution=maximal, minimal_solution=minimal, hypotheses=hyp,
+            climb_trace=tuple(trace), existence_guaranteed=hyp.passes,
             certificates={solution: self.solution_certificate(*solution)},
-            existence_guaranteed=hyp.passes,
-        )
-
-    def solve_minimal(self, seed: Optional[Pair] = None, force: bool = False) -> SolutionReport:
-        """Descending climb: solve_maximal on the order-dual instance.
-
-        Requires the dual hypotheses (phi, psi increasing downward and the
-        reversed seed condition), which are exactly the upward hypotheses
-        of the dual.  phi and psi themselves only involve the utility
-        order, so the solution set is unchanged; only the climb direction
-        and the promotion target (minimal above nothing, minimal below the
-        seed) flip.
-        """
-        rep = self.dual().solve_maximal(seed, force=force)
-        self._check_trace(list(rep.climb_trace), descending=True)
-        return SolutionReport(
-            direction="minimal",
-            seed=rep.seed,
-            solutions=rep.solutions,
-            maximal_solution=None,
-            minimal_solution=rep.maximal_solution,
-            hypotheses=rep.hypotheses,
-            climb_trace=rep.climb_trace,
-            certificates=rep.certificates,
-            existence_guaranteed=rep.existence_guaranteed,
         )
 
     def _check_trace(self, trace: list, descending: bool = False) -> None:
@@ -458,17 +429,14 @@ class ProblemInstance:
         """
         if not self.U.is_total():
             raise UtilityNotTotal("scalar saddle check requires a totally ordered utility poset")
-        if x not in self.C:
-            raise UnknownElement(f"{x!r} is not in C")
-        if y not in self.D:
-            raise UnknownElement(f"{y!r} is not in D")
-        if x not in self.G(y) or y not in self.F(x):
+        k = self._codes
+        i, j = k.row(x), k.col(y)
+        if not (k.G[i, j] and k.F[i, j]):
             return False
-        rank = lambda e: int(self.U.leq_matrix[:, self.U.index(e)].sum())
-        v = self.T.value(x, y)
-        row_max = max((self.T.value(x2, y) for x2 in self.G(y)), key=rank)
-        col_min = min((self.T.value(x, y2) for y2 in self.F(x)), key=rank)
-        return rank(row_max) == rank(v) == rank(col_min)
+        rank = self.U.leq_matrix.sum(axis=0)  # how many values lie at or below each
+        row_max = rank[k.T[k.G[:, j], j]].max()
+        col_min = rank[k.T[i, k.F[i]]].min()
+        return bool(row_max == rank[k.T[i, j]] == col_min)
 
     def reduce_to_oep(self, replace: str = "both") -> "ProblemInstance":
         """Replace F, G, or both by the constant maps onto D and C.
@@ -499,7 +467,102 @@ class ProblemInstance:
         )
 
 
-def sorted_by(subset: Subset, items) -> tuple:
-    """Items sorted by their parent-poset index (deterministic iteration)."""
-    parent = subset.parent
-    return tuple(sorted(items, key=parent.index))
+# largest boolean temporary that one order-optimization broadcast allocates
+_CHUNK_CELLS = 1 << 22
+
+
+class _Codes:
+    """An instance with element ids replaced by positions, for array kernels.
+
+    The members of C and D are numbered in parent order, so positions sort
+    pairs as pair_index does.  T[i, j] is the position of T(x_i, y_j) in U;
+    F[i, j] says y_j in F(x_i) and G[i, j] says x_i in G(y_j); lt is the
+    strict order of U; c_leq and d_leq are the orders of C and D restricted
+    to their members.  What phi needs is built at once, the rest on first
+    use: most instances a generator rejects never need it.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        self._inst = inst
+        self.cs, self.ds = inst.C.ordered(), inst.D.ordered()
+        self.c_pos = {x: i for i, x in enumerate(self.cs)}
+        self.d_pos = {y: j for j, y in enumerate(self.ds)}
+        u, table = inst.U.index, inst.T.table
+        self.T = np.array([[u(table[x, y]) for y in self.ds] for x in self.cs], dtype=np.intp)
+        self.F = np.array([[y in f for y in self.ds] for f in map(inst.F, self.cs)], dtype=bool)
+        self.lt = inst.U.leq_matrix & ~np.eye(len(inst.U), dtype=bool)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        gs = list(map(self._inst.G, self.ds))
+        return np.array([[x in g for g in gs] for x in self.cs], dtype=bool)
+
+    @cached_property
+    def c_leq(self) -> np.ndarray:
+        return _member_order(self._inst.C.parent, self.cs)
+
+    @cached_property
+    def d_leq(self) -> np.ndarray:
+        return _member_order(self._inst.D.parent, self.ds)
+
+    def row(self, x) -> int:
+        if x not in self.c_pos:
+            raise UnknownElement(f"{x!r} is not in C")
+        return self.c_pos[x]
+
+    def col(self, y) -> int:
+        if y not in self.d_pos:
+            raise UnknownElement(f"{y!r} is not in D")
+        return self.d_pos[y]
+
+    def pairs(self, mask: np.ndarray) -> frozenset:
+        """The (x, y) pairs where a (|C|, |D|) mask is set."""
+        rows, cols = np.nonzero(mask)
+        return frozenset(zip(_ids(self.cs, rows, list), _ids(self.ds, cols, list)))
+
+    def orders(self, direction: str) -> tuple:
+        """The orders of C and D for a climb direction: reversed when minimal."""
+        if direction == "maximal":
+            return self.c_leq, self.d_leq
+        if direction == "minimal":
+            return self.c_leq.T, self.d_leq.T
+        raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
+
+
+def _member_order(parent: Poset, members: tuple) -> np.ndarray:
+    idx = np.array([parent.index(e) for e in members])
+    return parent.leq_matrix[idx[:, None], idx]
+
+
+def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.ndarray:
+    """Row-wise optima: the feasible cells that no feasible cell of their row beats.
+
+    Cell (r, c) is dropped when some feasible (r, k) has
+    beats[values[r, k], values[r, c]].  One fancy-indexed broadcast per
+    chunk of rows; each temporary holds at most _CHUNK_CELLS booleans, or
+    one row's m * m when that is more.
+    """
+    n, m = values.shape
+    out = np.empty((n, m), dtype=bool)
+    step = max(1, _CHUNK_CELLS // (m * m))
+    for lo in range(0, n, step):
+        v, f = values[lo:lo + step], feasible[lo:lo + step]
+        beaten = beats[v[:, :, None], v[:, None, :]]
+        beaten &= f[:, :, None]
+        out[lo:lo + step] = f & ~beaten.any(axis=1)
+    return out
+
+
+def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):
+    """The elements at the given positions, or where a boolean mask is set."""
+    if picks.dtype == bool:
+        return kind(compress(elements, picks.tolist()))
+    return kind(map(elements.__getitem__, picks.tolist()))
+
+
+def _flip(rep: MonotonicityReport) -> MonotonicityReport:
+    """The same map's report with both orders reversed: up and down swap."""
+    return replace(rep, increasing_upward=rep.increasing_downward,
+                   increasing_downward=rep.increasing_upward,
+                   decreasing_upward=rep.decreasing_downward,
+                   decreasing_downward=rep.decreasing_upward)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import __version__
-from .equilibrium import ObjectiveMap, ProblemInstance
+from .equilibrium import ObjectiveMap, ProblemInstance, SolutionReport
 from .errors import OrdeqError, ParseError, ValidationError
 from .games import ZeroSumGame
 from .maps import SetValuedMap
@@ -344,14 +344,17 @@ def hypothesis_doc(hyp) -> dict:
 
 def build_report(command: str, instance, exit_code: int, elapsed: float,
                  solution_report=None, hypothesis_report=None, solutions=None,
-                 game_value=None) -> dict:
-    """Machine-readable result document mirroring the solve/check output."""
+                 game_value=None, digest=None) -> dict:
+    """Machine-readable result document mirroring the solve/check output.
+
+    ``digest`` is the instance's digest when the caller has it already.
+    """
     doc = {
         "schema": REPORT_SCHEMA,
         "tool_version": __version__,
         "command": command,
         "mode": "game" if isinstance(instance, ZeroSumGame) else "roep",
-        "instance_digest": instance_digest(instance),
+        "instance_digest": digest or instance_digest(instance),
         "exit_code": exit_code,
         "elapsed_seconds": round(elapsed, 6),
     }
@@ -377,23 +380,76 @@ def build_report(command: str, instance, exit_code: int, elapsed: float,
 
 
 def replay_report(report: dict, instance) -> bool:
-    """Re-verify a report against its instance: digest plus every solution."""
+    """Re-verify a report against its instance: the digest and every claim.
+
+    The solution and the climb trace are the report's own; the solution
+    must be maximal (minimal) among the solutions above (below) the seed,
+    as ``direction`` says, and the trace must start at the seed and step
+    strictly through gamma (only its last step may leave gamma, to promote
+    a fixed point of gamma to the solution).  Every other field must equal
+    the report rebuilt from them and from freshly computed hypotheses,
+    solution set, certificate, game value and exit code.
+    """
     if report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
     if report.get("instance_digest") != instance_digest(instance):
         return False
-    inst = instance.instance if isinstance(instance, ZeroSumGame) else instance
-    by_id = {
-        (element_id(x), element_id(y)): (x, y)
-        for x in inst.C.ordered()
-        for y in inst.D.ordered()
-    }
-    claimed = [tuple(s) for s in report.get("solutions", [])]
-    if report.get("solution"):
-        claimed.append(tuple(report["solution"]))
-    for sid in claimed:
-        if sid not in by_id:
+    try:
+        return _rebuild(report, instance) == report
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OrdeqError):
+        return False  # a malformed claim is not a verified one
+
+
+def _rebuild(report: dict, obj):
+    """The report this program writes with the given report's choices, or None."""
+    inst = obj.instance if isinstance(obj, ZeroSumGame) else obj
+    command, direction = report["command"], report.get("direction", "maximal")
+    if command not in ("check", "enumerate", "solve", "game"):
+        return None
+    fields, code = {}, 0
+    if command == "enumerate":
+        fields["solutions"], code = inst.solution_set, 0 if inst.solution_set else 3
+    else:
+        xs = {element_id(x): x for x in inst.C.ordered()}
+        ys = {element_id(y): y for y in inst.D.ordered()}
+        pair = lambda doc: (xs[doc[0]], ys[doc[1]])  # noqa: E731
+        seed = pair(report["seed"] if "seed" in report else report["hypotheses"]["seed"])
+        hyp = inst.check_hypotheses(seed, direction)
+        if command == "check":
+            fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
+        else:
+            sol, trace = pair(report["solution"]), [pair(p) for p in report["climb_trace"]]
+            if sol not in inst.extremal_solutions(seed, direction):
+                return None
+            if not _climb_ok(inst, seed, trace, sol, direction):
+                return None
+            maximal, minimal = (sol, None) if direction == "maximal" else (None, sol)
+            fields["solution_report"] = SolutionReport(
+                direction, seed, inst.solution_set, maximal, minimal, hyp, tuple(trace),
+                {sol: inst.solution_certificate(*sol)}, hyp.passes)
+            if command == "game":
+                fields["game_value"] = obj.payoff[sol]
+    return build_report(command, obj, code, report["elapsed_seconds"],
+                        digest=report["instance_digest"], **fields)
+
+
+def _climb_ok(inst, seed, trace: list, sol, direction: str) -> bool:
+    """A climb from the seed: each step goes strictly on and lies in gamma.
+
+    Only a last step to the solution may leave gamma, to promote a fixed
+    point of gamma.  The climb ends at the solution, or strands where gamma
+    leads no further.
+    """
+    def beyond(a, b):
+        return inst.pair_lt(b, a) if direction == "minimal" else inst.pair_lt(a, b)
+
+    if not trace or trace[0] != seed:
+        return False
+    for k, (a, b) in enumerate(zip(trace, trace[1:])):
+        promoted = k == len(trace) - 2 and b == sol and a in inst.gamma(*a)
+        if not beyond(a, b) or (b not in inst.gamma(*a) and not promoted):
             return False
-        if not inst.is_solution(*by_id[sid]):
-            return False
-    return True
+    last = trace[-1]
+    stranded = last not in inst.gamma(*last) and not any(
+        beyond(last, q) for q in inst.gamma(*last))
+    return last == sol or stranded

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-These deliberately avoid the package's order machinery: payoffs are plain
-numbers compared with ``<``/``>``, feasibility is plain set membership.
-They implement the classical constrained saddle conditions directly.
+The saddle oracles deliberately avoid the package's order machinery:
+payoffs are plain numbers compared with ``<``/``>``, feasibility is plain
+set membership.  They implement the classical constrained saddle conditions
+directly.  The dict-based referee below works on a ProblemInstance's public
+data, one pair at a time, and the completeness oracle on a ``leq`` matrix.
 """
 
 
@@ -42,6 +44,64 @@ def argmin_row(i, payoff, feasible):
 def argmax_col(j, payoff, feasible):
     best = max(payoff[(i, j)] for i in feasible)
     return {i for i in feasible if payoff[(i, j)] == best}
+
+
+# -- the dict-based solution path ---------------------------------------------
+#
+# The per-pair computation the package used before its index-coded kernel,
+# kept here as a second referee.  phi and psi compare each feasible image with
+# every other one through ``U.lt``; the solution set is a certificate scan of
+# every pair over element ids.  It reads only T, F, G and the utility order.
+
+
+def value_optima(U, images, maximize):
+    """Carriers of the (carrier, value) images that no other image strictly beats."""
+    keep = []
+    for carrier, v in images:
+        if maximize:
+            beaten = any(U.lt(v, w) for _, w in images)
+        else:
+            beaten = any(U.lt(w, v) for _, w in images)
+        if not beaten:
+            keep.append(carrier)
+    return frozenset(keep)
+
+
+def dict_phi(inst, x, feasible=None):
+    """Feasible argmin of T(x, .) over F(x), or over ``feasible`` when given."""
+    cols = inst.F(x) if feasible is None else feasible
+    return value_optima(inst.U, [(y, inst.T.value(x, y)) for y in cols], maximize=False)
+
+
+def dict_psi(inst, y, feasible=None):
+    """Feasible argmax of T(., y) over G(y), or over ``feasible`` when given."""
+    rows = inst.G(y) if feasible is None else feasible
+    return value_optima(inst.U, [(x, inst.T.value(x, y)) for x in rows], maximize=True)
+
+
+def dict_is_solution(inst, x, y):
+    """Feasible, with no feasible row or column deviation strictly better."""
+    if x not in inst.G(y) or y not in inst.F(x):
+        return False
+    v = inst.T.value(x, y)
+    if any(inst.U.lt(v, inst.T.value(x2, y)) for x2 in inst.G(y)):
+        return False
+    return not any(inst.U.lt(inst.T.value(x, y2), v) for y2 in inst.F(x))
+
+
+def dict_solution_set(inst):
+    return frozenset(
+        (x, y) for x in inst.C.members for y in inst.D.members if dict_is_solution(inst, x, y)
+    )
+
+
+def dict_gamma_fixed_points(inst):
+    """Pairs with (x, y) in psi(y) x phi(x), from this module's phi and psi."""
+    phi = {x: dict_phi(inst, x) for x in inst.C.members}
+    psi = {y: dict_psi(inst, y) for y in inst.D.members}
+    return frozenset(
+        (x, y) for x in inst.C.members for y in inst.D.members if x in psi[y] and y in phi[x]
+    )
 
 
 # -- finite order completeness -------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ordeq import ProblemInstance, parse_instance, replay_report
 from ordeq.cli import main
 from ordeq.errors import InvariantBreach
@@ -97,6 +99,77 @@ class TestSolve:
     def test_bad_seed_flag(self, capsys):
         code, _, err = run(capsys, "solve", FIXTURES["i2"], "--seed", "c0")
         assert code == 1
+
+
+def renamed_i2(tmp_path, names):
+    """The i2 fixture with its element ids renamed, written to a file."""
+    text = open(FIXTURES["i2"]).read()
+    for old, new in names.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    path = tmp_path / "renamed.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestSeedFlag:
+    def test_colon_inside_an_id(self, capsys, tmp_path):
+        path = renamed_i2(tmp_path, {"c0": "x:1", "d0": "y"})
+        code, out, _ = run(capsys, "check", path, "--seed", "x:1:y")
+        assert code == 0
+        assert "seed: (x:1, y)" in out
+
+    def test_grid_ids_split_at_the_one_fitting_comma(self, capsys):
+        code, out, _ = run(capsys, "check", FIXTURES["game2x2"], "--seed", "0,0,1,1")
+        assert code == 0
+        assert "seed: (0,0, 1,1)" in out
+
+    def test_ambiguous_seed_names_its_splits(self, capsys, tmp_path):
+        path = renamed_i2(tmp_path, {"c0": "a", "c1": "a:b", "d0": "b:c", "d1": "c"})
+        code, _, err = run(capsys, "check", path, "--seed", "a:b:c")
+        assert code == 1
+        assert "ValidationError" in err and "ambiguous" in err
+        assert "'a' and 'b:c'" in err and "'a:b' and 'c'" in err
+
+    def test_seed_matching_no_members_names_its_splits(self, capsys):
+        code, _, err = run(capsys, "solve", FIXTURES["i2"], "--seed", "c0:d9")
+        assert code == 1
+        assert "ValidationError" in err and "'c0' and 'd9'" in err
+
+
+REPORTING_COMMANDS = [["check"], ["solve", "--force"], ["solve", "--minimal", "--force"],
+                      ["game"], ["game", "--force"], ["enumerate"]]
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name", ["i1", "i2", "i3", "game2x2", "game3x3"])
+    def test_fixture_reports_replay(self, capsys, tmp_path, name):
+        replayed = 0
+        for k, argv in enumerate(REPORTING_COMMANDS):
+            path = tmp_path / f"report{k}.json"
+            run(capsys, *argv, FIXTURES[name], "--report", str(path))
+            if path.exists():
+                doc = json.loads(path.read_text())
+                assert replay_report(doc, parse_instance(FIXTURES[name])), argv
+                replayed += 1
+        assert replayed >= 2
+
+    @pytest.mark.parametrize("tamper", ["solutions", "direction", "trace", "passes", "all"])
+    def test_tampered_game_report_fails(self, capsys, tmp_path, tamper):
+        path = tmp_path / "game.json"
+        assert run(capsys, "game", FIXTURES["game3x3"], "--report", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        game = parse_instance(FIXTURES["game3x3"])
+        assert replay_report(doc, game)
+        assert len(doc["solutions"]) == 15
+        if tamper in ("solutions", "all"):
+            doc["solutions"] = [doc["solution"]]
+        if tamper in ("direction", "all"):
+            doc["direction"] = "minimal"
+        if tamper in ("trace", "all"):
+            doc["climb_trace"] = []
+        if tamper in ("passes", "all"):
+            doc["hypotheses"]["passes"] = False
+        assert not replay_report(doc, game)
 
 
 class TestEnumerate:

@@ -11,7 +11,13 @@ from ordeq import ObjectiveMap, ProblemInstance, constant_map, load_poset
 from ordeq.errors import UnknownElement, UtilityNotTotal, ValidationError
 
 from conftest import chain, instance_from_payoff, int_chain
-from oracles import argmax_col, argmin_row, saddle_solutions, unconstrained_saddles
+from oracles import (
+    argmax_col,
+    argmin_row,
+    dict_gamma_fixed_points,
+    saddle_solutions,
+    unconstrained_saddles,
+)
 
 I1_PAYOFF = {(i, j): i - j for i in range(2) for j in range(2)}
 I3_PAYOFF = {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}
@@ -137,7 +143,7 @@ class TestSolutionSet:
 
     def test_oracle_identity_on_fixtures(self, i1, i2, i3, constant_objective):
         for inst in (i1, i2, i3, constant_objective):
-            assert inst.gamma_fixed_points == inst.solution_set
+            assert dict_gamma_fixed_points(inst) == inst.solution_set
 
     def test_constant_objective_all_pairs_solve(self, constant_objective):
         inst = constant_objective
@@ -252,7 +258,7 @@ class TestProperSubsets:
     def test_solution_machinery_respects_membership(self):
         inst = self.proper_subset_instance()
         assert inst.solution_set == {("c1", "d2")}
-        assert inst.gamma_fixed_points == inst.solution_set
+        assert dict_gamma_fixed_points(inst) == inst.solution_set
         with pytest.raises(UnknownElement):
             inst.phi("c2")  # in X but not in C
 

@@ -17,7 +17,7 @@ from ordeq import (
     replay_report,
     serialize_instance,
 )
-from ordeq.errors import ParseError, ValidationError
+from ordeq.errors import NoSolution, ParseError, ValidationError
 from ordeq.fileio import build_report, parse_instance_dict
 
 from conftest import FIXTURES
@@ -200,3 +200,33 @@ class TestReports:
                            game_value=result.value)
         assert doc["game_value"] == "0"
         assert replay_report(doc, game)
+
+    def test_forced_solve_reports_replay_both_directions(self):
+        # covers promoted last steps and climbs that strand short of the solution
+        replayed = promoted = stranded = 0
+        for seed in range(60):
+            inst = gen_instance(GenSpec(kind="random_instance", sizes=(4, 4, 6),
+                                        rng_seed=seed, monotone_bias=seed % 2 == 0))
+            for x in inst.C.ordered():
+                for y in inst.D.ordered():
+                    for solve in (inst.solve_maximal, inst.solve_minimal):
+                        try:
+                            rep = solve((x, y), force=True)
+                        except NoSolution:
+                            continue
+                        doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
+                        assert replay_report(doc, inst), (seed, x, y, rep.direction)
+                        trace = rep.climb_trace
+                        replayed += 1
+                        promoted += len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2])
+                        stranded += trace[-1] != rep.solution
+        assert replayed > 500 and promoted and stranded
+
+    def test_replay_rejects_a_solution_that_is_not_maximal(self, constant_objective):
+        rep = constant_objective.solve_maximal(("c0", "d0"))
+        doc = build_report("solve", constant_objective, 0, 0.01, solution_report=rep)
+        assert replay_report(doc, constant_objective)
+        doc["solution"] = ["c0", "d1"]  # a solution, but (c1, d1) lies above it
+        doc["climb_trace"] = [["c0", "d0"], ["c0", "d1"]]
+        doc["certificates"][0]["pair"] = ["c0", "d1"]
+        assert not replay_report(doc, constant_objective)

@@ -5,6 +5,8 @@ import pytest
 from ordeq import GenSpec, gen_instance, gen_poset, serialize_instance
 from ordeq.errors import FilterExhausted, InvalidSpec
 
+from oracles import dict_gamma_fixed_points
+
 
 class TestGenPoset:
     def test_chain_relation_count(self):
@@ -54,7 +56,7 @@ class TestGenInstance:
 
     def test_deterministic_and_computable(self):
         inst = gen_instance(GenSpec(kind="random_instance", sizes=(3, 3, 5), rng_seed=7))
-        assert inst.solution_set == inst.gamma_fixed_points
+        assert inst.solution_set == dict_gamma_fixed_points(inst)
         again = gen_instance(GenSpec(kind="random_instance", sizes=(3, 3, 5), rng_seed=7))
         assert serialize_instance(inst) == serialize_instance(again)
 
@@ -89,7 +91,7 @@ class TestGenInstance:
                 GenSpec(kind="random_instance", sizes=(4, 4, 5), rng_seed=2,
                         poset_kind=kind)
             )
-            assert inst.solution_set == inst.gamma_fixed_points
+            assert inst.solution_set == dict_gamma_fixed_points(inst)
 
 
 class TestSpecValidation:

@@ -10,8 +10,18 @@ from ordeq import (
     product,
     transitive_closure,
 )
+from ordeq import equilibrium
+from ordeq.errors import NoSolution
+from ordeq.generate import POSET_KINDS
 
-from oracles import CompletenessOracle, chains
+from oracles import (
+    CompletenessOracle,
+    chains,
+    dict_gamma_fixed_points,
+    dict_phi,
+    dict_psi,
+    dict_solution_set,
+)
 
 SMALL_SIZES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
 SEEDS = st.integers(0, 10**9)
@@ -100,7 +110,56 @@ def test_completeness_reports_all_true(seed):
 @settings(max_examples=60, deadline=None)
 def test_oracle_identity_gamma_fixed_points(seed, sizes):
     inst = random_instance(seed, sizes=sizes)
-    assert inst.gamma_fixed_points == inst.solution_set
+    assert dict_gamma_fixed_points(inst) == inst.solution_set
+
+
+def test_kernel_matches_dict_referee():
+    # 100 seeds for each poset kind and bias setting: 1000 instances
+    checked = 0
+    for seed in range(100):
+        for kind in POSET_KINDS:
+            for bias in (False, True):
+                inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=kind,
+                                       monotone_bias=bias)
+                for x, value in inst.phi_map.entries():
+                    assert value == dict_phi(inst, x)
+                    assert inst.global_phi(x) == dict_phi(inst, x, inst.D.members)
+                for y, value in inst.psi_map.entries():
+                    assert value == dict_psi(inst, y)
+                    assert inst.global_psi(y) == dict_psi(inst, y, inst.C.members)
+                assert inst.solution_set == dict_solution_set(inst)
+                checked += 1
+    assert checked == 1000
+
+
+def test_row_chunked_tables_match_dict_referee(monkeypatch):
+    # a one-cell budget makes every broadcast chunk a single row
+    monkeypatch.setattr(equilibrium, "_CHUNK_CELLS", 1)
+    for seed in range(20):
+        inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=POSET_KINDS[seed % 5])
+        assert all(v == dict_phi(inst, x) for x, v in inst.phi_map.entries())
+        assert all(v == dict_psi(inst, y) for y, v in inst.psi_map.entries())
+        assert inst.solution_set == dict_solution_set(inst)
+
+
+def _forced(solve, seed):
+    try:
+        rep = solve(seed, force=True)
+    except NoSolution:
+        return None
+    return rep.solution, rep.climb_trace, rep.hypotheses
+
+
+@given(SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_minimal_direction_matches_dual_instance(seed):
+    # the descending climb reverses the orders in place of building the dual
+    inst = random_instance(seed, sizes=(4, 4, 6), monotone_bias=seed % 2 == 0)
+    dual = inst.dual()
+    for x in inst.C.ordered():
+        for y in inst.D.ordered():
+            assert inst.check_hypotheses((x, y), "minimal") == dual.check_hypotheses((x, y))
+            assert _forced(inst.solve_minimal, (x, y)) == _forced(dual.solve_maximal, (x, y))
 
 
 @given(SEEDS)

@@ -4,11 +4,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ordeq import ObjectiveMap, ProblemInstance, build_game, constant_map, load_poset
+from ordeq import (
+    ObjectiveMap,
+    ProblemInstance,
+    build_game,
+    constant_map,
+    grid_poset,
+    load_poset,
+)
 from ordeq.errors import HypothesisFailed, NoSolution
 
 from conftest import FIXTURES, chain, int_chain
@@ -151,6 +159,27 @@ class TestChainGameScale:
         assert hyp.passes and hyp.values_universally_inductive
         assert rep.solution == ("c19", "d19")
         assert elapsed < 2.0, f"check + solve took {elapsed:.2f} s"
+
+
+class TestGridGameScale:
+    def test_sixteen_grid_game_builds_checks_and_solves_quickly(self):
+        # 65 536 pairs: the per-pair oracle alone took about 3 s on an 8x8 grid
+        started = time.perf_counter()
+        X = grid_poset((16, 16))
+        C, D = X.full_subset(), X.full_subset()
+        payoff = {
+            (x, y): (x[0] + 2 * x[1]) - Fraction(3 * y[0] + y[1], 2)
+            for x in X.elements
+            for y in X.elements
+        }
+        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        hyp = inst.check_hypotheses()
+        rep = inst.solve_maximal()
+        elapsed = time.perf_counter() - started
+        assert hyp.passes
+        assert rep.solution == ((15, 15), (15, 15))
+        assert rep.solutions == {((15, 15), (15, 15))}
+        assert elapsed < 10.0, f"build + check + solve took {elapsed:.2f} s"
 
 
 class TestInvariantBreach:
