@@ -11,7 +11,8 @@ of the two order-optimization maps: a monotone climb from a seed pair reaches
 a fixed point of gamma, which is exactly a solution, and is then promoted to
 a maximal solution above the seed.  Inside, an instance is index-coded once
 (positions instead of element ids): phi and psi are boolean masks built by
-array broadcasts, and the solution set is where both masks hold.
+array broadcasts, their monotonicity flags are boolean matmuls of those masks
+with the orders of C and D, and the solution set is where both masks hold.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     UtilityNotTotal,
     ValidationError,
 )
-from .maps import MonotonicityReport, SetValuedMap, constant_map, monotonicity_report
+from .maps import MonotonicityReport, SetValuedMap, constant_map, mask_monotonicity
 from .poset import Poset, Subset
 
 Pair = tuple
@@ -288,11 +289,13 @@ class ProblemInstance:
 
     @cached_property
     def phi_monotonicity(self) -> MonotonicityReport:
-        return monotonicity_report(self.phi_map)
+        k = self._codes
+        return mask_monotonicity(self._phi_mask, k.c_leq, k.d_leq)
 
     @cached_property
     def psi_monotonicity(self) -> MonotonicityReport:
-        return monotonicity_report(self.psi_map)
+        k = self._codes
+        return mask_monotonicity(self._psi_mask, k.d_leq, k.c_leq)
 
     def check_hypotheses(self, seed: Optional[Pair] = None,
                          direction: str = "maximal") -> HypothesisReport:
@@ -499,11 +502,11 @@ class _Codes:
 
     @cached_property
     def c_leq(self) -> np.ndarray:
-        return _member_order(self._inst.C.parent, self.cs)
+        return self._inst.C.order_matrix()
 
     @cached_property
     def d_leq(self) -> np.ndarray:
-        return _member_order(self._inst.D.parent, self.ds)
+        return self._inst.D.order_matrix()
 
     def row(self, x) -> int:
         if x not in self.c_pos:
@@ -527,11 +530,6 @@ class _Codes:
         if direction == "minimal":
             return self.c_leq.T, self.d_leq.T
         raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
-
-
-def _member_order(parent: Poset, members: tuple) -> np.ndarray:
-    idx = np.array([parent.index(e) for e in members])
-    return parent.leq_matrix[idx[:, None], idx]
 
 
 def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.ndarray:

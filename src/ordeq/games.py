@@ -15,10 +15,12 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .equilibrium import ObjectiveMap, Pair, ProblemInstance, SolutionReport
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap, constant_map
-from .poset import GridPoset, Subset, grid_poset, load_poset
+from .poset import GridPoset, Poset, Subset, grid_poset
 
 __all__ = ["GridPoset", "grid_poset", "ZeroSumGame", "GameReport", "build_game",
            "solve_game", "transpose_game"]
@@ -65,7 +67,8 @@ class ZeroSumGame:
 
     @cached_property
     def instance(self) -> ProblemInstance:
-        return build_game(self.C, self.D, self.payoff, self.F, self.G, seed=self.seed)
+        # the payoffs are Fractions already: skip build_game's conversion
+        return _game_instance(self.C, self.D, self.payoff, self.F, self.G, self.seed)
 
     def transpose(self) -> "ZeroSumGame":
         """Swap the players: payoff negated and transposed, constraints swapped."""
@@ -90,12 +93,17 @@ def build_game(C: Subset, D: Subset, payoff: Mapping,
     usual rational order, so the scalar saddle test always applies.
     """
     table = {k: _as_fraction(v) for k, v in payoff.items()}
-    values = sorted(set(table.values()))
-    utility = load_poset(values, list(zip(values, values[1:])))
-    T = ObjectiveMap(utility, table)
     F = F if F is not None else constant_map(C, D)
     G = G if G is not None else constant_map(D, C)
-    return ProblemInstance(C, D, T, F, G, seed=seed)
+    return _game_instance(C, D, table, F, G, seed)
+
+
+def _game_instance(C: Subset, D: Subset, table: Mapping, F: SetValuedMap,
+                   G: SetValuedMap, seed: Optional[Pair]) -> ProblemInstance:
+    values = sorted(set(table.values()))
+    # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
+    utility = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
+    return ProblemInstance(C, D, ObjectiveMap(utility, table), F, G, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)

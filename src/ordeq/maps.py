@@ -1,4 +1,9 @@
-"""Set-valued mappings between posets and their order-monotonicity taxonomy."""
+"""Set-valued mappings between posets and their order-monotonicity taxonomy.
+
+The monotonicity flags are computed on index codes: a map is a boolean
+(domain x codomain) membership mask, and each flag is one boolean matmul
+against the up- or down-closures of its values.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import UnknownElement, ValidationError
-from .poset import Subset
+from .poset import Subset, _bool_matmul
 
 
 @dataclass(frozen=True)
@@ -94,46 +101,47 @@ def monotonicity_report(m: SetValuedMap) -> MonotonicityReport:
     Increasing upward: for x <= y, each value at x is dominated by some
     value at y.  Increasing downward: for x <= y, each value at y dominates
     some value at x.  The decreasing flags are the order-reversed clauses.
-    No sampling: every quantifier is checked exhaustively.
+    No sampling: every quantifier is checked exhaustively, by
+    :func:`mask_monotonicity` on the map's membership mask.
     """
-    dom_poset = m.domain.parent
-    cod = m.codomain.parent
-    members = m.domain.ordered()
-    pairs = [
-        (x, y) for x in members for y in members if dom_poset.leq(x, y)
-    ]
+    cols = {y: k for k, y in enumerate(m.codomain.ordered())}
+    mask = np.zeros((len(m.domain), len(cols)), dtype=bool)
+    for i, (_, value) in enumerate(m.entries()):
+        mask[i, [cols[y] for y in value]] = True
+    return mask_monotonicity(mask, m.domain.order_matrix(), m.codomain.order_matrix())
 
-    def holds(at_smaller: bool, witness_above: bool) -> bool:
-        # at_smaller: quantify over values at the smaller point of each pair;
-        # witness_above: the witness must dominate the quantified value
-        for x, y in pairs:
-            quantified, witnesses = (m(x), m(y)) if at_smaller else (m(y), m(x))
-            for z in quantified:
-                if witness_above:
-                    ok = any(cod.leq(z, w) for w in witnesses)
-                else:
-                    ok = any(cod.leq(w, z) for w in witnesses)
-                if not ok:
-                    return False
-        return True
 
-    inc_up = holds(at_smaller=True, witness_above=True)
-    inc_down = holds(at_smaller=False, witness_above=False)
-    dec_up = holds(at_smaller=True, witness_above=False)
-    dec_down = holds(at_smaller=False, witness_above=True)
+def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
+                      cod_leq: np.ndarray) -> MonotonicityReport:
+    """The six flags of the map whose value at domain member i is row i of mask.
+
+    dom_leq and cod_leq are the orders of the domain and codomain members.
+    Row x of ``down`` is the down-closure of the value at x, row x of ``up``
+    its up-closure.  Increasing upward fails iff some x <= x' has a value
+    at x outside down[x']; the other three flags swap the closure or the
+    end of the pair that is quantified.  Each test is one boolean matmul.
+    """
+    up = _bool_matmul(mask, cod_leq)
+    down = _bool_matmul(mask, cod_leq.T)
+
+    def holds(fails: np.ndarray) -> bool:
+        # fails[x, x']: the pair (x, x') breaks the clause if x <= x'
+        return not (dom_leq & fails).any()
 
     strict_inc = strict_dec = None
-    if m.is_singleton_valued():
-        single = {x: next(iter(m(x))) for x in members}
-        strict_pairs = [(x, y) for x, y in pairs if x != y]
-        strict_inc = all(cod.lt(single[x], single[y]) for x, y in strict_pairs)
-        strict_dec = all(cod.lt(single[y], single[x]) for x, y in strict_pairs)
+    if (mask.sum(axis=1) == 1).all():
+        single = mask.nonzero()[1]  # the one value of each row, row by row
+        lt = cod_leq & ~np.eye(len(cod_leq), dtype=bool)
+        ascends = lt[np.ix_(single, single)]  # [x, x']: value at x < value at x'
+        pairs = dom_leq & ~np.eye(len(dom_leq), dtype=bool)
+        strict_inc = bool(ascends[pairs].all())
+        strict_dec = bool(ascends.T[pairs].all())
 
     return MonotonicityReport(
-        increasing_upward=inc_up,
-        increasing_downward=inc_down,
-        decreasing_upward=dec_up,
-        decreasing_downward=dec_down,
+        increasing_upward=holds(_bool_matmul(mask, ~down.T)),
+        increasing_downward=holds(_bool_matmul(~up, mask.T)),
+        decreasing_upward=holds(_bool_matmul(mask, ~up.T)),
+        decreasing_downward=holds(_bool_matmul(~down, mask.T)),
         strictly_increasing=strict_inc,
         strictly_decreasing=strict_dec,
     )

@@ -27,8 +27,9 @@ def transitive_closure(matrix: np.ndarray) -> np.ndarray:
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # "exists" composition of boolean matrices
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    # "exists" composition of boolean matrices, through BLAS: a float32 sum
+    # of 0/1 terms is exact up to 2**24 and positive iff some term is 1
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 class Poset:
@@ -186,6 +187,11 @@ class Subset:
         """Members in parent element order (deterministic)."""
         return tuple(e for e in self.parent.elements if e in self.members)
 
+    def order_matrix(self) -> np.ndarray:
+        """The parent's leq matrix restricted to the members, in parent order."""
+        idx = [self.parent.index(e) for e in self.ordered()]
+        return self.parent.leq_matrix[np.ix_(idx, idx)]
+
     def maximal_points(self) -> "Subset":
         """Members with no strictly greater member (an antichain, never empty)."""
         return self._extremal(upper=True)
@@ -197,11 +203,9 @@ class Subset:
     def _extremal(self, upper: bool) -> "Subset":
         if not self.members:
             raise EmptySubset("extremal points of an empty subset are undefined")
-        idx = [self.parent.index(e) for e in self.ordered()]
-        sub = self.parent.leq_matrix[np.ix_(idx, idx)]
+        strict = self.order_matrix()
         if not upper:
-            sub = sub.T
-        strict = sub.copy()
+            strict = strict.T
         np.fill_diagonal(strict, False)
         keep = ~strict.any(axis=1)
         els = self.ordered()

@@ -52,6 +52,7 @@ def argmax_col(j, payoff, feasible):
 # kept here as a second referee.  phi and psi compare each feasible image with
 # every other one through ``U.lt``; the solution set is a certificate scan of
 # every pair over element ids.  It reads only T, F, G and the utility order.
+# The monotonicity flags loop over comparable domain pairs of a map.
 
 
 def value_optima(U, images, maximize):
@@ -102,6 +103,47 @@ def dict_gamma_fixed_points(inst):
     return frozenset(
         (x, y) for x in inst.C.members for y in inst.D.members if x in psi[y] and y in phi[x]
     )
+
+
+def dict_monotonicity(m):
+    """The six monotonicity flags of a SetValuedMap, by name, pair by pair.
+
+    Loops over every comparable pair of domain members through the parent
+    posets' ``leq``/``lt``; the strict flags are None unless every value is
+    a singleton.
+    """
+    dom, cod = m.domain.parent, m.codomain.parent
+    members = m.domain.ordered()
+    pairs = [(x, y) for x in members for y in members if dom.leq(x, y)]
+
+    def holds(at_smaller, witness_above):
+        # at_smaller: quantify over values at the smaller point of each pair;
+        # witness_above: the witness must dominate the quantified value
+        for x, y in pairs:
+            quantified, witnesses = (m(x), m(y)) if at_smaller else (m(y), m(x))
+            for z in quantified:
+                if witness_above:
+                    ok = any(cod.leq(z, w) for w in witnesses)
+                else:
+                    ok = any(cod.leq(w, z) for w in witnesses)
+                if not ok:
+                    return False
+        return True
+
+    strict_inc = strict_dec = None
+    if all(len(m(x)) == 1 for x in members):
+        single = {x: next(iter(m(x))) for x in members}
+        strict_pairs = [(x, y) for x, y in pairs if x != y]
+        strict_inc = all(cod.lt(single[x], single[y]) for x, y in strict_pairs)
+        strict_dec = all(cod.lt(single[y], single[x]) for x, y in strict_pairs)
+    return {
+        "increasing_upward": holds(at_smaller=True, witness_above=True),
+        "increasing_downward": holds(at_smaller=False, witness_above=False),
+        "decreasing_upward": holds(at_smaller=True, witness_above=False),
+        "decreasing_downward": holds(at_smaller=False, witness_above=True),
+        "strictly_increasing": strict_inc,
+        "strictly_decreasing": strict_dec,
+    }
 
 
 # -- finite order completeness -------------------------------------------------

@@ -13,7 +13,7 @@ from ordeq import (
     solve_game,
     transpose_game,
 )
-from ordeq.errors import NoSolution, ValidationError, ZeroExtent
+from ordeq.errors import NoSolution, UnknownElement, ValidationError, ZeroExtent
 
 from conftest import chain
 from oracles import saddle_solutions
@@ -78,6 +78,15 @@ class TestBuildGame:
         D = grid_poset((2,)).full_subset()
         with pytest.raises(ValidationError):
             ZeroSumGame(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
+
+    def test_build_game_refuses_floats_and_holes(self):
+        # direct callers bypass ZeroSumGame's checks
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        with pytest.raises(ValidationError):
+            build_game(C, D, {(x, y): 0.5 for x in C.ordered() for y in D.ordered()})
+        with pytest.raises(UnknownElement):
+            build_game(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
 
 
 class TestSolveGame:

@@ -1,11 +1,23 @@
 """Set-valued maps and the monotonicity taxonomy."""
 
+import random
+from dataclasses import asdict
+
 import pytest
 
-from ordeq import SetValuedMap, constant_map, is_constant, monotonicity_report
+from ordeq import (
+    GenSpec,
+    SetValuedMap,
+    constant_map,
+    gen_poset,
+    is_constant,
+    monotonicity_report,
+)
 from ordeq.errors import UnknownElement, ValidationError
+from ordeq.generate import POSET_KINDS
 
 from conftest import chain
+from oracles import dict_monotonicity
 
 
 def make_map(table, domain_poset=None, codomain_poset=None):
@@ -96,6 +108,40 @@ class TestMonotonicityReport:
         assert rep.strictly_increasing is True
         rep = monotonicity_report(make_map({"c0": {"d0"}, "c1": {"d0"}}))
         assert rep.strictly_increasing is False  # not strict: equal values
+
+
+class TestMaskKernelMatchesReferee:
+    def test_maps_between_proper_subsets(self):
+        rng = random.Random(2017)
+        seen = set()
+        for seed in range(400):
+            X, Y = (
+                gen_poset(GenSpec(kind=rng.choice(POSET_KINDS), sizes=(rng.randint(2, 7),),
+                                  rng_seed=seed * 2 + side, density=0.4))
+                for side in (0, 1)
+            )
+            dom = X.subset(rng.sample(X.elements, rng.randint(1, len(X) - 1)))
+            cod = Y.subset(rng.sample(Y.elements, rng.randint(1, len(Y) - 1)))
+            members = sorted(cod.members, key=Y.index)
+            # every other map is singleton-valued, so the strict flags are evaluated
+            table = {
+                x: rng.sample(members, 1 if seed % 2 else rng.randint(1, len(members)))
+                for x in dom.members
+            }
+            m = SetValuedMap(dom, cod, table)
+            expected = dict_monotonicity(m)
+            assert asdict(monotonicity_report(m)) == expected
+            seen.update(expected.items())
+        # every flag was seen both holding and failing
+        assert all((name, flag) in seen for name in expected for flag in (True, False))
+        assert ("strictly_increasing", None) in seen
+
+    def test_empty_domain_holds_vacuously(self):
+        X, Y = chain("c", 3), chain("d", 3)
+        m = SetValuedMap(X.subset([]), Y.subset(["d0", "d2"]), {})
+        rep = asdict(monotonicity_report(m))
+        assert rep == dict_monotonicity(m)
+        assert all(flag is True for flag in rep.values())
 
 
 class TestIsConstant:

@@ -95,6 +95,24 @@ class TestQueries:
         assert rebuilt == p
 
 
+class TestCountsPast256:
+    # 256 elements strictly between two others: a uint8 count of them wraps to 0
+
+    def test_long_chain_hasse_edges_are_covers(self):
+        p = chain("e", 258)
+        edges = p.hasse_edges()
+        assert len(edges) == 257
+        assert ("e0", "e257") not in edges
+
+    def test_closure_check_sees_a_gap_behind_256_paths(self):
+        n = 258  # v0 <= k <= v257 for the 256 middle k, but not v0 <= v257
+        m = np.eye(n, dtype=bool)
+        m[0, 1:-1] = True
+        m[1:-1, -1] = True
+        with pytest.raises(ValueError, match="not transitively closed"):
+            Poset([f"v{i}" for i in range(n)], m)
+
+
 class TestExtremalPoints:
     def test_diamond_top(self):
         d = diamond()

@@ -1,10 +1,13 @@
 """Property-based checks over generated posets and instances."""
 
+from dataclasses import asdict
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ordeq import (
     GenSpec,
+    SetValuedMap,
     gen_instance,
     gen_poset,
     product,
@@ -18,6 +21,7 @@ from oracles import (
     CompletenessOracle,
     chains,
     dict_gamma_fixed_points,
+    dict_monotonicity,
     dict_phi,
     dict_psi,
     dict_solution_set,
@@ -130,6 +134,39 @@ def test_kernel_matches_dict_referee():
                 assert inst.solution_set == dict_solution_set(inst)
                 checked += 1
     assert checked == 1000
+
+
+def _reversed_orders(m):
+    """The same table over the dual posets of its domain and codomain."""
+    dom = m.domain.parent.dual().subset(m.domain.members)
+    cod = m.codomain.parent.dual().subset(m.codomain.members)
+    return SetValuedMap(dom, cod, dict(m.table))
+
+
+def test_monotonicity_matches_dict_referee():
+    # 100 seeds for each poset kind and bias setting: 1000 instances
+    checked = 0
+    seen = set()
+    for seed in range(100, 200):
+        for kind in POSET_KINDS:
+            for bias in (False, True):
+                inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=kind,
+                                       monotone_bias=bias)
+                phi, psi = dict_monotonicity(inst.phi_map), dict_monotonicity(inst.psi_map)
+                assert asdict(inst.phi_monotonicity) == phi
+                assert asdict(inst.psi_monotonicity) == psi
+                # the descending climb's conditions: both orders reversed
+                hyp = inst.check_hypotheses((inst.C.ordered()[0], inst.D.ordered()[0]),
+                                            direction="minimal")
+                assert asdict(hyp.phi_monotonicity) == dict_monotonicity(
+                    _reversed_orders(inst.phi_map))
+                assert asdict(hyp.psi_monotonicity) == dict_monotonicity(
+                    _reversed_orders(inst.psi_map))
+                seen.update(phi.items())
+                checked += 1
+    assert checked == 1000
+    # every flag was seen both holding and failing
+    assert all((name, flag) in seen for name in phi for flag in (True, False))
 
 
 def test_row_chunked_tables_match_dict_referee(monkeypatch):

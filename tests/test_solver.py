@@ -181,6 +181,26 @@ class TestGridGameScale:
         assert rep.solutions == {((15, 15), (15, 15))}
         assert elapsed < 10.0, f"build + check + solve took {elapsed:.2f} s"
 
+    def test_sixteen_grid_game_with_a_long_utility_chain(self):
+        # 1276 distinct payoffs: the utility chain's closure and its uint8
+        # validation took about 3 s of the build
+        X = grid_poset((16, 16))
+        C, D = X.full_subset(), X.full_subset()
+        payoff = {
+            (x, y): (x[0] + 16 * x[1]) - Fraction(y[0] + 16 * y[1], 4)
+            for x in X.elements
+            for y in X.elements
+        }
+        started = time.perf_counter()
+        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        hyp = inst.check_hypotheses()
+        rep = inst.solve_maximal()
+        elapsed = time.perf_counter() - started
+        assert len(inst.U) == 1276
+        assert hyp.passes
+        assert rep.solution == ((15, 15), (15, 15))
+        assert elapsed < 2.5, f"build + check + solve took {elapsed:.2f} s"
+
 
 class TestInvariantBreach:
     def test_non_ascending_trace_raises_under_optimize(self):
