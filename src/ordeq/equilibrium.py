@@ -48,12 +48,16 @@ class ObjectiveMap:
 
     def __post_init__(self):
         tbl = dict(self.table)
-        for pair, value in tbl.items():
-            if value not in self.utility:
-                raise ValidationError(
-                    f"objective value {value!r} at {pair!r} is not in the utility poset"
-                )
+        index = {e: i for i, e in enumerate(self.utility.elements)}
+        # pair -> position of its value in U, kept for the index codes
+        positions = dict(zip(tbl, map(index.get, tbl.values())))
+        if None in positions.values():
+            pair = next(p for p, i in positions.items() if i is None)
+            raise ValidationError(
+                f"objective value {tbl[pair]!r} at {pair!r} is not in the utility poset"
+            )
         object.__setattr__(self, "table", MappingProxyType(tbl))
+        object.__setattr__(self, "_positions", positions)
 
     def value(self, x, y):
         try:
@@ -478,11 +482,11 @@ class _Codes:
     """An instance with element ids replaced by positions, for array kernels.
 
     The members of C and D are numbered in parent order, so positions sort
-    pairs as pair_index does.  T[i, j] is the position of T(x_i, y_j) in U;
-    F[i, j] says y_j in F(x_i) and G[i, j] says x_i in G(y_j); lt is the
-    strict order of U; c_leq and d_leq are the orders of C and D restricted
-    to their members.  What phi needs is built at once, the rest on first
-    use: most instances a generator rejects never need it.
+    pairs as pair_index does.  T[i, j] is the position of T(x_i, y_j) in U,
+    as the ObjectiveMap recorded it when it validated the value; F[i, j]
+    says y_j in F(x_i) and G[i, j] says x_i in G(y_j); lt is the strict
+    order of U; c_leq and d_leq are the orders of C and D restricted to
+    their members.  What phi needs is built at once, the rest on first use.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -490,8 +494,8 @@ class _Codes:
         self.cs, self.ds = inst.C.ordered(), inst.D.ordered()
         self.c_pos = {x: i for i, x in enumerate(self.cs)}
         self.d_pos = {y: j for j, y in enumerate(self.ds)}
-        u, table = inst.U.index, inst.T.table
-        self.T = np.array([[u(table[x, y]) for y in self.ds] for x in self.cs], dtype=np.intp)
+        pos = inst.T._positions
+        self.T = np.array([[pos[x, y] for y in self.ds] for x in self.cs], dtype=np.intp)
         self.F = np.array([[y in f for y in self.ds] for f in map(inst.F, self.cs)], dtype=bool)
         self.lt = inst.U.leq_matrix & ~np.eye(len(inst.U), dtype=bool)
 

@@ -2,7 +2,8 @@
 
 Instance documents name their posets, the subsets C and D, the objective
 table (or a rational payoff table in game mode), the constraint tables, and
-an optional seed pair.  Unknown fields are rejected.  Serialization
+an optional seed pair.  Unknown fields are rejected, and so is any element
+id or poset name that is not a JSON string.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
 edges, rows are emitted in a canonical order; parse-then-serialize is
 idempotent after the first normalization pass.
@@ -66,9 +67,10 @@ def _parse_poset(section: str, data) -> Poset:
         raise ValidationError(f"{section}: elements must be a list of strings")
     edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in edges
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+        for e in edges
     ):
-        raise ValidationError(f"{section}: edges must be a list of [a, b] pairs")
+        raise ValidationError(f"{section}: edges must be a list of [a, b] pairs of strings")
     kind = data.get("edge_kind", "hasse")
     if kind not in ("hasse", "full"):
         raise ValidationError(f"{section}: edge_kind must be 'hasse' or 'full'")
@@ -83,11 +85,11 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
         raise ValidationError(f"{section}: must be an object")
     _reject_unknown(section, data, {"poset", "members"})
     name = _require(section, data, "poset")
-    if name not in posets:
+    if not isinstance(name, str) or name not in posets:
         raise ValidationError(f"{section}: references unknown poset {name!r}")
     members = _require(section, data, "members")
-    if not isinstance(members, list):
-        raise ValidationError(f"{section}: members must be a list")
+    if not isinstance(members, list) or not all(isinstance(e, str) for e in members):
+        raise ValidationError(f"{section}: members must be a list of strings")
     try:
         return posets[name].subset(members)
     except OrdeqError as exc:
@@ -99,8 +101,8 @@ def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> 
         raise ValidationError(f"{section}: must be an object of element -> list")
     table = {}
     for key, values in data.items():
-        if not isinstance(values, list):
-            raise ValidationError(f"{section}: entry {key!r} must be a list")
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
         table[key] = values
     try:
         return SetValuedMap(domain, codomain, table)
@@ -116,9 +118,9 @@ def _parse_rows(section: str, data, C: Subset, D: Subset) -> dict:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"{section}: malformed row {row!r}")
         x, y, v = row
-        if x not in C.members:
+        if not isinstance(x, str) or x not in C.members:
             raise ValidationError(f"{section}: row references {x!r}, not a member of C")
-        if y not in D.members:
+        if not isinstance(y, str) or y not in D.members:
             raise ValidationError(f"{section}: row references {y!r}, not a member of D")
         if (x, y) in table:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
@@ -132,9 +134,9 @@ def _parse_seed(data, C: Subset, D: Subset):
     if not isinstance(data, list) or len(data) != 2:
         raise ValidationError("seed: must be a [x, y] pair")
     x, y = data
-    if x not in C.members:
+    if not isinstance(x, str) or x not in C.members:
         raise ValidationError(f"seed: {x!r} is not a member of C")
-    if y not in D.members:
+    if not isinstance(y, str) or y not in D.members:
         raise ValidationError(f"seed: {y!r} is not a member of D")
     return (x, y)
 
@@ -194,8 +196,9 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             raise ValidationError(f"game: {type(exc).__name__}: {exc}") from exc
 
     rows = _parse_rows("T", _require("document", doc, "T"), C, D)
+    u_ids = set(posets["U"].elements)
     for pair, v in rows.items():
-        if v not in posets["U"]:
+        if not isinstance(v, str) or v not in u_ids:
             raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
     from .maps import constant_map  # local import avoids a cycle at module load
 

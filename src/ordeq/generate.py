@@ -4,17 +4,25 @@ Everything is a pure function of the GenSpec: the same spec yields the same
 artifact, byte for byte after serialization.  Random posets are built by
 sampling a strict upper-triangular edge set over a shuffled element order
 and closing transitively, which guarantees acyclicity by construction.
+
+An instance attempt is drawn as codes: the orders of X, Y and U as leq
+matrices, T as positions in U, F and G as boolean masks.  The hypothesis
+filter rejects an attempt on these arrays (phi before G is even drawn), and
+only the accepted attempt is built into validated objects.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
-from .equilibrium import ObjectiveMap, ProblemInstance
-from .errors import FilterExhausted, InvalidSpec
-from .maps import SetValuedMap
-from .poset import Poset, Subset, grid_poset, load_poset
+import numpy as np
+
+from .equilibrium import ObjectiveMap, ProblemInstance, _optima
+from .errors import FilterExhausted, InvalidSpec, InvariantBreach
+from .maps import SetValuedMap, increasing_upward
+from .poset import Poset, _bool_matmul, grid_poset, load_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -85,17 +93,24 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
         return grid_poset(sizes)
     if kind == "random_poset":
         (n,) = sizes
-        names = [f"{prefix}{i}" for i in range(n)]
-        order = list(range(n))
-        rng.shuffle(order)
-        edges = [
-            (names[order[i]], names[order[j]])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        return load_poset(names, edges)
+        return Poset([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
     raise InvalidSpec(f"{kind!r} does not generate a poset")
+
+
+def _random_order(n: int, rng: random.Random, density: float) -> np.ndarray:
+    """The leq matrix of edges drawn along a shuffled order, then closed."""
+    order = list(range(n))
+    rng.shuffle(order)
+    drawn = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
+    # every edge points later in `order`: close from its end, one bitset per element
+    up = [0] * n
+    for i in reversed(range(n)):
+        up[i] = 1 << order[i]
+        for j in drawn[i]:
+            up[i] |= up[j]
+    leq = np.empty((n, n), dtype=bool)
+    leq[order] = np.array(up)[:, None] >> np.arange(n) & 1
+    return leq
 
 
 def gen_poset(spec: GenSpec) -> Poset:
@@ -106,55 +121,62 @@ def gen_poset(spec: GenSpec) -> Poset:
     return _poset(spec.kind, spec.sizes, rng, "e", spec.density)
 
 
-def _nonempty_subset(rng: random.Random, pool: tuple) -> frozenset:
-    k = rng.randint(1, len(pool))
-    return frozenset(rng.sample(pool, k))
+class _Side:
+    """One poset of an instance: its ids, and its order when drawing it needs no rng."""
+
+    def __init__(self, kind: str, sizes: tuple, prefix: str, density: float):
+        self.density = density
+        if kind == "random_poset":
+            (n,) = sizes
+            self.names = tuple(f"{prefix}{i}" for i in range(n))
+            self.poset = None
+        else:
+            self.poset = _poset(kind, sizes, None, prefix, density)
+            self.names = self.poset.elements
+
+    def draw(self, rng: random.Random) -> np.ndarray:
+        if self.poset is not None:
+            return self.poset.leq_matrix
+        return _random_order(len(self.names), rng, self.density)
+
+    def build(self, leq: np.ndarray) -> Poset:
+        return self.poset if self.poset is not None else Poset(self.names, leq)
 
 
-def _monotone_score(rng: random.Random, poset: Poset, members: tuple) -> dict:
+def _nonempty_subset(rng: random.Random, n: int) -> list:
+    """Positions of a random nonempty subset of n members."""
+    k = rng.randint(1, n)
+    return rng.sample(range(n), k)
+
+
+def _monotone_score(rng: random.Random, leq: np.ndarray) -> list:
     # sum of positive weights over the down-set: nondecreasing along the order
-    weights = {e: rng.uniform(0.5, 2.0) for e in members}
-    return {
-        e: sum(weights[z] for z in members if poset.leq(z, e)) for e in members
-    }
+    weights = [rng.uniform(0.5, 2.0) for _ in range(len(leq))]
+    return [sum(compress(weights, below)) for below in leq.T.tolist()]
 
 
-def _build_instance(spec: GenSpec, attempt_seed: int) -> ProblemInstance:
-    rng = random.Random(attempt_seed)
-    n_c, n_d, n_u = spec.sizes
-    X = _poset(spec.poset_kind, _poset_sizes(spec.poset_kind, n_c), rng, "c", spec.density)
-    Y = _poset(spec.poset_kind, _poset_sizes(spec.poset_kind, n_d), rng, "d", spec.density)
-    C = X.full_subset()
-    D = Y.full_subset()
-    u_names = [f"u{i}" for i in range(n_u)]
+def _draw_table(spec: GenSpec, rng: random.Random, c_leq: np.ndarray,
+                d_leq: np.ndarray) -> np.ndarray:
+    """T as positions in U, one row per member of C."""
+    n_u = spec.sizes[2]
     if spec.monotone_bias:
-        U = load_poset(u_names, list(zip(u_names, u_names[1:])))
+        raw = np.subtract.outer(_monotone_score(rng, c_leq), _monotone_score(rng, d_leq))
+        levels = np.unique(raw)
+        return np.searchsorted(levels, raw) * n_u // len(levels)
+    u, shape = range(n_u), (len(c_leq), len(d_leq))
+    return np.array([rng.choice(u) for _ in range(shape[0] * shape[1])],
+                    dtype=np.intp).reshape(shape)
+
+
+def _draw_constraint(spec: GenSpec, rng: random.Random, n_dom: int, n_cod: int) -> np.ndarray:
+    """Row x: the value at domain member x, as a mask over the codomain members."""
+    mask = np.zeros((n_dom, n_cod), dtype=bool)
+    if spec.monotone_bias and rng.random() < 0.7:
+        mask[:, _nonempty_subset(rng, n_cod)] = True
     else:
-        U = _poset("random_poset", (n_u,), rng, "u", spec.density)
-
-    cs = C.ordered()
-    ds = D.ordered()
-    if spec.monotone_bias:
-        f = _monotone_score(rng, X, cs)
-        g = _monotone_score(rng, Y, ds)
-        raw = {(x, y): f[x] - g[y] for x in cs for y in ds}
-        levels = sorted(set(raw.values()))
-        pick = lambda v: u_names[levels.index(v) * n_u // len(levels)]
-        table = {pair: pick(v) for pair, v in raw.items()}
-    else:
-        table = {(x, y): rng.choice(u_names) for x in cs for y in ds}
-    T = ObjectiveMap(U, table)
-
-    def constraint(dom: Subset, cod: Subset) -> SetValuedMap:
-        pool = cod.ordered()
-        if spec.monotone_bias and rng.random() < 0.7:
-            base = _nonempty_subset(rng, pool)
-            return SetValuedMap(dom, cod, {x: base for x in dom.members})
-        return SetValuedMap(dom, cod, {x: _nonempty_subset(rng, pool) for x in dom.ordered()})
-
-    F = constraint(C, D)
-    G = constraint(D, C)
-    return ProblemInstance(C, D, T, F, G)
+        for row in mask:
+            row[_nonempty_subset(rng, n_cod)] = True
+    return mask
 
 
 def _poset_sizes(kind: str, n: int) -> tuple:
@@ -174,8 +196,12 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
 
     With filter "require_hypotheses" the generator retries (up to
     spec.max_retries fresh attempts) until some seed pair passes
-    check_hypotheses; the passing pair is recorded as the instance seed.
-    Raises FilterExhausted honestly when the cap is hit.
+    check_hypotheses; the first passing pair in C x D order is recorded as
+    the instance seed.  Each attempt is drawn as codes from its own rng and
+    rejected on them: phi increasing upward is tested before G is drawn,
+    then psi, then the seed condition.  Only the accepted attempt is built
+    into validated objects, and its hypotheses are checked once more on
+    them.  Raises FilterExhausted honestly when the cap is hit.
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
@@ -185,24 +211,59 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     if any(s > c for s, c in zip(spec.sizes, caps)):
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {caps}")
 
+    kind, density, n_u = spec.poset_kind, spec.density, spec.sizes[2]
+    sides = (
+        _Side(kind, _poset_sizes(kind, spec.sizes[0]), "c", density),
+        _Side(kind, _poset_sizes(kind, spec.sizes[1]), "d", density),
+        _Side("chain" if spec.monotone_bias else "random_poset", (n_u,), "u", density),
+    )
+    n_c, n_d = len(sides[0].names), len(sides[1].names)  # a boolean lattice may be smaller
+    filtering = spec.filter == "require_hypotheses"
     master = random.Random(spec.rng_seed)
-    attempts = spec.max_retries if spec.filter == "require_hypotheses" else 1
-    for _ in range(attempts):
-        inst = _build_instance(spec, master.getrandbits(63))
-        if spec.filter == "none":
-            return inst
-        if not (
-            inst.phi_monotonicity.increasing_upward
-            and inst.psi_monotonicity.increasing_upward
-        ):
-            continue  # seed-independent part failed; next attempt
-        for x in inst.C.ordered():
-            for y in inst.D.ordered():
-                if inst.check_hypotheses((x, y)).passes:
-                    return ProblemInstance(
-                        inst.C, inst.D, inst.T, inst.F, inst.G, seed=(x, y)
-                    )
+    for _ in range(spec.max_retries if filtering else 1):
+        rng = random.Random(master.getrandbits(63))
+        c_leq, d_leq, u_leq = (side.draw(rng) for side in sides)
+        T = _draw_table(spec, rng, c_leq, d_leq)
+        F = _draw_constraint(spec, rng, n_c, n_d)
+        if not filtering:
+            return _build(sides, (c_leq, d_leq, u_leq), T, F,
+                          _draw_constraint(spec, rng, n_d, n_c))
+        lt = u_leq & ~np.eye(n_u, dtype=bool)
+        phi = _optima(T, F, lt)
+        if not increasing_upward(phi, c_leq, d_leq):
+            continue
+        G = _draw_constraint(spec, rng, n_d, n_c)  # the attempt's last draw
+        psi = _optima(T.T, G, lt.T)
+        if not increasing_upward(psi, d_leq, c_leq):
+            continue
+        # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
+        seeds = np.flatnonzero(_bool_matmul(c_leq, psi.T) & _bool_matmul(phi, d_leq.T))
+        if len(seeds):
+            return _build(sides, (c_leq, d_leq, u_leq), T, F, G,
+                          seed=divmod(int(seeds[0]), n_d))
     raise FilterExhausted(
-        f"no instance passing check_hypotheses found in {attempts} attempts "
+        f"no instance passing check_hypotheses found in {spec.max_retries} attempts "
         f"(spec seed {spec.rng_seed})"
     )
+
+
+def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
+           G: np.ndarray, seed=None) -> ProblemInstance:
+    """The validated instance of an attempt's codes; G's row j is G(y_j).
+
+    With a seed (positions in C and D) the instance must pass
+    check_hypotheses there, or the codes and the objects disagree.
+    """
+    X, Y, U = (side.build(leq) for side, leq in zip(sides, orders))
+    C, D = X.full_subset(), Y.full_subset()
+    cs, ds, us = X.elements, Y.elements, U.elements
+    table = {(x, y): us[t] for x, row in zip(cs, T.tolist()) for y, t in zip(ds, row)}
+    inst = ProblemInstance(
+        C, D, ObjectiveMap(U, table),
+        SetValuedMap(C, D, {x: frozenset(compress(ds, row)) for x, row in zip(cs, F.tolist())}),
+        SetValuedMap(D, C, {y: frozenset(compress(cs, row)) for y, row in zip(ds, G.tolist())}),
+        seed=None if seed is None else (cs[seed[0]], ds[seed[1]]),
+    )
+    if seed is not None and not inst.check_hypotheses().passes:
+        raise InvariantBreach(f"generated seed {inst.seed!r} fails check_hypotheses")
+    return inst

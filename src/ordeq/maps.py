@@ -1,8 +1,8 @@
 """Set-valued mappings between posets and their order-monotonicity taxonomy.
 
 The monotonicity flags are computed on index codes: a map is a boolean
-(domain x codomain) membership mask, and each flag is one boolean matmul
-against the up- or down-closures of its values.
+(domain x codomain) membership mask, and each up/down flag is
+increasing-upward under reversed orders, two boolean matmuls.
 """
 
 from __future__ import annotations
@@ -111,23 +111,27 @@ def monotonicity_report(m: SetValuedMap) -> MonotonicityReport:
     return mask_monotonicity(mask, m.domain.order_matrix(), m.codomain.order_matrix())
 
 
+def increasing_upward(mask: np.ndarray, dom_leq: np.ndarray, cod_leq: np.ndarray) -> bool:
+    """Whether the map whose value at domain member i is row i of mask is increasing upward.
+
+    dom_leq and cod_leq are the orders of the domain and codomain members.
+    Row x of ``down`` is the down-closure of the value at x; the flag fails
+    iff some x <= x' has a value at x outside down[x'].  Two boolean matmuls.
+    """
+    down = _bool_matmul(mask, cod_leq.T)
+    fails = _bool_matmul(mask, ~down.T)  # [x, x']: a value at x is outside down[x']
+    return not (dom_leq & fails).any()
+
+
 def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
                       cod_leq: np.ndarray) -> MonotonicityReport:
     """The six flags of the map whose value at domain member i is row i of mask.
 
     dom_leq and cod_leq are the orders of the domain and codomain members.
-    Row x of ``down`` is the down-closure of the value at x, row x of ``up``
-    its up-closure.  Increasing upward fails iff some x <= x' has a value
-    at x outside down[x']; the other three flags swap the closure or the
-    end of the pair that is quantified.  Each test is one boolean matmul.
+    Each up/down flag is :func:`increasing_upward` under reversed orders:
+    reversing the domain order swaps upward and downward, reversing the
+    codomain order swaps increasing and decreasing.
     """
-    up = _bool_matmul(mask, cod_leq)
-    down = _bool_matmul(mask, cod_leq.T)
-
-    def holds(fails: np.ndarray) -> bool:
-        # fails[x, x']: the pair (x, x') breaks the clause if x <= x'
-        return not (dom_leq & fails).any()
-
     strict_inc = strict_dec = None
     if (mask.sum(axis=1) == 1).all():
         single = mask.nonzero()[1]  # the one value of each row, row by row
@@ -138,10 +142,10 @@ def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
         strict_dec = bool(ascends.T[pairs].all())
 
     return MonotonicityReport(
-        increasing_upward=holds(_bool_matmul(mask, ~down.T)),
-        increasing_downward=holds(_bool_matmul(~up, mask.T)),
-        decreasing_upward=holds(_bool_matmul(mask, ~up.T)),
-        decreasing_downward=holds(_bool_matmul(~down, mask.T)),
+        increasing_upward=increasing_upward(mask, dom_leq, cod_leq),
+        increasing_downward=increasing_upward(mask, dom_leq.T, cod_leq.T),
+        decreasing_upward=increasing_upward(mask, dom_leq, cod_leq.T),
+        decreasing_downward=increasing_upward(mask, dom_leq.T, cod_leq),
         strictly_increasing=strict_inc,
         strictly_decreasing=strict_dec,
     )

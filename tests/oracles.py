@@ -4,8 +4,11 @@ The saddle oracles deliberately avoid the package's order machinery:
 payoffs are plain numbers compared with ``<``/``>``, feasibility is plain
 set membership.  They implement the classical constrained saddle conditions
 directly.  The dict-based referee below works on a ProblemInstance's public
-data, one pair at a time, and the completeness oracle on a ``leq`` matrix.
+data, one pair at a time, the completeness oracle on a ``leq`` matrix, and
+the generator referee builds every attempt as validated objects.
 """
+
+import random
 
 
 def saddle_solutions(n_rows, n_cols, payoff, feasible_cols, feasible_rows):
@@ -223,3 +226,141 @@ class CompletenessOracle:
                 for b in range(len(self.up))
             )
         return (chain_complete, inductive, inductive and dual_inductive, universally)
+
+
+# -- the per-attempt object path of the instance generator ---------------------
+#
+# The generator as it was before it drew attempts as codes: every attempt is a
+# fully validated ProblemInstance from the public constructors, tested through
+# its public hypothesis report.  It makes the same random draws in the same
+# order, so it must produce the same instance, or exhaust on the same specs.
+
+
+def _referee_poset(kind, sizes, rng, prefix, density):
+    from ordeq import grid_poset, load_poset
+
+    if kind == "chain":
+        (n,) = sizes
+        names = [f"{prefix}{i}" for i in range(n)]
+        return load_poset(names, list(zip(names, names[1:])))
+    if kind == "antichain":
+        (n,) = sizes
+        return load_poset([f"{prefix}{i}" for i in range(n)])
+    if kind == "boolean_lattice":
+        (k,) = sizes
+        names = [f"{prefix}{i:0{k}b}" for i in range(2 ** k)]
+        edges = [
+            (names[i], names[j])
+            for i in range(2 ** k)
+            for j in range(2 ** k)
+            if i != j and i & j == i
+        ]
+        return load_poset(names, edges, edge_kind="full")
+    if kind == "grid":
+        return grid_poset(sizes)
+    (n,) = sizes
+    names = [f"{prefix}{i}" for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [
+        (names[order[i]], names[order[j]])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return load_poset(names, edges)
+
+
+def _referee_poset_sizes(kind, n):
+    if kind == "grid":
+        for a in range(int(n ** 0.5), 0, -1):
+            if n % a == 0:
+                return (a, n // a)
+    if kind == "boolean_lattice":
+        return (max(1, n.bit_length() - 1),)
+    return (n,)
+
+
+def _nonempty_subset(rng, pool):
+    k = rng.randint(1, len(pool))
+    return frozenset(rng.sample(pool, k))
+
+
+def _monotone_score(rng, poset, members):
+    weights = {e: rng.uniform(0.5, 2.0) for e in members}
+    return {
+        e: sum(weights[z] for z in members if poset.leq(z, e)) for e in members
+    }
+
+
+def build_attempt(spec, attempt_seed):
+    """One generator attempt as a validated ProblemInstance (no seed)."""
+    from ordeq import ObjectiveMap, ProblemInstance, SetValuedMap, load_poset
+
+    rng = random.Random(attempt_seed)
+    n_c, n_d, n_u = spec.sizes
+    kind = spec.poset_kind
+    X = _referee_poset(kind, _referee_poset_sizes(kind, n_c), rng, "c", spec.density)
+    Y = _referee_poset(kind, _referee_poset_sizes(kind, n_d), rng, "d", spec.density)
+    C = X.full_subset()
+    D = Y.full_subset()
+    u_names = [f"u{i}" for i in range(n_u)]
+    if spec.monotone_bias:
+        U = load_poset(u_names, list(zip(u_names, u_names[1:])))
+    else:
+        U = _referee_poset("random_poset", (n_u,), rng, "u", spec.density)
+
+    cs = C.ordered()
+    ds = D.ordered()
+    if spec.monotone_bias:
+        f = _monotone_score(rng, X, cs)
+        g = _monotone_score(rng, Y, ds)
+        raw = {(x, y): f[x] - g[y] for x in cs for y in ds}
+        levels = sorted(set(raw.values()))
+        table = {pair: u_names[levels.index(v) * n_u // len(levels)]
+                 for pair, v in raw.items()}
+    else:
+        table = {(x, y): rng.choice(u_names) for x in cs for y in ds}
+    T = ObjectiveMap(U, table)
+
+    def constraint(dom, cod):
+        pool = cod.ordered()
+        if spec.monotone_bias and rng.random() < 0.7:
+            base = _nonempty_subset(rng, pool)
+            return SetValuedMap(dom, cod, {x: base for x in dom.members})
+        return SetValuedMap(dom, cod, {x: _nonempty_subset(rng, pool) for x in dom.ordered()})
+
+    F = constraint(C, D)
+    G = constraint(D, C)
+    return ProblemInstance(C, D, T, F, G)
+
+
+def referee_gen_instance(spec):
+    """gen_instance by building and checking every attempt as objects.
+
+    Returns the instance, or raises FilterExhausted like gen_instance.
+    """
+    from ordeq import ProblemInstance
+    from ordeq.errors import FilterExhausted
+
+    master = random.Random(spec.rng_seed)
+    attempts = spec.max_retries if spec.filter == "require_hypotheses" else 1
+    for _ in range(attempts):
+        inst = build_attempt(spec, master.getrandbits(63))
+        if spec.filter == "none":
+            return inst
+        if not (
+            inst.phi_monotonicity.increasing_upward
+            and inst.psi_monotonicity.increasing_upward
+        ):
+            continue
+        for x in inst.C.ordered():
+            for y in inst.D.ordered():
+                if inst.check_hypotheses((x, y)).passes:
+                    return ProblemInstance(
+                        inst.C, inst.D, inst.T, inst.F, inst.G, seed=(x, y)
+                    )
+    raise FilterExhausted(
+        f"no instance passing check_hypotheses found in {attempts} attempts "
+        f"(spec seed {spec.rng_seed})"
+    )

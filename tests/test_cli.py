@@ -1,8 +1,13 @@
 """The batch front end: commands, output, and the exit-code contract."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordeq import ProblemInstance, parse_instance, replay_report
 from ordeq.cli import main
@@ -281,3 +286,69 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "solve", FIXTURES["i2"])
         assert code == 4
         assert "InvariantBreach: planted" in err
+
+
+def _leaves(node, path=()):
+    """Key paths to every scalar and every empty container of a JSON document."""
+    if isinstance(node, dict) and node:
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# JSON values of every other type, to put where a document has a leaf
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3),
+    st.lists(st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(-3, 3)),
+                    max_size=2),
+)
+
+
+class TestMalformedDocuments:
+    """Malformed input is a usage error (exit 1), never an internal one (exit 4)."""
+
+    @pytest.mark.parametrize("path", [
+        ("T", 0, 0), ("T", 0, 2), ("C", "members", 0), ("seed", 0), ("F", "c0", 0),
+        ("posets", "X", "edges", 0, 0), ("C", "poset"),
+    ], ids=["T-row-x", "T-value", "C-member", "seed-x", "F-value", "edge-end", "C-poset"])
+    def test_list_where_an_id_belongs(self, capsys, tmp_path, path):
+        doc = json.loads(open(FIXTURES["i2"]).read())
+        leaf = doc
+        for key in path:
+            leaf = leaf[key]
+        _put(doc, path, [leaf])
+        target = tmp_path / "listed.json"
+        target.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(target))
+        assert code == 1
+        assert "ValidationError" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_leaves_never_exit_4(self, data):
+        name = data.draw(st.sampled_from(["i1", "i2", "i3", "game2x2", "game3x3"]))
+        doc = json.loads(open(FIXTURES[name]).read())
+        paths = data.draw(st.lists(st.sampled_from(list(_leaves(doc))), min_size=1,
+                                   max_size=3, unique=True))
+        for path in paths:
+            _put(doc, path, data.draw(JUNK))
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "fuzzed.json"
+            target.write_text(json.dumps(doc))
+            for command in ("validate", "check"):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main([command, str(target)])
+                assert code != 4, (command, paths, err.getvalue())

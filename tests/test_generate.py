@@ -1,11 +1,15 @@
 """Deterministic generators: shapes, determinism, filters, caps."""
 
+import json
+import random
+
 import pytest
 
-from ordeq import GenSpec, gen_instance, gen_poset, serialize_instance
+from ordeq import GenSpec, ProblemInstance, gen_instance, gen_poset, serialize_instance
 from ordeq.errors import FilterExhausted, InvalidSpec
+from ordeq.generate import POSET_KINDS
 
-from oracles import dict_gamma_fixed_points
+from oracles import dict_gamma_fixed_points, referee_gen_instance
 
 
 class TestGenPoset:
@@ -92,6 +96,61 @@ class TestGenInstance:
                         poset_kind=kind)
             )
             assert inst.solution_set == dict_gamma_fixed_points(inst)
+
+
+class TestMatchesObjectReferee:
+    """The index-coded generator against the per-attempt object path."""
+
+    @staticmethod
+    def _outcome(gen, spec):
+        try:
+            return json.dumps(serialize_instance(gen(spec)), sort_keys=True)
+        except FilterExhausted as exc:
+            return f"FilterExhausted: {exc}"
+
+    def test_same_instances_and_exhaustions_on_1000_specs(self):
+        rng = random.Random(2017)
+        outcomes = set()
+        for k in range(1000):
+            spec = GenSpec(
+                kind="random_instance",
+                sizes=(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 12)),
+                rng_seed=rng.getrandbits(32), density=rng.random(),
+                monotone_bias=k % 2 == 1, filter=("none", "require_hypotheses")[k // 2 % 2],
+                poset_kind=POSET_KINDS[k // 4 % 5], max_retries=rng.choice((1, 2, 5, 20, 200)),
+            )
+            got = self._outcome(gen_instance, spec)
+            assert got == self._outcome(referee_gen_instance, spec), spec
+            outcomes.add(got.startswith("FilterExhausted"))
+        assert outcomes == {True, False}
+
+    def test_density_extremes_match(self):
+        for density in (0.0, 1.0):
+            for kind in POSET_KINDS:
+                spec = GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=5,
+                               density=density, poset_kind=kind, filter="require_hypotheses",
+                               max_retries=30)
+                assert self._outcome(gen_instance, spec) == self._outcome(
+                    referee_gen_instance, spec)
+
+    def test_builds_only_the_accepted_attempt(self, monkeypatch):
+        built = []
+        init = ProblemInstance.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProblemInstance, "__init__", counting)
+        # exhausts all 200 attempts: pinned against the object referee
+        spec = GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=0,
+                       poset_kind="random_poset", filter="require_hypotheses")
+        with pytest.raises(FilterExhausted):
+            gen_instance(spec)
+        assert built == []
+        inst = gen_instance(GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=0,
+                                    monotone_bias=True, filter="require_hypotheses"))
+        assert built == [inst]
 
 
 class TestSpecValidation:

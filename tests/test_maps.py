@@ -3,6 +3,7 @@
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from ordeq import (
@@ -15,6 +16,7 @@ from ordeq import (
 )
 from ordeq.errors import UnknownElement, ValidationError
 from ordeq.generate import POSET_KINDS
+from ordeq.maps import increasing_upward
 
 from conftest import chain
 from oracles import dict_monotonicity
@@ -110,31 +112,55 @@ class TestMonotonicityReport:
         assert rep.strictly_increasing is False  # not strict: equal values
 
 
+def _generated_maps():
+    """400 maps between proper subsets of generated posets; every other one
+    is singleton-valued, so the strict flags are evaluated."""
+    rng = random.Random(2017)
+    for seed in range(400):
+        X, Y = (
+            gen_poset(GenSpec(kind=rng.choice(POSET_KINDS), sizes=(rng.randint(2, 7),),
+                              rng_seed=seed * 2 + side, density=0.4))
+            for side in (0, 1)
+        )
+        dom = X.subset(rng.sample(X.elements, rng.randint(1, len(X) - 1)))
+        cod = Y.subset(rng.sample(Y.elements, rng.randint(1, len(Y) - 1)))
+        members = sorted(cod.members, key=Y.index)
+        table = {
+            x: rng.sample(members, 1 if seed % 2 else rng.randint(1, len(members)))
+            for x in dom.members
+        }
+        yield SetValuedMap(dom, cod, table)
+
+
 class TestMaskKernelMatchesReferee:
     def test_maps_between_proper_subsets(self):
-        rng = random.Random(2017)
         seen = set()
-        for seed in range(400):
-            X, Y = (
-                gen_poset(GenSpec(kind=rng.choice(POSET_KINDS), sizes=(rng.randint(2, 7),),
-                                  rng_seed=seed * 2 + side, density=0.4))
-                for side in (0, 1)
-            )
-            dom = X.subset(rng.sample(X.elements, rng.randint(1, len(X) - 1)))
-            cod = Y.subset(rng.sample(Y.elements, rng.randint(1, len(Y) - 1)))
-            members = sorted(cod.members, key=Y.index)
-            # every other map is singleton-valued, so the strict flags are evaluated
-            table = {
-                x: rng.sample(members, 1 if seed % 2 else rng.randint(1, len(members)))
-                for x in dom.members
-            }
-            m = SetValuedMap(dom, cod, table)
+        for m in _generated_maps():
             expected = dict_monotonicity(m)
             assert asdict(monotonicity_report(m)) == expected
             seen.update(expected.items())
         # every flag was seen both holding and failing
         assert all((name, flag) in seen for name in expected for flag in (True, False))
         assert ("strictly_increasing", None) in seen
+
+    def test_increasing_upward_under_reversed_orders(self):
+        # reversing the domain order swaps upward and downward, reversing the
+        # codomain order swaps increasing and decreasing
+        seen = set()
+        for m in _generated_maps():
+            cs = m.codomain.ordered()
+            mask = np.array([[y in m(x) for y in cs] for x in m.domain.ordered()], dtype=bool)
+            dom, cod = m.domain.order_matrix(), m.codomain.order_matrix()
+            expected = dict_monotonicity(m)
+            flags = {
+                "increasing_upward": increasing_upward(mask, dom, cod),
+                "increasing_downward": increasing_upward(mask, dom.T, cod.T),
+                "decreasing_upward": increasing_upward(mask, dom, cod.T),
+                "decreasing_downward": increasing_upward(mask, dom.T, cod),
+            }
+            assert flags == {name: expected[name] for name in flags}
+            seen.update(flags.items())
+        assert len(seen) == 8
 
     def test_empty_domain_holds_vacuously(self):
         X, Y = chain("c", 3), chain("d", 3)
