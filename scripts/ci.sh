@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# The CI checks, runnable locally from any directory: scripts/ci.sh
+#   1. the Tier-1 test suite;
+#   2. a one-second benchmark smoke per workload, each judged on the last
+#      line of bench/run.py (it exits 0 even when an output is wrong);
+#   3. no assert statements in src/ (invariants must survive python -O).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+
+for workload in small-batch grid-game wide-oracle; do
+  out=$(python3 bench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0)
+  echo "$out"
+  echo "$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+done
+
+python3 - <<'PY'
+import ast, pathlib, sys
+found = [f"{path}:{node.lineno}" for path in sorted(pathlib.Path("src").rglob("*.py"))
+         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+         if isinstance(node, ast.Assert)]
+print("\n".join(found) or "no assert statements in src/")
+sys.exit(1 if found else 0)
+PY

@@ -30,6 +30,7 @@ from .fileio import (
     parse_instance,
     parse_instance_dict,
     parse_poset_doc,
+    read_json,
     serialize_poset_doc,
 )
 from .games import ZeroSumGame, solve_game
@@ -84,13 +85,7 @@ def _describe(obj) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
+    doc = read_json(args.file)
     if isinstance(doc, dict) and doc.get("schema") == POSET_SCHEMA:
         poset = parse_poset_doc(doc)
         print(f"poset: {len(poset)} elements, {len(poset.hasse_edges())} cover edges")

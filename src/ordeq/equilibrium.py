@@ -9,10 +9,11 @@ among feasible row deviations, and minimal among feasible column deviations.
 The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x)
 of the two order-optimization maps: a monotone climb from a seed pair reaches
 a fixed point of gamma, which is exactly a solution, and is then promoted to
-a maximal solution above the seed.  Inside, an instance is index-coded once
-(positions instead of element ids): phi and psi are boolean masks built by
-array broadcasts, their monotonicity flags are boolean matmuls of those masks
-with the orders of C and D, and the solution set is where both masks hold.
+a maximal solution above the seed.  Inside, an instance is index-coded once,
+at construction (positions instead of element ids): phi and psi are boolean
+masks built by array broadcasts, their monotonicity flags are boolean matmuls
+of those masks with the orders of C and D, and the solution set is where both
+masks hold.  Element ids come back only where a result leaves the instance.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class SolutionReport:
 class ProblemInstance:
     """An immutable constrained ordered equilibrium problem.
 
-    All operations are pure; the index codes, the phi and psi masks and the
-    solution set are computed lazily and cached on the instance.
+    All operations are pure.  The index codes are built at construction, and
+    their lookup of every T value is the check that T is total; the phi and
+    psi masks and the solution set are computed lazily and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
@@ -173,14 +175,12 @@ class ProblemInstance:
             raise ValidationError("F must map C into subsets of D")
         if G.domain != D or G.codomain != C:
             raise ValidationError("G must map D into subsets of C")
-        for x in C.ordered():
-            for y in D.ordered():
-                T.value(x, y)  # totality; raises UnknownElement on a hole
         self.C = C
         self.D = D
         self.T = T
         self.F = F
         self.G = G
+        self._codes = _Codes(self)
         self.seed = None if seed is None else self._resolve_seed(seed)
 
     @property
@@ -193,10 +193,6 @@ class ProblemInstance:
         )
 
     # -- order-optimization mappings ----------------------------------------
-
-    @cached_property
-    def _codes(self) -> "_Codes":
-        return _Codes(self)
 
     @cached_property
     def _phi_mask(self) -> np.ndarray:
@@ -280,6 +276,9 @@ class ProblemInstance:
 
         With direction "minimal": below the seed, none strictly below.
         """
+        return self._codes.pairs(self._extremal_mask(seed, direction))
+
+    def _extremal_mask(self, seed: Optional[Pair], direction: str) -> np.ndarray:
         k = self._codes
         x0, y0 = self._resolve_seed(seed)
         c_leq, d_leq = k.orders(direction)
@@ -287,7 +286,7 @@ class ProblemInstance:
         above &= c_leq[k.row(x0)][:, None] & d_leq[k.col(y0)][None, :]
         # how many pairs of `above` lie at or above each pair: 1 is itself only
         count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
-        return k.pairs(above & (count == 1))
+        return above & (count == 1)
 
     # -- hypotheses and solving ----------------------------------------------
 
@@ -395,15 +394,18 @@ class ProblemInstance:
             trace.append(p)
         # with failing hypotheses a forced climb can strand at a non-fixed
         # point; the promotion then picks from all extremal solutions
+        best = self._extremal_mask(hyp.seed, direction)
         fixed = phi[i, j] and psi[j, i]
-        best = [s for s in self.extremal_solutions(hyp.seed, direction)
-                if not fixed or c_leq[i, k.row(s[0])] and d_leq[j, k.col(s[1])]]
-        if not best:
+        if fixed:
+            best &= c_leq[i][:, None] & d_leq[j][None, :]
+        if not best.any():
             raise NoSolution(
                 f"no solution above seed {hyp.seed!r}"
                 + ("" if hyp.passes else " (hypotheses were not satisfied)")
             )
-        solution = min(best, key=self.pair_index)
+        # cells run in pair_index order: the first set one is the least pair
+        r, c = np.argwhere(best)[0].tolist()
+        solution = (k.cs[r], k.ds[c])
         trace = [(k.cs[a], k.ds[b]) for a, b in trace]
         if fixed and solution != trace[-1]:
             trace.append(solution)
@@ -481,36 +483,30 @@ _CHUNK_CELLS = 1 << 22
 class _Codes:
     """An instance with element ids replaced by positions, for array kernels.
 
-    The members of C and D are numbered in parent order, so positions sort
-    pairs as pair_index does.  T[i, j] is the position of T(x_i, y_j) in U,
-    as the ObjectiveMap recorded it when it validated the value; F[i, j]
-    says y_j in F(x_i) and G[i, j] says x_i in G(y_j); lt is the strict
-    order of U; c_leq and d_leq are the orders of C and D restricted to
-    their members.  What phi needs is built at once, the rest on first use.
+    Built once, when the instance is constructed.  The members of C and D
+    are numbered in parent order, so positions sort pairs as pair_index
+    does.  T[i, j] is the position of T(x_i, y_j) in U, as the ObjectiveMap
+    recorded it when it validated the value; looking every pair up is the
+    check that T is total.  F[i, j] says y_j in F(x_i) and G[i, j] says
+    x_i in G(y_j); lt is the strict order of U; c_leq and d_leq are the
+    orders of C and D restricted to their members.  Serialization and
+    digests read these codes too, converting each element id once.
     """
 
     def __init__(self, inst: ProblemInstance):
-        self._inst = inst
         self.cs, self.ds = inst.C.ordered(), inst.D.ordered()
         self.c_pos = {x: i for i, x in enumerate(self.cs)}
         self.d_pos = {y: j for j, y in enumerate(self.ds)}
         pos = inst.T._positions
-        self.T = np.array([[pos[x, y] for y in self.ds] for x in self.cs], dtype=np.intp)
-        self.F = np.array([[y in f for y in self.ds] for f in map(inst.F, self.cs)], dtype=bool)
+        try:
+            cells = [pos[x, y] for x in self.cs for y in self.ds]
+        except KeyError as exc:
+            raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
+        self.T = np.array(cells, dtype=np.intp).reshape(len(self.cs), len(self.ds))
+        self.F = inst.F.mask()
+        self.G = inst.G.mask().T
         self.lt = inst.U.leq_matrix & ~np.eye(len(inst.U), dtype=bool)
-
-    @cached_property
-    def G(self) -> np.ndarray:
-        gs = list(map(self._inst.G, self.ds))
-        return np.array([[x in g for g in gs] for x in self.cs], dtype=bool)
-
-    @cached_property
-    def c_leq(self) -> np.ndarray:
-        return self._inst.C.order_matrix()
-
-    @cached_property
-    def d_leq(self) -> np.ndarray:
-        return self._inst.D.order_matrix()
+        self.c_leq, self.d_leq = inst.C.order_matrix(), inst.D.order_matrix()
 
     def row(self, x) -> int:
         if x not in self.c_pos:

@@ -6,7 +6,10 @@ an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
 edges, rows are emitted in a canonical order; parse-then-serialize is
-idempotent after the first normalization pass.
+idempotent after the first normalization pass.  Serialization and digests
+read the index codes every instance builds at construction (T as
+positions in U, F and G as membership masks), so element ids are converted
+once per element here, at the file boundary, and never once per cell.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import compress
 from typing import Union
 
 from . import __version__
@@ -215,16 +219,20 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
         raise ValidationError(f"instance: {type(exc).__name__}: {exc}") from exc
 
 
-def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
-    """Read and validate an instance file; ParseError or ValidationError on failure."""
+def read_json(path):
+    """The JSON document in a file; ParseError when it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_instance_dict(doc)
+
+
+def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
+    """Read and validate an instance file; ParseError or ValidationError on failure."""
+    return parse_instance_dict(read_json(path))
 
 
 def _poset_doc(p: Poset) -> dict:
@@ -235,54 +243,43 @@ def _poset_doc(p: Poset) -> dict:
         if i in seen:
             raise ValidationError(f"cannot serialize: two elements share the id {i!r}")
         seen.add(i)
+    name = dict(zip(p.elements, ids))
     return {
         "elements": ids,
-        "edges": sorted(
-            [element_id(a), element_id(b)] for a, b in p.hasse_edges()
-        ),
+        "edges": sorted([name[a], name[b]] for a, b in p.hasse_edges()),
         "edge_kind": "hasse",
     }
 
 
-def _subset_doc(name: str, s: Subset) -> dict:
-    return {"poset": name, "members": [element_id(e) for e in s.ordered()]}
-
-
-def _constraint_doc(m: SetValuedMap) -> dict:
-    return {
-        element_id(x): [element_id(v) for v in m.ordered_value(x)]
-        for x in m.domain.ordered()
-    }
-
-
 def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
-    """Normalized document for an instance or game; inverse of parse up to ids."""
+    """Normalized document for an instance or game; inverse of parse up to ids.
+
+    Read from the instance's index codes: each element id is converted
+    once.  A game's U is the chain of its Fraction payoffs, whose ids are
+    the payoff strings, so its payoff rows are the T rows of a roep.
+    """
     game = isinstance(obj, ZeroSumGame)
-    C, D = obj.C, obj.D
+    inst = obj.instance if game else obj
+    k = inst._codes
     doc = {
         "schema": INSTANCE_SCHEMA,
         "mode": "game" if game else "roep",
-        "posets": {"X": _poset_doc(C.parent), "Y": _poset_doc(D.parent)},
-        "C": _subset_doc("X", C),
-        "D": _subset_doc("Y", D),
+        "posets": {"X": _poset_doc(inst.C.parent), "Y": _poset_doc(inst.D.parent)},
     }
-    if game:
-        doc["payoff"] = [
-            [element_id(x), element_id(y), str(obj.payoff[(x, y)])]
-            for x in C.ordered()
-            for y in D.ordered()
-        ]
-    else:
-        doc["posets"]["U"] = _poset_doc(obj.U)
-        doc["T"] = [
-            [element_id(x), element_id(y), element_id(obj.T.value(x, y))]
-            for x in C.ordered()
-            for y in D.ordered()
-        ]
-    doc["F"] = _constraint_doc(obj.F)
-    doc["G"] = _constraint_doc(obj.G)
-    if obj.seed is not None:
-        doc["seed"] = [element_id(obj.seed[0]), element_id(obj.seed[1])]
+    if not game:
+        doc["posets"]["U"] = _poset_doc(inst.U)
+    cs = [element_id(x) for x in k.cs]
+    ds = [element_id(y) for y in k.ds]
+    us = [element_id(u) for u in inst.U.elements]
+    doc["C"] = {"poset": "X", "members": cs}
+    doc["D"] = {"poset": "Y", "members": ds}
+    doc["payoff" if game else "T"] = [
+        [x, y, us[t]] for x, row in zip(cs, k.T.tolist()) for y, t in zip(ds, row)
+    ]
+    doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, k.F.tolist())}
+    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, k.G.T.tolist())}
+    if inst.seed is not None:
+        doc["seed"] = [element_id(inst.seed[0]), element_id(inst.seed[1])]
     return doc
 
 

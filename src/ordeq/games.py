@@ -63,6 +63,8 @@ class ZeroSumGame:
             raise ValidationError("F must map C into subsets of D")
         if self.G.domain != D or self.G.codomain != C:
             raise ValidationError("G must map D into subsets of C")
+        if seed is not None and not (seed[0] in C and seed[1] in D):
+            raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
         self.seed = seed
 
     @cached_property

@@ -58,8 +58,15 @@ class SetValuedMap:
         """(x, value) pairs in domain order."""
         return tuple((x, self.table[x]) for x in self.domain.ordered())
 
-    def ordered_value(self, x) -> tuple:
-        return tuple(e for e in self.codomain.parent.elements if e in self(x))
+    def mask(self) -> np.ndarray:
+        """Membership mask: [i, j] says codomain member j is in the value at domain member i.
+
+        Rows and columns follow the parent orders; the shape is
+        (len(domain), len(codomain)) even when the domain is empty.
+        """
+        cs = self.codomain.ordered()
+        cells = [y in value for _, value in self.entries() for y in cs]
+        return np.array(cells, dtype=bool).reshape(len(self.domain), len(cs))
 
     def is_singleton_valued(self) -> bool:
         return all(len(v) == 1 for _, v in self.entries())
@@ -104,11 +111,7 @@ def monotonicity_report(m: SetValuedMap) -> MonotonicityReport:
     No sampling: every quantifier is checked exhaustively, by
     :func:`mask_monotonicity` on the map's membership mask.
     """
-    cols = {y: k for k, y in enumerate(m.codomain.ordered())}
-    mask = np.zeros((len(m.domain), len(cols)), dtype=bool)
-    for i, (_, value) in enumerate(m.entries()):
-        mask[i, [cols[y] for y in value]] = True
-    return mask_monotonicity(mask, m.domain.order_matrix(), m.codomain.order_matrix())
+    return mask_monotonicity(m.mask(), m.domain.order_matrix(), m.codomain.order_matrix())
 
 
 def increasing_upward(mask: np.ndarray, dom_leq: np.ndarray, cod_leq: np.ndarray) -> bool:

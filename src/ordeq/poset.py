@@ -136,19 +136,11 @@ class Poset:
 
     def greatest(self):
         """The order-maximum element, or None if there is none."""
-        if not len(self):
-            return None
-        cols = self.leq_matrix.all(axis=0)
-        idx = np.flatnonzero(cols)
-        return self._elements[int(idx[0])] if len(idx) else None
+        return _greatest(self._elements, self.leq_matrix)
 
     def least(self):
         """The order-minimum element, or None if there is none."""
-        if not len(self):
-            return None
-        rows = self.leq_matrix.all(axis=1)
-        idx = np.flatnonzero(rows)
-        return self._elements[int(idx[0])] if len(idx) else None
+        return _greatest(self._elements, self.leq_matrix.T)
 
     def hasse_edges(self) -> list[tuple]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
@@ -200,33 +192,37 @@ class Subset:
         """Members with no strictly smaller member (an antichain, never empty)."""
         return self._extremal(upper=False)
 
-    def _extremal(self, upper: bool) -> "Subset":
+    def _nonempty_order(self) -> tuple:
+        """The members and their order matrix; raises EmptySubset when empty."""
         if not self.members:
             raise EmptySubset("extremal points of an empty subset are undefined")
-        strict = self.order_matrix()
+        return self.ordered(), self.order_matrix()
+
+    def _extremal(self, upper: bool) -> "Subset":
+        els, strict = self._nonempty_order()
         if not upper:
             strict = strict.T
         np.fill_diagonal(strict, False)
         keep = ~strict.any(axis=1)
-        els = self.ordered()
         return Subset(self.parent, frozenset(e for e, k in zip(els, keep) if k))
 
     def greatest(self):
-        """Order-maximum member, or None."""
-        top = self.maximal_points()
-        if len(top) == 1:
-            (g,) = top.members
-            others = all(self.parent.leq(e, g) for e in self.members)
-            return g if others else None
-        return None
+        """Order-maximum member, or None; raises EmptySubset when empty."""
+        return _greatest(*self._nonempty_order())
 
     def least(self):
-        bot = self.minimal_points()
-        if len(bot) == 1:
-            (g,) = bot.members
-            others = all(self.parent.leq(g, e) for e in self.members)
-            return g if others else None
-        return None
+        """Order-minimum member, or None; raises EmptySubset when empty."""
+        els, leq = self._nonempty_order()
+        return _greatest(els, leq.T)
+
+
+def _greatest(elements: tuple, leq: np.ndarray):
+    """The element that every element is below in ``leq``, or None.
+
+    Its column is all true; by antisymmetry there is at most one.
+    """
+    idx = np.flatnonzero(leq.all(axis=0))
+    return elements[int(idx[0])] if len(idx) else None
 
 
 class ProductPoset(Poset):

@@ -7,10 +7,12 @@ import pytest
 from ordeq import (
     ObjectiveMap,
     ProblemInstance,
+    SetValuedMap,
     ZeroSumGame,
     constant_map,
     gen_instance,
     GenSpec,
+    grid_poset,
     instance_digest,
     load_poset,
     parse_instance,
@@ -163,6 +165,67 @@ class TestRoundTrip:
             serialize_instance(inst)
         with pytest.raises(ValidationError, match="share the id '1'"):
             instance_digest(inst)
+
+    # Pinned digests: reports carry the instance digest, so a change to the
+    # serialized bytes would make every earlier report fail to replay.
+    @pytest.mark.parametrize("name,digest", [
+        ("i1", "5f160b34885e7b80e376e05c0929c6b702b20aeb81e225ca7b72109de0b7313d"),
+        ("i2", "9e97b91ae2fd7374f58da251843f4f2a707de313b3f509c267b872111d1f55d7"),
+        ("i3", "af37906d81844a0b4e55cee72cc81c7c242254fedbfb782238739c96b7801c21"),
+        ("game2x2", "b57515ba5fd79b3feedbe6e1f43bdb98597b6dc3224538cc5462a6db2737e05c"),
+        ("game3x3", "f9e2ca7a947e143e75ccf88d1281432d980ffa2dd51c1b6f6906817c417b5a73"),
+    ])
+    def test_fixture_digest_pinned(self, name, digest):
+        assert instance_digest(parse_instance(FIXTURES[name])) == digest
+
+    def test_grid_game_digest_pinned(self):
+        # tuple ids, C a proper subset of its grid, F and G constrained
+        X, Y = grid_poset((3, 3)), grid_poset((2, 3))
+        C = X.subset([e for e in X.elements if e != (2, 2)])
+        D = Y.full_subset()
+        payoff = {(x, y): (x[0] - y[0]) * (x[1] + 1) - y[1]
+                  for x in C.members for y in D.members}
+        F = SetValuedMap(C, D, {x: [y for y in D.members if y[0] <= x[0] or y == (1, 2)]
+                                for x in C.members})
+        G = SetValuedMap(D, C, {y: [x for x in C.members if x[1] >= y[1] - 1]
+                                for y in D.members})
+        game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=((0, 0), (0, 0)))
+        assert instance_digest(game) == (
+            "55bd4f85fb1e986f4e299338d86bf28637dca0348e06a205554f2725935def60")
+
+    @pytest.mark.parametrize("kind,bias,digest", [
+        ("chain", False, "06ec16aebfc9de7c9f88a99ac88beec532261d58d962cd1f373a81e91d425dc6"),
+        ("chain", True, "15a337bd326ecbd87b7fef538ea292a5efc8510dccd3ed18aac0f153529d01f3"),
+        ("antichain", False, "4de9b3ff7078a3001ea9fd1449cf3e504e05d962484c44d54e18424605943693"),
+        ("antichain", True, "9bb40172dce206eb40931e7908ffda245e0420a7ffaa02d63683eb98b2492f95"),
+        ("boolean_lattice", False,
+         "a867729b455194519a52bdb38812ac755f80d12c82b14274d15d77f360e93da3"),
+        ("boolean_lattice", True,
+         "94cd7ce86a752953e883768c58306821b53e4abe9de421e57b6af0e0cd3ffa9f"),
+        ("grid", False, "4840fc0972b339fa5ad7c06dbfb5d9ef8709108e8a0b55437959d30eb9553908"),
+        ("grid", True, "07a2e9f2e5c6f341e42b945cc716071020a1ec3d38f094b7b76f93ffac08954c"),
+        ("random_poset", False,
+         "f30e0eec0ad50dcef6245b1e71eadf23fc8b1f251bd87aeab20f742e4497ecfa"),
+        ("random_poset", True,
+         "092f032161cb18197605238ee9e957899abc3fa7e7238ef6e24dc09c5cf4a90c"),
+    ])
+    def test_generated_digest_pinned(self, kind, bias, digest):
+        spec = GenSpec(kind="random_instance", sizes=(5, 5, 8), rng_seed=7,
+                       filter="require_hypotheses", poset_kind=kind, monotone_bias=bias)
+        assert instance_digest(gen_instance(spec)) == digest
+
+    def test_serialize_converts_ids_per_element_not_per_cell(self, monkeypatch):
+        import ordeq.fileio as fileio
+
+        inst = gen_instance(GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=3))
+        calls = []
+        real = fileio.element_id
+        monkeypatch.setattr(fileio, "element_id", lambda e: calls.append(e) or real(e))
+        monkeypatch.setattr(ObjectiveMap, "value", lambda *a: pytest.fail("T.value called"))
+        fileio.serialize_instance(inst)
+        # each poset's ids, then C, D and U's ids for the rows, then the seed
+        elements = len(inst.C.parent) + len(inst.D.parent) + len(inst.U)
+        assert len(calls) <= elements + len(inst.C) + len(inst.D) + len(inst.U) + 2
 
     def test_digest_stable_and_sensitive(self):
         a = parse_instance(FIXTURES["i2"])

@@ -85,8 +85,18 @@ class TestBuildGame:
         D = grid_poset((2,)).full_subset()
         with pytest.raises(ValidationError):
             build_game(C, D, {(x, y): 0.5 for x in C.ordered() for y in D.ordered()})
-        with pytest.raises(UnknownElement):
+        with pytest.raises(UnknownElement, match=r"no entry for \(\(0,\), \(1,\)\)"):
             build_game(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
+
+    def test_seed_outside_strategy_sets_rejected(self):
+        # such a seed would be written to a file that parse_instance refuses
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
+        with pytest.raises(ValidationError, match="seed"):
+            ZeroSumGame(C, D, payoff, seed=((5,), (0,)))
+        with pytest.raises(ValidationError, match="seed"):
+            ZeroSumGame(C, D, payoff, seed=((0,), (5,)))
 
 
 class TestSolveGame:

@@ -88,6 +88,19 @@ class TestQueries:
         assert c.greatest() == "c2" and c.least() == "c0"
         a = antichain("a", 3)
         assert a.greatest() is None and a.least() is None
+        empty = load_poset([])
+        assert empty.greatest() is None and empty.least() is None
+
+    def test_subset_greatest_least(self):
+        d = diamond()
+        side = d.subset([("c0", "d0"), ("c0", "d1")])
+        assert side.greatest() == ("c0", "d1") and side.least() == ("c0", "d0")
+        rim = d.subset([("c0", "d1"), ("c1", "d0"), ("c1", "d1")])
+        assert rim.greatest() == ("c1", "d1") and rim.least() is None
+        with pytest.raises(EmptySubset):
+            d.subset(set()).greatest()
+        with pytest.raises(EmptySubset):
+            d.subset(set()).least()
 
     def test_hasse_edges_regenerate_relation(self):
         p = load_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
