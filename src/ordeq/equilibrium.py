@@ -60,6 +60,19 @@ class ObjectiveMap:
         object.__setattr__(self, "table", MappingProxyType(tbl))
         object.__setattr__(self, "_positions", positions)
 
+    @classmethod
+    def _ranked(cls, utility: Poset, table: Mapping, positions: dict) -> "ObjectiveMap":
+        """A map whose caller already knows each value's position in U.
+
+        positions[pair] must be the position of table[pair] in the
+        utility's elements; nothing is looked up or checked again.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "utility", utility)
+        object.__setattr__(self, "table", MappingProxyType(dict(table)))
+        object.__setattr__(self, "_positions", positions)
+        return self
+
     def value(self, x, y):
         try:
             return self.table[(x, y)]
@@ -486,11 +499,12 @@ class _Codes:
     Built once, when the instance is constructed.  The members of C and D
     are numbered in parent order, so positions sort pairs as pair_index
     does.  T[i, j] is the position of T(x_i, y_j) in U, as the ObjectiveMap
-    recorded it when it validated the value; looking every pair up is the
-    check that T is total.  F[i, j] says y_j in F(x_i) and G[i, j] says
-    x_i in G(y_j); lt is the strict order of U; c_leq and d_leq are the
-    orders of C and D restricted to their members.  Serialization and
-    digests read these codes too, converting each element id once.
+    recorded it when it validated the value (or as a game ranked it);
+    looking every pair up is the check that T is total.  F[i, j] says y_j in
+    F(x_i) and G[i, j] says x_i in G(y_j); lt is the strict order of U;
+    c_leq and d_leq are the orders of C and D restricted to their members.
+    Serialization and digests read these codes too, converting each element
+    id once.
     """
 
     def __init__(self, inst: ProblemInstance):

@@ -3,7 +3,9 @@
 Instance documents name their posets, the subsets C and D, the objective
 table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
-id or poset name that is not a JSON string.  Serialization
+id or poset name that is not a JSON string.  A game's payoffs are JSON
+integers or rational strings (never booleans or floats), each distinct one
+converted to a Fraction once.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
 edges, rows are emitted in a canonical order; parse-then-serialize is
 idempotent after the first normalization pass.  Serialization and digests
@@ -57,7 +59,9 @@ def _parse_poset(section: str, data) -> Poset:
     if "grid" in data:
         _reject_unknown(section, data, {"grid"})
         dims = data["grid"]
-        if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        if not isinstance(dims, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) for d in dims
+        ):
             raise ValidationError(f"{section}: grid must be a list of integers")
         try:
             base = grid_poset(dims)
@@ -186,14 +190,17 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
     if mode == "game":
         rows = _parse_rows("payoff", _require("document", doc, "payoff"), C, D)
-        payoff = {}
+        payoff, exact = {}, {}  # exact: raw value -> its one Fraction
         for pair, v in rows.items():
-            if not isinstance(v, (str, int)):
+            # before the lookup: True and 1 are one dict key
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
-            try:
-                payoff[pair] = Fraction(v)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"payoff: bad rational {v!r}") from exc
+            if v not in exact:
+                try:
+                    exact[v] = Fraction(v)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValidationError(f"payoff: bad rational {v!r}") from exc
+            payoff[pair] = exact[v]
         try:
             return ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed)
         except OrdeqError as exc:

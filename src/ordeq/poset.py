@@ -42,12 +42,15 @@ class Poset:
 
     def __init__(self, elements: Sequence[Element], leq_matrix: np.ndarray):
         self._elements = tuple(elements)
-        self._index: dict[Element, int] = {}
-        for i, e in enumerate(self._elements):
-            if e in self._index:
-                raise DuplicateElement(f"duplicate element {e!r}")
-            self._index[e] = i
         n = len(self._elements)
+        # one hash per element; a second pass only to name a duplicate
+        self._index: dict[Element, int] = dict(zip(self._elements, range(n)))
+        if len(self._index) != n:
+            seen = set()
+            for e in self._elements:
+                if e in seen:
+                    raise DuplicateElement(f"duplicate element {e!r}")
+                seen.add(e)
         m = np.array(leq_matrix, dtype=bool)
         if m.shape != (n, n):
             raise ValueError(f"relation shape {m.shape} does not fit {n} elements")

@@ -364,3 +364,31 @@ def referee_gen_instance(spec):
         f"no instance passing check_hypotheses found in {attempts} attempts "
         f"(spec seed {spec.rng_seed})"
     )
+
+
+# -- the game ranking ----------------------------------------------------------
+#
+# A game's utility chain as it was built before payoffs were ranked by their
+# (numerator, denominator) pairs: the distinct values by hashing, their order
+# by Fraction comparisons, and each cell's position by the public
+# ObjectiveMap's lookup in U.
+
+
+def referee_game_instance(C, D, payoff, F=None, G=None, seed=None):
+    """build_game's instance, with every payoff converted and looked up per cell."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from ordeq import ObjectiveMap, Poset, ProblemInstance, constant_map
+
+    table = {pair: Fraction(v) for pair, v in payoff.items()}
+    values = sorted(set(table.values()))
+    leq = [[i <= j for j in range(len(values))] for i in range(len(values))]
+    utility = Poset(values, np.array(leq, dtype=bool))
+    return ProblemInstance(
+        C, D, ObjectiveMap(utility, table),
+        F if F is not None else constant_map(C, D),
+        G if G is not None else constant_map(D, C),
+        seed=seed,
+    )

@@ -335,6 +335,21 @@ class TestMalformedDocuments:
         assert code == 1
         assert "ValidationError" in err
 
+    @pytest.mark.parametrize("path, message", [
+        (("payoff", 0, 2), "payoff: value True must be an integer or rational string"),
+        (("posets", "X"), "posets.X: grid must be a list of integers"),
+    ], ids=["payoff-value", "grid-extent"])
+    def test_boolean_where_a_number_belongs(self, capsys, tmp_path, path, message):
+        # JSON true is a Python bool, which is an int: it once read as 1
+        doc = json.loads(open(FIXTURES["game2x2"]).read())
+        _put(doc, path, True if path[0] == "payoff" else {"grid": [True, 2]})
+        target = tmp_path / "boolean.json"
+        target.write_text(json.dumps(doc))
+        for command in ("validate", "check"):
+            code, _, err = run(capsys, command, str(target))
+            assert code == 1
+            assert f"ValidationError: {message}" in err
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fuzzed_leaves_never_exit_4(self, data):

@@ -1,5 +1,6 @@
 """Instance file parsing, normalization, digests, and report replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,31 @@ class TestRoundTrip:
         game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=((0, 0), (0, 0)))
         assert instance_digest(game) == (
             "55bd4f85fb1e986f4e299338d86bf28637dca0348e06a205554f2725935def60")
+
+    def test_payoffs_beyond_float_range_pinned(self, tmp_path, capsys):
+        # +-10**400 do not fit a float; the game's U (in the roep digest)
+        # and the climb in the report both depend on ranking them exactly
+        from ordeq.cli import main
+
+        doc = load_doc("game2x2")
+        doc["payoff"][0][2], doc["payoff"][1][2] = "1e400", "-1e400"
+        game = parse_instance_dict(doc)
+        assert instance_digest(game) == (
+            "608c5468697110c4f74eba8a371ee3999d043a50e53d87a0d1a86ad025d811d4")
+        assert instance_digest(game.instance) == (
+            "c4a7f75d90e5bd2fbb2cb2c3e4590c051a8c89e788bf4fda3b25b5a4ee5a1216")
+        path, report = tmp_path / "huge.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["game", "--force", str(path), "--report", str(report)]) == 0
+        assert capsys.readouterr().out == (
+            "instance: mode=game |C|=4 |D|=4 |U|=7 digest=608c54686971\n"
+            "climb: (0,0, 0,0) -> (0,0, 0,1) -> (1,1, 0,1) -> (1,1, 1,1)\n"
+            "equilibrium: (1,1, 1,1)\nvalue: 0\nsaddle inequalities verified: True\n")
+        rep = json.loads(report.read_text())
+        del rep["elapsed_seconds"]
+        blob = json.dumps(rep, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "44f10ddb1272e8659bab24c115fab81eaed4dc1b54cf280775d927728460659d")
 
     @pytest.mark.parametrize("kind,bias,digest", [
         ("chain", False, "06ec16aebfc9de7c9f88a99ac88beec532261d58d962cd1f373a81e91d425dc6"),

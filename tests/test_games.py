@@ -1,22 +1,29 @@
 """Zero-sum games on grids: construction, equilibria, symmetry properties."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ordeq.fileio
 from ordeq import (
     SetValuedMap,
     ZeroSumGame,
     build_game,
     grid_poset,
+    instance_digest,
     solve_game,
     transpose_game,
 )
 from ordeq.errors import NoSolution, UnknownElement, ValidationError, ZeroExtent
+from ordeq.fileio import parse_instance_dict, read_json
 
 from conftest import chain
-from oracles import saddle_solutions
+from oracles import referee_game_instance, saddle_solutions
 
 
 def additive_game(dims, seed=None):
@@ -217,3 +224,99 @@ class TestGameOracle:
             oracle = saddle_solutions(len(cs), len(ds), idx_payoff, cols, rows)
             got = {(cs.index(x), ds.index(y)) for x, y in inst.solution_set}
             assert got == set(oracle)
+
+
+# payoffs that are equal under other spellings, tie as floats, or leave
+# the float range; API callers may pass ints, strings and Fractions alike
+_THIRD = Fraction(1, 3)
+_TINY = Fraction(1, 10 ** 40)
+_AWKWARD = (
+    "1/2", "2/4", " 1/2 ", Fraction(1, 2), 3, "3", Fraction(6, 2), "-0", 0,
+    _THIRD, _THIRD + _TINY, _THIRD - _TINY, "1/3",
+    Fraction(10 ** 400), -Fraction(10 ** 400), Fraction(10 ** 400 + 1), "1e400", "-1e400",
+    Fraction(-(10 ** 400), 3), Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400),
+)
+
+
+def _seeded_payoffs(rng, cs, ds):
+    shape = rng.randrange(4)
+    if shape == 0:  # one value everywhere
+        v = rng.choice(_AWKWARD)
+        return {(x, y): v for x in cs for y in ds}
+    if shape == 1:
+        draw = lambda: rng.randint(-3, 3)  # noqa: E731
+    elif shape == 2:
+        draw = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))  # noqa: E731
+    else:
+        draw = lambda: rng.choice(_AWKWARD)  # noqa: E731
+    return {(x, y): draw() for x in cs for y in ds}
+
+
+class TestRankingMatchesReferee:
+    def test_seeded_tables(self):
+        rng = random.Random(41)
+        shapes = [(2, 2), (3,), (2, 3), (1,), (4,)]
+        for k in range(300):
+            C = grid_poset(rng.choice(shapes)).full_subset()
+            D = grid_poset(rng.choice(shapes)).full_subset()
+            cs, ds = C.ordered(), D.ordered()
+            payoff = _seeded_payoffs(rng, cs, ds)
+            F = G = None
+            if k % 3 == 0:
+                F = SetValuedMap(C, D, {x: rng.sample(ds, rng.randint(1, len(ds))) for x in cs})
+                G = SetValuedMap(D, C, {y: rng.sample(cs, rng.randint(1, len(cs))) for y in ds})
+            seed = (cs[0], ds[0])
+            ref = referee_game_instance(C, D, payoff, F, G, seed)
+            for inst in (ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed).instance,
+                         build_game(C, D, payoff, F=F, G=G, seed=seed)):
+                assert inst.U.elements == ref.U.elements, (k, payoff)
+                assert all(type(u) is Fraction for u in inst.U.elements)
+                assert np.array_equal(inst._codes.T, ref._codes.T), k
+                assert np.array_equal(inst._phi_mask, ref._phi_mask), k
+                assert np.array_equal(inst._psi_mask, ref._psi_mask), k
+                assert instance_digest(inst) == instance_digest(ref), k
+
+
+@pytest.fixture(scope="module")
+def grid_game_document(tmp_path_factory):
+    """The first instance file of the grid-game benchmark workload at seed 1."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        paths = workloads.write_instances("grid-game", 1, tmp_path_factory.mktemp("grid"))
+    finally:
+        del sys.modules[spec.name]
+    return read_json(paths[0])
+
+
+class TestWorkPerDistinctValue:
+    def test_one_fraction_per_distinct_payoff_string(self, monkeypatch, grid_game_document):
+        doc = grid_game_document
+        made = []
+
+        def counting(v):
+            made.append(v)
+            return Fraction(v)
+
+        monkeypatch.setattr(ordeq.fileio, "Fraction", counting)
+        parse_instance_dict(doc)
+        distinct = {v for _, _, v in doc["payoff"]}
+        assert len(distinct) < len(doc["payoff"])
+        assert len(made) <= len(distinct)
+
+    def test_at_most_two_hashes_per_utility_element(self, monkeypatch, grid_game_document):
+        game = parse_instance_dict(grid_game_document)
+        hashed = [0]
+        plain = Fraction.__hash__
+
+        def counting(self):
+            hashed[0] += 1
+            return plain(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        inst = game.instance
+        monkeypatch.undo()
+        assert hashed[0] <= 2 * len(inst.U)
