@@ -3,10 +3,12 @@
 #   1. the Tier-1 test suite;
 #   2. a one-second benchmark smoke per workload, each judged on the last
 #      line of bench/run.py (it exits 0 even when an output is wrong);
-#   3. a traced grid-game smoke, judged on its last line and on the replay
-#      errors in its --out file: the tracer replays each op through public
-#      calls (game.instance, phi_map/psi_map, pair_index), so a replay
-#      error means that part of the API broke;
+#   3. a traced smoke per workload, each judged on its last line and on the
+#      replay errors in its --out file: the tracer replays each op through
+#      public calls (parse_instance, gen_instance, game.instance,
+#      phi_map/psi_map, pair_index), so a replay error means that part of
+#      the API broke.  wide-oracle and small-batch replay the roep parse and
+#      gen, grid-game the game build; each takes a few seconds;
 #   4. no assert statements in src/ (invariants must survive python -O).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,12 +23,14 @@ done
 
 traced=$(mktemp)
 trap 'rm -f "$traced"' EXIT
-out=$(python3 bench/run.py --workload grid-game --seed 1 --seconds 1 --trace 1 --out "$traced")
-echo "$out"
-echo "$out" | tail -n 1 | python3 -c '
+for workload in small-batch grid-game wide-oracle; do
+  out=$(python3 bench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 --out "$traced")
+  echo "$out"
+  echo "$out" | tail -n 1 | python3 -c '
 import json, sys
 r, detail = json.load(sys.stdin), json.load(open(sys.argv[1], encoding="utf-8"))
 sys.exit(0 if r["correct"] is True and detail["replay_errors"] == 0 else 1)' "$traced"
+done
 
 python3 - <<'PY'
 import ast, pathlib, sys

@@ -9,8 +9,9 @@ among feasible row deviations, and minimal among feasible column deviations.
 The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x)
 of the two order-optimization maps: a monotone climb from a seed pair reaches
 a fixed point of gamma, which is exactly a solution, and is then promoted to
-a maximal solution above the seed.  Inside, an instance is index-coded once,
-at construction (positions instead of element ids): phi and psi are boolean
+a maximal solution above the seed.  An instance is made of index codes
+(positions instead of element ids): the parse, the generator and games build
+them directly, and T, F and G are views of them.  phi and psi are boolean
 masks built by array broadcasts, their monotonicity flags are boolean matmuls
 of those masks with the orders of C and D, and the solution set is where both
 masks hold.  Element ids come back only where a result leaves the instance.
@@ -34,7 +35,7 @@ from .errors import (
     UtilityNotTotal,
     ValidationError,
 )
-from .maps import MonotonicityReport, SetValuedMap, constant_map, mask_monotonicity
+from .maps import MonotonicityReport, SetValuedMap, mask_monotonicity
 from .poset import Poset, Subset
 
 Pair = tuple
@@ -49,29 +50,12 @@ class ObjectiveMap:
 
     def __post_init__(self):
         tbl = dict(self.table)
-        index = {e: i for i, e in enumerate(self.utility.elements)}
-        # pair -> position of its value in U, kept for the index codes
-        positions = dict(zip(tbl, map(index.get, tbl.values())))
-        if None in positions.values():
-            pair = next(p for p, i in positions.items() if i is None)
-            raise ValidationError(
-                f"objective value {tbl[pair]!r} at {pair!r} is not in the utility poset"
-            )
+        for pair, v in tbl.items():
+            if v not in self.utility:
+                raise ValidationError(
+                    f"objective value {v!r} at {pair!r} is not in the utility poset"
+                )
         object.__setattr__(self, "table", MappingProxyType(tbl))
-        object.__setattr__(self, "_positions", positions)
-
-    @classmethod
-    def _ranked(cls, utility: Poset, table: Mapping, positions: dict) -> "ObjectiveMap":
-        """A map whose caller already knows each value's position in U.
-
-        positions[pair] must be the position of table[pair] in the
-        utility's elements; nothing is looked up or checked again.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "utility", utility)
-        object.__setattr__(self, "table", MappingProxyType(dict(table)))
-        object.__setattr__(self, "_positions", positions)
-        return self
 
     def value(self, x, y):
         try:
@@ -171,83 +155,128 @@ class SolutionReport:
 
 
 class ProblemInstance:
-    """An immutable constrained ordered equilibrium problem.
+    """An immutable constrained ordered equilibrium problem, made of index codes.
 
-    All operations are pure.  The index codes are built at construction, and
-    their lookup of every T value is the check that T is total; the phi and
-    psi masks and the solution set are computed lazily and cached.
+    The members of C and D are numbered in parent order, so positions sort
+    pairs as pair_index does.  The codes are _T, where _T[i, j] is the
+    position of T(x_i, y_j) in U; _F, where _F[i, j] says y_j is in F(x_i);
+    and _G, where _G[i, j] says x_i is in G(y_j).  The parse, the generator
+    and games build these codes directly, through _from_codes.  The public
+    constructor keeps its checks and the maps it is given, and converts them
+    once: its lookup of every pair is the check that T is total.  Otherwise
+    T, F and G are views built from the codes on first read.  All operations
+    are pure; the phi and psi masks and the solution set are computed lazily
+    and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
                  F: SetValuedMap, G: SetValuedMap, seed: Optional[Pair] = None):
-        if not C.members:
-            raise ValidationError("C must be nonempty")
-        if not D.members:
-            raise ValidationError("D must be nonempty")
-        if F.domain != C or F.codomain != D:
-            raise ValidationError("F must map C into subsets of D")
-        if G.domain != D or G.codomain != C:
-            raise ValidationError("G must map D into subsets of C")
-        self.C = C
-        self.D = D
-        self.T = T
-        self.F = F
-        self.G = G
-        self._codes = _Codes(self)
+        _check_parts(C, D, F, G)
+        codes = _table_codes(T.table, C.ordered(), D.ordered(), T.utility.index)
+        self._setup(C, D, T.utility, codes, F.mask(), G.mask().T, seed)
+        self.T, self.F, self.G = T, F, G
+
+    @classmethod
+    def _from_codes(cls, C: Subset, D: Subset, U: Poset, T: np.ndarray, F: np.ndarray,
+                    G: np.ndarray, seed: Optional[Pair] = None) -> "ProblemInstance":
+        """The instance made of these codes; the caller has validated them, this checks the seed."""
+        self = cls.__new__(cls)
+        self._setup(C, D, U, T, F, G, seed)
+        return self
+
+    def _setup(self, C, D, U, T, F, G, seed) -> None:
+        # the one setup every instance passes through
+        self.C, self.D, self.U = C, D, U
+        self._cs, self._ds = C.ordered(), D.ordered()
+        self._c_pos = {x: i for i, x in enumerate(self._cs)}
+        self._d_pos = {y: j for j, y in enumerate(self._ds)}
+        self._T, self._F, self._G = T, F, G
+        self._lt = U.leq_matrix & ~np.eye(len(U), dtype=bool)
+        self._c_leq, self._d_leq = C.order_matrix(), D.order_matrix()
         self.seed = None if seed is None else self._resolve_seed(seed)
 
-    @property
-    def U(self) -> Poset:
-        return self.T.utility
+    @cached_property
+    def T(self) -> ObjectiveMap:
+        us = self.U.elements
+        return ObjectiveMap(self.U, {
+            (x, y): us[t] for x, row in zip(self._cs, self._T.tolist())
+            for y, t in zip(self._ds, row)})
+
+    @cached_property
+    def F(self) -> SetValuedMap:
+        return _mask_map(self.C, self.D, self._F)
+
+    @cached_property
+    def G(self) -> SetValuedMap:
+        return _mask_map(self.D, self.C, self._G.T)
 
     def __repr__(self):
         return (
             f"ProblemInstance(|C|={len(self.C)}, |D|={len(self.D)}, |U|={len(self.U)})"
         )
 
+    # -- positions of elements ------------------------------------------------
+
+    def _row(self, x) -> int:
+        if x not in self._c_pos:
+            raise UnknownElement(f"{x!r} is not in C")
+        return self._c_pos[x]
+
+    def _col(self, y) -> int:
+        if y not in self._d_pos:
+            raise UnknownElement(f"{y!r} is not in D")
+        return self._d_pos[y]
+
+    def _pairs(self, mask: np.ndarray) -> frozenset:
+        """The (x, y) pairs where a (|C|, |D|) mask is set."""
+        rows, cols = np.nonzero(mask)
+        return frozenset(zip(_ids(self._cs, rows, list), _ids(self._ds, cols, list)))
+
+    def _orders(self, direction: str) -> tuple:
+        """The orders of C and D for a climb direction: reversed when minimal."""
+        if direction == "maximal":
+            return self._c_leq, self._d_leq
+        if direction == "minimal":
+            return self._c_leq.T, self._d_leq.T
+        raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
+
     # -- order-optimization mappings ----------------------------------------
 
     @cached_property
     def _phi_mask(self) -> np.ndarray:
         # row i: phi(x_i) over the members of D
-        k = self._codes
-        return _optima(k.T, k.F, k.lt)
+        return _optima(self._T, self._F, self._lt)
 
     @cached_property
     def _psi_mask(self) -> np.ndarray:
         # row j: psi(y_j) over the members of C
-        k = self._codes
-        return _optima(k.T.T, k.G.T, k.lt.T)
+        return _optima(self._T.T, self._G.T, self._lt.T)
 
     def phi(self, x) -> frozenset:
         """Feasible argmin: y in F(x) whose value T(x, y) is minimal in T(x, F(x))."""
-        k = self._codes
-        return _ids(k.ds, self._phi_mask[k.row(x)])
+        return _ids(self._ds, self._phi_mask[self._row(x)])
 
     def psi(self, y) -> frozenset:
         """Feasible argmax: x in G(y) whose value T(x, y) is maximal in T(G(y), y)."""
-        k = self._codes
-        return _ids(k.cs, self._psi_mask[k.col(y)])
+        return _ids(self._cs, self._psi_mask[self._col(y)])
 
     def global_phi(self, x) -> frozenset:
         """phi with the restriction map replaced by the constant map onto D."""
-        k = self._codes
-        values = k.T[[k.row(x)]]
-        return _ids(k.ds, _optima(values, np.ones(values.shape, bool), k.lt)[0])
+        values = self._T[[self._row(x)]]
+        return _ids(self._ds, _optima(values, np.ones(values.shape, bool), self._lt)[0])
 
     def global_psi(self, y) -> frozenset:
         """psi with the restriction map replaced by the constant map onto C."""
-        k = self._codes
-        values = k.T.T[[k.col(y)]]
-        return _ids(k.cs, _optima(values, np.ones(values.shape, bool), k.lt.T)[0])
+        values = self._T.T[[self._col(y)]]
+        return _ids(self._cs, _optima(values, np.ones(values.shape, bool), self._lt.T)[0])
 
     @cached_property
     def phi_map(self) -> SetValuedMap:
-        return SetValuedMap(self.C, self.D, {x: self.phi(x) for x in self.C.members})
+        return _mask_map(self.C, self.D, self._phi_mask)
 
     @cached_property
     def psi_map(self) -> SetValuedMap:
-        return SetValuedMap(self.D, self.C, {y: self.psi(y) for y in self.D.members})
+        return _mask_map(self.D, self.C, self._psi_mask)
 
     def gamma(self, x, y) -> frozenset:
         """The product correspondence gamma(x, y) = psi(y) x phi(x); never empty."""
@@ -257,19 +286,18 @@ class ProblemInstance:
 
     def solution_certificate(self, x, y) -> SolutionCertificate:
         """Check the solution conditions for (x, y), recording all evidence."""
-        k = self._codes
-        i, j = k.row(x), k.col(y)
-        v = k.T[i, j]
-        rows = np.flatnonzero(k.G[:, j])
-        cols = np.flatnonzero(k.F[i])
+        i, j = self._row(x), self._col(y)
+        v = self._T[i, j]
+        rows = np.flatnonzero(self._G[:, j])
+        cols = np.flatnonzero(self._F[i])
         return SolutionCertificate(
             pair=(x, y),
-            feasible_in_g=bool(k.G[i, j]),
-            feasible_in_f=bool(k.F[i, j]),
-            row_candidates=_ids(k.cs, rows, tuple),
-            col_candidates=_ids(k.ds, cols, tuple),
-            row_violators=_ids(k.cs, rows[k.lt[v, k.T[rows, j]]], tuple),
-            col_violators=_ids(k.ds, cols[k.lt[k.T[i, cols], v]], tuple),
+            feasible_in_g=bool(self._G[i, j]),
+            feasible_in_f=bool(self._F[i, j]),
+            row_candidates=_ids(self._cs, rows, tuple),
+            col_candidates=_ids(self._ds, cols, tuple),
+            row_violators=_ids(self._cs, rows[self._lt[v, self._T[rows, j]]], tuple),
+            col_violators=_ids(self._ds, cols[self._lt[self._T[i, cols], v]], tuple),
         )
 
     def is_solution(self, x, y) -> bool:
@@ -281,7 +309,7 @@ class ProblemInstance:
 
         These are the fixed points of gamma: y in phi(x) and x in psi(y).
         """
-        return self._codes.pairs(self._phi_mask & self._psi_mask.T)
+        return self._pairs(self._phi_mask & self._psi_mask.T)
 
     def extremal_solutions(self, seed: Optional[Pair] = None,
                            direction: str = "maximal") -> frozenset:
@@ -289,14 +317,13 @@ class ProblemInstance:
 
         With direction "minimal": below the seed, none strictly below.
         """
-        return self._codes.pairs(self._extremal_mask(seed, direction))
+        return self._pairs(self._extremal_mask(seed, direction))
 
     def _extremal_mask(self, seed: Optional[Pair], direction: str) -> np.ndarray:
-        k = self._codes
         x0, y0 = self._resolve_seed(seed)
-        c_leq, d_leq = k.orders(direction)
+        c_leq, d_leq = self._orders(direction)
         above = self._phi_mask & self._psi_mask.T
-        above &= c_leq[k.row(x0)][:, None] & d_leq[k.col(y0)][None, :]
+        above &= c_leq[self._row(x0)][:, None] & d_leq[self._col(y0)][None, :]
         # how many pairs of `above` lie at or above each pair: 1 is itself only
         count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
         return above & (count == 1)
@@ -305,13 +332,11 @@ class ProblemInstance:
 
     @cached_property
     def phi_monotonicity(self) -> MonotonicityReport:
-        k = self._codes
-        return mask_monotonicity(self._phi_mask, k.c_leq, k.d_leq)
+        return mask_monotonicity(self._phi_mask, self._c_leq, self._d_leq)
 
     @cached_property
     def psi_monotonicity(self) -> MonotonicityReport:
-        k = self._codes
-        return mask_monotonicity(self._psi_mask, k.d_leq, k.c_leq)
+        return mask_monotonicity(self._psi_mask, self._d_leq, self._c_leq)
 
     def check_hypotheses(self, seed: Optional[Pair] = None,
                          direction: str = "maximal") -> HypothesisReport:
@@ -325,14 +350,13 @@ class ProblemInstance:
         seed = self._resolve_seed(seed)
         phi_rep = self.phi_monotonicity
         psi_rep = self.psi_monotonicity
-        k = self._codes
-        c_leq, d_leq = k.orders(direction)
+        c_leq, d_leq = self._orders(direction)
         if direction == "minimal":
             phi_rep, psi_rep = _flip(phi_rep), _flip(psi_rep)
-        i, j = k.row(seed[0]), k.col(seed[1])
+        i, j = self._row(seed[0]), self._col(seed[1])
         zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
         us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
-        witness = (k.cs[zs[0]], k.ds[us[0]]) if len(zs) and len(us) else None
+        witness = (self._cs[zs[0]], self._ds[us[0]]) if len(zs) and len(us) else None
         return HypothesisReport(seed=seed, phi_monotonicity=phi_rep, psi_monotonicity=psi_rep,
                                 seed_condition=witness is not None, seed_witness=witness)
 
@@ -390,10 +414,9 @@ class ProblemInstance:
             raise HypothesisFailed(
                 "solver preconditions failed: " + "; ".join(hyp.failures()), report=hyp
             )
-        k = self._codes
-        c_leq, d_leq = k.orders(direction)
+        c_leq, d_leq = self._orders(direction)
         phi, psi = self._phi_mask, self._psi_mask
-        p = (k.row(hyp.seed[0]), k.col(hyp.seed[1]))
+        p = (self._row(hyp.seed[0]), self._col(hyp.seed[1]))
         trace = [p]
         while True:
             i, j = p
@@ -418,8 +441,8 @@ class ProblemInstance:
             )
         # cells run in pair_index order: the first set one is the least pair
         r, c = np.argwhere(best)[0].tolist()
-        solution = (k.cs[r], k.ds[c])
-        trace = [(k.cs[a], k.ds[b]) for a, b in trace]
+        solution = (self._cs[r], self._ds[c])
+        trace = [(self._cs[a], self._ds[b]) for a, b in trace]
         if fixed and solution != trace[-1]:
             trace.append(solution)
         self._check_trace(trace, descending=direction == "minimal")
@@ -451,14 +474,13 @@ class ProblemInstance:
         """
         if not self.U.is_total():
             raise UtilityNotTotal("scalar saddle check requires a totally ordered utility poset")
-        k = self._codes
-        i, j = k.row(x), k.col(y)
-        if not (k.G[i, j] and k.F[i, j]):
+        i, j = self._row(x), self._col(y)
+        if not (self._G[i, j] and self._F[i, j]):
             return False
         rank = self.U.leq_matrix.sum(axis=0)  # how many values lie at or below each
-        row_max = rank[k.T[k.G[:, j], j]].max()
-        col_min = rank[k.T[i, k.F[i]]].min()
-        return bool(row_max == rank[k.T[i, j]] == col_min)
+        row_max = rank[self._T[self._G[:, j], j]].max()
+        col_min = rank[self._T[i, self._F[i]]].min()
+        return bool(row_max == rank[self._T[i, j]] == col_min)
 
     def reduce_to_oep(self, replace: str = "both") -> "ProblemInstance":
         """Replace F, G, or both by the constant maps onto D and C.
@@ -469,81 +491,20 @@ class ProblemInstance:
         """
         if replace not in ("both", "F", "G"):
             raise ValueError(f"replace must be 'both', 'F' or 'G', got {replace!r}")
-        F = constant_map(self.C, self.D) if replace in ("both", "F") else self.F
-        G = constant_map(self.D, self.C) if replace in ("both", "G") else self.G
-        return ProblemInstance(self.C, self.D, self.T, F, G, seed=self.seed)
+        every = np.ones(self._T.shape, dtype=bool)
+        F = every if replace in ("both", "F") else self._F
+        G = every if replace in ("both", "G") else self._G
+        return ProblemInstance._from_codes(self.C, self.D, self.U, self._T, F, G, self.seed)
 
     def dual(self) -> "ProblemInstance":
         """The instance over order-reversed strategy posets (utility unchanged)."""
-        CX = self.C.parent.dual()
-        DY = self.D.parent.dual()
-        C2 = CX.subset(self.C.members)
-        D2 = DY.subset(self.D.members)
-        return ProblemInstance(
-            C2,
-            D2,
-            self.T,
-            SetValuedMap(C2, D2, dict(self.F.table)),
-            SetValuedMap(D2, C2, dict(self.G.table)),
-            seed=self.seed,
-        )
+        C2 = self.C.parent.dual().subset(self.C.members)
+        D2 = self.D.parent.dual().subset(self.D.members)
+        return ProblemInstance._from_codes(C2, D2, self.U, self._T, self._F, self._G, self.seed)
 
 
 # largest boolean temporary that one order-optimization broadcast allocates
 _CHUNK_CELLS = 1 << 22
-
-
-class _Codes:
-    """An instance with element ids replaced by positions, for array kernels.
-
-    Built once, when the instance is constructed.  The members of C and D
-    are numbered in parent order, so positions sort pairs as pair_index
-    does.  T[i, j] is the position of T(x_i, y_j) in U, as the ObjectiveMap
-    recorded it when it validated the value (or as a game ranked it);
-    looking every pair up is the check that T is total.  F[i, j] says y_j in
-    F(x_i) and G[i, j] says x_i in G(y_j); lt is the strict order of U;
-    c_leq and d_leq are the orders of C and D restricted to their members.
-    Serialization and digests read these codes too, converting each element
-    id once.
-    """
-
-    def __init__(self, inst: ProblemInstance):
-        self.cs, self.ds = inst.C.ordered(), inst.D.ordered()
-        self.c_pos = {x: i for i, x in enumerate(self.cs)}
-        self.d_pos = {y: j for j, y in enumerate(self.ds)}
-        pos = inst.T._positions
-        try:
-            cells = [pos[x, y] for x in self.cs for y in self.ds]
-        except KeyError as exc:
-            raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
-        self.T = np.array(cells, dtype=np.intp).reshape(len(self.cs), len(self.ds))
-        self.F = inst.F.mask()
-        self.G = inst.G.mask().T
-        self.lt = inst.U.leq_matrix & ~np.eye(len(inst.U), dtype=bool)
-        self.c_leq, self.d_leq = inst.C.order_matrix(), inst.D.order_matrix()
-
-    def row(self, x) -> int:
-        if x not in self.c_pos:
-            raise UnknownElement(f"{x!r} is not in C")
-        return self.c_pos[x]
-
-    def col(self, y) -> int:
-        if y not in self.d_pos:
-            raise UnknownElement(f"{y!r} is not in D")
-        return self.d_pos[y]
-
-    def pairs(self, mask: np.ndarray) -> frozenset:
-        """The (x, y) pairs where a (|C|, |D|) mask is set."""
-        rows, cols = np.nonzero(mask)
-        return frozenset(zip(_ids(self.cs, rows, list), _ids(self.ds, cols, list)))
-
-    def orders(self, direction: str) -> tuple:
-        """The orders of C and D for a climb direction: reversed when minimal."""
-        if direction == "maximal":
-            return self.c_leq, self.d_leq
-        if direction == "minimal":
-            return self.c_leq.T, self.d_leq.T
-        raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
 
 
 def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.ndarray:
@@ -563,6 +524,38 @@ def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.n
         beaten &= f[:, :, None]
         out[lo:lo + step] = f & ~beaten.any(axis=1)
     return out
+
+
+def _check_parts(C: Subset, D: Subset, F: SetValuedMap, G: SetValuedMap) -> None:
+    if not C.members:
+        raise ValidationError("C must be nonempty")
+    if not D.members:
+        raise ValidationError("D must be nonempty")
+    if F.domain != C or F.codomain != D:
+        raise ValidationError("F must map C into subsets of D")
+    if G.domain != D or G.codomain != C:
+        raise ValidationError("G must map D into subsets of C")
+
+
+def _table_codes(table: Mapping, cs: tuple, ds: tuple, position=None) -> np.ndarray:
+    """T as a (|C|, |D|) array: table[x, y], through position when given, per member pair.
+
+    Looking every pair up is the check that T is total.
+    """
+    try:
+        cells = [table[x, y] for x in cs for y in ds]
+    except KeyError as exc:
+        raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
+    if position is not None:
+        cells = list(map(position, cells))
+    return np.array(cells, dtype=np.intp).reshape(len(cs), len(ds))
+
+
+def _mask_map(domain: Subset, codomain: Subset, mask: np.ndarray) -> SetValuedMap:
+    """The map whose value at the i-th domain member is the codomain members set in row i."""
+    cod = codomain.ordered()
+    return SetValuedMap(domain, codomain,
+                        {x: _ids(cod, row) for x, row in zip(domain.ordered(), mask)})
 
 
 def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):

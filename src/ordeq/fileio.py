@@ -5,13 +5,15 @@ table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
-converted to a Fraction once.  Serialization
+converted to a Fraction once; a value without a string form (past Python's
+int digit limit) is refused.  A roep document is parsed straight into the
+index codes an instance is made of: each T value is looked up in U once and
+becomes its position, and F and G become membership masks.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
 edges, rows are emitted in a canonical order; parse-then-serialize is
 idempotent after the first normalization pass.  Serialization and digests
-read the index codes every instance builds at construction (T as
-positions in U, F and G as membership masks), so element ids are converted
-once per element here, at the file boundary, and never once per cell.
+read the codes too, so element ids are converted once per element here, at
+the file boundary, and never once per cell.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from fractions import Fraction
 from itertools import compress
 from typing import Union
 
+import numpy as np
+
 from . import __version__
-from .equilibrium import ObjectiveMap, ProblemInstance, SolutionReport
+from .equilibrium import ProblemInstance, SolutionReport, _table_codes
 from .errors import OrdeqError, ParseError, ValidationError
 from .games import ZeroSumGame
 from .maps import SetValuedMap
@@ -198,6 +202,7 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             if v not in exact:
                 try:
                     exact[v] = Fraction(v)
+                    str(exact[v])  # past Python's int digit limit it has no string form
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValidationError(f"payoff: bad rational {v!r}") from exc
             payoff[pair] = exact[v]
@@ -207,21 +212,17 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             raise ValidationError(f"game: {type(exc).__name__}: {exc}") from exc
 
     rows = _parse_rows("T", _require("document", doc, "T"), C, D)
-    u_ids = set(posets["U"].elements)
-    for pair, v in rows.items():
-        if not isinstance(v, str) or v not in u_ids:
+    U = posets["U"]
+    for pair, v in rows.items():  # each value becomes its position in U
+        t = U._index.get(v) if isinstance(v, str) else None
+        if t is None:
             raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
-    from .maps import constant_map  # local import avoids a cycle at module load
-
+        rows[pair] = t
+    every = np.ones((len(C), len(D)), dtype=bool)
     try:
-        return ProblemInstance(
-            C,
-            D,
-            ObjectiveMap(posets["U"], rows),
-            F if F is not None else constant_map(C, D),
-            G if G is not None else constant_map(D, C),
-            seed=seed,
-        )
+        return ProblemInstance._from_codes(
+            C, D, U, _table_codes(rows, C.ordered(), D.ordered()),
+            every if F is None else F.mask(), every if G is None else G.mask().T, seed=seed)
     except OrdeqError as exc:
         raise ValidationError(f"instance: {type(exc).__name__}: {exc}") from exc
 
@@ -235,6 +236,8 @@ def read_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an int past Python's digit limit, deep nesting
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
 def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
@@ -267,7 +270,6 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     """
     game = isinstance(obj, ZeroSumGame)
     inst = obj.instance if game else obj
-    k = inst._codes
     doc = {
         "schema": INSTANCE_SCHEMA,
         "mode": "game" if game else "roep",
@@ -275,16 +277,16 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     }
     if not game:
         doc["posets"]["U"] = _poset_doc(inst.U)
-    cs = [element_id(x) for x in k.cs]
-    ds = [element_id(y) for y in k.ds]
+    cs = [element_id(x) for x in inst._cs]
+    ds = [element_id(y) for y in inst._ds]
     us = [element_id(u) for u in inst.U.elements]
     doc["C"] = {"poset": "X", "members": cs}
     doc["D"] = {"poset": "Y", "members": ds}
     doc["payoff" if game else "T"] = [
-        [x, y, us[t]] for x, row in zip(cs, k.T.tolist()) for y, t in zip(ds, row)
+        [x, y, us[t]] for x, row in zip(cs, inst._T.tolist()) for y, t in zip(ds, row)
     ]
-    doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, k.F.tolist())}
-    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, k.G.T.tolist())}
+    doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, inst._F.tolist())}
+    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, inst._G.T.tolist())}
     if inst.seed is not None:
         doc["seed"] = [element_id(inst.seed[0]), element_id(inst.seed[1])]
     return doc

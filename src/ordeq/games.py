@@ -7,7 +7,9 @@ poset handed to the equilibrium machinery is the chain of distinct payoff
 values, which keeps it minimal and totally ordered.  Each distinct value is
 found, ranked and hashed once: cells are grouped by their lowest-terms
 (numerator, denominator) pair, only the distinct values are sorted, and each
-cell's rank in the chain is its position in U, so no cell is looked up in U.
+cell's rank in the chain is its position in U.  Those ranks are the codes of
+the game's instance, built directly: no cell is looked up in U, and no
+objective table is built unless one is read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .equilibrium import ObjectiveMap, Pair, ProblemInstance, SolutionReport
+from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts, _table_codes
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap, constant_map
 from .poset import GridPoset, Poset, Subset, grid_poset
@@ -67,10 +69,7 @@ class ZeroSumGame:
         self.payoff = MappingProxyType(table)
         self.F = F if F is not None else constant_map(C, D)
         self.G = G if G is not None else constant_map(D, C)
-        if self.F.domain != C or self.F.codomain != D:
-            raise ValidationError("F must map C into subsets of D")
-        if self.G.domain != D or self.G.codomain != C:
-            raise ValidationError("G must map D into subsets of C")
+        _check_parts(C, D, self.F, self.G)
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
         self.seed = seed
@@ -105,6 +104,7 @@ def build_game(C: Subset, D: Subset, payoff: Mapping,
     table = {k: _as_fraction(v) for k, v in payoff.items()}
     F = F if F is not None else constant_map(C, D)
     G = G if G is not None else constant_map(D, C)
+    _check_parts(C, D, F, G)
     return _game_instance(C, D, table, F, G, seed)
 
 
@@ -119,11 +119,10 @@ def _game_instance(C: Subset, D: Subset, table: Mapping, F: SetValuedMap,
     keys = [v.as_integer_ratio() for v in table.values()]
     values = sorted(dict(zip(keys, table.values())).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    positions = dict(zip(table, map(rank.__getitem__, keys)))
+    T = _table_codes(table, C.ordered(), D.ordered(), lambda v: rank[v.as_integer_ratio()])
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
     utility = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
-    T = ObjectiveMap._ranked(utility, table, positions)
-    return ProblemInstance(C, D, T, F, G, seed=seed)
+    return ProblemInstance._from_codes(C, D, utility, T, F.mask(), G.mask().T, seed)
 
 
 def _order_key(v: Fraction) -> tuple:

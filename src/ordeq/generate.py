@@ -8,7 +8,7 @@ and closing transitively, which guarantees acyclicity by construction.
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  The hypothesis
 filter rejects an attempt on these arrays (phi before G is even drawn), and
-only the accepted attempt is built into validated objects.
+the accepted attempt's codes become the instance as they are.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from itertools import compress
 
 import numpy as np
 
-from .equilibrium import ObjectiveMap, ProblemInstance, _optima
+from .equilibrium import ProblemInstance, _optima
 from .errors import FilterExhausted, InvalidSpec, InvariantBreach
-from .maps import SetValuedMap, increasing_upward
+from .maps import increasing_upward
 from .poset import Poset, _bool_matmul, grid_poset, load_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
@@ -199,9 +199,9 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     check_hypotheses; the first passing pair in C x D order is recorded as
     the instance seed.  Each attempt is drawn as codes from its own rng and
     rejected on them: phi increasing upward is tested before G is drawn,
-    then psi, then the seed condition.  Only the accepted attempt is built
-    into validated objects, and its hypotheses are checked once more on
-    them.  Raises FilterExhausted honestly when the cap is hit.
+    then psi, then the seed condition.  Only the accepted attempt becomes
+    an instance, and its hypotheses are checked once more on it.  Raises
+    FilterExhausted honestly when the cap is hit.
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
@@ -249,20 +249,15 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
 
 def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
            G: np.ndarray, seed=None) -> ProblemInstance:
-    """The validated instance of an attempt's codes; G's row j is G(y_j).
+    """The instance made of an attempt's codes; G's row j is G(y_j).
 
     With a seed (positions in C and D) the instance must pass
-    check_hypotheses there, or the codes and the objects disagree.
+    check_hypotheses there, or the filter and the instance disagree.
     """
     X, Y, U = (side.build(leq) for side, leq in zip(sides, orders))
-    C, D = X.full_subset(), Y.full_subset()
-    cs, ds, us = X.elements, Y.elements, U.elements
-    table = {(x, y): us[t] for x, row in zip(cs, T.tolist()) for y, t in zip(ds, row)}
-    inst = ProblemInstance(
-        C, D, ObjectiveMap(U, table),
-        SetValuedMap(C, D, {x: frozenset(compress(ds, row)) for x, row in zip(cs, F.tolist())}),
-        SetValuedMap(D, C, {y: frozenset(compress(cs, row)) for y, row in zip(ds, G.tolist())}),
-        seed=None if seed is None else (cs[seed[0]], ds[seed[1]]),
+    inst = ProblemInstance._from_codes(
+        X.full_subset(), Y.full_subset(), U, T, F, G.T,
+        seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),
     )
     if seed is not None and not inst.check_hypotheses().passes:
         raise InvariantBreach(f"generated seed {inst.seed!r} fails check_hypotheses")

@@ -1,5 +1,7 @@
 """The batch front end: commands, output, and the exit-code contract."""
 
+import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -9,9 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordeq import ProblemInstance, parse_instance, replay_report
+from ordeq import (GenSpec, ProblemInstance, gen_instance, parse_instance, replay_report,
+                   serialize_instance)
 from ordeq.cli import main
 from ordeq.errors import InvariantBreach
+from ordeq.generate import POSET_KINDS
 
 from conftest import FIXTURES
 
@@ -288,6 +292,81 @@ class TestExitCodeContract:
         assert "InvariantBreach: planted" in err
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# (fixture, command, exit code, stdout, stderr, report without elapsed_seconds),
+# the last three as the first 16 hex digits of their sha256; recorded before
+# instances were built straight from their index codes
+PINNED = [
+    ("i1", "check", 0, "0c3b4ee6c49d1fd0", "e3b0c44298fc1c14", "5cd5bac246f74279"),
+    ("i1", "solve --force", 0, "fdcae40e1e5ef056", "e3b0c44298fc1c14", "b2d44d4d572cca92"),
+    ("i1", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i1", "enumerate", 0, "d179cbbfeaa93a17", "e3b0c44298fc1c14", "97b16dc3fb303590"),
+    ("i1", "validate", 0, "ceac2d8c4681b705", "e3b0c44298fc1c14", None),
+    ("i2", "check", 0, "dddc8170f7a2ab36", "e3b0c44298fc1c14", "a3324caa25d46819"),
+    ("i2", "solve --force", 0, "42ee9f33a377a004", "e3b0c44298fc1c14", "ead150216dc4b167"),
+    ("i2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i2", "enumerate", 0, "7480d1ecc8a10d2f", "e3b0c44298fc1c14", "ba03329c03c829b4"),
+    ("i2", "validate", 0, "2fb812ed20948faa", "e3b0c44298fc1c14", None),
+    ("i3", "check", 2, "9b0e00fae7550087", "e3b0c44298fc1c14", "9d9e39f04aa5a382"),
+    ("i3", "solve --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i3", "enumerate", 3, "23763284ade89aea", "e3b0c44298fc1c14", "324a2e6d16003e04"),
+    ("i3", "validate", 0, "d6be67238f775a97", "e3b0c44298fc1c14", None),
+    ("game2x2", "check", 0, "e0b0876585d65fcd", "e3b0c44298fc1c14", "b6e13db08b1d95a6"),
+    ("game2x2", "solve --force", 0, "4d14485515db030c", "e3b0c44298fc1c14", "2087dcc6c22868cd"),
+    ("game2x2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "dce8c758d76ae367", None),
+    ("game2x2", "enumerate", 0, "8ec4f3ab419051ac", "e3b0c44298fc1c14", "d4271304c62d6415"),
+    ("game2x2", "validate", 0, "cadb3678d4f2cdb6", "e3b0c44298fc1c14", None),
+    ("game2x2", "game", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
+    ("game2x2", "game --force", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
+    ("game3x3", "check", 0, "b9b71001c40b5f81", "e3b0c44298fc1c14", "f224233767e56ebc"),
+    ("game3x3", "solve --force", 0, "792937d443452e51", "e3b0c44298fc1c14", "742513b621c65450"),
+    ("game3x3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "dce8c758d76ae367", None),
+    ("game3x3", "enumerate", 0, "47238717fe2a74e7", "e3b0c44298fc1c14", "1a9886a0e07eb526"),
+    ("game3x3", "validate", 0, "d9489a6a81ea9037", "e3b0c44298fc1c14", None),
+    ("game3x3", "game", 0, "e91eb2872921455d", "e3b0c44298fc1c14", "33e8b3c16f78aa30"),
+    ("game3x3", "game --force", 0, "e91eb2872921455d", "e3b0c44298fc1c14", "33e8b3c16f78aa30"),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name, command, code, out, err, report", PINNED,
+                             ids=[f"{p[0]}-{p[1].replace(' ', '')}" for p in PINNED])
+    def test_fixture_outputs(self, capsys, tmp_path, name, command, code, out, err, report):
+        argv = command.split()
+        target = tmp_path / "report.json"
+        extra = [] if argv[0] == "validate" else ["--report", str(target)]
+        got = run(capsys, argv[0], FIXTURES[name], *argv[1:], *extra)
+        assert (got[0], _digest(got[1]), _digest(got[2])) == (code, out, err)
+        doc = json.loads(target.read_text()) if target.exists() else None
+        if doc is not None:
+            del doc["elapsed_seconds"]
+        assert (doc and _digest(json.dumps(doc, sort_keys=True))) == report
+
+    # i2's T rows: (c0, d0, 0), (c0, d1, -1), (c1, d0, 1), (c1, d1, 0)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows.pop(1),
+         "instance: UnknownElement: objective table has no entry for ('c0', 'd1')"),
+        (lambda rows: rows.append(list(rows[2])), "T: duplicate row for ('c1', 'd0')"),
+        (lambda rows: rows[1].__setitem__(2, "u9"),
+         "T: value 'u9' at ('c0', 'd1') is not an element of U"),
+        (lambda rows: rows[2].__setitem__(1, "c0"), "T: row references 'c0', not a member of D"),
+        # every row is checked before any value is: the duplicate is reported
+        (lambda rows: (rows[0].__setitem__(2, "u9"), rows.append(list(rows[3]))),
+         "T: duplicate row for ('c1', 'd1')"),
+    ], ids=["hole", "duplicate", "not-in-U", "non-member", "precedence"])
+    def test_objective_table_errors(self, capsys, tmp_path, edit, message):
+        doc = json.loads(open(FIXTURES["i2"]).read())
+        edit(doc["T"])
+        target = tmp_path / "broken.json"
+        target.write_text(json.dumps(doc))
+        expected = (1, "", f"error: ValidationError: {message}\n")
+        assert run(capsys, "validate", str(target)) == expected
+
+
 def _leaves(node, path=()):
     """Key paths to every scalar and every empty container of a JSON document."""
     if isinstance(node, dict) and node:
@@ -309,11 +388,26 @@ def _put(doc, path, value):
 
 # JSON values of every other type, to put where a document has a leaf
 JUNK = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3),
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3), st.just("1e5000"),
     st.lists(st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3)), max_size=3),
     st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(-3, 3)),
                     max_size=2),
 )
+
+
+def _game2x2_text(first_payoff: str) -> str:
+    doc = json.loads(open(FIXTURES["game2x2"]).read())
+    doc["payoff"][0][2] = "PAYOFF"
+    return json.dumps(doc).replace('"PAYOFF"', first_payoff)
+
+
+# the documents the fuzz test mutates: the fixtures, and one gen-written roep
+# document per poset kind
+FUZZED = {name: json.loads(open(FIXTURES[name]).read())
+          for name in ("i1", "i2", "i3", "game2x2", "game3x3")}
+FUZZED.update({kind: serialize_instance(gen_instance(GenSpec(
+    kind="random_instance", sizes=(4, 4, 6), rng_seed=3, poset_kind=kind)))
+    for kind in POSET_KINDS})
 
 
 class TestMalformedDocuments:
@@ -350,11 +444,32 @@ class TestMalformedDocuments:
             assert code == 1
             assert f"ValidationError: {message}" in err
 
+    def test_payoff_without_a_string_form(self, capsys, tmp_path):
+        # 10**5000 has more digits than Python converts to a string by default
+        target = tmp_path / "huge.json"
+        target.write_text(_game2x2_text(first_payoff='"1e5000"'))
+        for command in ("validate", "check"):
+            code, _, err = run(capsys, command, str(target))
+            assert code == 1
+            assert "ValidationError: payoff: bad rational '1e5000'" in err
+
+    @pytest.mark.parametrize("text", [
+        _game2x2_text(first_payoff="1" * 5000),  # json.dumps cannot write it
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["5000-digit-payoff", "deep-nesting"])
+    def test_json_python_cannot_read(self, capsys, tmp_path, text):
+        target = tmp_path / "unreadable.json"
+        target.write_text(text)
+        for command in ("validate", "check"):
+            code, _, err = run(capsys, command, str(target))
+            assert code == 1
+            assert err.startswith(f"error: ParseError: cannot parse {target}: ")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fuzzed_leaves_never_exit_4(self, data):
-        name = data.draw(st.sampled_from(["i1", "i2", "i3", "game2x2", "game3x3"]))
-        doc = json.loads(open(FIXTURES[name]).read())
+        name = data.draw(st.sampled_from(sorted(FUZZED)))
+        doc = copy.deepcopy(FUZZED[name])
         paths = data.draw(st.lists(st.sampled_from(list(_leaves(doc))), min_size=1,
                                    max_size=3, unique=True))
         for path in paths:
@@ -362,8 +477,9 @@ class TestMalformedDocuments:
         with tempfile.TemporaryDirectory() as tmp:
             target = Path(tmp) / "fuzzed.json"
             target.write_text(json.dumps(doc))
-            for command in ("validate", "check"):
+            for command in ("validate", "check", "enumerate", "solve --force"):
+                argv = command.split()
                 err = io.StringIO()
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                    code = main([command, str(target)])
-                assert code != 4, (command, paths, err.getvalue())
+                    code = main([argv[0], str(target), *argv[1:]])
+                assert code != 4, (name, command, paths, err.getvalue())

@@ -271,7 +271,7 @@ class TestRankingMatchesReferee:
                          build_game(C, D, payoff, F=F, G=G, seed=seed)):
                 assert inst.U.elements == ref.U.elements, (k, payoff)
                 assert all(type(u) is Fraction for u in inst.U.elements)
-                assert np.array_equal(inst._codes.T, ref._codes.T), k
+                assert np.array_equal(inst._T, ref._T), k
                 assert np.array_equal(inst._phi_mask, ref._phi_mask), k
                 assert np.array_equal(inst._psi_mask, ref._psi_mask), k
                 assert instance_digest(inst) == instance_digest(ref), k

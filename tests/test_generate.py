@@ -135,13 +135,13 @@ class TestMatchesObjectReferee:
 
     def test_builds_only_the_accepted_attempt(self, monkeypatch):
         built = []
-        init = ProblemInstance.__init__
+        setup = ProblemInstance._setup
 
         def counting(self, *args, **kwargs):
             built.append(self)
-            init(self, *args, **kwargs)
+            setup(self, *args, **kwargs)
 
-        monkeypatch.setattr(ProblemInstance, "__init__", counting)
+        monkeypatch.setattr(ProblemInstance, "_setup", counting)
         # exhausts all 200 attempts: pinned against the object referee
         spec = GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=0,
                        poset_kind="random_poset", filter="require_hypotheses")
