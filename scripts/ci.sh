@@ -9,7 +9,10 @@
 #      phi_map/psi_map, pair_index), so a replay error means that part of
 #      the API broke.  wide-oracle and small-batch replay the roep parse and
 #      gen, grid-game the game build; each takes a few seconds;
-#   4. no assert statements in src/ (invariants must survive python -O).
+#   4. no assert statements in src/ (invariants must survive python -O);
+#   5. no dead private helper: every _private function, method or class
+#      defined under src/ordeq/ is used by name (a name or an attribute,
+#      an import alone does not count) somewhere in src/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,4 +42,22 @@ found = [f"{path}:{node.lineno}" for path in sorted(pathlib.Path("src").rglob("*
          if isinstance(node, ast.Assert)]
 print("\n".join(found) or "no assert statements in src/")
 sys.exit(1 if found else 0)
+PY
+
+python3 - <<'PY'
+import ast, pathlib, sys
+defs, used = [], set()
+for path in sorted(pathlib.Path("src").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if "ordeq" in path.parts and name.startswith("_") and not name.endswith("__"):
+                defs.append((name, f"{path}:{node.lineno}"))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+dead = [f"{where}: {name} is never used" for name, where in defs if name not in used]
+print("\n".join(dead) or f"{len(defs)} private definitions under src/ordeq/, each used")
+sys.exit(1 if dead else 0)
 PY

@@ -134,7 +134,7 @@ def cmd_enumerate(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
     inst = _core_instance(obj)
-    solutions = sorted(inst.solution_set, key=inst.pair_index)
+    solutions = inst._pairs(inst._solution_mask)  # in pair_index order
     digest = _describe(obj)
     print(f"solutions: {len(solutions)}")
     for s in solutions:

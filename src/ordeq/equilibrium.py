@@ -227,10 +227,10 @@ class ProblemInstance:
             raise UnknownElement(f"{y!r} is not in D")
         return self._d_pos[y]
 
-    def _pairs(self, mask: np.ndarray) -> frozenset:
-        """The (x, y) pairs where a (|C|, |D|) mask is set."""
+    def _pairs(self, mask: np.ndarray) -> list:
+        """The (x, y) pairs where a (|C|, |D|) mask is set, in pair_index order."""
         rows, cols = np.nonzero(mask)
-        return frozenset(zip(_ids(self._cs, rows, list), _ids(self._ds, cols, list)))
+        return list(zip(_ids(self._cs, rows, list), _ids(self._ds, cols, list)))
 
     def _orders(self, direction: str) -> tuple:
         """The orders of C and D for a climb direction: reversed when minimal."""
@@ -309,7 +309,11 @@ class ProblemInstance:
 
         These are the fixed points of gamma: y in phi(x) and x in psi(y).
         """
-        return self._pairs(self._phi_mask & self._psi_mask.T)
+        return frozenset(self._pairs(self._solution_mask))
+
+    @cached_property
+    def _solution_mask(self) -> np.ndarray:
+        return self._phi_mask & self._psi_mask.T
 
     def extremal_solutions(self, seed: Optional[Pair] = None,
                            direction: str = "maximal") -> frozenset:
@@ -317,13 +321,12 @@ class ProblemInstance:
 
         With direction "minimal": below the seed, none strictly below.
         """
-        return self._pairs(self._extremal_mask(seed, direction))
+        return frozenset(self._pairs(self._extremal_mask(seed, direction)))
 
     def _extremal_mask(self, seed: Optional[Pair], direction: str) -> np.ndarray:
         x0, y0 = self._resolve_seed(seed)
         c_leq, d_leq = self._orders(direction)
-        above = self._phi_mask & self._psi_mask.T
-        above &= c_leq[self._row(x0)][:, None] & d_leq[self._col(y0)][None, :]
+        above = self._solution_mask & c_leq[self._row(x0)][:, None] & d_leq[self._col(y0)][None, :]
         # how many pairs of `above` lie at or above each pair: 1 is itself only
         count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
         return above & (count == 1)
@@ -372,13 +375,6 @@ class ProblemInstance:
             raise UnknownElement(f"seed second component {y0!r} is not in D")
         return (x0, y0)
 
-    def pair_leq(self, p: Pair, q: Pair) -> bool:
-        """Component-wise product order on C x D pairs."""
-        return self.C.parent.leq(p[0], q[0]) and self.D.parent.leq(p[1], q[1])
-
-    def pair_lt(self, p: Pair, q: Pair) -> bool:
-        return p != q and self.pair_leq(p, q)
-
     def pair_index(self, p: Pair) -> tuple[int, int]:
         return (self.C.parent.index(p[0]), self.D.parent.index(p[1]))
 
@@ -415,23 +411,14 @@ class ProblemInstance:
                 "solver preconditions failed: " + "; ".join(hyp.failures()), report=hyp
             )
         c_leq, d_leq = self._orders(direction)
-        phi, psi = self._phi_mask, self._psi_mask
-        p = (self._row(hyp.seed[0]), self._col(hyp.seed[1]))
-        trace = [p]
-        while True:
-            i, j = p
-            zs = np.flatnonzero(psi[j] & c_leq[i])[:2].tolist()
-            us = np.flatnonzero(phi[i] & d_leq[j])[:2].tolist()
-            # the lexicographically first q in gamma(p) strictly beyond p
-            q = next(((z, u) for z in zs for u in us if (z, u) != p), None)
-            if q is None:
-                break
-            p = q
-            trace.append(p)
+        trace = [(self._row(hyp.seed[0]), self._col(hyp.seed[1]))]
+        while (q := self._step(trace[-1], c_leq, d_leq)) is not None:
+            trace.append(q)
         # with failing hypotheses a forced climb can strand at a non-fixed
         # point; the promotion then picks from all extremal solutions
         best = self._extremal_mask(hyp.seed, direction)
-        fixed = phi[i, j] and psi[j, i]
+        i, j = p = trace[-1]
+        fixed = self._phi_mask[i, j] and self._psi_mask[j, i]
         if fixed:
             best &= c_leq[i][:, None] & d_leq[j][None, :]
         if not best.any():
@@ -440,28 +427,57 @@ class ProblemInstance:
                 + ("" if hyp.passes else " (hypotheses were not satisfied)")
             )
         # cells run in pair_index order: the first set one is the least pair
-        r, c = np.argwhere(best)[0].tolist()
-        solution = (self._cs[r], self._ds[c])
-        trace = [(self._cs[a], self._ds[b]) for a, b in trace]
-        if fixed and solution != trace[-1]:
+        solution = tuple(np.argwhere(best)[0].tolist())
+        if fixed and solution != p:
             trace.append(solution)
-        self._check_trace(trace, descending=direction == "minimal")
-        maximal, minimal = (solution, None) if direction == "maximal" else (None, solution)
+        report = self._report(hyp, direction, trace, solution)
+        if report is None:
+            raise InvariantBreach(f"the solver's trace is not a climb through gamma: {trace}")
+        return report
+
+    def _step(self, p: tuple, c_leq: np.ndarray, d_leq: np.ndarray) -> Optional[tuple]:
+        """The lexicographically first pair of gamma(p) strictly beyond p, or None."""
+        i, j = p
+        zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])[:2].tolist()
+        us = np.flatnonzero(self._phi_mask[i] & d_leq[j])[:2].tolist()
+        return next(((z, u) for z in zs for u in us if (z, u) != p), None)
+
+    def _climbs(self, trace: list, solution: tuple, direction: str) -> bool:
+        """Whether a trace of positions climbs gamma in a direction toward the solution.
+
+        Each step goes strictly beyond the pair before it and lies in gamma
+        of it; only a last step to the solution may leave gamma, to promote a
+        fixed point.  A trace that stops short of the solution must strand:
+        its last pair is no fixed point, and gamma has no pair beyond it.
+        """
+        c_leq, d_leq = self._orders(direction)
+        phi, psi = self._phi_mask, self._psi_mask
+        in_gamma = lambda p, q: psi[p[1], q[0]] and phi[p[0], q[1]]  # noqa: E731
+        for k, (a, b) in enumerate(zip(trace, trace[1:]), 2):
+            beyond = a != b and c_leq[a[0], b[0]] and d_leq[a[1], b[1]]
+            promoted = k == len(trace) and b == solution and in_gamma(a, a)
+            if not beyond or not (in_gamma(a, b) or promoted):
+                return False
+        last = trace[-1]
+        return last == solution or not in_gamma(last, last) and not self._step(last, c_leq, d_leq)
+
+    def _report(self, hyp: HypothesisReport, direction: str, trace: list,
+                solution: tuple) -> Optional[SolutionReport]:
+        """The report of a climb from hyp.seed, given as positions; None unless it climbs.
+
+        The solver and a report's replay both build their report here.
+        """
+        seed = (self._row(hyp.seed[0]), self._col(hyp.seed[1]))
+        if trace[:1] != [seed] or not self._climbs(trace, solution, direction):
+            return None
+        ids = [(self._cs[r], self._ds[c]) for r, c in trace + [solution]]
+        maximal, minimal = (ids[-1], None) if direction == "maximal" else (None, ids[-1])
         return SolutionReport(
             direction=direction, seed=hyp.seed, solutions=self.solution_set,
             maximal_solution=maximal, minimal_solution=minimal, hypotheses=hyp,
-            climb_trace=tuple(trace), existence_guaranteed=hyp.passes,
-            certificates={solution: self.solution_certificate(*solution)},
+            climb_trace=tuple(ids[:-1]), existence_guaranteed=hyp.passes,
+            certificates={ids[-1]: self.solution_certificate(*ids[-1])},
         )
-
-    def _check_trace(self, trace: list, descending: bool = False) -> None:
-        bound = len(self.C) * len(self.D)
-        if len(trace) > bound:
-            raise InvariantBreach(f"climb trace length {len(trace)} exceeds {bound}")
-        for a, b in zip(trace, trace[1:]):
-            lo, hi = (b, a) if descending else (a, b)
-            if not self.pair_lt(lo, hi):
-                raise InvariantBreach(f"climb trace must strictly ascend at {a!r} -> {b!r}")
 
     # -- special cases and transforms -----------------------------------------
 

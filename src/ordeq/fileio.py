@@ -6,7 +6,8 @@ an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
 converted to a Fraction once; a value without a string form (past Python's
-int digit limit) is refused.  A roep document is parsed straight into the
+int digit limit) is refused, and one whose decimal exponent shows that is
+refused before the power of ten is built.  A roep document is parsed straight into the
 index codes an instance is made of: each T value is looked up in U once and
 becomes its position, and F and G become membership masks.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from fractions import Fraction
 from itertools import compress
 from typing import Union
@@ -27,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from . import __version__
-from .equilibrium import ProblemInstance, SolutionReport, _table_codes
+from .equilibrium import ProblemInstance, _table_codes
 from .errors import OrdeqError, ParseError, ValidationError
 from .games import ZeroSumGame
 from .maps import SetValuedMap
@@ -201,8 +204,7 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
             if v not in exact:
                 try:
-                    exact[v] = Fraction(v)
-                    str(exact[v])  # past Python's int digit limit it has no string form
+                    exact[v] = _payoff_fraction(v)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValidationError(f"payoff: bad rational {v!r}") from exc
             payoff[pair] = exact[v]
@@ -225,6 +227,31 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             every if F is None else F.mask(), every if G is None else G.mask().T, seed=seed)
     except OrdeqError as exc:
         raise ValidationError(f"instance: {type(exc).__name__}: {exc}") from exc
+
+
+# a decimal string's mantissa and exponent, where Fraction reads them; anchored
+# at the start, since a search would rescan a long digit string from each digit
+_EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _payoff_fraction(v) -> Fraction:
+    """A payoff's one Fraction; ValueError when it has none, or no string form.
+
+    A nonzero value whose decimal exponent passes Python's int digit limit by
+    more than its mantissa's digit count has more digits than that limit,
+    above or below its fraction bar, so it is refused before its power of ten
+    is built: Fraction("1e10000000") alone took 10.6 s.  A zero mantissa is 0
+    at any exponent.
+    """
+    m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
+    limit = sys.get_int_max_str_digits() if m else 0
+    if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
+        if any(c not in "_." and int(c) for c in m[1]):
+            raise ValueError(f"{v!r} has no string form")
+        return Fraction(v[:m.start(2)] + "0")  # the mantissa's syntax still checked
+    exact = Fraction(v)
+    str(exact)  # past Python's int digit limit it has no string form
+    return exact
 
 
 def read_json(path):
@@ -393,11 +420,12 @@ def replay_report(report: dict, instance) -> bool:
 
     The solution and the climb trace are the report's own; the solution
     must be maximal (minimal) among the solutions above (below) the seed,
-    as ``direction`` says, and the trace must start at the seed and step
-    strictly through gamma (only its last step may leave gamma, to promote
-    a fixed point of gamma to the solution).  Every other field must equal
-    the report rebuilt from them and from freshly computed hypotheses,
-    solution set, certificate, game value and exit code.
+    as ``direction`` says, and the trace must pass the solver's own climb
+    check: it starts at the seed and steps strictly through gamma (only its
+    last step may leave gamma, to promote a fixed point of gamma to the
+    solution).  Every other field must equal the report rebuilt from them
+    and from freshly computed hypotheses, solution set, certificate, game
+    value and exit code.
     """
     if report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
@@ -419,46 +447,21 @@ def _rebuild(report: dict, obj):
     if command == "enumerate":
         fields["solutions"], code = inst.solution_set, 0 if inst.solution_set else 3
     else:
-        xs = {element_id(x): x for x in inst.C.ordered()}
-        ys = {element_id(y): y for y in inst.D.ordered()}
-        pair = lambda doc: (xs[doc[0]], ys[doc[1]])  # noqa: E731
-        seed = pair(report["seed"] if "seed" in report else report["hypotheses"]["seed"])
-        hyp = inst.check_hypotheses(seed, direction)
+        rows = {element_id(x): i for i, x in enumerate(inst._cs)}
+        cols = {element_id(y): j for j, y in enumerate(inst._ds)}
+        pos = lambda doc: (rows[doc[0]], cols[doc[1]])  # noqa: E731
+        seed = pos(report["seed"] if "seed" in report else report["hypotheses"]["seed"])
+        hyp = inst.check_hypotheses((inst._cs[seed[0]], inst._ds[seed[1]]), direction)
         if command == "check":
             fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
         else:
-            sol, trace = pair(report["solution"]), [pair(p) for p in report["climb_trace"]]
-            if sol not in inst.extremal_solutions(seed, direction):
+            sol, trace = pos(report["solution"]), [pos(p) for p in report["climb_trace"]]
+            if not inst._extremal_mask(hyp.seed, direction)[sol]:
                 return None
-            if not _climb_ok(inst, seed, trace, sol, direction):
+            fields["solution_report"] = rep = inst._report(hyp, direction, trace, sol)
+            if rep is None:
                 return None
-            maximal, minimal = (sol, None) if direction == "maximal" else (None, sol)
-            fields["solution_report"] = SolutionReport(
-                direction, seed, inst.solution_set, maximal, minimal, hyp, tuple(trace),
-                {sol: inst.solution_certificate(*sol)}, hyp.passes)
             if command == "game":
-                fields["game_value"] = obj.payoff[sol]
+                fields["game_value"] = obj.payoff[rep.solution]
     return build_report(command, obj, code, report["elapsed_seconds"],
                         digest=report["instance_digest"], **fields)
-
-
-def _climb_ok(inst, seed, trace: list, sol, direction: str) -> bool:
-    """A climb from the seed: each step goes strictly on and lies in gamma.
-
-    Only a last step to the solution may leave gamma, to promote a fixed
-    point of gamma.  The climb ends at the solution, or strands where gamma
-    leads no further.
-    """
-    def beyond(a, b):
-        return inst.pair_lt(b, a) if direction == "minimal" else inst.pair_lt(a, b)
-
-    if not trace or trace[0] != seed:
-        return False
-    for k, (a, b) in enumerate(zip(trace, trace[1:])):
-        promoted = k == len(trace) - 2 and b == sol and a in inst.gamma(*a)
-        if not beyond(a, b) or (b not in inst.gamma(*a) and not promoted):
-            return False
-    last = trace[-1]
-    stranded = last not in inst.gamma(*last) and not any(
-        beyond(last, q) for q in inst.gamma(*last))
-    return last == sol or stranded

@@ -60,10 +60,7 @@ class ZeroSumGame:
                 if (x, y) not in payoff:
                     raise ValidationError(f"payoff table has no entry for {(x, y)!r}")
                 table[(x, y)] = _as_fraction(payoff[(x, y)])
-        # every key of table is one of payoff's, so a stray one makes payoff larger
-        if len(payoff) != len(table):
-            extra = set(payoff) - set(table)
-            raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
+        _refuse_strays(payoff, C, D)
         self.C = C
         self.D = D
         self.payoff = MappingProxyType(table)
@@ -105,7 +102,16 @@ def build_game(C: Subset, D: Subset, payoff: Mapping,
     F = F if F is not None else constant_map(C, D)
     G = G if G is not None else constant_map(D, C)
     _check_parts(C, D, F, G)
-    return _game_instance(C, D, table, F, G, seed)
+    inst = _game_instance(C, D, table, F, G, seed)  # its lookup of every pair finds holes
+    _refuse_strays(payoff, C, D)
+    return inst
+
+
+def _refuse_strays(payoff: Mapping, C: Subset, D: Subset) -> None:
+    """Refuse payoff entries outside C x D, once every pair of C x D is known to have one."""
+    if len(payoff) != len(C) * len(D):
+        extra = set(payoff) - {(x, y) for x in C.ordered() for y in D.ordered()}
+        raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
 
 
 def _game_instance(C: Subset, D: Subset, table: Mapping, F: SetValuedMap,

@@ -4,8 +4,9 @@ The saddle oracles deliberately avoid the package's order machinery:
 payoffs are plain numbers compared with ``<``/``>``, feasibility is plain
 set membership.  They implement the classical constrained saddle conditions
 directly.  The dict-based referee below works on a ProblemInstance's public
-data, one pair at a time, the completeness oracle on a ``leq`` matrix, and
-the generator referee builds every attempt as validated objects.
+data, one pair at a time, the climb referee on element ids, the completeness
+oracle on a ``leq`` matrix, and the generator referee builds every attempt
+as validated objects.
 """
 
 import random
@@ -106,6 +107,44 @@ def dict_gamma_fixed_points(inst):
     return frozenset(
         (x, y) for x in inst.C.members for y in inst.D.members if x in psi[y] and y in phi[x]
     )
+
+
+# -- the id-level climb referee -----------------------------------------------
+#
+# The check a report's climb trace passed before the solver and replay shared
+# one positional check: element ids, the parents' Poset.leq and the public
+# gamma, one pair at a time.
+
+
+def pair_leq(inst, p, q):
+    """Component-wise product order on C x D pairs."""
+    return inst.C.parent.leq(p[0], q[0]) and inst.D.parent.leq(p[1], q[1])
+
+
+def pair_lt(inst, p, q):
+    return p != q and pair_leq(inst, p, q)
+
+
+def climb_ok(inst, seed, trace, sol, direction):
+    """A climb from the seed: each step goes strictly on and lies in gamma.
+
+    Only a last step to the solution may leave gamma, to promote a fixed
+    point of gamma.  The climb ends at the solution, or strands where gamma
+    leads no further.
+    """
+    def beyond(a, b):
+        return pair_lt(inst, b, a) if direction == "minimal" else pair_lt(inst, a, b)
+
+    if not trace or trace[0] != seed:
+        return False
+    for k, (a, b) in enumerate(zip(trace, trace[1:])):
+        promoted = k == len(trace) - 2 and b == sol and a in inst.gamma(*a)
+        if not beyond(a, b) or (b not in inst.gamma(*a) and not promoted):
+            return False
+    last = trace[-1]
+    stranded = last not in inst.gamma(*last) and not any(
+        beyond(last, q) for q in inst.gamma(*last))
+    return last == sol or stranded
 
 
 def dict_monotonicity(m):

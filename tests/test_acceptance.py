@@ -19,7 +19,7 @@ from ordeq.errors import FilterExhausted, NoSolution
 from ordeq.games import solve_game
 
 from conftest import FIXTURES
-from oracles import CompletenessOracle, dict_gamma_fixed_points
+from oracles import CompletenessOracle, dict_gamma_fixed_points, pair_leq, pair_lt
 
 POSET_KINDS_CYCLE = ("random_poset", "grid", "chain", "antichain", "boolean_lattice")
 
@@ -170,9 +170,9 @@ def test_criterion_2_existence_theorem(theorem_runs):
         assert inst.solution_set, "solution set must be nonempty under the hypotheses"
         s = rep.solution
         assert s in inst.solution_set
-        assert inst.pair_leq(rep.seed, s)
-        above = {t for t in inst.solution_set if inst.pair_leq(rep.seed, t)}
-        assert not any(inst.pair_lt(s, t) for t in above)
+        assert pair_leq(inst, rep.seed, s)
+        above = {t for t in inst.solution_set if pair_leq(inst, rep.seed, t)}
+        assert not any(pair_lt(inst, s, t) for t in above)
     print(f"\n[acceptance] criterion 2 (existence, {len(theorem_runs)} instances): PASS")
 
 
@@ -181,9 +181,9 @@ def test_criterion_3_bi_directional_bounded(bounded_increasing_runs):
     assert len(bounded_increasing_runs) >= 100
     for inst, up, down in bounded_increasing_runs:
         assert up.solution in inst.solution_set
-        assert inst.pair_leq(up.seed, up.solution)
+        assert pair_leq(inst, up.seed, up.solution)
         assert down.solution in inst.solution_set
-        assert inst.pair_leq(down.solution, down.seed)
+        assert pair_leq(inst, down.solution, down.seed)
     print(
         f"\n[acceptance] criterion 3 (bounded bi-directional, "
         f"{len(bounded_increasing_runs)} instances): PASS"
@@ -195,7 +195,7 @@ def test_criterion_4_singleton_maps(singleton_runs):
     assert len(singleton_runs) >= 100
     for inst, seed, rep in singleton_runs:
         assert rep.solution in inst.solution_set
-        assert inst.pair_leq(seed, rep.solution)
+        assert pair_leq(inst, seed, rep.solution)
     print(f"\n[acceptance] criterion 4 (singleton maps, {len(singleton_runs)} instances): PASS")
 
 
@@ -310,9 +310,9 @@ def test_criterion_9_climb_bound(theorem_runs, bounded_increasing_runs, singleto
         assert len(rep.climb_trace) <= bound
         for a, b in zip(rep.climb_trace, rep.climb_trace[1:]):
             if rep.direction == "maximal":
-                assert inst.pair_lt(a, b)
+                assert pair_lt(inst, a, b)
             else:
-                assert inst.pair_lt(b, a)
+                assert pair_lt(inst, b, a)
         traces += 1
 
     for inst, rep in theorem_runs:

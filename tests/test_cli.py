@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from ordeq import (GenSpec, ProblemInstance, gen_instance, parse_instance, replay_report,
                    serialize_instance)
 from ordeq.cli import main
-from ordeq.errors import InvariantBreach
 from ordeq.generate import POSET_KINDS
 
 from conftest import FIXTURES
@@ -283,13 +283,11 @@ class TestExitCodeContract:
         assert main([]) == 1
 
     def test_invariant_breach_is_exit_4(self, capsys, monkeypatch):
-        def breach(self, trace, descending=False):
-            raise InvariantBreach("planted")
-
-        monkeypatch.setattr(ProblemInstance, "_check_trace", breach)
+        # a solver trace that fails the climb check is a bug, not a result
+        monkeypatch.setattr(ProblemInstance, "_climbs", lambda self, *args: False)
         code, _, err = run(capsys, "solve", FIXTURES["i2"])
         assert code == 4
-        assert "InvariantBreach: planted" in err
+        assert "InvariantBreach: the solver's trace is not a climb through gamma" in err
 
 
 def _digest(text: str) -> str:
@@ -452,6 +450,18 @@ class TestMalformedDocuments:
             code, _, err = run(capsys, command, str(target))
             assert code == 1
             assert "ValidationError: payoff: bad rational '1e5000'" in err
+
+    def test_payoff_exponent_refused_before_its_power_of_ten(self, capsys, tmp_path):
+        # Fraction("1e10000000") alone takes seconds; a zero mantissa is 0 at any
+        # exponent; a long digit string must not be scanned once per digit
+        target = tmp_path / "exponent.json"
+        for payoff, expected in (("1e10000000", 1), ("0e10000000", 0), ("1" * 20000, 1)):
+            target.write_text(_game2x2_text(first_payoff=f'"{payoff}"'))
+            started = time.perf_counter()
+            code, _, err = run(capsys, "validate", str(target))
+            assert time.perf_counter() - started < 1.0, payoff[:12]
+            message = f"error: ValidationError: payoff: bad rational {payoff!r}\n"
+            assert (code, err) == (expected, message if expected else "")
 
     @pytest.mark.parametrize("text", [
         _game2x2_text(first_payoff="1" * 5000),  # json.dumps cannot write it

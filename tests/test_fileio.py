@@ -21,9 +21,39 @@ from ordeq import (
     serialize_instance,
 )
 from ordeq.errors import NoSolution, ParseError, ValidationError
-from ordeq.fileio import build_report, parse_instance_dict
+from ordeq.fileio import build_report, element_id, parse_instance_dict
 
 from conftest import FIXTURES
+from oracles import climb_ok, pair_lt
+
+
+def _forced_reports():
+    """(spec seed, instance, report) of every forced solve, both directions, every seed pair."""
+    for seed in range(60):
+        inst = gen_instance(GenSpec(kind="random_instance", sizes=(4, 4, 6),
+                                    rng_seed=seed, monotone_bias=seed % 2 == 0))
+        for x in inst.C.ordered():
+            for y in inst.D.ordered():
+                for solve in (inst.solve_maximal, inst.solve_minimal):
+                    try:
+                        yield seed, inst, solve((x, y), force=True)
+                    except NoSolution:
+                        continue
+
+
+def _tampered_traces(inst, rep):
+    """A report's own climb trace, then tampered copies of it that start at the seed."""
+    trace = list(rep.climb_trace)
+    yield trace
+    pairs = [(x, y) for x in inst.C.ordered() for y in inst.D.ordered()]
+    for k in range(1, len(trace)):
+        a = trace[k - 1]
+        for q in pairs:
+            lo, hi = (q, a) if rep.direction == "minimal" else (a, q)
+            if q != trace[k] and pair_lt(inst, lo, hi):
+                yield trace[:k] + [q] + trace[k + 1:]
+    if len(trace) > 1:
+        yield trace[:-1]  # drops the promotion step where there is one
 
 
 def load_doc(name):
@@ -293,23 +323,32 @@ class TestReports:
     def test_forced_solve_reports_replay_both_directions(self):
         # covers promoted last steps and climbs that strand short of the solution
         replayed = promoted = stranded = 0
-        for seed in range(60):
-            inst = gen_instance(GenSpec(kind="random_instance", sizes=(4, 4, 6),
-                                        rng_seed=seed, monotone_bias=seed % 2 == 0))
-            for x in inst.C.ordered():
-                for y in inst.D.ordered():
-                    for solve in (inst.solve_maximal, inst.solve_minimal):
-                        try:
-                            rep = solve((x, y), force=True)
-                        except NoSolution:
-                            continue
-                        doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
-                        assert replay_report(doc, inst), (seed, x, y, rep.direction)
-                        trace = rep.climb_trace
-                        replayed += 1
-                        promoted += len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2])
-                        stranded += trace[-1] != rep.solution
+        for seed, inst, rep in _forced_reports():
+            x, y = rep.seed
+            doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
+            assert replay_report(doc, inst), (seed, x, y, rep.direction)
+            trace = rep.climb_trace
+            replayed += 1
+            promoted += len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2])
+            stranded += trace[-1] != rep.solution
         assert replayed > 500 and promoted and stranded
+
+    def test_climb_check_agrees_with_the_referee(self):
+        # on every solver trace of the sweep above and on tampered copies: a
+        # middle step swapped for another pair beyond its predecessor, the
+        # promotion step dropped, the trace cut one step early
+        verdicts = {True: 0, False: 0}
+        for seed, inst, rep in _forced_reports():
+            doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
+            pos = lambda p: (inst._row(p[0]), inst._col(p[1]))  # noqa: E731
+            for trace in _tampered_traces(inst, rep):
+                ok = climb_ok(inst, rep.seed, trace, rep.solution, rep.direction)
+                assert inst._climbs([pos(p) for p in trace], pos(rep.solution),
+                                    rep.direction) == ok, (seed, trace, rep.direction)
+                claim = dict(doc, climb_trace=[[element_id(x), element_id(y)] for x, y in trace])
+                assert replay_report(claim, inst) == ok, (seed, trace, rep.direction)
+                verdicts[ok] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
 
     def test_replay_rejects_a_solution_that_is_not_maximal(self, constant_objective):
         rep = constant_objective.solve_maximal(("c0", "d0"))

@@ -95,6 +95,17 @@ class TestBuildGame:
         with pytest.raises(UnknownElement, match=r"no entry for \(\(0,\), \(1,\)\)"):
             build_game(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
 
+    def test_stray_payoff_entry_refused_by_both(self):
+        # the stray value would otherwise join U: build_game gave U = (0, 7)
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
+        payoff[((5,), (5,))] = 7
+        for build in (build_game, ZeroSumGame):
+            with pytest.raises(ValidationError,
+                               match=r"payoff table has stray entries: \['\(\(5,\), \(5,\)\)'\]"):
+                build(C, D, payoff)
+
     def test_seed_outside_strategy_sets_rejected(self):
         # such a seed would be written to a file that parse_instance refuses
         C = grid_poset((2,)).full_subset()

@@ -25,6 +25,8 @@ from oracles import (
     dict_phi,
     dict_psi,
     dict_solution_set,
+    pair_leq,
+    pair_lt,
 )
 
 SMALL_SIZES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
@@ -207,13 +209,13 @@ def test_existence_under_hypotheses(seed):
     assert inst.solution_set
     rep = inst.solve_maximal()
     assert rep.solution in inst.solution_set
-    assert inst.pair_leq(rep.seed, rep.solution)
-    above = {s for s in inst.solution_set if inst.pair_leq(rep.seed, s)}
-    assert not any(inst.pair_lt(rep.solution, t) for t in above)
+    assert pair_leq(inst, rep.seed, rep.solution)
+    above = {s for s in inst.solution_set if pair_leq(inst, rep.seed, s)}
+    assert not any(pair_lt(inst, rep.solution, t) for t in above)
     # climb soundness
     assert len(rep.climb_trace) <= len(inst.C) * len(inst.D)
     for a, b in zip(rep.climb_trace, rep.climb_trace[1:]):
-        assert inst.pair_lt(a, b)
+        assert pair_lt(inst, a, b)
 
 
 @given(SEEDS)
@@ -229,11 +231,11 @@ def test_solution_set_is_inductive_at_finite_scale(seed):
     for chain in chains:
         last = chain[-1]
         for t in sols:
-            if inst.pair_lt(last, t):
+            if pair_lt(inst, last, t):
                 chains.append(chain + [t])
     for chain in chains:
         top = chain[-1]
-        assert all(inst.pair_leq(s, top) for s in chain)
+        assert all(pair_leq(inst, s, top) for s in chain)
         assert top in inst.solution_set
 
 
