@@ -12,7 +12,10 @@
 #   4. no assert statements in src/ (invariants must survive python -O);
 #   5. no dead private helper: every _private function, method or class
 #      defined under src/ordeq/ is used by name (a name or an attribute,
-#      an import alone does not count) somewhere in src/.
+#      an import alone does not count) somewhere in src/;
+#   6. no unused import: every name a module under src/ordeq/ imports at
+#      module level (from __future__ aside) is used by name in that module
+#      or listed in its __all__.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,4 +63,25 @@ for path in sorted(pathlib.Path("src").rglob("*.py")):
 dead = [f"{where}: {name} is never used" for name, where in defs if name not in used]
 print("\n".join(dead) or f"{len(defs)} private definitions under src/ordeq/, each used")
 sys.exit(1 if dead else 0)
+PY
+
+python3 - <<'PY'
+import ast, pathlib, sys
+unused = []
+for path in sorted(pathlib.Path("src/ordeq").rglob("*.py")):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
+print("\n".join(unused) or "every module-level import under src/ordeq/ is used")
+sys.exit(1 if unused else 0)
 PY

@@ -8,6 +8,7 @@ failure, 2 hypothesis failure, 3 no solution, 4 internal invariant breach
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -187,6 +188,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # main is called once per op by in-process callers
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordeq",

@@ -5,9 +5,8 @@ table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
-converted to a Fraction once; a value without a string form (past Python's
-int digit limit) is refused, and one whose decimal exponent shows that is
-refused before the power of ten is built.  A roep document is parsed straight into the
+converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
+the API follows too.  A roep document is parsed straight into the
 index codes an instance is made of: each T value is looked up in U once and
 becomes its position, and F and G become membership masks.  Serialization
 normalizes: element identifiers become strings, relations become Hasse
@@ -21,9 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
-import sys
-from fractions import Fraction
+from contextlib import contextmanager
 from itertools import compress
 from typing import Union
 
@@ -32,7 +29,7 @@ import numpy as np
 from . import __version__
 from .equilibrium import ProblemInstance, _table_codes
 from .errors import OrdeqError, ParseError, ValidationError
-from .games import ZeroSumGame
+from .games import ZeroSumGame, _as_fraction
 from .maps import SetValuedMap
 from .poset import Poset, Subset, grid_poset, load_poset
 
@@ -46,6 +43,15 @@ def element_id(e) -> str:
     if isinstance(e, tuple):
         return ",".join(element_id(c) for c in e)
     return str(e)
+
+
+@contextmanager
+def _section(section: str):
+    """A library error raised in the block becomes the section's ValidationError."""
+    try:
+        yield
+    except OrdeqError as exc:
+        raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
 
 
 def _reject_unknown(section: str, data: dict, allowed: set) -> None:
@@ -70,10 +76,8 @@ def _parse_poset(section: str, data) -> Poset:
             isinstance(d, int) and not isinstance(d, bool) for d in dims
         ):
             raise ValidationError(f"{section}: grid must be a list of integers")
-        try:
+        with _section(section):
             base = grid_poset(dims)
-        except OrdeqError as exc:
-            raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
         names = [element_id(e) for e in base.elements]
         return Poset(names, base.leq_matrix)
     _reject_unknown(section, data, {"elements", "edges", "edge_kind"})
@@ -89,10 +93,8 @@ def _parse_poset(section: str, data) -> Poset:
     kind = data.get("edge_kind", "hasse")
     if kind not in ("hasse", "full"):
         raise ValidationError(f"{section}: edge_kind must be 'hasse' or 'full'")
-    try:
+    with _section(section):
         return load_poset(elements, [tuple(e) for e in edges], edge_kind=kind)
-    except OrdeqError as exc:
-        raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_subset(section: str, data, posets: dict) -> Subset:
@@ -105,10 +107,8 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
     members = _require(section, data, "members")
     if not isinstance(members, list) or not all(isinstance(e, str) for e in members):
         raise ValidationError(f"{section}: members must be a list of strings")
-    try:
+    with _section(section):
         return posets[name].subset(members)
-    except OrdeqError as exc:
-        raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> SetValuedMap:
@@ -119,10 +119,8 @@ def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> 
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
         table[key] = values
-    try:
+    with _section(section):
         return SetValuedMap(domain, codomain, table)
-    except OrdeqError as exc:
-        raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_rows(section: str, data, C: Subset, D: Subset) -> dict:
@@ -197,21 +195,19 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
     if mode == "game":
         rows = _parse_rows("payoff", _require("document", doc, "payoff"), C, D)
-        payoff, exact = {}, {}  # exact: raw value -> its one Fraction
+        exact = {}  # raw value -> its one Fraction
         for pair, v in rows.items():
             # before the lookup: True and 1 are one dict key
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
             if v not in exact:
                 try:
-                    exact[v] = _payoff_fraction(v)
+                    exact[v] = _as_fraction(v)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValidationError(f"payoff: bad rational {v!r}") from exc
-            payoff[pair] = exact[v]
-        try:
-            return ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed)
-        except OrdeqError as exc:
-            raise ValidationError(f"game: {type(exc).__name__}: {exc}") from exc
+            rows[pair] = exact[v]
+        with _section("game"):
+            return ZeroSumGame(C, D, rows, F=F, G=G, seed=seed)
 
     rows = _parse_rows("T", _require("document", doc, "T"), C, D)
     U = posets["U"]
@@ -221,37 +217,10 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
         rows[pair] = t
     every = np.ones((len(C), len(D)), dtype=bool)
-    try:
+    with _section("instance"):
         return ProblemInstance._from_codes(
             C, D, U, _table_codes(rows, C.ordered(), D.ordered()),
             every if F is None else F.mask(), every if G is None else G.mask().T, seed=seed)
-    except OrdeqError as exc:
-        raise ValidationError(f"instance: {type(exc).__name__}: {exc}") from exc
-
-
-# a decimal string's mantissa and exponent, where Fraction reads them; anchored
-# at the start, since a search would rescan a long digit string from each digit
-_EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d[\d_]*)\s*\Z")
-
-
-def _payoff_fraction(v) -> Fraction:
-    """A payoff's one Fraction; ValueError when it has none, or no string form.
-
-    A nonzero value whose decimal exponent passes Python's int digit limit by
-    more than its mantissa's digit count has more digits than that limit,
-    above or below its fraction bar, so it is refused before its power of ten
-    is built: Fraction("1e10000000") alone took 10.6 s.  A zero mantissa is 0
-    at any exponent.
-    """
-    m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
-    limit = sys.get_int_max_str_digits() if m else 0
-    if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
-        if any(c not in "_." and int(c) for c in m[1]):
-            raise ValueError(f"{v!r} has no string form")
-        return Fraction(v[:m.start(2)] + "0")  # the mantissa's syntax still checked
-    exact = Fraction(v)
-    str(exact)  # past Python's int digit limit it has no string form
-    return exact
 
 
 def read_json(path):
@@ -320,9 +289,10 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
 
 
 def dump_instance(obj, path) -> None:
+    """Write the normalized document; a refused one leaves the file untouched."""
+    text = json.dumps(serialize_instance(obj), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_instance(obj), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def instance_digest(obj) -> str:

@@ -4,7 +4,9 @@ Player 1 picks from C and receives the payoff; player 2 picks from D and
 receives its negation.  Payoffs are exact rationals: order comparisons decide
 equilibria, and float ties would corrupt the argmax/argmin sets.  The utility
 poset handed to the equilibrium machinery is the chain of distinct payoff
-values, which keeps it minimal and totally ordered.  Each distinct value is
+values, which keeps it minimal and totally ordered.  Files and the API turn
+a payoff into its Fraction by one rule, so every game built from string or
+int payoffs serializes.  Each distinct value is
 found, ranked and hashed once: cells are grouped by their lowest-terms
 (numerator, denominator) pair, only the distinct values are sorted, and each
 cell's rank in the chain is its position in U.  Those ranks are the codes of
@@ -15,6 +17,8 @@ objective table is built unless one is read.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,12 +36,35 @@ __all__ = ["GridPoset", "grid_poset", "ZeroSumGame", "GameReport", "build_game",
            "solve_game", "transpose_game"]
 
 
+# a decimal string's mantissa and exponent, where Fraction reads them; anchored
+# at the start, since a search would rescan a long digit string from each digit
+_EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def _as_fraction(v) -> Fraction:
+    """A payoff's one Fraction, for files and the API alike.
+
+    A Fraction passes and a float is refused; any other value raises
+    ValueError (or ZeroDivisionError) when it has no Fraction, or none with
+    a string form.  A nonzero string whose decimal exponent passes Python's
+    int digit limit by more than its mantissa's digit count has more digits
+    than that, so it is refused before its power of ten is built
+    (Fraction("1e10000000") alone took 10.6 s).  A zero mantissa is 0 at
+    any exponent.
+    """
     if type(v) is Fraction:
         return v
     if isinstance(v, float):
         raise ValidationError(f"payoff {v!r} is a float; use exact rationals")
-    return Fraction(v)
+    m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
+    limit = sys.get_int_max_str_digits() if m else 0
+    if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
+        if any(c not in "_." and int(c) for c in m[1]):
+            raise ValueError(f"{v!r} has no string form")
+        return Fraction(v[:m.start(2)] + "0")  # the mantissa's syntax still checked
+    exact = Fraction(v)
+    str(exact)  # past Python's int digit limit it has no string form
+    return exact
 
 
 class ZeroSumGame:
@@ -80,14 +107,7 @@ class ZeroSumGame:
         """Swap the players: payoff negated and transposed, constraints swapped."""
         flipped = {(y, x): -v for (x, y), v in self.payoff.items()}
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
-        return ZeroSumGame(
-            self.D,
-            self.C,
-            flipped,
-            F=SetValuedMap(self.D, self.C, dict(self.G.table)),
-            G=SetValuedMap(self.C, self.D, dict(self.F.table)),
-            seed=seed,
-        )
+        return ZeroSumGame(self.D, self.C, flipped, F=self.G, G=self.F, seed=seed)
 
 
 def build_game(C: Subset, D: Subset, payoff: Mapping,

@@ -205,8 +205,6 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
-    if len(spec.sizes) != 3:
-        raise InvalidSpec(f"random_instance needs sizes (|C|, |D|, |U|), got {spec.sizes}")
     caps = spec.caps
     if any(s > c for s, c in zip(spec.sizes, caps)):
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {caps}")

@@ -2,7 +2,7 @@
 
 The monotonicity flags are computed on index codes: a map is a boolean
 (domain x codomain) membership mask, and each up/down flag is
-increasing-upward under reversed orders, two boolean matmuls.
+increasing-upward under reversed orders; the four take four boolean matmuls.
 """
 
 from __future__ import annotations
@@ -114,16 +114,20 @@ def monotonicity_report(m: SetValuedMap) -> MonotonicityReport:
     return mask_monotonicity(m.mask(), m.domain.order_matrix(), m.codomain.order_matrix())
 
 
+def _escapes(mask: np.ndarray, cod_leq: np.ndarray) -> np.ndarray:
+    """[x, x']: a value at x lies outside the down-closure of the value at x'."""
+    down = _bool_matmul(mask, cod_leq.T)  # row x: the down-closure of the value at x
+    return _bool_matmul(mask, ~down.T)
+
+
 def increasing_upward(mask: np.ndarray, dom_leq: np.ndarray, cod_leq: np.ndarray) -> bool:
     """Whether the map whose value at domain member i is row i of mask is increasing upward.
 
     dom_leq and cod_leq are the orders of the domain and codomain members.
-    Row x of ``down`` is the down-closure of the value at x; the flag fails
-    iff some x <= x' has a value at x outside down[x'].  Two boolean matmuls.
+    The flag fails iff some x <= x' has a value at x outside the down-closure
+    of the value at x'.
     """
-    down = _bool_matmul(mask, cod_leq.T)
-    fails = _bool_matmul(mask, ~down.T)  # [x, x']: a value at x is outside down[x']
-    return not (dom_leq & fails).any()
+    return not (dom_leq & _escapes(mask, cod_leq)).any()
 
 
 def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
@@ -133,7 +137,8 @@ def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
     dom_leq and cod_leq are the orders of the domain and codomain members.
     Each up/down flag is :func:`increasing_upward` under reversed orders:
     reversing the domain order swaps upward and downward, reversing the
-    codomain order swaps increasing and decreasing.
+    codomain order swaps increasing and decreasing.  So the escapes under
+    each codomain direction are computed once, and each flag is one AND.
     """
     strict_inc = strict_dec = None
     if (mask.sum(axis=1) == 1).all():
@@ -144,11 +149,12 @@ def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
         strict_inc = bool(ascends[pairs].all())
         strict_dec = bool(ascends.T[pairs].all())
 
+    up, down = _escapes(mask, cod_leq), _escapes(mask, cod_leq.T)
     return MonotonicityReport(
-        increasing_upward=increasing_upward(mask, dom_leq, cod_leq),
-        increasing_downward=increasing_upward(mask, dom_leq.T, cod_leq.T),
-        decreasing_upward=increasing_upward(mask, dom_leq, cod_leq.T),
-        decreasing_downward=increasing_upward(mask, dom_leq.T, cod_leq),
+        increasing_upward=not (dom_leq & up).any(),
+        increasing_downward=not (dom_leq.T & down).any(),
+        decreasing_upward=not (dom_leq & down).any(),
+        decreasing_downward=not (dom_leq.T & up).any(),
         strictly_increasing=strict_inc,
         strictly_decreasing=strict_dec,
     )

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordeq import (GenSpec, ProblemInstance, gen_instance, parse_instance, replay_report,
-                   serialize_instance)
+from ordeq import (GenSpec, ProblemInstance, gen_instance, gen_poset, parse_instance,
+                   replay_report, serialize_instance)
 from ordeq.cli import main
+from ordeq.fileio import serialize_poset_doc
 from ordeq.generate import POSET_KINDS
 
 from conftest import FIXTURES
@@ -399,12 +400,15 @@ def _game2x2_text(first_payoff: str) -> str:
     return json.dumps(doc).replace('"PAYOFF"', first_payoff)
 
 
-# the documents the fuzz test mutates: the fixtures, and one gen-written roep
-# document per poset kind
+# the documents the fuzz test mutates: the fixtures, one gen-written roep
+# document per poset kind, and one small gen-written poset document per kind
 FUZZED = {name: json.loads(open(FIXTURES[name]).read())
           for name in ("i1", "i2", "i3", "game2x2", "game3x3")}
 FUZZED.update({kind: serialize_instance(gen_instance(GenSpec(
     kind="random_instance", sizes=(4, 4, 6), rng_seed=3, poset_kind=kind)))
+    for kind in POSET_KINDS})
+FUZZED.update({f"poset-{kind}": serialize_poset_doc(gen_poset(GenSpec(
+    kind=kind, sizes=(2, 2) if kind == "grid" else (3,), rng_seed=3)))
     for kind in POSET_KINDS})
 
 
@@ -487,7 +491,8 @@ class TestMalformedDocuments:
         with tempfile.TemporaryDirectory() as tmp:
             target = Path(tmp) / "fuzzed.json"
             target.write_text(json.dumps(doc))
-            for command in ("validate", "check", "enumerate", "solve --force"):
+            for command in ("validate", "check", "enumerate", "solve --force", "game",
+                            "game --force"):
                 argv = command.split()
                 err = io.StringIO()
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):

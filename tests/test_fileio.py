@@ -11,6 +11,7 @@ from ordeq import (
     SetValuedMap,
     ZeroSumGame,
     constant_map,
+    dump_instance,
     gen_instance,
     GenSpec,
     grid_poset,
@@ -196,6 +197,20 @@ class TestRoundTrip:
             serialize_instance(inst)
         with pytest.raises(ValidationError, match="share the id '1'"):
             instance_digest(inst)
+
+    def test_refused_dump_leaves_the_file_untouched(self, tmp_path):
+        # the file was once opened, and so emptied, before serializing
+        X = load_poset(["c0", "c1"], [("c0", "c1")])
+        C = X.full_subset()
+        U = load_poset([1, "1"], [(1, "1")])
+        T = ObjectiveMap(U, {("c0", "c0"): 1, ("c0", "c1"): "1",
+                             ("c1", "c0"): "1", ("c1", "c1"): 1})
+        inst = ProblemInstance(C, C, T, constant_map(C, C), constant_map(C, C))
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier contents\n")
+        with pytest.raises(ValidationError, match="share the id '1'"):
+            dump_instance(inst, path)
+        assert path.read_bytes() == b"earlier contents\n"
 
     # Pinned digests: reports carry the instance digest, so a change to the
     # serialized bytes would make every earlier report fail to replay.

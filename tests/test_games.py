@@ -3,6 +3,7 @@
 import importlib.util
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +106,39 @@ class TestBuildGame:
             with pytest.raises(ValidationError,
                                match=r"payoff table has stray entries: \['\(\(5,\), \(5,\)\)'\]"):
                 build(C, D, payoff)
+
+    @pytest.mark.parametrize("huge", ["1e5000", 10**5000], ids=["string", "int"])
+    def test_payoff_without_a_string_form_refused_by_both(self, huge):
+        # accepted, such a game could be neither digested nor dumped
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
+        payoff[((0,), (0,))] = huge
+        for build in (build_game, ZeroSumGame):
+            with pytest.raises(ValueError) as caught:
+                build(C, D, payoff)
+            assert not isinstance(caught.value, ValidationError)
+
+    def test_payoff_exponent_decided_before_its_power_of_ten(self, tmp_path):
+        # the file parse's rule: Fraction("1e10000000") alone takes seconds, and a
+        # zero mantissa is 0 at any exponent
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        payoff = {(x, y): 1 for x in C.ordered() for y in D.ordered()}
+        for build in (build_game, ZeroSumGame):
+            payoff[((0,), (0,))] = "1e10000000"
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="has no string form"):
+                build(C, D, payoff)
+            assert time.perf_counter() - started < 1.0
+            payoff[((0,), (0,))] = "0e10000000"
+            started = time.perf_counter()
+            built = build(C, D, payoff)
+            assert time.perf_counter() - started < 1.0
+            inst = built.instance if isinstance(built, ZeroSumGame) else built
+            assert inst.U.elements == (Fraction(0), Fraction(1))
+            instance_digest(built)
+            ordeq.fileio.dump_instance(built, tmp_path / "zero.json")
 
     def test_seed_outside_strategy_sets_rejected(self):
         # such a seed would be written to a file that parse_instance refuses
@@ -305,14 +339,16 @@ def grid_game_document(tmp_path_factory):
 
 class TestWorkPerDistinctValue:
     def test_one_fraction_per_distinct_payoff_string(self, monkeypatch, grid_game_document):
+        # counts the parse's calls to the payoff conversion it imports from games
         doc = grid_game_document
         made = []
+        convert = ordeq.fileio._as_fraction
 
         def counting(v):
             made.append(v)
-            return Fraction(v)
+            return convert(v)
 
-        monkeypatch.setattr(ordeq.fileio, "Fraction", counting)
+        monkeypatch.setattr(ordeq.fileio, "_as_fraction", counting)
         parse_instance_dict(doc)
         distinct = {v for _, _, v in doc["payoff"]}
         assert len(distinct) < len(doc["payoff"])
