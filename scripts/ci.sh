@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The CI checks, runnable locally from any directory: scripts/ci.sh
-#   1. the Tier-1 test suite;
+#   1. the Tier-1 test suite, with every warning an error;
 #   2. a one-second benchmark smoke per workload, each judged on the last
 #      line of bench/run.py (it exits 0 even when an output is wrong);
 #   3. a traced smoke per workload, each judged on its last line and on the
@@ -8,7 +8,8 @@
 #      public calls (parse_instance, gen_instance, game.instance,
 #      phi_map/psi_map, pair_index), so a replay error means that part of
 #      the API broke.  wide-oracle and small-batch replay the roep parse and
-#      gen, grid-game the game build; each takes a few seconds;
+#      gen, grid-game the game parse (which builds the game) and its roep
+#      view; each takes a few seconds;
 #   4. no assert statements in src/ (invariants must survive python -O);
 #   5. no dead private helper: every _private function, method or class
 #      defined under src/ordeq/ is used by name (a name or an attribute,
@@ -19,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error --continue-on-collection-errors
 
 for workload in small-batch grid-game wide-oracle; do
   out=$(python3 bench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0)

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or parse/validation
 failure, 2 hypothesis failure, 3 no solution, 4 internal invariant breach
-(always a bug).
+(always a bug).  A game file parses into a ZeroSumGame, which is itself a
+ProblemInstance, so every command runs on what the parse returns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 import time
 
 from . import __version__
-from .equilibrium import ProblemInstance
 from .errors import (
     HypothesisFailed,
     InvariantBreach,
@@ -60,10 +60,6 @@ def _pair_str(pair) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
-def _core_instance(obj) -> ProblemInstance:
-    return obj.instance if isinstance(obj, ZeroSumGame) else obj
-
-
 def _write_report(args, command, obj, code, started, digest, **fields) -> None:
     if args.report:
         doc = build_report(command, obj, code, time.perf_counter() - started,
@@ -75,12 +71,11 @@ def _write_report(args, command, obj, code, started, digest, **fields) -> None:
 
 def _describe(obj) -> str:
     """Print the instance line; return the instance digest, computed once per op."""
-    inst = _core_instance(obj)
     mode = "game" if isinstance(obj, ZeroSumGame) else "roep"
     digest = instance_digest(obj)
     print(
-        f"instance: mode={mode} |C|={len(inst.C)} |D|={len(inst.D)} "
-        f"|U|={len(inst.U)} digest={digest[:12]}"
+        f"instance: mode={mode} |C|={len(obj.C)} |D|={len(obj.D)} "
+        f"|U|={len(obj.U)} digest={digest[:12]}"
     )
     return digest
 
@@ -99,9 +94,8 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
-    inst = _core_instance(obj)
     seed = _parse_seed_flag(args.seed, obj) if args.seed else None
-    hyp = inst.check_hypotheses(seed)
+    hyp = obj.check_hypotheses(seed)
     digest = _describe(obj)
     print(f"seed: {_pair_str(hyp.seed)}")
     print(f"phi increasing upward: {hyp.phi_monotonicity.increasing_upward}")
@@ -118,9 +112,8 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
-    inst = _core_instance(obj)
     seed = _parse_seed_flag(args.seed, obj) if args.seed else None
-    solver = inst.solve_minimal if args.minimal else inst.solve_maximal
+    solver = obj.solve_minimal if args.minimal else obj.solve_maximal
     rep = solver(seed, force=args.force)
     digest = _describe(obj)
     print("climb: " + " -> ".join(_pair_str(p) for p in rep.climb_trace))
@@ -134,8 +127,7 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     started = time.perf_counter()
     obj = parse_instance(args.file)
-    inst = _core_instance(obj)
-    solutions = inst._pairs(inst._solution_mask)  # in pair_index order
+    solutions = obj._pairs(obj._solution_mask)  # in pair_index order
     digest = _describe(obj)
     print(f"solutions: {len(solutions)}")
     for s in solutions:

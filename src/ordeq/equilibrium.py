@@ -161,12 +161,12 @@ class ProblemInstance:
     pairs as pair_index does.  The codes are _T, where _T[i, j] is the
     position of T(x_i, y_j) in U; _F, where _F[i, j] says y_j is in F(x_i);
     and _G, where _G[i, j] says x_i is in G(y_j).  The parse, the generator
-    and games build these codes directly, through _from_codes.  The public
-    constructor keeps its checks and the maps it is given, and converts them
-    once: its lookup of every pair is the check that T is total.  Otherwise
-    T, F and G are views built from the codes on first read.  All operations
-    are pure; the phi and psi masks and the solution set are computed lazily
-    and cached.
+    and games (a ZeroSumGame is an instance) build these codes directly.
+    The public constructor keeps its checks and the maps it is given, and
+    converts them once: its lookup of every pair is the check that T is
+    total.  Otherwise T, F and G are views built from the codes on first
+    read.  All operations are pure; the phi and psi masks and the solution
+    set are computed lazily and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
@@ -212,7 +212,7 @@ class ProblemInstance:
 
     def __repr__(self):
         return (
-            f"ProblemInstance(|C|={len(self.C)}, |D|={len(self.D)}, |U|={len(self.U)})"
+            f"{type(self).__name__}(|C|={len(self.C)}, |D|={len(self.D)}, |U|={len(self.U)})"
         )
 
     # -- positions of elements ------------------------------------------------
@@ -542,14 +542,15 @@ def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.n
     return out
 
 
-def _check_parts(C: Subset, D: Subset, F: SetValuedMap, G: SetValuedMap) -> None:
+def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
+                 G: Optional[SetValuedMap]) -> None:
     if not C.members:
         raise ValidationError("C must be nonempty")
     if not D.members:
         raise ValidationError("D must be nonempty")
-    if F.domain != C or F.codomain != D:
+    if F is not None and (F.domain != C or F.codomain != D):
         raise ValidationError("F must map C into subsets of D")
-    if G.domain != D or G.codomain != C:
+    if G is not None and (G.domain != D or G.codomain != C):
         raise ValidationError("G must map D into subsets of C")
 
 

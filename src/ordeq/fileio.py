@@ -6,14 +6,15 @@ an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
 converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
-the API follows too.  A roep document is parsed straight into the
-index codes an instance is made of: each T value is looked up in U once and
-becomes its position, and F and G become membership masks.  Serialization
-normalizes: element identifiers become strings, relations become Hasse
-edges, rows are emitted in a canonical order; parse-then-serialize is
-idempotent after the first normalization pass.  Serialization and digests
-read the codes too, so element ids are converted once per element here, at
-the file boundary, and never once per cell.
+the API follows too, before the builder there makes the game.  A roep
+document is parsed straight into the index codes an instance is made of:
+each T value is looked up in U once and becomes its position, and F and G
+become membership masks.  Serialization normalizes: element identifiers
+become strings, relations become Hasse edges, rows are emitted in a
+canonical order; parse-then-serialize is idempotent after the first
+normalization pass.  Serialization and digests read the codes too, so
+element ids are converted once per element here, at the file boundary,
+and never once per cell.
 """
 
 from __future__ import annotations
@@ -201,10 +202,7 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
             if v not in exact:
-                try:
-                    exact[v] = _as_fraction(v)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValidationError(f"payoff: bad rational {v!r}") from exc
+                exact[v] = _as_fraction(v)
             rows[pair] = exact[v]
         with _section("game"):
             return ZeroSumGame(C, D, rows, F=F, G=G, seed=seed)
@@ -265,26 +263,25 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     the payoff strings, so its payoff rows are the T rows of a roep.
     """
     game = isinstance(obj, ZeroSumGame)
-    inst = obj.instance if game else obj
     doc = {
         "schema": INSTANCE_SCHEMA,
         "mode": "game" if game else "roep",
-        "posets": {"X": _poset_doc(inst.C.parent), "Y": _poset_doc(inst.D.parent)},
+        "posets": {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)},
     }
     if not game:
-        doc["posets"]["U"] = _poset_doc(inst.U)
-    cs = [element_id(x) for x in inst._cs]
-    ds = [element_id(y) for y in inst._ds]
-    us = [element_id(u) for u in inst.U.elements]
+        doc["posets"]["U"] = _poset_doc(obj.U)
+    cs = [element_id(x) for x in obj._cs]
+    ds = [element_id(y) for y in obj._ds]
+    us = [element_id(u) for u in obj.U.elements]
     doc["C"] = {"poset": "X", "members": cs}
     doc["D"] = {"poset": "Y", "members": ds}
     doc["payoff" if game else "T"] = [
-        [x, y, us[t]] for x, row in zip(cs, inst._T.tolist()) for y, t in zip(ds, row)
+        [x, y, us[t]] for x, row in zip(cs, obj._T.tolist()) for y, t in zip(ds, row)
     ]
-    doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, inst._F.tolist())}
-    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, inst._G.T.tolist())}
-    if inst.seed is not None:
-        doc["seed"] = [element_id(inst.seed[0]), element_id(inst.seed[1])]
+    doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, obj._F.tolist())}
+    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, obj._G.T.tolist())}
+    if obj.seed is not None:
+        doc["seed"] = [element_id(obj.seed[0]), element_id(obj.seed[1])]
     return doc
 
 
@@ -409,26 +406,25 @@ def replay_report(report: dict, instance) -> bool:
 
 def _rebuild(report: dict, obj):
     """The report this program writes with the given report's choices, or None."""
-    inst = obj.instance if isinstance(obj, ZeroSumGame) else obj
     command, direction = report["command"], report.get("direction", "maximal")
     if command not in ("check", "enumerate", "solve", "game"):
         return None
     fields, code = {}, 0
     if command == "enumerate":
-        fields["solutions"], code = inst.solution_set, 0 if inst.solution_set else 3
+        fields["solutions"], code = obj.solution_set, 0 if obj.solution_set else 3
     else:
-        rows = {element_id(x): i for i, x in enumerate(inst._cs)}
-        cols = {element_id(y): j for j, y in enumerate(inst._ds)}
+        rows = {element_id(x): i for i, x in enumerate(obj._cs)}
+        cols = {element_id(y): j for j, y in enumerate(obj._ds)}
         pos = lambda doc: (rows[doc[0]], cols[doc[1]])  # noqa: E731
         seed = pos(report["seed"] if "seed" in report else report["hypotheses"]["seed"])
-        hyp = inst.check_hypotheses((inst._cs[seed[0]], inst._ds[seed[1]]), direction)
+        hyp = obj.check_hypotheses((obj._cs[seed[0]], obj._ds[seed[1]]), direction)
         if command == "check":
             fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
         else:
             sol, trace = pos(report["solution"]), [pos(p) for p in report["climb_trace"]]
-            if not inst._extremal_mask(hyp.seed, direction)[sol]:
+            if not obj._extremal_mask(hyp.seed, direction)[sol]:
                 return None
-            fields["solution_report"] = rep = inst._report(hyp, direction, trace, sol)
+            fields["solution_report"] = rep = obj._report(hyp, direction, trace, sol)
             if rep is None:
                 return None
             if command == "game":

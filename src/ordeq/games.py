@@ -2,16 +2,14 @@
 
 Player 1 picks from C and receives the payoff; player 2 picks from D and
 receives its negation.  Payoffs are exact rationals: order comparisons decide
-equilibria, and float ties would corrupt the argmax/argmin sets.  The utility
-poset handed to the equilibrium machinery is the chain of distinct payoff
-values, which keeps it minimal and totally ordered.  Files and the API turn
-a payoff into its Fraction by one rule, so every game built from string or
-int payoffs serializes.  Each distinct value is
-found, ranked and hashed once: cells are grouped by their lowest-terms
-(numerator, denominator) pair, only the distinct values are sorted, and each
-cell's rank in the chain is its position in U.  Those ranks are the codes of
-the game's instance, built directly: no cell is looked up in U, and no
-objective table is built unless one is read.
+equilibria, and float ties would corrupt the argmax/argmin sets.  A game is
+a problem instance whose utility poset is the chain of its distinct payoff
+values, which keeps it minimal and totally ordered.  One pass builds it:
+each payoff cell is read once, each distinct raw value becomes its Fraction
+once, by the one payoff rule that files and the API share (so every game
+built from string or int payoffs serializes), only the distinct values are
+sorted, and each cell's code is its value's position in U.  No payoff
+table is built unless one is read.
 """
 
 from __future__ import annotations
@@ -22,14 +20,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts, _table_codes
+from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts
 from .errors import InvariantBreach, ValidationError
-from .maps import SetValuedMap, constant_map
+from .maps import SetValuedMap
 from .poset import GridPoset, Poset, Subset, grid_poset
 
 __all__ = ["GridPoset", "grid_poset", "ZeroSumGame", "GameReport", "build_game",
@@ -44,30 +41,42 @@ _EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d[\d_]*)\s*\Z")
 def _as_fraction(v) -> Fraction:
     """A payoff's one Fraction, for files and the API alike.
 
-    A Fraction passes and a float is refused; any other value raises
-    ValueError (or ZeroDivisionError) when it has no Fraction, or none with
-    a string form.  A nonzero string whose decimal exponent passes Python's
-    int digit limit by more than its mantissa's digit count has more digits
-    than that, so it is refused before its power of ten is built
-    (Fraction("1e10000000") alone took 10.6 s).  A zero mantissa is 0 at
-    any exponent.
+    A Fraction passes; a float, a bool, and any value with no Fraction, or
+    none with a string form, is refused with ValidationError.  A nonzero
+    string whose decimal exponent passes Python's int digit limit by more
+    than its mantissa's digit count has more digits than that, so it is
+    refused before its power of ten is built (Fraction("1e10000000") alone
+    took 10.6 s).  A zero mantissa is 0 at any exponent.
     """
     if type(v) is Fraction:
         return v
     if isinstance(v, float):
         raise ValidationError(f"payoff {v!r} is a float; use exact rationals")
-    m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
-    limit = sys.get_int_max_str_digits() if m else 0
-    if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
-        if any(c not in "_." and int(c) for c in m[1]):
-            raise ValueError(f"{v!r} has no string form")
-        return Fraction(v[:m.start(2)] + "0")  # the mantissa's syntax still checked
-    exact = Fraction(v)
-    str(exact)  # past Python's int digit limit it has no string form
-    return exact
+    if isinstance(v, bool):  # Fraction would take True as 1
+        raise _bad_payoff(v)
+    try:
+        m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
+        limit = sys.get_int_max_str_digits() if m else 0
+        if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
+            if any(c not in "_." and int(c) for c in m[1]):
+                raise ValueError("no string form")
+            return Fraction(v[:m.start(2)] + "0")  # the mantissa's syntax still checked
+        exact = Fraction(v)
+        str(exact)  # past Python's int digit limit it has no string form
+        return exact
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _bad_payoff(v) from exc
 
 
-class ZeroSumGame:
+def _bad_payoff(v) -> ValidationError:
+    try:
+        shown = repr(v)
+    except ValueError:  # an int past Python's digit limit has no repr either
+        shown = f"{type(v).__name__} with no string form"
+    return ValidationError(f"payoff: bad rational {shown}")
+
+
+class ZeroSumGame(ProblemInstance):
     """Strategy subsets, an exact rational payoff table, and constraint maps.
 
     C and D are typically full subsets of grid posets (the component-wise
@@ -80,34 +89,29 @@ class ZeroSumGame:
                  seed: Optional[Pair] = None):
         if not C.members or not D.members:
             raise ValidationError("strategy sets must be nonempty")
-        table = {}
-        ds = D.ordered()
-        for x in C.ordered():
-            for y in ds:
-                if (x, y) not in payoff:
-                    raise ValidationError(f"payoff table has no entry for {(x, y)!r}")
-                table[(x, y)] = _as_fraction(payoff[(x, y)])
-        _refuse_strays(payoff, C, D)
-        self.C = C
-        self.D = D
-        self.payoff = MappingProxyType(table)
-        self.F = F if F is not None else constant_map(C, D)
-        self.G = G if G is not None else constant_map(D, C)
-        _check_parts(C, D, self.F, self.G)
+        codes = _game_codes(C, D, payoff, F, G)
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
-        self.seed = seed
+        self._setup(C, D, *codes, seed)
+
+    @property
+    def payoff(self) -> Mapping:
+        """The read-only payoff table, {(x, y): Fraction}: T's table."""
+        return self.T.table
 
     @cached_property
     def instance(self) -> ProblemInstance:
-        # the payoffs are Fractions already: skip build_game's conversion
-        return _game_instance(self.C, self.D, self.payoff, self.F, self.G, self.seed)
+        """The same codes as a roep instance, which serializes and digests as one."""
+        return ProblemInstance._from_codes(self.C, self.D, self.U, self._T, self._F,
+                                           self._G, self.seed)
 
     def transpose(self) -> "ZeroSumGame":
         """Swap the players: payoff negated and transposed, constraints swapped."""
-        flipped = {(y, x): -v for (x, y), v in self.payoff.items()}
+        # negating reverses the chain: position t becomes |U| - 1 - t, the order stays
+        U = Poset([-v for v in reversed(self.U.elements)], self.U.leq_matrix)
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
-        return ZeroSumGame(self.D, self.C, flipped, F=self.G, G=self.F, seed=seed)
+        return ZeroSumGame._from_codes(self.D, self.C, U, (len(U) - 1 - self._T).T,
+                                       self._G.T, self._F.T, seed)
 
 
 def build_game(C: Subset, D: Subset, payoff: Mapping,
@@ -118,37 +122,49 @@ def build_game(C: Subset, D: Subset, payoff: Mapping,
     The utility poset is the chain over the distinct payoff values in their
     usual rational order, so the scalar saddle test always applies.
     """
-    table = {k: _as_fraction(v) for k, v in payoff.items()}
-    F = F if F is not None else constant_map(C, D)
-    G = G if G is not None else constant_map(D, C)
+    return ProblemInstance._from_codes(C, D, *_game_codes(C, D, payoff, F, G), seed)
+
+
+def _game_codes(C: Subset, D: Subset, payoff: Mapping, F: Optional[SetValuedMap],
+                G: Optional[SetValuedMap]) -> tuple:
+    """A game's utility chain U and codes T, F and G, from one read of each payoff cell.
+
+    A distinct raw value is converted once, keyed by its lowest terms if it
+    is a Fraction (no Fraction is hashed), else by its type and value (1,
+    1.0 and True never share a key).  Only the distinct values are sorted;
+    no common denominator: on 20 000 values with denominators up to 10**9
+    its lcm had over 312 000 bits, and ranking the scaled integers took 5 s
+    against 0.05 s for this sort.  An omitted F or G is an all-true mask.
+    """
     _check_parts(C, D, F, G)
-    inst = _game_instance(C, D, table, F, G, seed)  # its lookup of every pair finds holes
-    _refuse_strays(payoff, C, D)
-    return inst
-
-
-def _refuse_strays(payoff: Mapping, C: Subset, D: Subset) -> None:
-    """Refuse payoff entries outside C x D, once every pair of C x D is known to have one."""
-    if len(payoff) != len(C) * len(D):
-        extra = set(payoff) - {(x, y) for x in C.ordered() for y in D.ordered()}
+    cs, ds = C.ordered(), D.ordered()
+    slots, exact, cells = {}, [], []
+    for x in cs:
+        for y in ds:
+            try:
+                v = payoff[x, y]
+            except KeyError:
+                raise ValidationError(f"payoff table has no entry for {(x, y)!r}") from None
+            key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
+            try:
+                s = slots.get(key)
+            except TypeError:  # an unhashable value is no rational
+                raise _bad_payoff(v) from None
+            if s is None:
+                s = slots[key] = len(exact)
+                exact.append(_as_fraction(v))
+            cells.append(s)
+    if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
+        extra = set(payoff) - {(x, y) for x in cs for y in ds}
         raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
-
-
-def _game_instance(C: Subset, D: Subset, table: Mapping, F: SetValuedMap,
-                   G: SetValuedMap, seed: Optional[Pair]) -> ProblemInstance:
-    # A Fraction is kept in lowest terms, so equal values have equal
-    # (numerator, denominator) pairs: the distinct values are found without
-    # hashing a Fraction.  Only those are sorted, and a cell's rank is its
-    # position in U.  No common denominator: on 20 000 values with
-    # denominators up to 10**9 the lcm had over 312 000 bits, and ranking
-    # the scaled integers took about 5 s against 0.05 s for this sort.
-    keys = [v.as_integer_ratio() for v in table.values()]
-    values = sorted(dict(zip(keys, table.values())).values(), key=_order_key)
+    terms = [v.as_integer_ratio() for v in exact]
+    values = sorted(dict(zip(terms, exact)).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    T = _table_codes(table, C.ordered(), D.ordered(), lambda v: rank[v.as_integer_ratio()])
+    T = np.array([rank[t] for t in terms], dtype=np.intp)[cells].reshape(len(cs), len(ds))
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
-    utility = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
-    return ProblemInstance._from_codes(C, D, utility, T, F.mask(), G.mask().T, seed)
+    U = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
+    every = np.ones(T.shape, dtype=bool)
+    return U, T, every if F is None else F.mask(), every if G is None else G.mask().T
 
 
 def _order_key(v: Fraction) -> tuple:
@@ -179,16 +195,17 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
                force: bool = False) -> GameReport:
     """Solve the game, then re-check the saddle inequalities on raw payoffs.
 
-    The verification never goes through the utility poset: it scans
+    The verification never goes through the utility order: it scans
     payoff(x, y*) <= payoff(x*, y*) over all x in G(y*) and
     payoff(x*, y*) <= payoff(x*, y) over all y in F(x*) with exact
     rational comparisons, independently of the solver's path.
     """
-    rep = game.instance.solve_maximal(seed if seed is not None else game.seed, force=force)
+    rep = game.solve_maximal(seed, force=force)
     x, y = rep.maximal_solution
-    v = game.payoff[(x, y)]
-    row_ok = all(game.payoff[(x2, y)] <= v for x2 in game.G(y))
-    col_ok = all(v <= game.payoff[(x, y2)] for y2 in game.F(x))
+    i, j, us = game._row(x), game._col(y), game.U.elements
+    v = us[game._T[i, j]]
+    row_ok = all(us[t] <= v for t in game._T[game._G[:, j], j].tolist())
+    col_ok = all(v <= us[t] for t in game._T[i, game._F[i]].tolist())
     if not (row_ok and col_ok):
         raise InvariantBreach(
             f"reported equilibrium {(x, y)!r} failed the saddle re-verification"

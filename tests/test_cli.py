@@ -16,7 +16,7 @@ from ordeq import (GenSpec, ProblemInstance, gen_instance, gen_poset, parse_inst
                    replay_report, serialize_instance)
 from ordeq.cli import main
 from ordeq.fileio import serialize_poset_doc
-from ordeq.generate import POSET_KINDS
+from ordeq.generate import KINDS, POSET_KINDS
 
 from conftest import FIXTURES
 
@@ -39,7 +39,7 @@ class TestValidate:
         assert "ParseError" in err
 
     def test_invalid_instance(self, capsys, tmp_path):
-        doc = json.loads(open(FIXTURES["i2"]).read())
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
         doc["F"]["c0"] = []
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -66,7 +66,7 @@ class TestCheck:
         assert "seed: (c1, d1)" in out
 
     def test_missing_seed_is_usage_error(self, capsys, tmp_path):
-        doc = json.loads(open(FIXTURES["i2"]).read())
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
         doc.pop("seed")
         path = tmp_path / "noseed.json"
         path.write_text(json.dumps(doc))
@@ -113,7 +113,7 @@ class TestSolve:
 
 def renamed_i2(tmp_path, names):
     """The i2 fixture with its element ids renamed, written to a file."""
-    text = open(FIXTURES["i2"]).read()
+    text = Path(FIXTURES["i2"]).read_text()
     for old, new in names.items():
         text = text.replace(json.dumps(old), json.dumps(new))
     path = tmp_path / "renamed.json"
@@ -275,6 +275,31 @@ class TestGen:
                            "--sizes", "3", "-o", str(tmp_path / "missing" / "x.json"))
         assert code == 1
 
+    def test_oversized_poset_is_refused_before_it_is_built(self, capsys, tmp_path):
+        # 99999 x 3 x 4 grid elements once asked for a 3.93 TiB order matrix: exit 4
+        started = time.perf_counter()
+        code, _, err = run(capsys, "gen", "--kind", "grid", "--seed", "3",
+                           "--sizes", "99999,3,4", "-o", str(tmp_path / "x.json"))
+        assert code == 1
+        assert "InvalidSpec: grid with sizes (99999, 3, 4) has more than" in err
+        assert time.perf_counter() - started < 1.0
+        assert not (tmp_path / "x.json").exists()
+
+    def test_fuzzed_flags_never_exit_4(self, tmp_path):
+        target = str(tmp_path / "x.json")
+        sizes = ("0,3,4", "-1,3,4", "a,b,c", "3,3", "", "3", "2,2", "4,4,4", "1", "12",
+                 "99999", "99999,3,4", "3,99999", "1e3", "3,,3", "9" * 40)
+        for kind in KINDS:
+            for size in sizes:
+                for density in ("nan", "inf", "-1", "2", "0.5"):
+                    for seed in ("1", "-7", "x", "9" * 30):
+                        argv = ["gen", "--kind", kind, "--seed", seed, "--sizes", size,
+                                "--density", density, "-o", target]
+                        err = io.StringIO()
+                        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                            code = main(argv)
+                        assert code in (0, 1), (argv, err.getvalue())
+
 
 class TestExitCodeContract:
     def test_version(self, capsys):
@@ -358,7 +383,7 @@ class TestPinnedOutputs:
          "T: duplicate row for ('c1', 'd1')"),
     ], ids=["hole", "duplicate", "not-in-U", "non-member", "precedence"])
     def test_objective_table_errors(self, capsys, tmp_path, edit, message):
-        doc = json.loads(open(FIXTURES["i2"]).read())
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
         edit(doc["T"])
         target = tmp_path / "broken.json"
         target.write_text(json.dumps(doc))
@@ -395,14 +420,14 @@ JUNK = st.one_of(
 
 
 def _game2x2_text(first_payoff: str) -> str:
-    doc = json.loads(open(FIXTURES["game2x2"]).read())
+    doc = json.loads(Path(FIXTURES["game2x2"]).read_text())
     doc["payoff"][0][2] = "PAYOFF"
     return json.dumps(doc).replace('"PAYOFF"', first_payoff)
 
 
 # the documents the fuzz test mutates: the fixtures, one gen-written roep
 # document per poset kind, and one small gen-written poset document per kind
-FUZZED = {name: json.loads(open(FIXTURES[name]).read())
+FUZZED = {name: json.loads(Path(FIXTURES[name]).read_text())
           for name in ("i1", "i2", "i3", "game2x2", "game3x3")}
 FUZZED.update({kind: serialize_instance(gen_instance(GenSpec(
     kind="random_instance", sizes=(4, 4, 6), rng_seed=3, poset_kind=kind)))
@@ -420,7 +445,7 @@ class TestMalformedDocuments:
         ("posets", "X", "edges", 0, 0), ("C", "poset"),
     ], ids=["T-row-x", "T-value", "C-member", "seed-x", "F-value", "edge-end", "C-poset"])
     def test_list_where_an_id_belongs(self, capsys, tmp_path, path):
-        doc = json.loads(open(FIXTURES["i2"]).read())
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
         leaf = doc
         for key in path:
             leaf = leaf[key]
@@ -437,7 +462,7 @@ class TestMalformedDocuments:
     ], ids=["payoff-value", "grid-extent"])
     def test_boolean_where_a_number_belongs(self, capsys, tmp_path, path, message):
         # JSON true is a Python bool, which is an int: it once read as 1
-        doc = json.loads(open(FIXTURES["game2x2"]).read())
+        doc = json.loads(Path(FIXTURES["game2x2"]).read_text())
         _put(doc, path, True if path[0] == "payoff" else {"grid": [True, 2]})
         target = tmp_path / "boolean.json"
         target.write_text(json.dumps(doc))

@@ -18,10 +18,12 @@ from ordeq import (
     ProblemInstance,
     SetValuedMap,
     ZeroSumGame,
+    build_game,
     gen_instance,
     grid_poset,
     instance_digest,
     parse_instance,
+    solve_game,
 )
 from ordeq.errors import FilterExhausted
 from ordeq.fileio import parse_instance_dict, serialize_instance
@@ -101,6 +103,30 @@ class TestBuiltFromCodes:
         assert _alive(ObjectiveMap) == before
         assert built[ObjectiveMap] == 0
         assert all("T" not in vars(inst) for inst in instances)
+
+    def test_unconstrained_game_builds_no_set_valued_map(self, built):
+        # an omitted F or G is an all-true mask, from the file and the API alike
+        doc = load_doc("game2x2")
+        del doc["F"], doc["G"]
+        parsed = parse_instance_dict(doc)
+        payoff = {(x, y): int(v) for x, y, v in doc["payoff"]}
+        made = [parsed, ZeroSumGame(parsed.C, parsed.D, payoff, seed=parsed.seed)]
+        made.append(build_game(parsed.C, parsed.D, payoff))
+        for game in made[:2]:
+            solve_game(game)
+            made += [game.instance, game.transpose()]
+        assert built[SetValuedMap] == 0
+        assert all(inst._F.all() and inst._G.all() for inst in made)
+
+    def test_a_game_is_the_instance_of_its_codes(self):
+        # no payoff table until one is read; the roep view shares the arrays
+        assert issubclass(ZeroSumGame, ProblemInstance)
+        for game in (parse_instance(FIXTURES["game3x3"]), seeded_game(1)):
+            assert "T" not in vars(game)
+            inst = game.instance
+            assert all(getattr(inst, k) is getattr(game, k) for k in ("U", "_T", "_F", "_G"))
+            assert inst.solution_set == game.solution_set
+            assert game.payoff == game.T.table == inst.T.table
 
     @pytest.mark.parametrize("name", ROEP)
     def test_dual_and_reduction_build_no_maps(self, built, name):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ordeq.fileio
+import ordeq.games
 from ordeq import (
     SetValuedMap,
     ZeroSumGame,
@@ -20,7 +21,7 @@ from ordeq import (
     solve_game,
     transpose_game,
 )
-from ordeq.errors import NoSolution, UnknownElement, ValidationError, ZeroExtent
+from ordeq.errors import NoSolution, ValidationError, ZeroExtent
 from ordeq.fileio import parse_instance_dict, read_json
 
 from conftest import chain
@@ -88,12 +89,12 @@ class TestBuildGame:
             ZeroSumGame(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
 
     def test_build_game_refuses_floats_and_holes(self):
-        # direct callers bypass ZeroSumGame's checks
+        # build_game and ZeroSumGame share one builder, and so its checks
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
         with pytest.raises(ValidationError):
             build_game(C, D, {(x, y): 0.5 for x in C.ordered() for y in D.ordered()})
-        with pytest.raises(UnknownElement, match=r"no entry for \(\(0,\), \(1,\)\)"):
+        with pytest.raises(ValidationError, match=r"no entry for \(\(0,\), \(1,\)\)"):
             build_game(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
 
     def test_stray_payoff_entry_refused_by_both(self):
@@ -115,9 +116,24 @@ class TestBuildGame:
         payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
         payoff[((0,), (0,))] = huge
         for build in (build_game, ZeroSumGame):
-            with pytest.raises(ValueError) as caught:
+            with pytest.raises(ValidationError, match="payoff: bad rational"):
                 build(C, D, payoff)
-            assert not isinstance(caught.value, ValidationError)
+
+    @pytest.mark.parametrize("bad", [True, None, [1], ([1],), "x", "1/0", "1e5000", 10**5000],
+                             ids=["bool", "none", "list", "tuple-of-list", "word",
+                                  "zero-denominator", "exponent", "huge-int"])
+    def test_every_refused_payoff_is_a_validation_error(self, bad):
+        # a caller that catches OrdeqError catches them all, in the file's words; an
+        # unhashable value is refused, not failed on, and 10**5000 has no repr
+        C = grid_poset((2,)).full_subset()
+        D = grid_poset((2,)).full_subset()
+        payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
+        payoff[((1,), (0,))] = bad
+        shown = "int with no string form" if bad == 10**5000 else repr(bad)
+        for build in (build_game, ZeroSumGame):
+            with pytest.raises(ValidationError) as caught:
+                build(C, D, payoff)
+            assert str(caught.value) == f"payoff: bad rational {shown}"
 
     def test_payoff_exponent_decided_before_its_power_of_ten(self, tmp_path):
         # the file parse's rule: Fraction("1e10000000") alone takes seconds, and a
@@ -128,7 +144,7 @@ class TestBuildGame:
         for build in (build_game, ZeroSumGame):
             payoff[((0,), (0,))] = "1e10000000"
             started = time.perf_counter()
-            with pytest.raises(ValueError, match="has no string form"):
+            with pytest.raises(ValidationError, match="payoff: bad rational '1e10000000'"):
                 build(C, D, payoff)
             assert time.perf_counter() - started < 1.0
             payoff[((0,), (0,))] = "0e10000000"
@@ -177,6 +193,30 @@ class TestSolveGame:
         result = solve_game(game, seed=("c0", "d0"))
         assert result.equilibrium == ("c1", "d1")
         assert result.value == 0
+
+    def test_value_and_saddle_against_the_callers_payoffs(self):
+        # a referee on the caller's own dict and maps, not on the game's codes or views
+        rng = random.Random(17)
+        solved = 0
+        for k in range(60):
+            C = grid_poset((2, 2)).full_subset()
+            D = grid_poset((3,)).full_subset()
+            cs, ds = C.ordered(), D.ordered()
+            raw = _seeded_payoffs(rng, cs, ds)
+            F = {x: rng.sample(ds, rng.randint(1, len(ds))) for x in cs} if k % 2 else None
+            G = {y: rng.sample(cs, rng.randint(1, len(cs))) for y in ds} if k % 2 else None
+            game = ZeroSumGame(C, D, raw, seed=(cs[0], ds[0]),
+                               F=F and SetValuedMap(C, D, F), G=G and SetValuedMap(D, C, G))
+            try:
+                result = solve_game(game, force=True)
+            except NoSolution:
+                continue
+            solved += 1
+            x, y = result.equilibrium
+            assert result.value == Fraction(raw[x, y])
+            assert all(Fraction(raw[x2, y]) <= result.value for x2 in (G[y] if G else cs))
+            assert all(result.value <= Fraction(raw[x, y2]) for y2 in (F[x] if F else ds))
+        assert solved >= 20
 
     def test_saddle_inequalities_hold_for_reported_equilibria(self):
         game = additive_game((2, 3), seed=((0, 0), (0, 0)))
@@ -312,14 +352,22 @@ class TestRankingMatchesReferee:
                 G = SetValuedMap(D, C, {y: rng.sample(cs, rng.randint(1, len(cs))) for y in ds})
             seed = (cs[0], ds[0])
             ref = referee_game_instance(C, D, payoff, F, G, seed)
-            for inst in (ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed).instance,
-                         build_game(C, D, payoff, F=F, G=G, seed=seed)):
+            game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed)
+            for inst in (game.instance, build_game(C, D, payoff, F=F, G=G, seed=seed)):
                 assert inst.U.elements == ref.U.elements, (k, payoff)
                 assert all(type(u) is Fraction for u in inst.U.elements)
                 assert np.array_equal(inst._T, ref._T), k
                 assert np.array_equal(inst._phi_mask, ref._phi_mask), k
                 assert np.array_equal(inst._psi_mask, ref._psi_mask), k
                 assert instance_digest(inst) == instance_digest(ref), k
+            # the transpose, made on the codes, is the game of the swapped table
+            flipped = game.transpose()
+            swapped = ZeroSumGame(D, C, {(y, x): -Fraction(v) for (x, y), v in payoff.items()},
+                                  F=G, G=F, seed=(ds[0], cs[0]))
+            assert flipped.U.elements == swapped.U.elements, k
+            for codes in ("_T", "_F", "_G"):
+                assert np.array_equal(getattr(flipped, codes), getattr(swapped, codes)), k
+            assert instance_digest(flipped) == instance_digest(swapped), k
 
 
 @pytest.fixture(scope="module")
@@ -354,8 +402,22 @@ class TestWorkPerDistinctValue:
         assert len(distinct) < len(doc["payoff"])
         assert len(made) <= len(distinct)
 
+    def test_api_converts_each_distinct_payoff_once(self, monkeypatch):
+        # 65 536 "k/3" cells hold 196 distinct strings; each is parsed once
+        X = grid_poset((16, 16))
+        C, D = X.full_subset(), X.full_subset()
+        payoff = {(x, y): f"{3 * (x[0] + 2 * x[1]) - (3 * y[0] + y[1])}/3"
+                  for x in X.elements for y in X.elements}
+        made = []
+        convert = ordeq.games._as_fraction
+        monkeypatch.setattr(ordeq.games, "_as_fraction", lambda v: made.append(v) or convert(v))
+        for build in (ZeroSumGame, build_game):
+            made.clear()
+            build(C, D, payoff)
+            assert 0 < len(made) <= len(set(payoff.values())) < len(payoff)
+
     def test_at_most_two_hashes_per_utility_element(self, monkeypatch, grid_game_document):
-        game = parse_instance_dict(grid_game_document)
+        # the game is built in the parse; its roep view shares the codes
         hashed = [0]
         plain = Fraction.__hash__
 
@@ -364,6 +426,6 @@ class TestWorkPerDistinctValue:
             return plain(self)
 
         monkeypatch.setattr(Fraction, "__hash__", counting)
-        inst = game.instance
+        inst = parse_instance_dict(grid_game_document).instance
         monkeypatch.undo()
         assert hashed[0] <= 2 * len(inst.U)
