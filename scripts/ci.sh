@@ -12,8 +12,9 @@
 #      view; each takes a few seconds;
 #   4. no assert statements in src/ (invariants must survive python -O);
 #   5. no dead private helper: every _private function, method or class
-#      defined under src/ordeq/ is used by name (a name or an attribute,
-#      an import alone does not count) somewhere in src/;
+#      defined under src/ordeq/, and every _PRIVATE constant assigned at
+#      module level there, is used by name (a name read or an attribute;
+#      an import or the assignment alone does not count) somewhere in src/;
 #   6. no unused import: every name a module under src/ordeq/ imports at
 #      module level (from __future__ aside) is used by name in that module
 #      or listed in its __all__.
@@ -52,12 +53,17 @@ python3 - <<'PY'
 import ast, pathlib, sys
 defs, used = [], set()
 for path in sorted(pathlib.Path("src").rglob("*.py")):
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if "ordeq" in path.parts:
+        defs += [(t.id, f"{path}:{node.lineno}") for node in tree.body
+                 if isinstance(node, ast.Assign) for t in node.targets
+                 if isinstance(t, ast.Name) and t.id.startswith("_") and t.id.isupper()]
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
             if "ordeq" in path.parts and name.startswith("_") and not name.endswith("__"):
                 defs.append((name, f"{path}:{node.lineno}"))
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)

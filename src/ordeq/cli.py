@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -33,6 +32,7 @@ from .fileio import (
     parse_poset_doc,
     read_json,
     serialize_poset_doc,
+    write_json,
 )
 from .games import ZeroSumGame, solve_game
 from .generate import KINDS, POSET_KINDS, GenSpec, gen_instance, gen_poset
@@ -64,9 +64,7 @@ def _write_report(args, command, obj, code, started, digest, **fields) -> None:
     if args.report:
         doc = build_report(command, obj, code, time.perf_counter() - started,
                            digest=digest, **fields)
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(args.report, doc)
 
 
 def _describe(obj) -> str:
@@ -172,10 +170,7 @@ def cmd_gen(args) -> int:
         inst = gen_instance(spec)
         dump_instance(inst, args.output)
     else:
-        doc = serialize_poset_doc(gen_poset(spec))
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(args.output, serialize_poset_doc(gen_poset(spec)))
     print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -12,9 +12,10 @@ a fixed point of gamma, which is exactly a solution, and is then promoted to
 a maximal solution above the seed.  An instance is made of index codes
 (positions instead of element ids): the parse, the generator and games build
 them directly, and T, F and G are views of them.  phi and psi are boolean
-masks built by array broadcasts, their monotonicity flags are boolean matmuls
-of those masks with the orders of C and D, and the solution set is where both
-masks hold.  Element ids come back only where a result leaves the instance.
+masks, each from one boolean matmul of the values present in each row with
+the strict order of U; their monotonicity flags are boolean matmuls of those
+masks with the orders of C and D, and the solution set is where both masks
+hold.  Element ids come back only where a result leaves the instance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .maps import MonotonicityReport, SetValuedMap, mask_monotonicity
-from .poset import Poset, Subset
+from .poset import Poset, Subset, _bool_matmul
 
 Pair = tuple
 
@@ -142,16 +143,11 @@ class SolutionReport:
     direction: str  # "maximal" or "minimal"
     seed: Pair
     solutions: frozenset
-    maximal_solution: Optional[Pair]
-    minimal_solution: Optional[Pair]
+    solution: Pair  # maximal above the seed, or minimal below it, as direction says
     hypotheses: HypothesisReport
     climb_trace: tuple
     certificates: Mapping
     existence_guaranteed: bool
-
-    @property
-    def solution(self) -> Optional[Pair]:
-        return self.maximal_solution if self.direction == "maximal" else self.minimal_solution
 
 
 class ProblemInstance:
@@ -193,7 +189,7 @@ class ProblemInstance:
         self._T, self._F, self._G = T, F, G
         self._lt = U.leq_matrix & ~np.eye(len(U), dtype=bool)
         self._c_leq, self._d_leq = C.order_matrix(), D.order_matrix()
-        self.seed = None if seed is None else self._resolve_seed(seed)
+        self.seed = None if seed is None else self._pair(self._resolve_seed(seed))
 
     @cached_property
     def T(self) -> ObjectiveMap:
@@ -226,6 +222,10 @@ class ProblemInstance:
         if y not in self._d_pos:
             raise UnknownElement(f"{y!r} is not in D")
         return self._d_pos[y]
+
+    def _pair(self, p: tuple) -> Pair:
+        """The (x, y) pair at positions p."""
+        return self._cs[p[0]], self._ds[p[1]]
 
     def _pairs(self, mask: np.ndarray) -> list:
         """The (x, y) pairs where a (|C|, |D|) mask is set, in pair_index order."""
@@ -286,12 +286,15 @@ class ProblemInstance:
 
     def solution_certificate(self, x, y) -> SolutionCertificate:
         """Check the solution conditions for (x, y), recording all evidence."""
-        i, j = self._row(x), self._col(y)
+        return self._certificate(self._row(x), self._col(y))
+
+    def _certificate(self, i: int, j: int) -> SolutionCertificate:
+        """solution_certificate at a pair given as positions."""
         v = self._T[i, j]
         rows = np.flatnonzero(self._G[:, j])
         cols = np.flatnonzero(self._F[i])
         return SolutionCertificate(
-            pair=(x, y),
+            pair=self._pair((i, j)),
             feasible_in_g=bool(self._G[i, j]),
             feasible_in_f=bool(self._F[i, j]),
             row_candidates=_ids(self._cs, rows, tuple),
@@ -315,18 +318,14 @@ class ProblemInstance:
     def _solution_mask(self) -> np.ndarray:
         return self._phi_mask & self._psi_mask.T
 
-    def extremal_solutions(self, seed: Optional[Pair] = None,
-                           direction: str = "maximal") -> frozenset:
-        """Solutions above the seed with no solution strictly above them.
+    def _extremal_mask(self, p: tuple, direction: str) -> np.ndarray:
+        """The solutions above the pair at positions p with no solution strictly above them.
 
-        With direction "minimal": below the seed, none strictly below.
+        With direction "minimal": below p, none strictly below.
         """
-        return frozenset(self._pairs(self._extremal_mask(seed, direction)))
-
-    def _extremal_mask(self, seed: Optional[Pair], direction: str) -> np.ndarray:
-        x0, y0 = self._resolve_seed(seed)
+        i, j = p
         c_leq, d_leq = self._orders(direction)
-        above = self._solution_mask & c_leq[self._row(x0)][:, None] & d_leq[self._col(y0)][None, :]
+        above = self._solution_mask & c_leq[i][:, None] & d_leq[j][None, :]
         # how many pairs of `above` lie at or above each pair: 1 is itself only
         count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
         return above & (count == 1)
@@ -350,20 +349,25 @@ class ProblemInstance:
         the upward names, as for the dual instance), and a witness below
         the seed.
         """
-        seed = self._resolve_seed(seed)
+        return self._hypotheses(self._resolve_seed(seed), direction)
+
+    def _hypotheses(self, seed: tuple, direction: str) -> HypothesisReport:
+        """check_hypotheses at a seed given as positions."""
         phi_rep = self.phi_monotonicity
         psi_rep = self.psi_monotonicity
         c_leq, d_leq = self._orders(direction)
         if direction == "minimal":
             phi_rep, psi_rep = _flip(phi_rep), _flip(psi_rep)
-        i, j = self._row(seed[0]), self._col(seed[1])
+        i, j = seed
         zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
         us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
-        witness = (self._cs[zs[0]], self._ds[us[0]]) if len(zs) and len(us) else None
-        return HypothesisReport(seed=seed, phi_monotonicity=phi_rep, psi_monotonicity=psi_rep,
-                                seed_condition=witness is not None, seed_witness=witness)
+        witness = self._pair((zs[0], us[0])) if len(zs) and len(us) else None
+        return HypothesisReport(seed=self._pair(seed), phi_monotonicity=phi_rep,
+                                psi_monotonicity=psi_rep, seed_condition=witness is not None,
+                                seed_witness=witness)
 
-    def _resolve_seed(self, seed: Optional[Pair]) -> Pair:
+    def _resolve_seed(self, seed: Optional[Pair]) -> tuple[int, int]:
+        """The (row, column) of the seed, or of the instance's own seed when none is given."""
         if seed is None:
             seed = self.seed
         if seed is None:
@@ -373,7 +377,7 @@ class ProblemInstance:
             raise UnknownElement(f"seed first component {x0!r} is not in C")
         if y0 not in self.D:
             raise UnknownElement(f"seed second component {y0!r} is not in D")
-        return (x0, y0)
+        return self._c_pos[x0], self._d_pos[y0]
 
     def pair_index(self, p: Pair) -> tuple[int, int]:
         return (self.C.parent.index(p[0]), self.D.parent.index(p[1]))
@@ -405,22 +409,22 @@ class ProblemInstance:
         return self._solve(seed, force, "minimal")
 
     def _solve(self, seed: Optional[Pair], force: bool, direction: str) -> SolutionReport:
-        hyp = self.check_hypotheses(seed, direction)
+        seed = self._resolve_seed(seed)
+        hyp = self._hypotheses(seed, direction)
         if not hyp.passes and not force:
             raise HypothesisFailed(
                 "solver preconditions failed: " + "; ".join(hyp.failures()), report=hyp
             )
         c_leq, d_leq = self._orders(direction)
-        trace = [(self._row(hyp.seed[0]), self._col(hyp.seed[1]))]
+        trace = [seed]
         while (q := self._step(trace[-1], c_leq, d_leq)) is not None:
             trace.append(q)
-        # with failing hypotheses a forced climb can strand at a non-fixed
-        # point; the promotion then picks from all extremal solutions
-        best = self._extremal_mask(hyp.seed, direction)
         i, j = p = trace[-1]
         fixed = self._phi_mask[i, j] and self._psi_mask[j, i]
-        if fixed:
-            best &= c_leq[i][:, None] & d_leq[j][None, :]
+        # the extremal solutions above a fixed point p are those above the seed
+        # that lie above p; with failing hypotheses a forced climb can strand
+        # at a non-fixed point, and the promotion then picks from all of them
+        best = self._extremal_mask(p if fixed else seed, direction)
         if not best.any():
             raise NoSolution(
                 f"no solution above seed {hyp.seed!r}"
@@ -430,7 +434,7 @@ class ProblemInstance:
         solution = tuple(np.argwhere(best)[0].tolist())
         if fixed and solution != p:
             trace.append(solution)
-        report = self._report(hyp, direction, trace, solution)
+        report = self._report(hyp, seed, direction, trace, solution)
         if report is None:
             raise InvariantBreach(f"the solver's trace is not a climb through gamma: {trace}")
         return report
@@ -461,22 +465,22 @@ class ProblemInstance:
         last = trace[-1]
         return last == solution or not in_gamma(last, last) and not self._step(last, c_leq, d_leq)
 
-    def _report(self, hyp: HypothesisReport, direction: str, trace: list,
+    def _report(self, hyp: HypothesisReport, seed: tuple, direction: str, trace: list,
                 solution: tuple) -> Optional[SolutionReport]:
-        """The report of a climb from hyp.seed, given as positions; None unless it climbs.
+        """The report of a climb from the seed; None unless it climbs.
 
-        The solver and a report's replay both build their report here.
+        The seed, the trace and the solution are positions; hyp is the
+        report of the hypotheses at the seed.  The solver and a report's
+        replay both build their report here.
         """
-        seed = (self._row(hyp.seed[0]), self._col(hyp.seed[1]))
         if trace[:1] != [seed] or not self._climbs(trace, solution, direction):
             return None
-        ids = [(self._cs[r], self._ds[c]) for r, c in trace + [solution]]
-        maximal, minimal = (ids[-1], None) if direction == "maximal" else (None, ids[-1])
+        ids = [self._pair(p) for p in trace + [solution]]
         return SolutionReport(
             direction=direction, seed=hyp.seed, solutions=self.solution_set,
-            maximal_solution=maximal, minimal_solution=minimal, hypotheses=hyp,
-            climb_trace=tuple(ids[:-1]), existence_guaranteed=hyp.passes,
-            certificates={ids[-1]: self.solution_certificate(*ids[-1])},
+            solution=ids[-1], hypotheses=hyp, climb_trace=tuple(ids[:-1]),
+            existence_guaranteed=hyp.passes,
+            certificates={ids[-1]: self._certificate(*solution)},
         )
 
     # -- special cases and transforms -----------------------------------------
@@ -519,27 +523,18 @@ class ProblemInstance:
         return ProblemInstance._from_codes(C2, D2, self.U, self._T, self._F, self._G, self.seed)
 
 
-# largest boolean temporary that one order-optimization broadcast allocates
-_CHUNK_CELLS = 1 << 22
-
-
 def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.ndarray:
     """Row-wise optima: the feasible cells that no feasible cell of their row beats.
 
     Cell (r, c) is dropped when some feasible (r, k) has
-    beats[values[r, k], values[r, c]].  One fancy-indexed broadcast per
-    chunk of rows; each temporary holds at most _CHUNK_CELLS booleans, or
-    one row's m * m when that is more.
+    beats[values[r, k], values[r, c]].  present[r, u] says value u sits in a
+    feasible cell of row r, so one boolean matmul with beats gives the
+    values each row beats, whatever the order of U.
     """
-    n, m = values.shape
-    out = np.empty((n, m), dtype=bool)
-    step = max(1, _CHUNK_CELLS // (m * m))
-    for lo in range(0, n, step):
-        v, f = values[lo:lo + step], feasible[lo:lo + step]
-        beaten = beats[v[:, :, None], v[:, None, :]]
-        beaten &= f[:, :, None]
-        out[lo:lo + step] = f & ~beaten.any(axis=1)
-    return out
+    present = np.zeros((len(values), len(beats)), dtype=bool)
+    present[feasible.nonzero()[0], values[feasible]] = True
+    beaten = _bool_matmul(present, beats)
+    return feasible & ~beaten[np.arange(len(values))[:, None], values]
 
 
 def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],

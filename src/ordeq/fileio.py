@@ -22,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from itertools import compress
+from itertools import accumulate, compress
+from operator import mul
 from typing import Union
 
 import numpy as np
@@ -32,7 +33,7 @@ from .equilibrium import ProblemInstance, _table_codes
 from .errors import OrdeqError, ParseError, ValidationError
 from .games import ZeroSumGame, _as_fraction
 from .maps import SetValuedMap
-from .poset import Poset, Subset, grid_poset, load_poset
+from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
 
 INSTANCE_SCHEMA = "roep-instance/1"
 POSET_SCHEMA = "roep-poset/1"
@@ -77,6 +78,11 @@ def _parse_poset(section: str, data) -> Poset:
             isinstance(d, int) and not isinstance(d, bool) for d in dims
         ):
             raise ValidationError(f"{section}: grid must be a list of integers")
+        # a non-positive extent is grid_poset's to refuse; the running product
+        # stops at the first partial product past the limit
+        if all(d >= 1 for d in dims) and any(
+                n > _MAX_POSET_ELEMENTS for n in accumulate(dims, mul)):
+            raise ValidationError(f"{section}: grid has more than {_MAX_POSET_ELEMENTS} elements")
         with _section(section):
             base = grid_poset(dims)
         names = [element_id(e) for e in base.elements]
@@ -85,6 +91,8 @@ def _parse_poset(section: str, data) -> Poset:
     elements = _require(section, data, "elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ValidationError(f"{section}: elements must be a list of strings")
+    if len(elements) > _MAX_POSET_ELEMENTS:
+        raise ValidationError(f"{section}: more than {_MAX_POSET_ELEMENTS} elements")
     edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
@@ -285,11 +293,16 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     return doc
 
 
-def dump_instance(obj, path) -> None:
-    """Write the normalized document; a refused one leaves the file untouched."""
-    text = json.dumps(serialize_instance(obj), indent=2) + "\n"
+def write_json(path, doc) -> None:
+    """Write indented JSON and a newline; a document that cannot be written touches no file."""
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def dump_instance(obj, path) -> None:
+    """Write the normalized document; a refused one leaves the file untouched."""
+    write_json(path, serialize_instance(obj))
 
 
 def instance_digest(obj) -> str:
@@ -409,6 +422,8 @@ def _rebuild(report: dict, obj):
     command, direction = report["command"], report.get("direction", "maximal")
     if command not in ("check", "enumerate", "solve", "game"):
         return None
+    if command == "game" and not isinstance(obj, ZeroSumGame):
+        return None  # only a game has a game value
     fields, code = {}, 0
     if command == "enumerate":
         fields["solutions"], code = obj.solution_set, 0 if obj.solution_set else 3
@@ -417,17 +432,17 @@ def _rebuild(report: dict, obj):
         cols = {element_id(y): j for j, y in enumerate(obj._ds)}
         pos = lambda doc: (rows[doc[0]], cols[doc[1]])  # noqa: E731
         seed = pos(report["seed"] if "seed" in report else report["hypotheses"]["seed"])
-        hyp = obj.check_hypotheses((obj._cs[seed[0]], obj._ds[seed[1]]), direction)
+        hyp = obj._hypotheses(seed, direction)
         if command == "check":
             fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
         else:
             sol, trace = pos(report["solution"]), [pos(p) for p in report["climb_trace"]]
-            if not obj._extremal_mask(hyp.seed, direction)[sol]:
+            if not obj._extremal_mask(seed, direction)[sol]:
                 return None
-            fields["solution_report"] = rep = obj._report(hyp, direction, trace, sol)
+            fields["solution_report"] = rep = obj._report(hyp, seed, direction, trace, sol)
             if rep is None:
                 return None
             if command == "game":
-                fields["game_value"] = obj.payoff[rep.solution]
+                fields["game_value"] = obj.U.elements[obj._T[sol]]
     return build_report(command, obj, code, report["elapsed_seconds"],
                         digest=report["instance_digest"], **fields)

@@ -201,7 +201,7 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
     rational comparisons, independently of the solver's path.
     """
     rep = game.solve_maximal(seed, force=force)
-    x, y = rep.maximal_solution
+    x, y = rep.solution
     i, j, us = game._row(x), game._col(y), game.U.elements
     v = us[game._T[i, j]]
     row_ok = all(us[t] <= v for t in game._T[game._G[:, j], j].tolist())

@@ -23,15 +23,10 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima
 from .errors import FilterExhausted, InvalidSpec, InvariantBreach
 from .maps import increasing_upward
-from .poset import Poset, _bool_matmul, grid_poset, load_poset
+from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, grid_poset, load_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
-
-# the most elements a generated poset may have: closing its order costs about
-# n**3 (about 2 s at 2048 elements on 2 cores), and 99999 elements would ask
-# for a 10 GB matrix
-_MAX_POSET_ELEMENTS = 2048
 
 
 @dataclass(frozen=True)

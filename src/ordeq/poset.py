@@ -16,6 +16,11 @@ from .errors import CycleDetected, DuplicateElement, EmptySubset, UnknownElement
 
 Element = Hashable
 
+# the most elements a generated or parsed poset may have: closing its order
+# costs about n**3 (about 2 s at 2048 elements on 2 cores), and 99999
+# elements would ask for a 10 GB matrix
+_MAX_POSET_ELEMENTS = 2048
+
 
 def transitive_closure(matrix: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of a boolean relation matrix (Warshall)."""

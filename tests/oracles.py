@@ -6,10 +6,13 @@ set membership.  They implement the classical constrained saddle conditions
 directly.  The dict-based referee below works on a ProblemInstance's public
 data, one pair at a time, the climb referee on element ids, the completeness
 oracle on a ``leq`` matrix, and the generator referee builds every attempt
-as validated objects.
+as validated objects.  The broadcast referee works on index codes, as the
+package's optima kernel does, but by another route.
 """
 
 import random
+
+import numpy as np
 
 
 def saddle_solutions(n_rows, n_cols, payoff, feasible_cols, feasible_rows):
@@ -107,6 +110,27 @@ def dict_gamma_fixed_points(inst):
     return frozenset(
         (x, y) for x in inst.C.members for y in inst.D.members if x in psi[y] and y in phi[x]
     )
+
+
+# -- the broadcast optima ------------------------------------------------------
+#
+# The array kernel the package used for phi and psi before its value-mask
+# matmul: every cell of a row is compared with every other one, Θ(rows·m²)
+# work, in chunks of rows so that no temporary passes ``chunk_cells``
+# booleans (or one row's m * m when that is more).
+
+
+def broadcast_optima(values, feasible, beats, chunk_cells=1 << 22):
+    """Row-wise optima: the feasible cells that no feasible cell of their row beats."""
+    n, m = values.shape
+    out = np.empty((n, m), dtype=bool)
+    step = max(1, chunk_cells // (m * m))
+    for lo in range(0, n, step):
+        v, f = values[lo:lo + step], feasible[lo:lo + step]
+        beaten = beats[v[:, :, None], v[:, None, :]]
+        beaten &= f[:, :, None]
+        out[lo:lo + step] = f & ~beaten.any(axis=1)
+    return out
 
 
 # -- the id-level climb referee -----------------------------------------------
@@ -416,8 +440,6 @@ def referee_gen_instance(spec):
 def referee_game_instance(C, D, payoff, F=None, G=None, seed=None):
     """build_game's instance, with every payoff converted and looked up per cell."""
     from fractions import Fraction
-
-    import numpy as np
 
     from ordeq import ObjectiveMap, Poset, ProblemInstance, constant_map
 

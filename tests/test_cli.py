@@ -276,13 +276,33 @@ class TestGen:
         assert code == 1
 
     def test_oversized_poset_is_refused_before_it_is_built(self, capsys, tmp_path):
-        # 99999 x 3 x 4 grid elements once asked for a 3.93 TiB order matrix: exit 4
-        started = time.perf_counter()
-        code, _, err = run(capsys, "gen", "--kind", "grid", "--seed", "3",
-                           "--sizes", "99999,3,4", "-o", str(tmp_path / "x.json"))
-        assert code == 1
-        assert "InvalidSpec: grid with sizes (99999, 3, 4) has more than" in err
-        assert time.perf_counter() - started < 1.0
+        # 99999 x 3 x 4 grid elements once asked for a 3.93 TiB order matrix: exit 4;
+        # the parse took 41 s to refuse a 3000-element list
+        big = [f"e{i}" for i in range(3000)]
+        instance = json.loads(Path(FIXTURES["i2"]).read_text())
+        instance["posets"]["X"] = {"elements": big}
+        docs = {
+            "grid.json": ({"schema": "roep-poset/1", "grid": [99999, 3, 4]},
+                          "ValidationError: poset: grid has more than 2048 elements"),
+            "list.json": ({"schema": "roep-poset/1", "elements": big},
+                          "ValidationError: poset: more than 2048 elements"),
+            "instance.json": (instance, "ValidationError: posets.X: more than 2048 elements"),
+            # a non-positive extent keeps its own message
+            "extent.json": ({"schema": "roep-poset/1", "grid": [99999, 3, -1]},
+                            "ValidationError: poset: ZeroExtent: grid extents must all be >= 1"),
+        }
+        cases = [(["gen", "--kind", "grid", "--seed", "3", "--sizes", "99999,3,4",
+                   "-o", str(tmp_path / "x.json")],
+                  "InvalidSpec: grid with sizes (99999, 3, 4) has more than")]
+        for name, (doc, message) in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+            cases.append((["validate", str(tmp_path / name)], message))
+        for argv, message in cases:
+            started = time.perf_counter()
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert message in err, argv
+            assert time.perf_counter() - started < 1.0, argv
         assert not (tmp_path / "x.json").exists()
 
     def test_fuzzed_flags_never_exit_4(self, tmp_path):

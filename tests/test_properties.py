@@ -1,6 +1,7 @@
 """Property-based checks over generated posets and instances."""
 
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from ordeq import (
     GenSpec,
     SetValuedMap,
+    build_game,
     gen_instance,
     gen_poset,
+    grid_poset,
     product,
     transitive_closure,
 )
@@ -19,6 +22,7 @@ from ordeq.generate import POSET_KINDS
 
 from oracles import (
     CompletenessOracle,
+    broadcast_optima,
     chains,
     dict_gamma_fixed_points,
     dict_monotonicity,
@@ -171,14 +175,56 @@ def test_monotonicity_matches_dict_referee():
     assert all((name, flag) in seen for name in phi for flag in (True, False))
 
 
-def test_row_chunked_tables_match_dict_referee(monkeypatch):
-    # a one-cell budget makes every broadcast chunk a single row
-    monkeypatch.setattr(equilibrium, "_CHUNK_CELLS", 1)
+def test_row_chunked_tables_match_dict_referee():
+    # global_phi calls _optima one row at a time: each row alone must give
+    # the same optima as the whole table
     for seed in range(20):
         inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=POSET_KINDS[seed % 5])
         assert all(v == dict_phi(inst, x) for x, v in inst.phi_map.entries())
         assert all(v == dict_psi(inst, y) for y, v in inst.psi_map.entries())
         assert inst.solution_set == dict_solution_set(inst)
+        for mask, T, F, lt in ((inst._phi_mask, inst._T, inst._F, inst._lt),
+                               (inst._psi_mask, inst._T.T, inst._G.T, inst._lt.T)):
+            rows = [equilibrium._optima(T[[r]], F[[r]], lt)[0] for r in range(len(T))]
+            assert np.array_equal(mask, np.array(rows))
+
+
+def _masks_match_broadcast(inst):
+    T, F, G, lt = inst._T, inst._F, inst._G, inst._lt
+    assert np.array_equal(inst._phi_mask, broadcast_optima(T, F, lt))
+    assert np.array_equal(inst._psi_mask, broadcast_optima(T.T, G.T, lt.T))
+
+
+def test_optima_match_broadcast_referee_on_the_gen_sweep():
+    # 100 seeds for each poset kind and bias setting, densities 0 to 6/7:
+    # 1000 instances, with a chain U under the bias and a random poset U without
+    totals = set()
+    for seed in range(100, 200):
+        for kind in POSET_KINDS:
+            for bias in (False, True):
+                inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=kind,
+                                       monotone_bias=bias, density=seed % 7 / 7)
+                _masks_match_broadcast(inst)
+                totals.add(inst.U.is_total())
+    assert totals == {True, False}
+
+
+def _grid_game(k, payoff):
+    X = grid_poset((k, k))
+    return build_game(X.full_subset(), X.full_subset(),
+                      {(x, y): payoff(x, y) for x in X.elements for y in X.elements})
+
+
+def test_optima_match_broadcast_referee_on_grid_games():
+    # the 16x16 long utility chain, and an 8x8 game whose payoffs are all
+    # distinct, so that |U| = |C| * |D|
+    long_chain = _grid_game(16, lambda x, y: (x[0] + 16 * x[1]) - Fraction(y[0] + 16 * y[1], 4))
+    distinct = _grid_game(8, lambda x, y: 64 * (x[0] + 8 * x[1]) + y[0] + 8 * y[1])
+    assert (len(long_chain.U), len(distinct.U)) == (1276, 4096)
+    # the scale family, doubled to integer payoffs
+    scale = _grid_game(24, lambda x, y: 2 * (x[0] + 2 * x[1]) - (3 * y[0] + y[1]))
+    for game in (long_chain, distinct, scale):
+        _masks_match_broadcast(game)
 
 
 def _forced(solve, seed):

@@ -203,6 +203,27 @@ class TestGridGameScale:
         assert elapsed < 2.5, f"build + check + solve took {elapsed:.2f} s"
 
 
+    def test_thirty_two_grid_game_builds_checks_and_solves_quickly(self):
+        # 1 048 576 pairs: the row broadcast behind phi and psi made the check
+        # alone take about 19 s
+        X = grid_poset((32, 32))
+        C, D = X.full_subset(), X.full_subset()
+        payoff = {
+            (x, y): 2 * (x[0] + 2 * x[1]) - (3 * y[0] + y[1])
+            for x in X.elements
+            for y in X.elements
+        }
+        started = time.perf_counter()
+        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        hyp = inst.check_hypotheses()
+        rep = inst.solve_maximal()
+        elapsed = time.perf_counter() - started
+        assert hyp.passes
+        assert rep.solution == ((31, 31), (31, 31))
+        assert rep.solutions == {((31, 31), (31, 31))}
+        assert elapsed < 5.0, f"build + check + solve took {elapsed:.2f} s"
+
+
 class TestInvariantBreach:
     def test_non_ascending_trace_raises_under_optimize(self):
         # the invariant must not be an assert, which -O strips
