@@ -22,21 +22,21 @@ dominates = lambda a, b: all(i >= j for i, j in zip(a, b))
 F = SetValuedMap(C, D, {x: {y for y in D.ordered() if dominates(x, y)} for x in C.ordered()})
 G = SetValuedMap(D, C, {y: {x for x in C.ordered() if dominates(x, y)} for y in D.ordered()})
 
+# a game is a problem instance: its utility poset is the chain of its payoffs
 game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=((0, 0), (0, 0)))
-inst = game.instance
-print("distinct payoff values (the utility chain):", [str(v) for v in inst.U.elements])
+print("distinct payoff values (the utility chain):", [str(v) for v in game.U.elements])
 
 result = solve_game(game)
 print("\nclimb:", " -> ".join(map(str, result.report.climb_trace)))
 print("equilibrium:", result.equilibrium, "value:", result.value)
 print("saddle inequalities re-verified on raw rationals:", result.saddle_verified)
 
-print("\nall", len(inst.solution_set), "equilibria (brute force):")
-for s in sorted(inst.solution_set, key=inst.pair_index):
+print("\nall", len(game.solution_set), "equilibria (brute force):")
+for s in sorted(game.solution_set, key=game.pair_index):
     print("  ", s)
 
 # Zero-sum symmetry: transposing the game (negate payoffs, swap constraint
 # maps) swaps the equilibrium coordinates.
 flipped = game.transpose()
-assert {(y, x) for x, y in flipped.instance.solution_set} == inst.solution_set
+assert {(y, x) for x, y in flipped.solution_set} == game.solution_set
 print("\ntransposed game has the mirrored equilibria:", True)

@@ -17,7 +17,10 @@
 #      an import or the assignment alone does not count) somewhere in src/;
 #   6. no unused import: every name a module under src/ordeq/ imports at
 #      module level (from __future__ aside) is used by name in that module
-#      or listed in its __all__.
+#      or listed in its __all__;
+#   7. Python 3.10 grammar: every .py file under src/, tests/, bench/, demos/
+#      and scripts/ parses with ast.parse(..., feature_version=(3, 10)), so
+#      syntax newer than the oldest supported Python fails here, not there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,4 +94,18 @@ for path in sorted(pathlib.Path("src/ordeq").rglob("*.py")):
                     unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
 print("\n".join(unused) or "every module-level import under src/ordeq/ is used")
 sys.exit(1 if unused else 0)
+PY
+
+python3 - <<'PY'
+import ast, pathlib, sys
+paths = sorted(p for root in ("src", "tests", "bench", "demos", "scripts")
+               for p in pathlib.Path(root).rglob("*.py"))
+bad = []
+for path in paths:
+    try:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    except SyntaxError as exc:
+        bad.append(f"{path}:{exc.lineno}: {exc.msg}")
+print("\n".join(bad) or f"{len(paths)} files parse as Python 3.10")
+sys.exit(1 if bad else 0)
 PY

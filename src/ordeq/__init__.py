@@ -36,7 +36,7 @@ from .equilibrium import (
     SolutionCertificate,
     SolutionReport,
 )
-from .games import GameReport, ZeroSumGame, build_game, solve_game, transpose_game
+from .games import GameReport, ZeroSumGame, solve_game
 from .generate import GenSpec, gen_instance, gen_poset
 from .fileio import (
     dump_instance,
@@ -69,9 +69,7 @@ __all__ = [
     "HypothesisReport",
     "ZeroSumGame",
     "GameReport",
-    "build_game",
     "solve_game",
-    "transpose_game",
     "GenSpec",
     "gen_poset",
     "gen_instance",

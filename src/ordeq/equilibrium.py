@@ -262,13 +262,15 @@ class ProblemInstance:
 
     def global_phi(self, x) -> frozenset:
         """phi with the restriction map replaced by the constant map onto D."""
-        values = self._T[[self._row(x)]]
-        return _ids(self._ds, _optima(values, np.ones(values.shape, bool), self._lt)[0])
+        return self._unconstrained.phi(x)
 
     def global_psi(self, y) -> frozenset:
         """psi with the restriction map replaced by the constant map onto C."""
-        values = self._T.T[[self._col(y)]]
-        return _ids(self._cs, _optima(values, np.ones(values.shape, bool), self._lt.T)[0])
+        return self._unconstrained.psi(y)
+
+    @cached_property
+    def _unconstrained(self) -> "ProblemInstance":
+        return self.reduce_to_oep()
 
     @cached_property
     def phi_map(self) -> SetValuedMap:

@@ -99,11 +99,10 @@ def _parse_poset(section: str, data) -> Poset:
         for e in edges
     ):
         raise ValidationError(f"{section}: edges must be a list of [a, b] pairs of strings")
-    kind = data.get("edge_kind", "hasse")
-    if kind not in ("hasse", "full"):
+    if data.get("edge_kind", "hasse") not in ("hasse", "full"):
         raise ValidationError(f"{section}: edge_kind must be 'hasse' or 'full'")
     with _section(section):
-        return load_poset(elements, [tuple(e) for e in edges], edge_kind=kind)
+        return load_poset(elements, [tuple(e) for e in edges])
 
 
 def _parse_subset(section: str, data, posets: dict) -> Subset:
@@ -212,6 +211,9 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
             if v not in exact:
                 exact[v] = _as_fraction(v)
             rows[pair] = exact[v]
+        # U is the chain of the distinct values, a dense |U| x |U| order
+        if len({f.as_integer_ratio() for f in exact.values()}) > _MAX_POSET_ELEMENTS:
+            raise ValidationError(f"payoff: more than {_MAX_POSET_ELEMENTS} distinct values")
         with _section("game"):
             return ZeroSumGame(C, D, rows, F=F, G=G, seed=seed)
 

@@ -27,10 +27,9 @@ import numpy as np
 from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap
-from .poset import GridPoset, Poset, Subset, grid_poset
+from .poset import Poset, Subset
 
-__all__ = ["GridPoset", "grid_poset", "ZeroSumGame", "GameReport", "build_game",
-           "solve_game", "transpose_game"]
+__all__ = ["ZeroSumGame", "GameReport", "solve_game"]
 
 
 # a decimal string's mantissa and exponent, where Fraction reads them; anchored
@@ -87,8 +86,6 @@ class ZeroSumGame(ProblemInstance):
     def __init__(self, C: Subset, D: Subset, payoff: Mapping,
                  F: Optional[SetValuedMap] = None, G: Optional[SetValuedMap] = None,
                  seed: Optional[Pair] = None):
-        if not C.members or not D.members:
-            raise ValidationError("strategy sets must be nonempty")
         codes = _game_codes(C, D, payoff, F, G)
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
@@ -112,17 +109,6 @@ class ZeroSumGame(ProblemInstance):
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
         return ZeroSumGame._from_codes(self.D, self.C, U, (len(U) - 1 - self._T).T,
                                        self._G.T, self._F.T, seed)
-
-
-def build_game(C: Subset, D: Subset, payoff: Mapping,
-               F: Optional[SetValuedMap] = None, G: Optional[SetValuedMap] = None,
-               seed: Optional[Pair] = None) -> ProblemInstance:
-    """Equilibrium-problem view of a zero-sum game.
-
-    The utility poset is the chain over the distinct payoff values in their
-    usual rational order, so the scalar saddle test always applies.
-    """
-    return ProblemInstance._from_codes(C, D, *_game_codes(C, D, payoff, F, G), seed)
 
 
 def _game_codes(C: Subset, D: Subset, payoff: Mapping, F: Optional[SetValuedMap],
@@ -211,7 +197,3 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
             f"reported equilibrium {(x, y)!r} failed the saddle re-verification"
         )
     return GameReport(report=rep, equilibrium=(x, y), value=v, saddle_verified=True)
-
-
-def transpose_game(game: ZeroSumGame) -> ZeroSumGame:
-    return game.transpose()

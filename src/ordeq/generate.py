@@ -1,9 +1,11 @@
 """Deterministic, seeded generation of posets and problem instances.
 
 Everything is a pure function of the GenSpec: the same spec yields the same
-artifact, byte for byte after serialization.  Random posets are built by
-sampling a strict upper-triangular edge set over a shuffled element order
-and closing transitively, which guarantees acyclicity by construction.
+artifact, byte for byte after serialization.  Chains, antichains and Boolean
+lattices are built as their leq matrices (upper triangle, identity, bitmask
+inclusion).  Random posets are built by sampling a strict upper-triangular
+edge set over a shuffled element order and closing transitively, which
+guarantees acyclicity by construction.
 
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  The hypothesis
@@ -23,7 +25,7 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima
 from .errors import FilterExhausted, InvalidSpec, InvariantBreach
 from .maps import increasing_upward
-from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, grid_poset, load_poset
+from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, grid_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -84,21 +86,15 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
            density: float) -> Poset:
     if kind == "chain":
         (n,) = sizes
-        names = [f"{prefix}{i}" for i in range(n)]
-        return load_poset(names, list(zip(names, names[1:])))
+        return Poset([f"{prefix}{i}" for i in range(n)], np.triu(np.ones((n, n), dtype=bool)))
     if kind == "antichain":
         (n,) = sizes
-        return load_poset([f"{prefix}{i}" for i in range(n)])
+        return Poset([f"{prefix}{i}" for i in range(n)], np.eye(n, dtype=bool))
     if kind == "boolean_lattice":
         (k,) = sizes
-        names = [f"{prefix}{i:0{k}b}" for i in range(2 ** k)]
-        edges = [
-            (names[i], names[j])
-            for i in range(2 ** k)
-            for j in range(2 ** k)
-            if i != j and i & j == i
-        ]
-        return load_poset(names, edges, edge_kind="full")
+        # subsets as bitmasks: i <= j iff every bit of i is set in j
+        bits = np.arange(2 ** k)[:, None]
+        return Poset([f"{prefix}{i:0{k}b}" for i in range(2 ** k)], bits & bits.T == bits)
     if kind == "grid":
         return grid_poset(sizes)
     if kind == "random_poset":

@@ -37,6 +37,16 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def _positions(elements: tuple) -> dict:
+    """Each element's first position; DuplicateElement names the first repeat."""
+    # built backwards: a later key overwrites, so each element keeps its first position
+    index = dict(zip(elements[::-1], range(len(elements) - 1, -1, -1)))
+    if len(index) != len(elements):
+        repeat = next(e for i, e in enumerate(elements) if index[e] != i)
+        raise DuplicateElement(f"duplicate element {repeat!r}")
+    return index
+
+
 class Poset:
     """Immutable finite partial order over opaque hashable identifiers.
 
@@ -48,14 +58,7 @@ class Poset:
     def __init__(self, elements: Sequence[Element], leq_matrix: np.ndarray):
         self._elements = tuple(elements)
         n = len(self._elements)
-        # one hash per element; a second pass only to name a duplicate
-        self._index: dict[Element, int] = dict(zip(self._elements, range(n)))
-        if len(self._index) != n:
-            seen = set()
-            for e in self._elements:
-                if e in seen:
-                    raise DuplicateElement(f"duplicate element {e!r}")
-                seen.add(e)
+        self._index: dict[Element, int] = _positions(self._elements)
         m = np.array(leq_matrix, dtype=bool)
         if m.shape != (n, n):
             raise ValueError(f"relation shape {m.shape} does not fit {n} elements")
@@ -136,11 +139,6 @@ class Poset:
         """Principal up-set: every b with a <= b, including a itself."""
         row = self.leq_matrix[self.index(a)]
         return self.subset(e for e, keep in zip(self._elements, row) if keep)
-
-    def down_set(self, a) -> "Subset":
-        """Principal down-set: every b with b <= a, including a itself."""
-        col = self.leq_matrix[:, self.index(a)]
-        return self.subset(e for e, keep in zip(self._elements, col) if keep)
 
     def greatest(self):
         """The order-maximum element, or None if there is none."""
@@ -255,23 +253,15 @@ def product(p_x: Poset, p_y: Poset) -> ProductPoset:
     return ProductPoset(p_x, p_y)
 
 
-def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = (),
-               edge_kind: str = "hasse") -> Poset:
+def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Poset:
     """Build a validated poset from identifiers and order edges.
 
-    The stored relation is the reflexive-transitive closure of the edges;
-    both Hasse diagrams and full relations are accepted (``edge_kind`` only
-    documents the input convention, closure is applied either way).
-    Raises DuplicateElement, UnknownElement, or CycleDetected.
+    The stored relation is the reflexive-transitive closure of the edges, so
+    a Hasse diagram and any relation between it and its closure give one
+    poset.  Raises DuplicateElement, UnknownElement, or CycleDetected.
     """
-    if edge_kind not in ("hasse", "full"):
-        raise ValueError(f"edge_kind must be 'hasse' or 'full', got {edge_kind!r}")
     elements = tuple(elements)
-    index: dict[Element, int] = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise DuplicateElement(f"duplicate element {e!r}")
-        index[e] = i
+    index = _positions(elements)
     adj = np.zeros((len(elements), len(elements)), dtype=bool)
     for a, b in edges:
         for end in (a, b):

@@ -6,8 +6,9 @@ set membership.  They implement the classical constrained saddle conditions
 directly.  The dict-based referee below works on a ProblemInstance's public
 data, one pair at a time, the climb referee on element ids, the completeness
 oracle on a ``leq`` matrix, and the generator referee builds every attempt
-as validated objects.  The broadcast referee works on index codes, as the
-package's optima kernel does, but by another route.
+as validated objects, each poset from an edge list closed by Warshall.  The
+broadcast referee works on index codes, as the package's optima kernel
+does, but by another route.
 """
 
 import random
@@ -299,7 +300,12 @@ class CompletenessOracle:
 # order, so it must produce the same instance, or exhaust on the same specs.
 
 
-def _referee_poset(kind, sizes, rng, prefix, density):
+def referee_poset(kind, sizes, rng, prefix, density):
+    """A generated poset from its edge list, closed by load_poset.
+
+    The generator built every kind this way before chains, antichains and
+    Boolean lattices became their leq matrices.
+    """
     from ordeq import grid_poset, load_poset
 
     if kind == "chain":
@@ -318,7 +324,7 @@ def _referee_poset(kind, sizes, rng, prefix, density):
             for j in range(2 ** k)
             if i != j and i & j == i
         ]
-        return load_poset(names, edges, edge_kind="full")
+        return load_poset(names, edges)
     if kind == "grid":
         return grid_poset(sizes)
     (n,) = sizes
@@ -363,15 +369,15 @@ def build_attempt(spec, attempt_seed):
     rng = random.Random(attempt_seed)
     n_c, n_d, n_u = spec.sizes
     kind = spec.poset_kind
-    X = _referee_poset(kind, _referee_poset_sizes(kind, n_c), rng, "c", spec.density)
-    Y = _referee_poset(kind, _referee_poset_sizes(kind, n_d), rng, "d", spec.density)
+    X = referee_poset(kind, _referee_poset_sizes(kind, n_c), rng, "c", spec.density)
+    Y = referee_poset(kind, _referee_poset_sizes(kind, n_d), rng, "d", spec.density)
     C = X.full_subset()
     D = Y.full_subset()
     u_names = [f"u{i}" for i in range(n_u)]
     if spec.monotone_bias:
         U = load_poset(u_names, list(zip(u_names, u_names[1:])))
     else:
-        U = _referee_poset("random_poset", (n_u,), rng, "u", spec.density)
+        U = referee_poset("random_poset", (n_u,), rng, "u", spec.density)
 
     cs = C.ordered()
     ds = D.ordered()
@@ -438,7 +444,7 @@ def referee_gen_instance(spec):
 
 
 def referee_game_instance(C, D, payoff, F=None, G=None, seed=None):
-    """build_game's instance, with every payoff converted and looked up per cell."""
+    """A game's roep instance, with every payoff converted and looked up per cell."""
     from fractions import Fraction
 
     from ordeq import ObjectiveMap, Poset, ProblemInstance, constant_map

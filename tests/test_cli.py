@@ -46,6 +46,31 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "ValidationError" in err
+        # the file's edge_kind names one of two conventions
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
+        doc["posets"]["X"]["edge_kind"] = "dag"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err == "error: ValidationError: posets.X: edge_kind must be 'hasse' or 'full'\n"
+
+    def test_game_utility_is_capped_as_a_poset_is(self, capsys, tmp_path):
+        # a game's U is the chain of its distinct payoffs, |U| up to |C| * |D|:
+        # a 16x16-grid game with all-distinct payoffs asked for a 4 GiB order
+        cells = [(str(x), str(y)) for x in range(64) for y in range(33)]
+        for distinct, expected in ((2048, 0), (2049, 1)):
+            doc = {"schema": "roep-instance/1", "mode": "game",
+                   "posets": {"X": {"grid": [64]}, "Y": {"grid": [33]}},
+                   "C": {"poset": "X", "members": [str(x) for x in range(64)]},
+                   "D": {"poset": "Y", "members": [str(y) for y in range(33)]},
+                   "payoff": [[x, y, f"{min(k, distinct - 1)}/3"]
+                              for k, (x, y) in enumerate(cells)]}
+            path = tmp_path / f"game{distinct}.json"
+            path.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "validate", str(path))
+            assert code == expected, distinct
+            if expected:
+                assert err == "error: ValidationError: payoff: more than 2048 distinct values\n"
 
 
 class TestCheck:

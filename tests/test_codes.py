@@ -18,7 +18,6 @@ from ordeq import (
     ProblemInstance,
     SetValuedMap,
     ZeroSumGame,
-    build_game,
     gen_instance,
     grid_poset,
     instance_digest,
@@ -111,7 +110,7 @@ class TestBuiltFromCodes:
         parsed = parse_instance_dict(doc)
         payoff = {(x, y): int(v) for x, y, v in doc["payoff"]}
         made = [parsed, ZeroSumGame(parsed.C, parsed.D, payoff, seed=parsed.seed)]
-        made.append(build_game(parsed.C, parsed.D, payoff))
+        made.append(ZeroSumGame(parsed.C, parsed.D, payoff).instance)
         for game in made[:2]:
             solve_game(game)
             made += [game.instance, game.transpose()]

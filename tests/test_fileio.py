@@ -69,6 +69,14 @@ class TestParse:
         assert len(inst.C) == 2 and len(inst.D) == 2
         assert inst.seed == ("c0", "d0")
         assert inst.solution_set == {("c1", "d1")}
+        # U as its closed full relation parses to the same instance as its Hasse form
+        doc = load_doc("i2")
+        us = doc["posets"]["U"]["elements"]
+        doc["posets"]["U"]["edges"] = [[a, b] for i, a in enumerate(us) for b in us[i:]]
+        doc["posets"]["U"]["edge_kind"] = "full"
+        full = parse_instance_dict(doc)
+        assert full.U == inst.U
+        assert instance_digest(full) == instance_digest(inst)
 
     def test_game_fixture(self):
         game = parse_instance(FIXTURES["game2x2"])

@@ -15,11 +15,9 @@ import ordeq.games
 from ordeq import (
     SetValuedMap,
     ZeroSumGame,
-    build_game,
     grid_poset,
     instance_digest,
     solve_game,
-    transpose_game,
 )
 from ordeq.errors import NoSolution, ValidationError, ZeroExtent
 from ordeq.fileio import parse_instance_dict, read_json
@@ -62,13 +60,13 @@ class TestBuildGame:
     def test_constant_payoff_singleton_utility(self):
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
-        inst = build_game(C, D, {(x, y): 0 for x in C.ordered() for y in D.ordered()})
+        inst = ZeroSumGame(C, D, {(x, y): 0 for x in C.ordered() for y in D.ordered()}).instance
         assert len(inst.U) == 1
 
     def test_matching_pennies_utility_is_two_chain(self):
         X, Y = chain("c", 2), chain("d", 2)
         payoff = {("c0", "d0"): 1, ("c0", "d1"): -1, ("c1", "d0"): -1, ("c1", "d1"): 1}
-        inst = build_game(X.full_subset(), Y.full_subset(), payoff)
+        inst = ZeroSumGame(X.full_subset(), Y.full_subset(), payoff).instance
         assert tuple(inst.U.elements) == (Fraction(-1), Fraction(1))
         assert inst.U.is_total()
 
@@ -89,24 +87,23 @@ class TestBuildGame:
             ZeroSumGame(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
 
     def test_build_game_refuses_floats_and_holes(self):
-        # build_game and ZeroSumGame share one builder, and so its checks
+        # a game's roep view is built by the game's one builder, and so its checks
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
         with pytest.raises(ValidationError):
-            build_game(C, D, {(x, y): 0.5 for x in C.ordered() for y in D.ordered()})
+            ZeroSumGame(C, D, {(x, y): 0.5 for x in C.ordered() for y in D.ordered()}).instance
         with pytest.raises(ValidationError, match=r"no entry for \(\(0,\), \(1,\)\)"):
-            build_game(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
+            ZeroSumGame(C, D, {(C.ordered()[0], D.ordered()[0]): 1}).instance
 
     def test_stray_payoff_entry_refused_by_both(self):
-        # the stray value would otherwise join U: build_game gave U = (0, 7)
+        # the stray value would otherwise join U: a per-entry ranking gave U = (0, 7)
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
         payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
         payoff[((5,), (5,))] = 7
-        for build in (build_game, ZeroSumGame):
-            with pytest.raises(ValidationError,
-                               match=r"payoff table has stray entries: \['\(\(5,\), \(5,\)\)'\]"):
-                build(C, D, payoff)
+        with pytest.raises(ValidationError,
+                           match=r"payoff table has stray entries: \['\(\(5,\), \(5,\)\)'\]"):
+            ZeroSumGame(C, D, payoff)
 
     @pytest.mark.parametrize("huge", ["1e5000", 10**5000], ids=["string", "int"])
     def test_payoff_without_a_string_form_refused_by_both(self, huge):
@@ -115,9 +112,8 @@ class TestBuildGame:
         D = grid_poset((2,)).full_subset()
         payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
         payoff[((0,), (0,))] = huge
-        for build in (build_game, ZeroSumGame):
-            with pytest.raises(ValidationError, match="payoff: bad rational"):
-                build(C, D, payoff)
+        with pytest.raises(ValidationError, match="payoff: bad rational"):
+            ZeroSumGame(C, D, payoff)
 
     @pytest.mark.parametrize("bad", [True, None, [1], ([1],), "x", "1/0", "1e5000", 10**5000],
                              ids=["bool", "none", "list", "tuple-of-list", "word",
@@ -130,10 +126,9 @@ class TestBuildGame:
         payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
         payoff[((1,), (0,))] = bad
         shown = "int with no string form" if bad == 10**5000 else repr(bad)
-        for build in (build_game, ZeroSumGame):
-            with pytest.raises(ValidationError) as caught:
-                build(C, D, payoff)
-            assert str(caught.value) == f"payoff: bad rational {shown}"
+        with pytest.raises(ValidationError) as caught:
+            ZeroSumGame(C, D, payoff)
+        assert str(caught.value) == f"payoff: bad rational {shown}"
 
     def test_payoff_exponent_decided_before_its_power_of_ten(self, tmp_path):
         # the file parse's rule: Fraction("1e10000000") alone takes seconds, and a
@@ -141,20 +136,18 @@ class TestBuildGame:
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
         payoff = {(x, y): 1 for x in C.ordered() for y in D.ordered()}
-        for build in (build_game, ZeroSumGame):
-            payoff[((0,), (0,))] = "1e10000000"
-            started = time.perf_counter()
-            with pytest.raises(ValidationError, match="payoff: bad rational '1e10000000'"):
-                build(C, D, payoff)
-            assert time.perf_counter() - started < 1.0
-            payoff[((0,), (0,))] = "0e10000000"
-            started = time.perf_counter()
-            built = build(C, D, payoff)
-            assert time.perf_counter() - started < 1.0
-            inst = built.instance if isinstance(built, ZeroSumGame) else built
-            assert inst.U.elements == (Fraction(0), Fraction(1))
-            instance_digest(built)
-            ordeq.fileio.dump_instance(built, tmp_path / "zero.json")
+        payoff[((0,), (0,))] = "1e10000000"
+        started = time.perf_counter()
+        with pytest.raises(ValidationError, match="payoff: bad rational '1e10000000'"):
+            ZeroSumGame(C, D, payoff)
+        assert time.perf_counter() - started < 1.0
+        payoff[((0,), (0,))] = "0e10000000"
+        started = time.perf_counter()
+        game = ZeroSumGame(C, D, payoff)
+        assert time.perf_counter() - started < 1.0
+        assert game.U.elements == (Fraction(0), Fraction(1))
+        instance_digest(game)
+        ordeq.fileio.dump_instance(game, tmp_path / "zero.json")
 
     def test_seed_outside_strategy_sets_rejected(self):
         # such a seed would be written to a file that parse_instance refuses
@@ -240,7 +233,7 @@ class TestZeroSumSymmetry:
                 (x, y): rng.randint(-2, 2) for x in C.ordered() for y in D.ordered()
             }
             game = ZeroSumGame(C, D, payoff)
-            flipped = transpose_game(game)
+            flipped = game.transpose()
             direct = self.equilibria(game)
             swapped = {(y, x) for (x, y) in self.equilibria(flipped)}
             assert direct == swapped
@@ -252,7 +245,7 @@ class TestZeroSumSymmetry:
         F = SetValuedMap(C, D, {"c0": {"d0"}, "c1": {"d0", "d1"}})
         G = SetValuedMap(D, C, {"d0": {"c0", "c1"}, "d1": {"c1"}})
         game = ZeroSumGame(C, D, payoff, F=F, G=G)
-        flipped = transpose_game(game)
+        flipped = game.transpose()
         assert {(y, x) for (x, y) in flipped.instance.solution_set} == game.instance.solution_set
 
 
@@ -353,13 +346,13 @@ class TestRankingMatchesReferee:
             seed = (cs[0], ds[0])
             ref = referee_game_instance(C, D, payoff, F, G, seed)
             game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=seed)
-            for inst in (game.instance, build_game(C, D, payoff, F=F, G=G, seed=seed)):
-                assert inst.U.elements == ref.U.elements, (k, payoff)
-                assert all(type(u) is Fraction for u in inst.U.elements)
-                assert np.array_equal(inst._T, ref._T), k
-                assert np.array_equal(inst._phi_mask, ref._phi_mask), k
-                assert np.array_equal(inst._psi_mask, ref._psi_mask), k
-                assert instance_digest(inst) == instance_digest(ref), k
+            inst = game.instance
+            assert inst.U.elements == ref.U.elements, (k, payoff)
+            assert all(type(u) is Fraction for u in inst.U.elements)
+            assert np.array_equal(inst._T, ref._T), k
+            assert np.array_equal(inst._phi_mask, ref._phi_mask), k
+            assert np.array_equal(inst._psi_mask, ref._psi_mask), k
+            assert instance_digest(inst) == instance_digest(ref), k
             # the transpose, made on the codes, is the game of the swapped table
             flipped = game.transpose()
             swapped = ZeroSumGame(D, C, {(y, x): -Fraction(v) for (x, y), v in payoff.items()},
@@ -411,10 +404,8 @@ class TestWorkPerDistinctValue:
         made = []
         convert = ordeq.games._as_fraction
         monkeypatch.setattr(ordeq.games, "_as_fraction", lambda v: made.append(v) or convert(v))
-        for build in (ZeroSumGame, build_game):
-            made.clear()
-            build(C, D, payoff)
-            assert 0 < len(made) <= len(set(payoff.values())) < len(payoff)
+        ZeroSumGame(C, D, payoff)
+        assert 0 < len(made) <= len(set(payoff.values())) < len(payoff)
 
     def test_at_most_two_hashes_per_utility_element(self, monkeypatch, grid_game_document):
         # the game is built in the parse; its roep view shares the codes

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from ordeq import GenSpec, ProblemInstance, gen_instance, gen_poset, serialize_i
 from ordeq.errors import FilterExhausted, InvalidSpec
 from ordeq.generate import POSET_KINDS
 
-from oracles import dict_gamma_fixed_points, referee_gen_instance
+from oracles import dict_gamma_fixed_points, referee_gen_instance, referee_poset
 
 
 class TestGenPoset:
@@ -49,6 +50,28 @@ class TestGenPoset:
     def test_instance_kind_rejected(self):
         with pytest.raises(InvalidSpec):
             gen_poset(GenSpec(kind="random_instance", sizes=(2, 2, 2)))
+
+
+class TestOrdersMatchEdgeReferee:
+    # chains, antichains and Boolean lattices are built as their leq matrices;
+    # the referee closes their edge lists, as the generator once did
+
+    @pytest.mark.parametrize("kind", ["chain", "antichain", "boolean_lattice"])
+    def test_small_sizes(self, kind):
+        for size in range(1, 7 if kind == "boolean_lattice" else 10):
+            spec = GenSpec(kind=kind, sizes=(size,))
+            assert gen_poset(spec) == referee_poset(kind, (size,), None, "e", spec.density)
+
+    @pytest.mark.parametrize("kind, size", [("chain", 2048), ("antichain", 2048),
+                                            ("boolean_lattice", 11)])
+    def test_largest_size_in_under_a_second(self, kind, size):
+        # closing the edge lists took 1.6 to 2.1 s at these sizes
+        spec = GenSpec(kind=kind, sizes=(size,))
+        started = time.perf_counter()
+        made = gen_poset(spec)
+        elapsed = time.perf_counter() - started
+        assert made == referee_poset(kind, (size,), None, "e", spec.density)
+        assert elapsed < 1.0, f"gen_poset took {elapsed:.2f} s"
 
 
 class TestGenInstance:

@@ -44,6 +44,9 @@ class TestLoadPoset:
     def test_duplicate_element(self):
         with pytest.raises(DuplicateElement):
             load_poset(["a", "a"])
+        # named before any edge is read or the order is closed
+        with pytest.raises(DuplicateElement, match="duplicate element 'b'"):
+            load_poset(["a", "b", "b", "a"], [("a", "z")])
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(UnknownElement):
@@ -53,7 +56,6 @@ class TestLoadPoset:
         p = load_poset(
             ["a", "b", "c"],
             [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")],
-            edge_kind="full",
         )
         assert p.leq("a", "c")
 

@@ -1,5 +1,6 @@
 """Property-based checks over generated posets and instances."""
 
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ordeq import (
     GenSpec,
     SetValuedMap,
-    build_game,
+    ZeroSumGame,
     gen_instance,
     gen_poset,
     grid_poset,
@@ -176,8 +177,7 @@ def test_monotonicity_matches_dict_referee():
 
 
 def test_row_chunked_tables_match_dict_referee():
-    # global_phi calls _optima one row at a time: each row alone must give
-    # the same optima as the whole table
+    # _optima on each row alone must give the same optima as on the whole table
     for seed in range(20):
         inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=POSET_KINDS[seed % 5])
         assert all(v == dict_phi(inst, x) for x, v in inst.phi_map.entries())
@@ -211,8 +211,8 @@ def test_optima_match_broadcast_referee_on_the_gen_sweep():
 
 def _grid_game(k, payoff):
     X = grid_poset((k, k))
-    return build_game(X.full_subset(), X.full_subset(),
-                      {(x, y): payoff(x, y) for x in X.elements for y in X.elements})
+    return ZeroSumGame(X.full_subset(), X.full_subset(),
+                       {(x, y): payoff(x, y) for x in X.elements for y in X.elements}).instance
 
 
 def test_optima_match_broadcast_referee_on_grid_games():
@@ -225,6 +225,15 @@ def test_optima_match_broadcast_referee_on_grid_games():
     scale = _grid_game(24, lambda x, y: 2 * (x[0] + 2 * x[1]) - (3 * y[0] + y[1]))
     for game in (long_chain, distinct, scale):
         _masks_match_broadcast(game)
+    # the global maps read one cached unconstrained instance: per-row optima,
+    # each converting the 4096 x 4096 order, took 2.56 s here
+    started = time.perf_counter()
+    phis = {x: distinct.global_phi(x) for x in distinct.C.ordered()}
+    psis = {y: distinct.global_psi(y) for y in distinct.D.ordered()}
+    elapsed = time.perf_counter() - started
+    assert all(v == dict_phi(distinct, x, distinct.D.members) for x, v in phis.items())
+    assert all(v == dict_psi(distinct, y, distinct.C.members) for y, v in psis.items())
+    assert elapsed < 0.5, f"global maps took {elapsed:.2f} s"
 
 
 def _forced(solve, seed):

@@ -12,7 +12,7 @@ import pytest
 from ordeq import (
     ObjectiveMap,
     ProblemInstance,
-    build_game,
+    ZeroSumGame,
     constant_map,
     grid_poset,
     load_poset,
@@ -152,7 +152,7 @@ class TestChainGameScale:
         # strategy posets (2**20 - 1 each): over 20 s on a 2-core machine
         C, D = chain("c", 20).full_subset(), chain("d", 20).full_subset()
         payoff = {(f"c{i}", f"d{j}"): i - j for i in range(20) for j in range(20)}
-        inst = build_game(C, D, payoff, seed=("c0", "d0"))
+        inst = ZeroSumGame(C, D, payoff, seed=("c0", "d0")).instance
         started = time.perf_counter()
         hyp = inst.check_hypotheses()
         rep = inst.solve_maximal()
@@ -173,7 +173,7 @@ class TestGridGameScale:
             for x in X.elements
             for y in X.elements
         }
-        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        inst = ZeroSumGame(C, D, payoff, seed=((0, 0), (0, 0))).instance
         hyp = inst.check_hypotheses()
         rep = inst.solve_maximal()
         elapsed = time.perf_counter() - started
@@ -193,7 +193,7 @@ class TestGridGameScale:
             for y in X.elements
         }
         started = time.perf_counter()
-        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        inst = ZeroSumGame(C, D, payoff, seed=((0, 0), (0, 0))).instance
         hyp = inst.check_hypotheses()
         rep = inst.solve_maximal()
         elapsed = time.perf_counter() - started
@@ -214,7 +214,7 @@ class TestGridGameScale:
             for y in X.elements
         }
         started = time.perf_counter()
-        inst = build_game(C, D, payoff, seed=((0, 0), (0, 0)))
+        inst = ZeroSumGame(C, D, payoff, seed=((0, 0), (0, 0))).instance
         hyp = inst.check_hypotheses()
         rep = inst.solve_maximal()
         elapsed = time.perf_counter() - started
