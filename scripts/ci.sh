@@ -21,6 +21,10 @@
 #   7. Python 3.10 grammar: every .py file under src/, tests/, bench/, demos/
 #      and scripts/ parses with ast.parse(..., feature_version=(3, 10)), so
 #      syntax newer than the oldest supported Python fails here, not there.
+# Not a step, since it needs a base revision: scripts/same_outputs.py REV
+# runs the CLI on the fixtures and the benchmark's inputs under this checkout
+# and under REV, and exits 1 on any difference in exit code, stdout, stderr,
+# report or written file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Check that the `ordeq` CLI gives the same outputs as at another revision.
+
+    python3 scripts/same_outputs.py REV
+
+REV's tree goes into a temporary `git worktree` (a local checkout, removed
+at the end).  The `src/` of this checkout and the `src/` of REV then each
+run, in one process per tree, the same list of `ordeq.cli.main` calls on
+the same input files:
+
+- every file under `fixtures/` under `validate`, `check`, `solve --force`,
+  `solve --minimal --force`, `enumerate`, `game` and `game --force`;
+- the seed-1 instance files of every benchmark workload (written by
+  `bench/workloads.py`, which is imported and not changed) under
+  `validate` and each of the workload's commands;
+- the 256 seed-1 `small-batch` `gen` specs.
+
+Each run is hashed over its exit code, stdout, stderr, the `--report`
+document without `elapsed_seconds`, and the file `gen` writes.  The script
+prints the number of runs and the first run that differs, and exits 1 on
+any difference.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
+                    "enumerate", "game", "game --force")
+REPORT, WRITTEN = "report.json", "written.json"
+
+
+def _jobs(inputs: Path) -> list:
+    """(name, argv) of every run; outputs are named relative to the run's directory."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, argv, gen_specs, write_instances
+
+    jobs = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        for command in FIXTURE_COMMANDS:
+            extra = [] if command == "validate" else ["--report", REPORT]
+            jobs.append((f"{path.name} {command}", [*command.split()[:1], str(path),
+                                                   *command.split()[1:], *extra]))
+    for name, workload in WORKLOADS.items():
+        paths = write_instances(name, 1, inputs / name)
+        for path in paths:
+            jobs.append((f"{path.name} validate", ["validate", str(path)]))
+            jobs += [(f"{path.name} {command}", argv(command, str(path), REPORT))
+                     for command in workload.commands if command != "gen"]
+        if "gen" in workload.commands:
+            jobs += [(f"gen {spec}", argv("gen", WRITTEN, REPORT, spec))
+                     for spec in gen_specs(1, workload.instances)]
+    return jobs
+
+
+def _run_jobs(jobs_file: str) -> None:
+    """Run every job in this process, in the current directory; print one JSON result."""
+    from ordeq.cli import main
+
+    results = []
+    for name, args in json.loads(Path(jobs_file).read_text(encoding="utf-8")):
+        for leftover in (REPORT, WRITTEN):
+            Path(leftover).unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse refusing an argument vector
+                code = exc.code
+        report = written = None
+        if Path(REPORT).exists():
+            report = json.loads(Path(REPORT).read_text(encoding="utf-8"))
+            report.pop("elapsed_seconds", None)
+        if Path(WRITTEN).exists():
+            written = Path(WRITTEN).read_text(encoding="utf-8")
+        blob = json.dumps([code, out.getvalue(), err.getvalue(), report, written],
+                          sort_keys=True)
+        results.append([name, hashlib.sha256(blob.encode()).hexdigest(), code,
+                        out.getvalue()[:300], err.getvalue()[:300]])
+    json.dump({"ordeq": sys.modules["ordeq"].__file__, "runs": results}, sys.stdout)
+
+
+def _run_tree(tree: Path, jobs_file: Path, work: Path) -> subprocess.Popen:
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    return subprocess.Popen([sys.executable, __file__, "--run-jobs", str(jobs_file)],
+                            cwd=work, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(base), rev], check=True)
+        try:
+            jobs_file = tmp / "jobs.json"
+            jobs_file.write_text(json.dumps(_jobs(tmp / "inputs")), encoding="utf-8")
+            procs = {tree: _run_tree(tree, jobs_file, tmp / f"work-{k}")
+                     for k, tree in enumerate((base, ROOT))}
+            outputs = {tree: proc.communicate()[0] for tree, proc in procs.items()}
+            if any(proc.returncode for proc in procs.values()):
+                print("a tree's run process failed")
+                return 1
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(base)], check=True)
+    (was, now) = (json.loads(outputs[tree]) for tree in (base, ROOT))
+    for side, tree, result in ((rev, base, was), ("this checkout", ROOT, now)):
+        print(f"{side}: ordeq from {result['ordeq']}")
+        if not Path(result["ordeq"]).resolve().is_relative_to((tree / "src").resolve()):
+            print(f"{side} did not import ordeq from its own src/")
+            return 1
+    print(f"{len(now['runs'])} runs")
+    for old, new in zip(was["runs"], now["runs"]):
+        if old[1] != new[1]:
+            print(f"first difference: {old[0]}")
+            print(f"  {rev}: exit {old[2]}\n    stdout {old[3]!r}\n    stderr {old[4]!r}")
+            print(f"  this checkout: exit {new[2]}\n    stdout {new[3]!r}\n    stderr {new[4]!r}")
+            return 1
+    print("0 differences")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run-jobs"]:
+        _run_jobs(sys.argv[2])
+    elif len(sys.argv) == 2:
+        sys.exit(main(sys.argv[1]))
+    else:
+        sys.exit(__doc__)

@@ -168,8 +168,12 @@ class ProblemInstance:
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
                  F: SetValuedMap, G: SetValuedMap, seed: Optional[Pair] = None):
         _check_parts(C, D, F, G)
-        codes = _table_codes(T.table, C.ordered(), D.ordered(), T.utility.index)
-        self._setup(C, D, T.utility, codes, F.mask(), G.mask().T, seed)
+        try:  # looking every pair up is the check that T is total
+            cells = [T.table[x, y] for x in C.ordered() for y in D.ordered()]
+        except KeyError as exc:
+            raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
+        codes = np.array(list(map(T.utility.index, cells)), dtype=np.intp)
+        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), F.mask(), G.mask().T, seed)
         self.T, self.F, self.G = T, F, G
 
     @classmethod
@@ -549,20 +553,6 @@ def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
         raise ValidationError("F must map C into subsets of D")
     if G is not None and (G.domain != D or G.codomain != C):
         raise ValidationError("G must map D into subsets of C")
-
-
-def _table_codes(table: Mapping, cs: tuple, ds: tuple, position=None) -> np.ndarray:
-    """T as a (|C|, |D|) array: table[x, y], through position when given, per member pair.
-
-    Looking every pair up is the check that T is total.
-    """
-    try:
-        cells = [table[x, y] for x in cs for y in ds]
-    except KeyError as exc:
-        raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
-    if position is not None:
-        cells = list(map(position, cells))
-    return np.array(cells, dtype=np.intp).reshape(len(cs), len(ds))
 
 
 def _mask_map(domain: Subset, codomain: Subset, mask: np.ndarray) -> SetValuedMap:

@@ -6,32 +6,34 @@ an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
 converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
-the API follows too, before the builder there makes the game.  A roep
-document is parsed straight into the index codes an instance is made of:
-each T value is looked up in U once and becomes its position, and F and G
-become membership masks.  Serialization normalizes: element identifiers
-become strings, relations become Hasse edges, rows are emitted in a
-canonical order; parse-then-serialize is idempotent after the first
-normalization pass.  Serialization and digests read the codes too, so
-element ids are converted once per element here, at the file boundary,
-and never once per cell.
+the API follows too, before the builder there makes the game.  An object
+that repeats a key is refused.  Rows become codes in one pass: each T or
+payoff row goes straight into its cell of a flat C x D list, a T value as
+its position in U; F and G become membership masks.  Serialization
+normalizes: element identifiers become strings, relations become Hasse
+edges, rows are emitted in a canonical order; parse-then-serialize is
+idempotent after the first normalization pass.  It reads the codes, so ids
+are converted once per element, never once per cell, and serves
+dump_instance and the API; the digest is encoded from the codes directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate, compress
+from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Union
 
 import numpy as np
 
 from . import __version__
-from .equilibrium import ProblemInstance, _table_codes
-from .errors import OrdeqError, ParseError, ValidationError
-from .games import ZeroSumGame, _as_fraction
+from .equilibrium import ProblemInstance
+from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
+from .games import _HOLE, ZeroSumGame, _as_fraction, _game_codes
 from .maps import SetValuedMap
 from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
 
@@ -122,31 +124,49 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
 def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> SetValuedMap:
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: must be an object of element -> list")
-    table = {}
     for key, values in data.items():
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
-        table[key] = values
     with _section(section):
-        return SetValuedMap(domain, codomain, table)
+        return SetValuedMap(domain, codomain, data)
 
 
-def _parse_rows(section: str, data, C: Subset, D: Subset) -> dict:
+def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> list:
+    """The [x, y, value] rows, in one pass, as a flat C x D list of codes (_HOLE for none).
+
+    A value's code is codes[v], else new(v, pair), which may raise; a value
+    error waits until every row has passed its structure, membership and
+    duplicate checks, so it is the first in row order.
+    """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
-    table = {}
+    rows = {x: i * len(D) for i, x in enumerate(C.ordered())}
+    cols = {y: j for j, y in enumerate(D.ordered())}
+    cells, bad = [_HOLE] * (len(rows) * len(cols)), None
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"{section}: malformed row {row!r}")
         x, y, v = row
-        if not isinstance(x, str) or x not in C.members:
+        i = rows.get(x) if isinstance(x, str) else None
+        if i is None:
             raise ValidationError(f"{section}: row references {x!r}, not a member of C")
-        if not isinstance(y, str) or y not in D.members:
+        j = cols.get(y) if isinstance(y, str) else None
+        if j is None:
             raise ValidationError(f"{section}: row references {y!r}, not a member of D")
-        if (x, y) in table:
+        k = i + j
+        if cells[k] is not _HOLE:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
-        table[(x, y)] = v
-    return table
+        # True and 1 are one dict key, so no bool is looked up
+        t = codes.get(v) if isinstance(v, (str, int)) and not isinstance(v, bool) else None
+        if t is None and bad is None:
+            try:
+                t = new(v, (x, y))
+            except ValidationError as exc:
+                bad = exc
+        cells[k] = t
+    if bad is not None:
+        raise bad
+    return cells
 
 
 def _parse_seed(data, C: Subset, D: Subset):
@@ -202,32 +222,33 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
     seed = _parse_seed(doc.get("seed"), C, D)
 
     if mode == "game":
-        rows = _parse_rows("payoff", _require("document", doc, "payoff"), C, D)
         exact = {}  # raw value -> its one Fraction
-        for pair, v in rows.items():
-            # before the lookup: True and 1 are one dict key
+
+        def fraction(v, pair):
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
-            if v not in exact:
-                exact[v] = _as_fraction(v)
-            rows[pair] = exact[v]
+            return exact.setdefault(v, _as_fraction(v))
+
+        cells = _parse_cells("payoff", _require("document", doc, "payoff"), C, D, exact, fraction)
         # U is the chain of the distinct values, a dense |U| x |U| order
         if len({f.as_integer_ratio() for f in exact.values()}) > _MAX_POSET_ELEMENTS:
             raise ValidationError(f"payoff: more than {_MAX_POSET_ELEMENTS} distinct values")
         with _section("game"):
-            return ZeroSumGame(C, D, rows, F=F, G=G, seed=seed)
+            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells, F, G), seed)
 
-    rows = _parse_rows("T", _require("document", doc, "T"), C, D)
+    def refuse(v, pair):
+        raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
+
     U = posets["U"]
-    for pair, v in rows.items():  # each value becomes its position in U
-        t = U._index.get(v) if isinstance(v, str) else None
-        if t is None:
-            raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
-        rows[pair] = t
+    cells = _parse_cells("T", _require("document", doc, "T"), C, D, U._index, refuse)
     every = np.ones((len(C), len(D)), dtype=bool)
     with _section("instance"):
+        if _HOLE in cells:
+            x, y = divmod(cells.index(_HOLE), len(D))
+            pair = (C.ordered()[x], D.ordered()[y])
+            raise UnknownElement(f"objective table has no entry for {pair!r}")
         return ProblemInstance._from_codes(
-            C, D, U, _table_codes(rows, C.ordered(), D.ordered()),
+            C, D, U, np.array(cells, dtype=np.intp).reshape(len(C), len(D)),
             every if F is None else F.mask(), every if G is None else G.mask().T, seed=seed)
 
 
@@ -235,13 +256,21 @@ def read_json(path):
     """The JSON document in a file; ParseError when it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object_dict)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # an int past Python's digit limit, deep nesting
         raise ParseError(f"cannot parse {path}: {exc}") from exc
+
+
+def _object_dict(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # the later entry would hide the earlier one
+        repeated = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return doc
 
 
 def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
@@ -265,26 +294,25 @@ def _poset_doc(p: Poset) -> dict:
     }
 
 
+def _parts(obj) -> tuple:
+    """An instance's poset documents and the ids of C, D and U, each id converted once."""
+    posets = {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)}
+    if not isinstance(obj, ZeroSumGame):
+        posets["U"] = _poset_doc(obj.U)
+    return (posets, *([element_id(e) for e in es] for es in (obj._cs, obj._ds, obj.U.elements)))
+
+
 def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     """Normalized document for an instance or game; inverse of parse up to ids.
 
-    Read from the instance's index codes: each element id is converted
-    once.  A game's U is the chain of its Fraction payoffs, whose ids are
-    the payoff strings, so its payoff rows are the T rows of a roep.
+    Read from the instance's index codes.  A game's U is the chain of its
+    Fraction payoffs, whose ids are the payoff strings, so its payoff rows
+    are the T rows of a roep.
     """
     game = isinstance(obj, ZeroSumGame)
-    doc = {
-        "schema": INSTANCE_SCHEMA,
-        "mode": "game" if game else "roep",
-        "posets": {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)},
-    }
-    if not game:
-        doc["posets"]["U"] = _poset_doc(obj.U)
-    cs = [element_id(x) for x in obj._cs]
-    ds = [element_id(y) for y in obj._ds]
-    us = [element_id(u) for u in obj.U.elements]
-    doc["C"] = {"poset": "X", "members": cs}
-    doc["D"] = {"poset": "Y", "members": ds}
+    posets, cs, ds, us = _parts(obj)
+    doc = {"schema": INSTANCE_SCHEMA, "mode": "game" if game else "roep", "posets": posets,
+           "C": {"poset": "X", "members": cs}, "D": {"poset": "Y", "members": ds}}
     doc["payoff" if game else "T"] = [
         [x, y, us[t]] for x, row in zip(cs, obj._T.tolist()) for y, t in zip(ds, row)
     ]
@@ -308,9 +336,44 @@ def dump_instance(obj, path) -> None:
 
 
 def instance_digest(obj) -> str:
-    """sha256 over the canonical JSON bytes of the normalized document."""
-    blob = json.dumps(serialize_instance(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 over the canonical text of the normalized document.
+
+    That text is json.dumps(serialize_instance(obj), sort_keys=True,
+    separators=(",", ":")), written here from the codes: each id is
+    JSON-encoded once, and one join writes the rows, three pieces a cell.
+    """
+    game = isinstance(obj, ZeroSumGame)
+    posets, cs, ds, us = _parts(obj)
+    ids = {i for doc in posets.values() for i in doc["elements"]}.union(us)
+    quoted = dict(zip(ids, map(encode_basestring_ascii, ids)))  # what json.dumps writes
+    cq, dq, uq = ([quoted[i] for i in part] for part in (cs, ds, us))
+    cells = np.empty(obj._T.shape + (3,), dtype=object)  # ',["x",' '"y",' '"u"]'
+    cells[..., 0] = np.array([",[" + q + "," for q in cq], dtype=object)[:, None]
+    cells[..., 1] = np.array([q + "," for q in dq], dtype=object)
+    cells[..., 2] = np.array([q + "]" for q in uq], dtype=object)[obj._T]
+    texts = {name: '{"edge_kind":"hasse","edges":[%s],"elements":[%s]}' % (
+        ",".join("[%s,%s]" % (quoted[a], quoted[b]) for a, b in doc["edges"]),
+        ",".join(map(quoted.get, doc["elements"]))) for name, doc in posets.items()}
+    fields = {"C": '{"members":[%s],"poset":"X"}' % ",".join(cq),
+              "D": '{"members":[%s],"poset":"Y"}' % ",".join(dq),
+              "F": _rows_text(cs, obj._F, dq, quoted), "G": _rows_text(ds, obj._G.T, cq, quoted),
+              "payoff" if game else "T": "[%s]" % "".join(cells.ravel().tolist())[1:],
+              "mode": '"game"' if game else '"roep"', "schema": json.dumps(INSTANCE_SCHEMA),
+              "posets": _object_text(texts)}
+    if obj.seed is not None:
+        fields["seed"] = "[%s,%s]" % tuple(quoted[element_id(e)] for e in obj.seed)
+    return hashlib.sha256(_object_text(fields).encode("ascii")).hexdigest()
+
+
+def _object_text(fields: dict) -> str:
+    """An object's canonical text, from plain keys and their values' texts."""
+    return "{%s}" % ",".join('"%s":%s' % item for item in sorted(fields.items()))
+
+
+def _rows_text(keys: list, mask: np.ndarray, values: list, quoted: dict) -> str:
+    """The text of {key: the values where its mask row is set}, keys sorted."""
+    return "{%s}" % ",".join("%s:[%s]" % (quoted[k], ",".join(compress(values, row)))
+                             for k, row in sorted(zip(keys, mask.tolist())))
 
 
 def serialize_poset_doc(p: Poset) -> dict:

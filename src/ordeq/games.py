@@ -31,6 +31,8 @@ from .poset import Poset, Subset
 
 __all__ = ["ZeroSumGame", "GameReport", "solve_game"]
 
+_HOLE = object()  # the payoff cell of a pair that has none
+
 
 # a decimal string's mantissa and exponent, where Fraction reads them; anchored
 # at the start, since a search would rescan a long digit string from each digit
@@ -86,7 +88,12 @@ class ZeroSumGame(ProblemInstance):
     def __init__(self, C: Subset, D: Subset, payoff: Mapping,
                  F: Optional[SetValuedMap] = None, G: Optional[SetValuedMap] = None,
                  seed: Optional[Pair] = None):
-        codes = _game_codes(C, D, payoff, F, G)
+        _check_parts(C, D, F, G)
+        cs, ds = C.ordered(), D.ordered()
+        codes = _game_codes(C, D, [payoff.get((x, y), _HOLE) for x in cs for y in ds], F, G)
+        if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
+            extra = set(payoff) - {(x, y) for x in cs for y in ds}
+            raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
         self._setup(C, D, *codes, seed)
@@ -111,42 +118,37 @@ class ZeroSumGame(ProblemInstance):
                                        self._G.T, self._F.T, seed)
 
 
-def _game_codes(C: Subset, D: Subset, payoff: Mapping, F: Optional[SetValuedMap],
+def _game_codes(C: Subset, D: Subset, cells: list, F: Optional[SetValuedMap],
                 G: Optional[SetValuedMap]) -> tuple:
     """A game's utility chain U and codes T, F and G, from one read of each payoff cell.
 
-    A distinct raw value is converted once, keyed by its lowest terms if it
-    is a Fraction (no Fraction is hashed), else by its type and value (1,
-    1.0 and True never share a key).  Only the distinct values are sorted;
-    no common denominator: on 20 000 values with denominators up to 10**9
-    its lcm had over 312 000 bits, and ranking the scaled integers took 5 s
+    The cells run over C x D in row order, _HOLE where a pair has none.  A
+    distinct raw value is converted once, keyed by its lowest terms if it is
+    a Fraction (no Fraction is hashed), else by its type and value (1, 1.0
+    and True never share a key).  Only the distinct values are sorted; no
+    common denominator: on 20 000 values with denominators up to 10**9 its
+    lcm had over 312 000 bits, and ranking the scaled integers took 5 s
     against 0.05 s for this sort.  An omitted F or G is an all-true mask.
     """
-    _check_parts(C, D, F, G)
     cs, ds = C.ordered(), D.ordered()
-    slots, exact, cells = {}, [], []
-    for x in cs:
-        for y in ds:
-            try:
-                v = payoff[x, y]
-            except KeyError:
-                raise ValidationError(f"payoff table has no entry for {(x, y)!r}") from None
-            key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
-            try:
-                s = slots.get(key)
-            except TypeError:  # an unhashable value is no rational
-                raise _bad_payoff(v) from None
-            if s is None:
-                s = slots[key] = len(exact)
-                exact.append(_as_fraction(v))
-            cells.append(s)
-    if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
-        extra = set(payoff) - {(x, y) for x in cs for y in ds}
-        raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
+    slots, exact, picks = {}, [], []
+    for v in cells:
+        if v is _HOLE:  # the cells read so far number its position
+            x, y = divmod(len(picks), len(ds))
+            raise ValidationError(f"payoff table has no entry for {(cs[x], ds[y])!r}")
+        key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
+        try:
+            s = slots.get(key)
+        except TypeError:  # an unhashable value is no rational
+            raise _bad_payoff(v) from None
+        if s is None:
+            s = slots[key] = len(exact)
+            exact.append(_as_fraction(v))
+        picks.append(s)
     terms = [v.as_integer_ratio() for v in exact]
     values = sorted(dict(zip(terms, exact)).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    T = np.array([rank[t] for t in terms], dtype=np.intp)[cells].reshape(len(cs), len(ds))
+    T = np.array([rank[t] for t in terms], dtype=np.intp)[picks].reshape(len(cs), len(ds))
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
     U = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
     every = np.ones(T.shape, dtype=bool)

@@ -152,11 +152,9 @@ class Poset:
         """Covering pairs (a, b): a < b with nothing strictly between."""
         lt = self.leq_matrix.copy()
         np.fill_diagonal(lt, False)
-        covers = lt & ~_bool_matmul(lt, lt)
-        return [
-            (self._elements[int(i)], self._elements[int(j)])
-            for i, j in np.argwhere(covers)
-        ]
+        i, j = np.nonzero(lt & ~_bool_matmul(lt, lt))  # row-major, as argwhere
+        at = self._elements.__getitem__
+        return list(zip(map(at, i.tolist()), map(at, j.tolist())))
 
 
 @dataclass(frozen=True)

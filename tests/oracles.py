@@ -8,7 +8,8 @@ data, one pair at a time, the climb referee on element ids, the completeness
 oracle on a ``leq`` matrix, and the generator referee builds every attempt
 as validated objects, each poset from an edge list closed by Warshall.  The
 broadcast referee works on index codes, as the package's optima kernel
-does, but by another route.
+does, but by another route.  The digest referee hashes the whole document
+as json.dumps writes it.
 """
 
 import random
@@ -459,3 +460,20 @@ def referee_game_instance(C, D, payoff, F=None, G=None, seed=None):
         G if G is not None else constant_map(D, C),
         seed=seed,
     )
+
+
+# -- the instance digest -------------------------------------------------------
+#
+# The digest as it was computed before its text was encoded from the codes:
+# the whole normalized document through json.dumps.
+
+
+def referee_digest(obj):
+    """sha256 of json.dumps(serialize_instance(obj)) with sorted keys and no spaces."""
+    import hashlib
+    import json
+
+    from ordeq import serialize_instance
+
+    blob = json.dumps(serialize_instance(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -435,6 +435,33 @@ class TestPinnedOutputs:
         expected = (1, "", f"error: ValidationError: {message}\n")
         assert run(capsys, "validate", str(target)) == expected
 
+    # game2x2's payoff rows run over C x D in order: ("0,0", "0,0", "0"),
+    # ("0,0", "0,1", "-1"), ("0,0", "1,0", "-1"), ("0,0", "1,1", "-2"), ...
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows.pop(1),
+         "game: ValidationError: payoff table has no entry for ('0,0', '0,1')"),
+        (lambda rows: rows.append(list(rows[2])), "payoff: duplicate row for ('0,0', '1,0')"),
+        (lambda rows: rows[2].__setitem__(1, "9,9"),
+         "payoff: row references '9,9', not a member of D"),
+        (lambda rows: rows[1].__setitem__(2, True),
+         "payoff: value True must be an integer or rational string"),
+        (lambda rows: rows[1].__setitem__(2, "1/0"), "payoff: bad rational '1/0'"),
+        # every row is checked before any value is: the duplicate is reported
+        (lambda rows: (rows[0].__setitem__(2, True), rows.append(list(rows[3]))),
+         "payoff: duplicate row for ('0,0', '1,1')"),
+        # values are checked in row order, whatever the kind of error
+        (lambda rows: (rows[5].__setitem__(2, "x/y"), rows[9].__setitem__(2, 0.5)),
+         "payoff: bad rational 'x/y'"),
+    ], ids=["hole", "duplicate", "non-member", "true", "bad-rational", "precedence",
+            "value-order"])
+    def test_payoff_table_errors(self, capsys, tmp_path, edit, message):
+        doc = json.loads(Path(FIXTURES["game2x2"]).read_text())
+        edit(doc["payoff"])
+        target = tmp_path / "broken.json"
+        target.write_text(json.dumps(doc))
+        expected = (1, "", f"error: ValidationError: {message}\n")
+        assert run(capsys, "validate", str(target)) == expected
+
 
 def _leaves(node, path=()):
     """Key paths to every scalar and every empty container of a JSON document."""
@@ -548,6 +575,30 @@ class TestMalformedDocuments:
             code, _, err = run(capsys, command, str(target))
             assert code == 1
             assert err.startswith(f"error: ParseError: cannot parse {target}: ")
+
+    @pytest.mark.parametrize("name, opening, repeat, key", [
+        ("i2", '"G": {', '"d1": ["c0"], ', "d1"),
+        ("i2", "{", '"T": [], ', "T"),
+        ("i2", '"posets": {', '"X": {"elements": []}, ', "X"),
+        ("i2", '"posets": {"X": {', '"elements": [], ', "elements"),
+        ("game2x2", "{", '"seed": ["0,0", "0,0"], ', "seed"),
+        ("poset", "{", '"elements": ["a"], ', "elements"),
+    ], ids=["G", "top-level", "posets", "poset-field", "seed", "poset-document"])
+    def test_repeated_json_key(self, capsys, tmp_path, name, opening, repeat, key):
+        # json.load keeps the later entry, so the earlier one vanished unseen
+        if name == "poset":
+            doc = serialize_poset_doc(gen_poset(GenSpec(kind="chain", sizes=(3,), rng_seed=1)))
+        else:
+            doc = json.loads(Path(FIXTURES[name]).read_text())
+        text = json.dumps(doc)
+        assert opening in text
+        target = tmp_path / "repeated.json"
+        target.write_text(text.replace(opening, opening + repeat, 1))
+        for command in ("validate", "check")[:1 if name == "poset" else 2]:
+            expected = f"error: ParseError: cannot parse {target}: repeated key {key!r}\n"
+            assert run(capsys, command, str(target)) == (1, "", expected)
+        target.write_text(text)
+        assert run(capsys, "validate", str(target))[0] == 0
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

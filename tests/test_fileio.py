@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +27,7 @@ from ordeq.errors import NoSolution, ParseError, ValidationError
 from ordeq.fileio import build_report, element_id, parse_instance_dict
 
 from conftest import FIXTURES
-from oracles import climb_ok, pair_lt
+from oracles import climb_ok, pair_lt, referee_digest
 
 
 def _forced_reports():
@@ -312,6 +314,71 @@ class TestRoundTrip:
         assert instance_digest(a) == instance_digest(b)
         c = parse_instance(FIXTURES["i1"])
         assert instance_digest(a) != instance_digest(c)
+
+
+# ids whose JSON text needs escapes, whose raw and quoted orders differ ('a"'
+# sorts before 'a#', its text after), or that print alike as tuple parts
+_ODD_IDS = ['a"', "a#", "b\\c", "d\ne", "\x00", "\u2028", "é", "☃", "𝄞", "f,g", "h:i", "", " "]
+
+
+def _odd_instance(rng, seed):
+    """A roep instance on odd ids, with C a proper subset of X and a random U."""
+    X = load_poset(_ODD_IDS, [(_ODD_IDS[i], _ODD_IDS[i + 3]) for i in range(0, 9, 2)])
+    Y = load_poset([("☃", 1), ('"', (2, "é")), (Fraction(1, 3), "k")],
+                   [(("☃", 1), ('"', (2, "é")))])
+    U = load_poset([Fraction(-1, 2), 3, "u\"", "ü"], [(Fraction(-1, 2), 3), (3, "ü")])
+    C = X.subset(e for e in X.elements if rng.random() < 0.7 or e == "a#")
+    D = Y.full_subset()
+    cs, ds = C.ordered(), D.ordered()
+    T = ObjectiveMap(U, {(x, y): rng.choice(U.elements) for x in cs for y in ds})
+    F = SetValuedMap(C, D, {x: [y for y in ds if rng.random() < 0.6] or ds[:1] for x in cs})
+    G = SetValuedMap(D, C, {y: [x for x in cs if rng.random() < 0.6] or ["a#"] for y in ds})
+    pair = (rng.choice(cs), rng.choice(ds)) if seed else None
+    return ProblemInstance(C, D, T, F, G, seed=pair)
+
+
+class TestDigestReferee:
+    """instance_digest against the hash of the whole document as json.dumps writes it."""
+
+    @pytest.mark.parametrize("name", ["i1", "i2", "i3", "game2x2", "game3x3"])
+    def test_fixtures(self, name):
+        obj = parse_instance(FIXTURES[name])
+        for inst in (obj, getattr(obj, "instance", obj), obj.dual()):
+            assert instance_digest(inst) == referee_digest(inst)
+
+    def test_api_games_with_negative_and_past_float_payoffs(self):
+        X, Y = grid_poset((2, 3)), grid_poset((3, 2))
+        C, D = X.subset(X.elements[1:]), Y.full_subset()
+        values = [Fraction(-7, 3), -(10 ** 400), Fraction(10 ** 400 + 1, 3),
+                  Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400), 0, "-5/2", 4]
+        for seed in range(6):
+            rng = random.Random(seed)
+            payoff = {(x, y): rng.choice(values) for x in C.ordered() for y in D.ordered()}
+            pair = (rng.choice(C.ordered()), rng.choice(D.ordered())) if seed % 2 else None
+            game = ZeroSumGame(C, D, payoff, seed=pair)
+            for obj in (game, game.instance, game.transpose()):
+                assert instance_digest(obj) == referee_digest(obj), seed
+
+    def test_ids_that_need_escapes_or_are_tuples(self):
+        for seed in range(20):
+            inst = _odd_instance(random.Random(seed), seed % 2)
+            assert instance_digest(inst) == referee_digest(inst), seed
+            game = ZeroSumGame(inst.C, inst.D, {
+                (x, y): Fraction(inst.U.index(u) - 1, 3) for (x, y), u in inst.T.table.items()},
+                F=inst.F, G=inst.G, seed=inst.seed)
+            assert instance_digest(game) == referee_digest(game), seed
+
+    def test_grid_subsets_with_and_without_seeds(self):
+        for seed in range(12):
+            rng = random.Random(seed)
+            X, Y, U = grid_poset((3, 2)), grid_poset((2, 2, 2)), grid_poset((2, 3))
+            C = X.subset(rng.sample(X.elements, rng.randint(1, len(X))))
+            D = Y.subset(rng.sample(Y.elements, rng.randint(1, len(Y))))
+            T = ObjectiveMap(U, {(x, y): rng.choice(U.elements)
+                                 for x in C.ordered() for y in D.ordered()})
+            pair = (rng.choice(C.ordered()), rng.choice(D.ordered())) if seed % 2 else None
+            inst = ProblemInstance(C, D, T, constant_map(C, D), constant_map(D, C), seed=pair)
+            assert instance_digest(inst) == referee_digest(inst), seed
 
 
 class TestReports:

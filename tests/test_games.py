@@ -4,6 +4,7 @@ import importlib.util
 import random
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,9 @@ class TestBuildGame:
         D = grid_poset((2,)).full_subset()
         with pytest.raises(ValidationError):
             ZeroSumGame(C, D, {(C.ordered()[0], D.ordered()[0]): 1})
+        # a mapping that makes up missing entries does not fill the holes
+        with pytest.raises(ValidationError, match=r"no entry for \(\(0,\), \(1,\)\)"):
+            ZeroSumGame(C, D, defaultdict(int, {(C.ordered()[0], D.ordered()[0]): 1}))
 
     def test_build_game_refuses_floats_and_holes(self):
         # a game's roep view is built by the game's one builder, and so its checks

@@ -6,11 +6,18 @@ import time
 
 import pytest
 
-from ordeq import GenSpec, ProblemInstance, gen_instance, gen_poset, serialize_instance
+from ordeq import (
+    GenSpec,
+    ProblemInstance,
+    gen_instance,
+    gen_poset,
+    instance_digest,
+    serialize_instance,
+)
 from ordeq.errors import FilterExhausted, InvalidSpec
 from ordeq.generate import POSET_KINDS
 
-from oracles import dict_gamma_fixed_points, referee_gen_instance, referee_poset
+from oracles import dict_gamma_fixed_points, referee_digest, referee_gen_instance, referee_poset
 
 
 class TestGenPoset:
@@ -127,9 +134,11 @@ class TestMatchesObjectReferee:
     @staticmethod
     def _outcome(gen, spec):
         try:
-            return json.dumps(serialize_instance(gen(spec)), sort_keys=True)
+            inst = gen(spec)
         except FilterExhausted as exc:
             return f"FilterExhausted: {exc}"
+        assert instance_digest(inst) == referee_digest(inst), spec
+        return json.dumps(serialize_instance(inst), sort_keys=True)
 
     def test_same_instances_and_exhaustions_on_1000_specs(self):
         rng = random.Random(2017)
