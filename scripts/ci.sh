@@ -15,6 +15,9 @@
 #      defined under src/ordeq/, and every _PRIVATE constant assigned at
 #      module level there, is used by name (a name read or an attribute;
 #      an import or the assignment alone does not count) somewhere in src/;
+#      and every _private attribute src/ordeq/ sets on an object (self._x =
+#      ... or object.__setattr__(self, "_x", ...)) is read as an attribute
+#      somewhere in src/;
 #   6. no unused import: every name a module under src/ordeq/ imports at
 #      module level (from __future__ aside) is used by name in that module
 #      or listed in its __all__;
@@ -58,7 +61,9 @@ PY
 
 python3 - <<'PY'
 import ast, pathlib, sys
-defs, used = [], set()
+private = lambda name: name.startswith("_") and not name.endswith("__")  # noqa: E731
+is_self = lambda node: isinstance(node, ast.Name) and node.id == "self"  # noqa: E731
+defs, attrs, used, read = [], [], set(), set()
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     if "ordeq" in path.parts:
@@ -68,14 +73,26 @@ for path in sorted(pathlib.Path("src").rglob("*.py")):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
-            if "ordeq" in path.parts and name.startswith("_") and not name.endswith("__"):
+            if "ordeq" in path.parts and private(name):
                 defs.append((name, f"{path}:{node.lineno}"))
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif "ordeq" in path.parts and is_self(node.value) and private(node.attr):
+                attrs.append((node.attr, f"{path}:{node.lineno}"))
+        if ("ordeq" in path.parts and isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__" and len(node.args) > 1
+                and is_self(node.args[0]) and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str) and private(node.args[1].value)):
+            attrs.append((node.args[1].value, f"{path}:{node.lineno}"))
 dead = [f"{where}: {name} is never used" for name, where in defs if name not in used]
-print("\n".join(dead) or f"{len(defs)} private definitions under src/ordeq/, each used")
+dead += [f"{where}: attribute {name} is set but never read" for name, where in attrs
+         if name not in read]
+print("\n".join(dead) or f"{len(defs)} private definitions under src/ordeq/, each used; "
+      f"{len({name for name, _ in attrs})} private attributes set there, each read")
 sys.exit(1 if dead else 0)
 PY
 

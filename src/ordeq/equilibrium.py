@@ -153,16 +153,16 @@ class SolutionReport:
 class ProblemInstance:
     """An immutable constrained ordered equilibrium problem, made of index codes.
 
-    The members of C and D are numbered in parent order, so positions sort
-    pairs as pair_index does.  The codes are _T, where _T[i, j] is the
-    position of T(x_i, y_j) in U; _F, where _F[i, j] says y_j is in F(x_i);
-    and _G, where _G[i, j] says x_i is in G(y_j).  The parse, the generator
-    and games (a ZeroSumGame is an instance) build these codes directly.
-    The public constructor keeps its checks and the maps it is given, and
-    converts them once: its lookup of every pair is the check that T is
-    total.  Otherwise T, F and G are views built from the codes on first
-    read.  All operations are pure; the phi and psi masks and the solution
-    set are computed lazily and cached.
+    C and D number their members in parent order, so positions sort pairs
+    as pair_index does.  The codes are _T, where _T[i, j] is the position of
+    T(x_i, y_j) in U; _F, where _F[i, j] says y_j is in F(x_i); and _G, where
+    _G[j, i] says x_i is in G(y_j).  The parse, the generator and games (a
+    ZeroSumGame is an instance) build these codes directly; None for F or G
+    is the all-true mask.  The public constructor keeps its checks and the
+    maps it is given, and converts them once: its lookup of every pair is
+    the check that T is total.  Otherwise T, F and G are views built from
+    the codes on first read.  All operations are pure; the phi and psi
+    masks and the solution set are computed lazily and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
@@ -173,12 +173,12 @@ class ProblemInstance:
         except KeyError as exc:
             raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
         codes = np.array(list(map(T.utility.index, cells)), dtype=np.intp)
-        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), F.mask(), G.mask().T, seed)
+        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), F.mask(), G.mask(), seed)
         self.T, self.F, self.G = T, F, G
 
     @classmethod
-    def _from_codes(cls, C: Subset, D: Subset, U: Poset, T: np.ndarray, F: np.ndarray,
-                    G: np.ndarray, seed: Optional[Pair] = None) -> "ProblemInstance":
+    def _from_codes(cls, C: Subset, D: Subset, U: Poset, T: np.ndarray, F: Optional[np.ndarray],
+                    G: Optional[np.ndarray], seed: Optional[Pair] = None) -> "ProblemInstance":
         """The instance made of these codes; the caller has validated them, this checks the seed."""
         self = cls.__new__(cls)
         self._setup(C, D, U, T, F, G, seed)
@@ -188,9 +188,9 @@ class ProblemInstance:
         # the one setup every instance passes through
         self.C, self.D, self.U = C, D, U
         self._cs, self._ds = C.ordered(), D.ordered()
-        self._c_pos = {x: i for i, x in enumerate(self._cs)}
-        self._d_pos = {y: j for j, y in enumerate(self._ds)}
-        self._T, self._F, self._G = T, F, G
+        self._T = T
+        self._F = np.ones(T.shape, dtype=bool) if F is None else F
+        self._G = np.ones(T.shape[::-1], dtype=bool) if G is None else G
         self._lt = U.leq_matrix & ~np.eye(len(U), dtype=bool)
         self._c_leq, self._d_leq = C.order_matrix(), D.order_matrix()
         self.seed = None if seed is None else self._pair(self._resolve_seed(seed))
@@ -208,7 +208,7 @@ class ProblemInstance:
 
     @cached_property
     def G(self) -> SetValuedMap:
-        return _mask_map(self.D, self.C, self._G.T)
+        return _mask_map(self.D, self.C, self._G)
 
     def __repr__(self):
         return (
@@ -218,14 +218,14 @@ class ProblemInstance:
     # -- positions of elements ------------------------------------------------
 
     def _row(self, x) -> int:
-        if x not in self._c_pos:
+        if x not in self.C._index:
             raise UnknownElement(f"{x!r} is not in C")
-        return self._c_pos[x]
+        return self.C._index[x]
 
     def _col(self, y) -> int:
-        if y not in self._d_pos:
+        if y not in self.D._index:
             raise UnknownElement(f"{y!r} is not in D")
-        return self._d_pos[y]
+        return self.D._index[y]
 
     def _pair(self, p: tuple) -> Pair:
         """The (x, y) pair at positions p."""
@@ -254,7 +254,7 @@ class ProblemInstance:
     @cached_property
     def _psi_mask(self) -> np.ndarray:
         # row j: psi(y_j) over the members of C
-        return _optima(self._T.T, self._G.T, self._lt.T)
+        return _optima(self._T.T, self._G, self._lt.T)
 
     def phi(self, x) -> frozenset:
         """Feasible argmin: y in F(x) whose value T(x, y) is minimal in T(x, F(x))."""
@@ -297,11 +297,11 @@ class ProblemInstance:
     def _certificate(self, i: int, j: int) -> SolutionCertificate:
         """solution_certificate at a pair given as positions."""
         v = self._T[i, j]
-        rows = np.flatnonzero(self._G[:, j])
+        rows = np.flatnonzero(self._G[j])
         cols = np.flatnonzero(self._F[i])
         return SolutionCertificate(
             pair=self._pair((i, j)),
-            feasible_in_g=bool(self._G[i, j]),
+            feasible_in_g=bool(self._G[j, i]),
             feasible_in_f=bool(self._F[i, j]),
             row_candidates=_ids(self._cs, rows, tuple),
             col_candidates=_ids(self._ds, cols, tuple),
@@ -383,7 +383,7 @@ class ProblemInstance:
             raise UnknownElement(f"seed first component {x0!r} is not in C")
         if y0 not in self.D:
             raise UnknownElement(f"seed second component {y0!r} is not in D")
-        return self._c_pos[x0], self._d_pos[y0]
+        return self.C._index[x0], self.D._index[y0]
 
     def pair_index(self, p: Pair) -> tuple[int, int]:
         return (self.C.parent.index(p[0]), self.D.parent.index(p[1]))
@@ -501,10 +501,10 @@ class ProblemInstance:
         if not self.U.is_total():
             raise UtilityNotTotal("scalar saddle check requires a totally ordered utility poset")
         i, j = self._row(x), self._col(y)
-        if not (self._G[i, j] and self._F[i, j]):
+        if not (self._G[j, i] and self._F[i, j]):
             return False
         rank = self.U.leq_matrix.sum(axis=0)  # how many values lie at or below each
-        row_max = rank[self._T[self._G[:, j], j]].max()
+        row_max = rank[self._T[self._G[j], j]].max()
         col_min = rank[self._T[i, self._F[i]]].min()
         return bool(row_max == rank[self._T[i, j]] == col_min)
 
@@ -517,9 +517,8 @@ class ProblemInstance:
         """
         if replace not in ("both", "F", "G"):
             raise ValueError(f"replace must be 'both', 'F' or 'G', got {replace!r}")
-        every = np.ones(self._T.shape, dtype=bool)
-        F = every if replace in ("both", "F") else self._F
-        G = every if replace in ("both", "G") else self._G
+        F = None if replace in ("both", "F") else self._F
+        G = None if replace in ("both", "G") else self._G
         return ProblemInstance._from_codes(self.C, self.D, self.U, self._T, F, G, self.seed)
 
     def dual(self) -> "ProblemInstance":

@@ -8,13 +8,13 @@ integers or rational strings (never booleans or floats), each distinct one
 converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
 the API follows too, before the builder there makes the game.  An object
 that repeats a key is refused.  Rows become codes in one pass: each T or
-payoff row goes straight into its cell of a flat C x D list, a T value as
-its position in U; F and G become membership masks.  Serialization
-normalizes: element identifiers become strings, relations become Hasse
-edges, rows are emitted in a canonical order; parse-then-serialize is
-idempotent after the first normalization pass.  It reads the codes, so ids
-are converted once per element, never once per cell, and serves
-dump_instance and the API; the digest is encoded from the codes directly.
+payoff row goes straight into a flat C x D list, at the positions C and D
+number its ids, a T value as its position in U; F and G become masks, each
+with its domain on rows.  Serialization normalizes: element ids become
+strings, relations become Hasse edges, rows are emitted in a canonical
+order; parse-then-serialize is idempotent after the first pass.  It reads
+the codes, so ids are converted once per element, never once per cell,
+and serves dump_instance and the API; the digest is encoded from the codes.
 """
 
 from __future__ import annotations
@@ -121,14 +121,14 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
         return posets[name].subset(members)
 
 
-def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> SetValuedMap:
+def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: must be an object of element -> list")
     for key, values in data.items():
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
     with _section(section):
-        return SetValuedMap(domain, codomain, data)
+        return SetValuedMap(domain, codomain, data).mask()
 
 
 def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> list:
@@ -140,9 +140,8 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
     """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
-    rows = {x: i * len(D) for i, x in enumerate(C.ordered())}
-    cols = {y: j for j, y in enumerate(D.ordered())}
-    cells, bad = [_HOLE] * (len(rows) * len(cols)), None
+    rows, cols, n_d = C._index, D._index, len(D)
+    cells, bad = [_HOLE] * (len(C) * n_d), None
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"{section}: malformed row {row!r}")
@@ -153,7 +152,7 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
         j = cols.get(y) if isinstance(y, str) else None
         if j is None:
             raise ValidationError(f"{section}: row references {y!r}, not a member of D")
-        k = i + j
+        k = i * n_d + j
         if cells[k] is not _HOLE:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
         # True and 1 are one dict key, so no bool is looked up
@@ -214,11 +213,8 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
     if not D.members:
         raise ValidationError("D: must be nonempty")
 
-    F = G = None
-    if "F" in doc:
-        F = _parse_constraints("F", doc["F"], C, D)
-    if "G" in doc:
-        G = _parse_constraints("G", doc["G"], D, C)
+    F = _parse_constraints("F", doc["F"], C, D) if "F" in doc else None
+    G = _parse_constraints("G", doc["G"], D, C) if "G" in doc else None
     seed = _parse_seed(doc.get("seed"), C, D)
 
     if mode == "game":
@@ -234,22 +230,20 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
         if len({f.as_integer_ratio() for f in exact.values()}) > _MAX_POSET_ELEMENTS:
             raise ValidationError(f"payoff: more than {_MAX_POSET_ELEMENTS} distinct values")
         with _section("game"):
-            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells, F, G), seed)
+            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells), F, G, seed)
 
     def refuse(v, pair):
         raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
 
     U = posets["U"]
     cells = _parse_cells("T", _require("document", doc, "T"), C, D, U._index, refuse)
-    every = np.ones((len(C), len(D)), dtype=bool)
     with _section("instance"):
         if _HOLE in cells:
             x, y = divmod(cells.index(_HOLE), len(D))
             pair = (C.ordered()[x], D.ordered()[y])
             raise UnknownElement(f"objective table has no entry for {pair!r}")
         return ProblemInstance._from_codes(
-            C, D, U, np.array(cells, dtype=np.intp).reshape(len(C), len(D)),
-            every if F is None else F.mask(), every if G is None else G.mask().T, seed=seed)
+            C, D, U, np.array(cells, dtype=np.intp).reshape(len(C), len(D)), F, G, seed=seed)
 
 
 def read_json(path):
@@ -317,7 +311,7 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
         [x, y, us[t]] for x, row in zip(cs, obj._T.tolist()) for y, t in zip(ds, row)
     ]
     doc["F"] = {x: list(compress(ds, row)) for x, row in zip(cs, obj._F.tolist())}
-    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, obj._G.T.tolist())}
+    doc["G"] = {y: list(compress(cs, row)) for y, row in zip(ds, obj._G.tolist())}
     if obj.seed is not None:
         doc["seed"] = [element_id(obj.seed[0]), element_id(obj.seed[1])]
     return doc
@@ -356,7 +350,7 @@ def instance_digest(obj) -> str:
         ",".join(map(quoted.get, doc["elements"]))) for name, doc in posets.items()}
     fields = {"C": '{"members":[%s],"poset":"X"}' % ",".join(cq),
               "D": '{"members":[%s],"poset":"Y"}' % ",".join(dq),
-              "F": _rows_text(cs, obj._F, dq, quoted), "G": _rows_text(ds, obj._G.T, cq, quoted),
+              "F": _rows_text(cs, obj._F, dq, quoted), "G": _rows_text(ds, obj._G, cq, quoted),
               "payoff" if game else "T": "[%s]" % "".join(cells.ravel().tolist())[1:],
               "mode": '"game"' if game else '"roep"', "schema": json.dumps(INSTANCE_SCHEMA),
               "posets": _object_text(texts)}

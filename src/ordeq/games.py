@@ -90,13 +90,14 @@ class ZeroSumGame(ProblemInstance):
                  seed: Optional[Pair] = None):
         _check_parts(C, D, F, G)
         cs, ds = C.ordered(), D.ordered()
-        codes = _game_codes(C, D, [payoff.get((x, y), _HOLE) for x in cs for y in ds], F, G)
+        U, T = _game_codes(C, D, [payoff.get((x, y), _HOLE) for x in cs for y in ds])
         if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
             extra = set(payoff) - {(x, y) for x in cs for y in ds}
             raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
-        self._setup(C, D, *codes, seed)
+        self._setup(C, D, U, T, None if F is None else F.mask(),
+                    None if G is None else G.mask(), seed)
 
     @property
     def payoff(self) -> Mapping:
@@ -115,12 +116,11 @@ class ZeroSumGame(ProblemInstance):
         U = Poset([-v for v in reversed(self.U.elements)], self.U.leq_matrix)
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
         return ZeroSumGame._from_codes(self.D, self.C, U, (len(U) - 1 - self._T).T,
-                                       self._G.T, self._F.T, seed)
+                                       self._G, self._F, seed)
 
 
-def _game_codes(C: Subset, D: Subset, cells: list, F: Optional[SetValuedMap],
-                G: Optional[SetValuedMap]) -> tuple:
-    """A game's utility chain U and codes T, F and G, from one read of each payoff cell.
+def _game_codes(C: Subset, D: Subset, cells: list) -> tuple:
+    """A game's utility chain U and codes T, from one read of each payoff cell.
 
     The cells run over C x D in row order, _HOLE where a pair has none.  A
     distinct raw value is converted once, keyed by its lowest terms if it is
@@ -128,7 +128,7 @@ def _game_codes(C: Subset, D: Subset, cells: list, F: Optional[SetValuedMap],
     and True never share a key).  Only the distinct values are sorted; no
     common denominator: on 20 000 values with denominators up to 10**9 its
     lcm had over 312 000 bits, and ranking the scaled integers took 5 s
-    against 0.05 s for this sort.  An omitted F or G is an all-true mask.
+    against 0.05 s for this sort.
     """
     cs, ds = C.ordered(), D.ordered()
     slots, exact, picks = {}, [], []
@@ -150,9 +150,7 @@ def _game_codes(C: Subset, D: Subset, cells: list, F: Optional[SetValuedMap],
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
     T = np.array([rank[t] for t in terms], dtype=np.intp)[picks].reshape(len(cs), len(ds))
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
-    U = Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool)))
-    every = np.ones(T.shape, dtype=bool)
-    return U, T, every if F is None else F.mask(), every if G is None else G.mask().T
+    return Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool))), T
 
 
 def _order_key(v: Fraction) -> tuple:
@@ -192,7 +190,7 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
     x, y = rep.solution
     i, j, us = game._row(x), game._col(y), game.U.elements
     v = us[game._T[i, j]]
-    row_ok = all(us[t] <= v for t in game._T[game._G[:, j], j].tolist())
+    row_ok = all(us[t] <= v for t in game._T[game._G[j], j].tolist())
     col_ok = all(v <= us[t] for t in game._T[i, game._F[i]].tolist())
     if not (row_ok and col_ok):
         raise InvariantBreach(

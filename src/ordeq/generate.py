@@ -260,7 +260,7 @@ def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
     """
     X, Y, U = (side.build(leq) for side, leq in zip(sides, orders))
     inst = ProblemInstance._from_codes(
-        X.full_subset(), Y.full_subset(), U, T, F, G.T,
+        X.full_subset(), Y.full_subset(), U, T, F, G,
         seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),
     )
     if seed is not None and not inst.check_hypotheses().passes:

@@ -30,6 +30,8 @@ class SetValuedMap:
         for x in self.domain.ordered():
             if x not in self.table:
                 raise ValidationError(f"set-valued map has no entry for {x!r}")
+            if isinstance(self.table[x], str):  # iterable, but its characters are no value
+                raise ValidationError(f"set-valued map value at {x!r} is a string, not a set")
             value = frozenset(self.table[x])
             if not value:
                 raise ValidationError(
@@ -64,9 +66,11 @@ class SetValuedMap:
         Rows and columns follow the parent orders; the shape is
         (len(domain), len(codomain)) even when the domain is empty.
         """
-        cs = self.codomain.ordered()
-        cells = [y in value for _, value in self.entries() for y in cs]
-        return np.array(cells, dtype=bool).reshape(len(self.domain), len(cs))
+        values = list(self.table.values())  # built in domain order
+        mask = np.zeros((len(values), len(self.codomain)), dtype=bool)
+        rows = np.repeat(np.arange(len(values)), list(map(len, values)))
+        mask[rows, [self.codomain._index[y] for value in values for y in value]] = True
+        return mask
 
     def is_singleton_valued(self) -> bool:
         return all(len(v) == 1 for _, v in self.entries())

@@ -159,16 +159,23 @@ class Poset:
 
 @dataclass(frozen=True)
 class Subset:
-    """A subset of a poset's elements; may be empty unless an operation forbids it."""
+    """A subset of a poset's elements; may be empty unless an operation forbids it.
+
+    Its members are numbered once, in parent order; _index maps each to its position.
+    """
 
     parent: Poset
     members: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for e in self.members:
-            if e not in self.parent:
-                raise UnknownElement(f"{e!r} is not an element of the parent poset")
+        members = frozenset(self.members)
+        ordered = tuple(e for e in self.parent.elements if e in members)
+        if len(ordered) < len(members):
+            unknown = next(e for e in members if e not in self.parent)
+            raise UnknownElement(f"{unknown!r} is not an element of the parent poset")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_ordered", ordered)
+        object.__setattr__(self, "_index", dict(zip(ordered, range(len(ordered)))))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -181,11 +188,11 @@ class Subset:
 
     def ordered(self) -> tuple:
         """Members in parent element order (deterministic)."""
-        return tuple(e for e in self.parent.elements if e in self.members)
+        return self._ordered
 
     def order_matrix(self) -> np.ndarray:
         """The parent's leq matrix restricted to the members, in parent order."""
-        idx = [self.parent.index(e) for e in self.ordered()]
+        idx = list(map(self.parent._index.__getitem__, self._ordered))
         return self.parent.leq_matrix[np.ix_(idx, idx)]
 
     def maximal_points(self) -> "Subset":

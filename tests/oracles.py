@@ -9,7 +9,8 @@ oracle on a ``leq`` matrix, and the generator referee builds every attempt
 as validated objects, each poset from an edge list closed by Warshall.  The
 broadcast referee works on index codes, as the package's optima kernel
 does, but by another route.  The digest referee hashes the whole document
-as json.dumps writes it.
+as json.dumps writes it.  The subset and map referees scan the parent poset
+and test each cell for membership.
 """
 
 import random
@@ -477,3 +478,27 @@ def referee_digest(obj):
 
     blob = json.dumps(serialize_instance(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# -- subsets and maps as codes -------------------------------------------------
+#
+# A subset's members in parent order by a scan of the whole parent, and a
+# map's membership mask by one membership test per domain x codomain cell.
+
+
+def scan_ordered(subset):
+    """The members in parent element order, scanning every parent element."""
+    return tuple(e for e in subset.parent.elements if e in subset.members)
+
+
+def scan_order_matrix(subset):
+    """The parent's leq matrix restricted to the scanned members."""
+    idx = [subset.parent.index(e) for e in scan_ordered(subset)]
+    return subset.parent.leq_matrix[np.ix_(idx, idx)]
+
+
+def cell_mask(m):
+    """[i, j]: codomain member j is in the value at domain member i, cell by cell."""
+    cs = scan_ordered(m.codomain)
+    cells = [y in m(x) for x in scan_ordered(m.domain) for y in cs]
+    return np.array(cells, dtype=bool).reshape(len(m.domain), len(cs))

@@ -173,11 +173,12 @@ class TestViews:
 
     def test_views_agree_with_the_codes(self):
         for inst in _instances():
+            assert inst._G.shape == (len(inst.D), len(inst.C))  # row j: G(y_j)
             for i, x in enumerate(inst.C.ordered()):
                 assert inst.F(x) == {y for j, y in enumerate(inst.D.ordered()) if inst._F[i, j]}
                 for j, y in enumerate(inst.D.ordered()):
                     assert inst.T.value(x, y) == inst.U.elements[inst._T[i, j]]
-                    assert (x in inst.G(y)) == inst._G[i, j]
+                    assert (x in inst.G(y)) == inst._G[j, i]
             assert inst.phi_map.table == {x: inst.phi(x) for x in inst.C.ordered()}
             assert inst.psi_map.table == {y: inst.psi(y) for y in inst.D.ordered()}
 

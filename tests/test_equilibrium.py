@@ -5,6 +5,7 @@ integer oracles in oracles.py and frozen here; each test asserts both the
 frozen literal and the oracle's output.
 """
 
+import numpy as np
 import pytest
 
 from ordeq import ObjectiveMap, ProblemInstance, constant_map, load_poset
@@ -14,8 +15,11 @@ from conftest import chain, instance_from_payoff, int_chain
 from oracles import (
     argmax_col,
     argmin_row,
+    cell_mask,
     dict_gamma_fixed_points,
     saddle_solutions,
+    scan_order_matrix,
+    scan_ordered,
     unconstrained_saddles,
 )
 
@@ -261,6 +265,14 @@ class TestProperSubsets:
         assert dict_gamma_fixed_points(inst) == inst.solution_set
         with pytest.raises(UnknownElement):
             inst.phi("c2")  # in X but not in C
+
+    def test_codes_match_the_scan_and_cell_referees(self):
+        inst = self.proper_subset_instance()
+        for m in (inst.F, inst.G, inst.phi_map, inst.psi_map):
+            for s in (m.domain, m.codomain):
+                assert s.ordered() == scan_ordered(s)
+                assert np.array_equal(s.order_matrix(), scan_order_matrix(s))
+            assert np.array_equal(m.mask(), cell_mask(m))
 
     def test_solver_on_proper_subsets(self):
         inst = self.proper_subset_instance()

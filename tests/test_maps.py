@@ -12,6 +12,7 @@ from ordeq import (
     constant_map,
     gen_poset,
     is_constant,
+    load_poset,
     monotonicity_report,
 )
 from ordeq.errors import UnknownElement, ValidationError
@@ -19,7 +20,7 @@ from ordeq.generate import POSET_KINDS
 from ordeq.maps import increasing_upward
 
 from conftest import chain
-from oracles import dict_monotonicity
+from oracles import cell_mask, dict_monotonicity
 
 
 def make_map(table, domain_poset=None, codomain_poset=None):
@@ -49,6 +50,12 @@ class TestSetValuedMap:
         m = make_map({"c0": {"d0"}, "c1": {"d0"}})
         with pytest.raises(UnknownElement):
             m("nope")
+
+    def test_string_value_rejected(self):
+        # a str is iterable, but its characters are no value
+        X, Y = chain("x", 1), load_poset(["a", "b", "ab"])
+        with pytest.raises(ValidationError, match="'x0'"):
+            SetValuedMap(X.full_subset(), Y.full_subset(), {"x0": "ab"})
 
 
 class TestMonotonicityReport:
@@ -168,6 +175,18 @@ class TestMaskKernelMatchesReferee:
         rep = asdict(monotonicity_report(m))
         assert rep == dict_monotonicity(m)
         assert all(flag is True for flag in rep.values())
+
+
+class TestMaskMatchesCellReferee:
+    def test_maps_between_proper_subsets(self):
+        for m in _generated_maps():
+            assert np.array_equal(m.mask(), cell_mask(m))
+
+    def test_empty_domain_keeps_its_shape(self):
+        X, Y = chain("c", 3), chain("d", 3)
+        m = SetValuedMap(X.subset([]), Y.subset(["d0", "d2"]), {})
+        assert m.mask().shape == (0, 2)
+        assert np.array_equal(m.mask(), cell_mask(m))
 
 
 class TestIsConstant:

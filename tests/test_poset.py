@@ -1,9 +1,11 @@
 """Poset construction, validation, queries, extremal points, products."""
 
+import random
+
 import numpy as np
 import pytest
 
-from ordeq import Poset, load_poset, product, transitive_closure
+from ordeq import GenSpec, Poset, gen_poset, load_poset, product, transitive_closure
 from ordeq.errors import (
     CycleDetected,
     DuplicateElement,
@@ -11,8 +13,10 @@ from ordeq.errors import (
     UnknownElement,
 )
 
+from ordeq.generate import POSET_KINDS
+
 from conftest import chain
-from oracles import CompletenessOracle, chains
+from oracles import CompletenessOracle, chains, scan_order_matrix, scan_ordered
 
 
 def antichain(prefix, n):
@@ -216,6 +220,22 @@ class TestProduct:
         for p in prod.elements:
             for q in prod.elements:
                 assert prod.leq(p, q) == (left.leq(p[0], q[0]) and right.leq(p[1], q[1]))
+
+
+class TestSubsetCodes:
+    def test_subsets_match_the_scan_referee(self):
+        # proper, full and empty subsets of every generator poset kind
+        rng = random.Random(2017)
+        for seed in range(20):
+            for kind in POSET_KINDS:
+                sizes = {"grid": (rng.randint(1, 3), rng.randint(2, 4)),
+                         "boolean_lattice": (rng.randint(1, 4),)}.get(kind, (rng.randint(2, 12),))
+                p = gen_poset(GenSpec(kind=kind, sizes=sizes, rng_seed=seed))
+                proper = rng.sample(p.elements, rng.randint(1, len(p) - 1))
+                for members in (proper, p.elements, ()):
+                    s = p.subset(members)
+                    assert s.ordered() == tuple(s) == scan_ordered(s)
+                    assert np.array_equal(s.order_matrix(), scan_order_matrix(s))
 
 
 class TestUpSet:

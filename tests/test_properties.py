@@ -24,6 +24,7 @@ from ordeq.generate import POSET_KINDS
 from oracles import (
     CompletenessOracle,
     broadcast_optima,
+    cell_mask,
     chains,
     dict_gamma_fixed_points,
     dict_monotonicity,
@@ -32,6 +33,8 @@ from oracles import (
     dict_solution_set,
     pair_leq,
     pair_lt,
+    scan_order_matrix,
+    scan_ordered,
 )
 
 SMALL_SIZES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
@@ -184,7 +187,7 @@ def test_row_chunked_tables_match_dict_referee():
         assert all(v == dict_psi(inst, y) for y, v in inst.psi_map.entries())
         assert inst.solution_set == dict_solution_set(inst)
         for mask, T, F, lt in ((inst._phi_mask, inst._T, inst._F, inst._lt),
-                               (inst._psi_mask, inst._T.T, inst._G.T, inst._lt.T)):
+                               (inst._psi_mask, inst._T.T, inst._G, inst._lt.T)):
             rows = [equilibrium._optima(T[[r]], F[[r]], lt)[0] for r in range(len(T))]
             assert np.array_equal(mask, np.array(rows))
 
@@ -192,21 +195,34 @@ def test_row_chunked_tables_match_dict_referee():
 def _masks_match_broadcast(inst):
     T, F, G, lt = inst._T, inst._F, inst._G, inst._lt
     assert np.array_equal(inst._phi_mask, broadcast_optima(T, F, lt))
-    assert np.array_equal(inst._psi_mask, broadcast_optima(T.T, G.T, lt.T))
+    assert np.array_equal(inst._psi_mask, broadcast_optima(T.T, G, lt.T))
 
 
-def test_optima_match_broadcast_referee_on_the_gen_sweep():
-    # 100 seeds for each poset kind and bias setting, densities 0 to 6/7:
-    # 1000 instances, with a chain U under the bias and a random poset U without
-    totals = set()
+def _gen_sweep():
+    """100 seeds for each poset kind and bias setting, densities 0 to 6/7:
+    1000 instances, with a chain U under the bias and a random poset U without."""
     for seed in range(100, 200):
         for kind in POSET_KINDS:
             for bias in (False, True):
-                inst = random_instance(seed, sizes=(6, 6, 12), poset_kind=kind,
-                                       monotone_bias=bias, density=seed % 7 / 7)
-                _masks_match_broadcast(inst)
-                totals.add(inst.U.is_total())
+                yield random_instance(seed, sizes=(6, 6, 12), poset_kind=kind,
+                                      monotone_bias=bias, density=seed % 7 / 7)
+
+
+def test_optima_match_broadcast_referee_on_the_gen_sweep():
+    totals = set()
+    for inst in _gen_sweep():
+        _masks_match_broadcast(inst)
+        totals.add(inst.U.is_total())
     assert totals == {True, False}
+
+
+def test_map_masks_match_cell_referee_on_the_gen_sweep():
+    for inst in _gen_sweep():
+        for m in (inst.F, inst.G, inst.phi_map, inst.psi_map):
+            for s in (m.domain, m.codomain):
+                assert s.ordered() == scan_ordered(s)
+                assert np.array_equal(s.order_matrix(), scan_order_matrix(s))
+            assert np.array_equal(m.mask(), cell_mask(m))
 
 
 def _grid_game(k, payoff):
