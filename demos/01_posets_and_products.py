@@ -6,12 +6,12 @@ Run with: python3 demos/01_posets_and_products.py
 from ordeq import load_poset, product
 
 # A poset is a set of opaque identifiers plus order edges.  Hasse edges are
-# enough: the reflexive-transitive closure is computed and validated on load.
+# enough: the reflexive-transitive closure is computed on load.
 effort = load_poset(["low", "medium", "high"], [("low", "medium"), ("medium", "high")])
 print("low <= high:", effort.leq("low", "high"))
 print("high <= low:", effort.leq("high", "low"))
 
-# Cyclic input is rejected: antisymmetry would fail after closure.
+# Cyclic input is rejected: the closure finds a pair related both ways.
 try:
     load_poset(["a", "b"], [("a", "b"), ("b", "a")])
 except Exception as exc:

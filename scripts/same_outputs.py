@@ -3,13 +3,17 @@
 
     python3 scripts/same_outputs.py REV
 
-REV's tree goes into a temporary `git worktree` (a local checkout, removed
-at the end).  The `src/` of this checkout and the `src/` of REV then each
-run, in one process per tree, the same list of `ordeq.cli.main` calls on
-the same input files:
+REV's `src/` is unpacked into a temporary directory with `git archive`, so
+nothing is written into `.git`.  The `src/` of this checkout and the `src/`
+of REV then each run, in one process per tree, the same list of
+`ordeq.cli.main` calls on the same input files:
 
 - every file under `fixtures/` under `validate`, `check`, `solve --force`,
   `solve --minimal --force`, `enumerate`, `game` and `game --force`;
+- a few edge-case posets (`EDGE_CASES`: cycles, self-loops, repeated edges,
+  no edges) as poset documents under `validate`, and as the X poset of the
+  `i1` fixture under `validate` and `check`, so a cycle's refusal text is
+  compared too;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate` and each of the workload's commands;
@@ -37,6 +41,16 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
                     "enumerate", "game", "game --force")
 REPORT, WRITTEN = "report.json", "written.json"
+EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
+    "two-cycle": (["c0", "c1"], [["c0", "c1"], ["c1", "c0"]]),
+    "cycle-with-tail": (["c0", "c1", "c2", "c3"],
+                        [["c3", "c2"], ["c2", "c0"], ["c0", "c1"], ["c1", "c2"]]),
+    "cycle-after-acyclic-part": (["c0", "c1", "c2", "c3", "c4"],
+                                 [["c0", "c1"], ["c1", "c2"], ["c3", "c4"], ["c4", "c3"]]),
+    "self-loops-and-repeats": (["c0", "c1", "c2"], [["c0", "c0"], ["c0", "c1"], ["c0", "c1"],
+                                                    ["c1", "c2"], ["c2", "c2"]]),
+    "no-edges": (["c0", "c1", "c2"], []),
+}
 
 
 def _jobs(inputs: Path) -> list:
@@ -50,6 +64,18 @@ def _jobs(inputs: Path) -> list:
             extra = [] if command == "validate" else ["--report", REPORT]
             jobs.append((f"{path.name} {command}", [*command.split()[:1], str(path),
                                                    *command.split()[1:], *extra]))
+    base = json.loads((ROOT / "fixtures" / "i1_unconstrained.json").read_text(encoding="utf-8"))
+    edge_cases = inputs / "edge-cases"
+    edge_cases.mkdir(parents=True)
+    for name, (elements, edges) in EDGE_CASES.items():
+        poset = {"elements": elements, "edges": edges, "edge_kind": "full"}
+        doc, instance = edge_cases / f"{name}.poset.json", edge_cases / f"{name}.json"
+        doc.write_text(json.dumps({"schema": "roep-poset/1", **poset}), encoding="utf-8")
+        instance.write_text(json.dumps({**base, "posets": {**base["posets"], "X": poset}}),
+                            encoding="utf-8")
+        jobs.append((f"{doc.name} validate", ["validate", str(doc)]))
+        jobs += [(f"{instance.name} {command}", [command, str(instance)])
+                 for command in ("validate", "check")]
     for name, workload in WORKLOADS.items():
         paths = write_instances(name, 1, inputs / name)
         for path in paths:
@@ -100,20 +126,18 @@ def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base), rev], check=True)
-        try:
-            jobs_file = tmp / "jobs.json"
-            jobs_file.write_text(json.dumps(_jobs(tmp / "inputs")), encoding="utf-8")
-            procs = {tree: _run_tree(tree, jobs_file, tmp / f"work-{k}")
-                     for k, tree in enumerate((base, ROOT))}
-            outputs = {tree: proc.communicate()[0] for tree, proc in procs.items()}
-            if any(proc.returncode for proc in procs.values()):
-                print("a tree's run process failed")
-                return 1
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base)], check=True)
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        jobs_file = tmp / "jobs.json"
+        jobs_file.write_text(json.dumps(_jobs(tmp / "inputs")), encoding="utf-8")
+        procs = {tree: _run_tree(tree, jobs_file, tmp / f"work-{k}")
+                 for k, tree in enumerate((base, ROOT))}
+        outputs = {tree: proc.communicate()[0] for tree, proc in procs.items()}
+        if any(proc.returncode for proc in procs.values()):
+            print("a tree's run process failed")
+            return 1
     (was, now) = (json.loads(outputs[tree]) for tree in (base, ROOT))
     for side, tree, result in ((rev, base, was), ("this checkout", ROOT, now)):
         print(f"{side}: ordeq from {result['ordeq']}")

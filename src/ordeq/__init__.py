@@ -20,7 +20,6 @@ from .poset import (
     grid_poset,
     load_poset,
     product,
-    transitive_closure,
 )
 from .maps import (
     MonotonicityReport,
@@ -56,7 +55,6 @@ __all__ = [
     "load_poset",
     "product",
     "grid_poset",
-    "transitive_closure",
     "SetValuedMap",
     "MonotonicityReport",
     "constant_map",

@@ -87,8 +87,7 @@ def _parse_poset(section: str, data) -> Poset:
             raise ValidationError(f"{section}: grid has more than {_MAX_POSET_ELEMENTS} elements")
         with _section(section):
             base = grid_poset(dims)
-        names = [element_id(e) for e in base.elements]
-        return Poset(names, base.leq_matrix)
+        return Poset._trusted(map(element_id, base.elements), base.leq_matrix)
     _reject_unknown(section, data, {"elements", "edges", "edge_kind"})
     elements = _require(section, data, "elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):

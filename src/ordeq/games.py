@@ -113,7 +113,7 @@ class ZeroSumGame(ProblemInstance):
     def transpose(self) -> "ZeroSumGame":
         """Swap the players: payoff negated and transposed, constraints swapped."""
         # negating reverses the chain: position t becomes |U| - 1 - t, the order stays
-        U = Poset([-v for v in reversed(self.U.elements)], self.U.leq_matrix)
+        U = Poset._trusted([-v for v in reversed(self.U.elements)], self.U.leq_matrix)
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
         return ZeroSumGame._from_codes(self.D, self.C, U, (len(U) - 1 - self._T).T,
                                        self._G, self._F, seed)
@@ -150,7 +150,7 @@ def _game_codes(C: Subset, D: Subset, cells: list) -> tuple:
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
     T = np.array([rank[t] for t in terms], dtype=np.intp)[picks].reshape(len(cs), len(ds))
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
-    return Poset(values, np.triu(np.ones((len(values), len(values)), dtype=bool))), T
+    return Poset._trusted(values, np.triu(np.ones((len(values), len(values)), dtype=bool))), T
 
 
 def _order_key(v: Fraction) -> tuple:

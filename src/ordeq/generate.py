@@ -25,7 +25,7 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima
 from .errors import FilterExhausted, InvalidSpec, InvariantBreach
 from .maps import increasing_upward
-from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, grid_poset
+from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, grid_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -86,20 +86,21 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
            density: float) -> Poset:
     if kind == "chain":
         (n,) = sizes
-        return Poset([f"{prefix}{i}" for i in range(n)], np.triu(np.ones((n, n), dtype=bool)))
+        return Poset._trusted([f"{prefix}{i}" for i in range(n)],
+                              np.triu(np.ones((n, n), dtype=bool)))
     if kind == "antichain":
         (n,) = sizes
-        return Poset([f"{prefix}{i}" for i in range(n)], np.eye(n, dtype=bool))
+        return Poset._trusted([f"{prefix}{i}" for i in range(n)], np.eye(n, dtype=bool))
     if kind == "boolean_lattice":
         (k,) = sizes
         # subsets as bitmasks: i <= j iff every bit of i is set in j
         bits = np.arange(2 ** k)[:, None]
-        return Poset([f"{prefix}{i:0{k}b}" for i in range(2 ** k)], bits & bits.T == bits)
+        return Poset._trusted([f"{prefix}{i:0{k}b}" for i in range(2 ** k)], bits & bits.T == bits)
     if kind == "grid":
         return grid_poset(sizes)
     if kind == "random_poset":
         (n,) = sizes
-        return Poset([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
+        return Poset._trusted([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
     raise InvalidSpec(f"{kind!r} does not generate a poset")
 
 
@@ -107,16 +108,10 @@ def _random_order(n: int, rng: random.Random, density: float) -> np.ndarray:
     """The leq matrix of edges drawn along a shuffled order, then closed."""
     order = list(range(n))
     rng.shuffle(order)
-    drawn = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
-    # every edge points later in `order`: close from its end, one bitset per element
-    up = [0] * n
-    for i in reversed(range(n)):
-        up[i] = 1 << order[i]
-        for j in drawn[i]:
-            up[i] |= up[j]
-    leq = np.empty((n, n), dtype=bool)
-    leq[order] = np.array(up)[:, None] >> np.arange(n) & 1
-    return leq
+    succ = [None] * n  # each element's edges point to elements later in `order`
+    for i in range(n):
+        succ[order[i]] = [order[j] for j in range(i + 1, n) if rng.random() < density]
+    return _close(succ)[0]
 
 
 def gen_poset(spec: GenSpec) -> Poset:
@@ -146,7 +141,7 @@ class _Side:
         return _random_order(len(self.names), rng, self.density)
 
     def build(self, leq: np.ndarray) -> Poset:
-        return self.poset if self.poset is not None else Poset(self.names, leq)
+        return self.poset if self.poset is not None else Poset._trusted(self.names, leq)
 
 
 def _nonempty_subset(rng: random.Random, n: int) -> list:

@@ -1,4 +1,4 @@
-"""Finite partial orders: validated relations, extremal points, products, grids.
+"""Finite partial orders: closed relations, extremal points, products, grids.
 
 Every poset stores its full reflexive, transitively closed boolean incidence
 matrix, so order queries are table lookups.  All objects are immutable after
@@ -16,19 +16,10 @@ from .errors import CycleDetected, DuplicateElement, EmptySubset, UnknownElement
 
 Element = Hashable
 
-# the most elements a generated or parsed poset may have: closing its order
-# costs about n**3 (about 2 s at 2048 elements on 2 cores), and 99999
-# elements would ask for a 10 GB matrix
+# the most elements a generated or parsed poset may have: its order is an
+# n x n matrix (99999 elements would ask for 10 GB), and the monotonicity
+# checks multiply |C| x |C| by |C| x |D| matrices
 _MAX_POSET_ELEMENTS = 2048
-
-
-def transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation matrix (Warshall)."""
-    m = np.array(matrix, dtype=bool)
-    np.fill_diagonal(m, True)
-    for k in range(len(m)):
-        m |= m[:, k, None] & m[None, k, :]
-    return m
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,19 +38,54 @@ def _positions(elements: tuple) -> dict:
     return index
 
 
+def _close(succ: list) -> tuple:
+    """(leq, acyclic): the reflexive-transitive closure of succ[i], i's successors.
+
+    Each node's down-set is one int bitset, final once Kahn's algorithm
+    reaches the node.  Nodes Kahn leaves lie on or after a cycle, as do their
+    successors: leq is then their block, closed by repeated squaring, and the
+    diagonal.
+    """
+    n = len(succ)
+    indeg = [0] * n
+    for i, out in enumerate(succ):
+        for j in out:
+            indeg[j] += j != i  # a self-loop is no cycle
+    down = [1 << i for i in range(n)]
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # Kahn's queue: the loop also reads what it appends
+        for j in succ[i]:
+            down[j] |= down[i]
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < n:
+        left, leq = [i for i in range(n) if indeg[i] > 0], np.eye(n, dtype=bool)
+        for i in left:
+            leq[i, succ[i]] = True
+        block = leq[np.ix_(left, left)]
+        for _ in range((len(left) - 1).bit_length()):  # s squarings span 2**s steps
+            block = _bool_matmul(block, block)
+        leq[np.ix_(left, left)] = block  # every pair related both ways lies in it
+        return leq, False
+    width = -(-n // 8)
+    rows = np.frombuffer(b"".join([b.to_bytes(width, "little") for b in down]), np.uint8)
+    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+    return bits.view(bool).T, True  # column j: the down-set of j
+
+
 class Poset:
     """Immutable finite partial order over opaque hashable identifiers.
 
-    The constructor expects an already reflexive and transitively closed
-    relation and validates it; use :func:`load_poset` to build one from raw
-    edges.  Antisymmetry violations raise :class:`CycleDetected`.
+    The constructor checks that the relation is reflexive, antisymmetric
+    (else :class:`CycleDetected`) and transitively closed; use
+    :func:`load_poset` to build one from raw edges.  The orders the library
+    builds (closures, chains, grids, products, duals) skip these checks.
     """
 
     def __init__(self, elements: Sequence[Element], leq_matrix: np.ndarray):
-        self._elements = tuple(elements)
-        n = len(self._elements)
-        self._index: dict[Element, int] = _positions(self._elements)
-        m = np.array(leq_matrix, dtype=bool)
+        self._adopt(elements, leq_matrix)
+        m, n = self.leq_matrix, len(self._elements)
         if m.shape != (n, n):
             raise ValueError(f"relation shape {m.shape} does not fit {n} elements")
         if n and not m.diagonal().all():
@@ -74,8 +100,19 @@ class Poset:
             )
         if n and (_bool_matmul(m, m) & ~m).any():
             raise ValueError("relation is not transitively closed")
-        m.flags.writeable = False
-        self.leq_matrix = m
+
+    def _adopt(self, elements: Sequence[Element], leq_matrix: np.ndarray) -> None:
+        self._elements = tuple(elements)
+        self._index: dict[Element, int] = _positions(self._elements)
+        self.leq_matrix = np.array(leq_matrix, dtype=bool)
+        self.leq_matrix.flags.writeable = False
+
+    @classmethod
+    def _trusted(cls, elements: Sequence[Element], leq_matrix: np.ndarray) -> "Poset":
+        """A poset on an order the library built closed: the order is not checked."""
+        poset = cls.__new__(cls)
+        poset._adopt(elements, leq_matrix)
+        return poset
 
     @property
     def elements(self) -> tuple:
@@ -127,7 +164,7 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements under the reversed order."""
-        return Poset(self._elements, self.leq_matrix.T)
+        return Poset._trusted(self._elements, self.leq_matrix.T)
 
     def subset(self, members: Iterable) -> "Subset":
         return Subset(self, frozenset(members))
@@ -248,7 +285,7 @@ class ProductPoset(Poset):
         matrix = np.kron(
             left.leq_matrix.astype(np.uint8), right.leq_matrix.astype(np.uint8)
         ).astype(bool)
-        super().__init__(elements, matrix)
+        self._adopt(elements, matrix)
         self.left = left
         self.right = right
 
@@ -267,13 +304,14 @@ def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Pose
     """
     elements = tuple(elements)
     index = _positions(elements)
-    adj = np.zeros((len(elements), len(elements)), dtype=bool)
+    succ = [[] for _ in elements]
     for a, b in edges:
         for end in (a, b):
             if end not in index:
                 raise UnknownElement(f"edge endpoint {end!r} is not a declared element")
-        adj[index[a], index[b]] = True
-    return Poset(elements, transitive_closure(adj))
+        succ[index[a]].append(index[b])
+    leq, acyclic = _close(succ)  # on a cycle Poset(...) refuses leq, naming a pair
+    return Poset._trusted(elements, leq) if acyclic else Poset(elements, leq)
 
 
 class GridPoset(Poset):
@@ -288,7 +326,7 @@ class GridPoset(Poset):
         ).reshape(-1, len(dims))
         elements = [tuple(int(c) for c in row) for row in coords]
         matrix = (coords[:, None, :] <= coords[None, :, :]).all(axis=-1)
-        super().__init__(elements, matrix)
+        self._adopt(elements, matrix)
         self.dims = dims
 
 

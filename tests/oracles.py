@@ -6,13 +6,15 @@ set membership.  They implement the classical constrained saddle conditions
 directly.  The dict-based referee below works on a ProblemInstance's public
 data, one pair at a time, the climb referee on element ids, the completeness
 oracle on a ``leq`` matrix, and the generator referee builds every attempt
-as validated objects, each poset from an edge list closed by Warshall.  The
+as validated objects, each poset from an edge list closed by Warshall and
+checked by the public Poset constructor.  The
 broadcast referee works on index codes, as the package's optima kernel
 does, but by another route.  The digest referee hashes the whole document
 as json.dumps writes it.  The subset and map referees scan the parent poset
 and test each cell for membership.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -302,21 +304,42 @@ class CompletenessOracle:
 # order, so it must produce the same instance, or exhaust on the same specs.
 
 
+def warshall(matrix):
+    """Reflexive-transitive closure of a boolean relation matrix, Theta(n**3)."""
+    m = np.array(matrix, dtype=bool)
+    np.fill_diagonal(m, True)
+    for k in range(len(m)):
+        m |= m[:, k, None] & m[None, k, :]
+    return m
+
+
+def edge_poset(names, edges):
+    """The poset of an edge list, closed by Warshall and checked by Poset(...)."""
+    from ordeq import Poset
+
+    at = {name: i for i, name in enumerate(names)}
+    adj = np.zeros((len(names), len(names)), dtype=bool)
+    for a, b in edges:
+        adj[at[a], at[b]] = True
+    return Poset(names, warshall(adj))
+
+
 def referee_poset(kind, sizes, rng, prefix, density):
-    """A generated poset from its edge list, closed by load_poset.
+    """A generated poset from its edge list, closed by Warshall.
 
     The generator built every kind this way before chains, antichains and
-    Boolean lattices became their leq matrices.
+    Boolean lattices became their leq matrices.  No poset here is built by
+    the package's own closure or without the public constructor's checks.
     """
-    from ordeq import grid_poset, load_poset
+    from ordeq import Poset
 
     if kind == "chain":
         (n,) = sizes
         names = [f"{prefix}{i}" for i in range(n)]
-        return load_poset(names, list(zip(names, names[1:])))
+        return edge_poset(names, list(zip(names, names[1:])))
     if kind == "antichain":
         (n,) = sizes
-        return load_poset([f"{prefix}{i}" for i in range(n)])
+        return edge_poset([f"{prefix}{i}" for i in range(n)], [])
     if kind == "boolean_lattice":
         (k,) = sizes
         names = [f"{prefix}{i:0{k}b}" for i in range(2 ** k)]
@@ -326,9 +349,10 @@ def referee_poset(kind, sizes, rng, prefix, density):
             for j in range(2 ** k)
             if i != j and i & j == i
         ]
-        return load_poset(names, edges)
+        return edge_poset(names, edges)
     if kind == "grid":
-        return grid_poset(sizes)
+        points = list(itertools.product(*map(range, sizes)))
+        return Poset(points, [[all(map(int.__le__, a, b)) for b in points] for a in points])
     (n,) = sizes
     names = [f"{prefix}{i}" for i in range(n)]
     order = list(range(n))
@@ -339,7 +363,7 @@ def referee_poset(kind, sizes, rng, prefix, density):
         for j in range(i + 1, n)
         if rng.random() < density
     ]
-    return load_poset(names, edges)
+    return edge_poset(names, edges)
 
 
 def _referee_poset_sizes(kind, n):
@@ -366,7 +390,7 @@ def _monotone_score(rng, poset, members):
 
 def build_attempt(spec, attempt_seed):
     """One generator attempt as a validated ProblemInstance (no seed)."""
-    from ordeq import ObjectiveMap, ProblemInstance, SetValuedMap, load_poset
+    from ordeq import ObjectiveMap, ProblemInstance, SetValuedMap
 
     rng = random.Random(attempt_seed)
     n_c, n_d, n_u = spec.sizes
@@ -377,7 +401,7 @@ def build_attempt(spec, attempt_seed):
     D = Y.full_subset()
     u_names = [f"u{i}" for i in range(n_u)]
     if spec.monotone_bias:
-        U = load_poset(u_names, list(zip(u_names, u_names[1:])))
+        U = referee_poset("chain", (n_u,), rng, "u", spec.density)
     else:
         U = referee_poset("random_poset", (n_u,), rng, "u", spec.density)
 

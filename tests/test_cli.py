@@ -330,6 +330,24 @@ class TestGen:
             assert time.perf_counter() - started < 1.0, argv
         assert not (tmp_path / "x.json").exists()
 
+    def test_long_cycle_fed_by_a_dense_clump_exits_1_quickly(self, capsys, tmp_path):
+        # Kahn orders the 1024-node clump (16 edges on from each node, and one
+        # into the cycle); only the 1024-node cycle's block is then closed, by
+        # squaring, where Warshall closed all 2048 nodes in about 1.7 s
+        n, k = 2048, 1024
+        ids = [f"v{i}" for i in range(n)]
+        edges = [[ids[i], ids[j]] for i in range(k) for j in range(i + 1, min(i + 17, k))]
+        edges += [[ids[i], ids[k + 7 * i % k]] for i in range(k)]
+        edges += [[ids[i], ids[k + (i + 1) % k]] for i in range(k, n)]
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"schema": "roep-poset/1", "elements": ids, "edges": edges}))
+        started = time.perf_counter()
+        code, _, err = run(capsys, "validate", str(path))
+        assert time.perf_counter() - started < 1.7
+        assert code == 1
+        assert err == ("error: ValidationError: poset: CycleDetected: antisymmetry violated: "
+                       "'v1024' and 'v1025' are related both ways\n")
+
     def test_fuzzed_flags_never_exit_4(self, tmp_path):
         target = str(tmp_path / "x.json")
         sizes = ("0,3,4", "-1,3,4", "a,b,c", "3,3", "", "3", "2,2", "4,4,4", "1", "12",

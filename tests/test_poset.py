@@ -1,11 +1,22 @@
 """Poset construction, validation, queries, extremal points, products."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordeq import GenSpec, Poset, gen_poset, load_poset, product, transitive_closure
+from ordeq import (
+    GenSpec,
+    Poset,
+    ZeroSumGame,
+    gen_instance,
+    gen_poset,
+    grid_poset,
+    load_poset,
+    parse_instance,
+    product,
+)
 from ordeq.errors import (
     CycleDetected,
     DuplicateElement,
@@ -16,7 +27,7 @@ from ordeq.errors import (
 from ordeq.generate import POSET_KINDS
 
 from conftest import chain
-from oracles import CompletenessOracle, chains, scan_order_matrix, scan_ordered
+from oracles import CompletenessOracle, chains, scan_order_matrix, scan_ordered, warshall
 
 
 def antichain(prefix, n):
@@ -65,7 +76,7 @@ class TestLoadPoset:
 
     def test_closure_idempotent(self):
         p = chain("c", 4)
-        again = transitive_closure(p.leq_matrix)
+        again = warshall(p.leq_matrix)
         assert np.array_equal(again, p.leq_matrix)
 
 
@@ -112,6 +123,78 @@ class TestQueries:
         p = load_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
         rebuilt = load_poset(p.elements, p.hasse_edges())
         assert rebuilt == p
+
+
+class TestCheckedConstructor:
+    # the public constructor refuses a relation that is no closed partial order
+
+    def test_refusals_keep_their_messages(self):
+        names = ["a", "b", "c"]
+        with pytest.raises(ValueError, match=r"^relation shape \(2, 2\) does not fit 3 elements$"):
+            Poset(names, np.eye(2, dtype=bool))
+        with pytest.raises(ValueError, match="^relation is not reflexive$"):
+            Poset(names, np.zeros((3, 3), dtype=bool))
+        both = np.eye(3, dtype=bool)
+        both[2, 1] = both[1, 2] = both[0, 2] = both[2, 0] = True
+        with pytest.raises(CycleDetected, match="^antisymmetry violated: 'a' and 'c' "
+                                                "are related both ways$"):
+            Poset(names, both)
+        gap = np.eye(3, dtype=bool)
+        gap[0, 1] = gap[1, 2] = True
+        with pytest.raises(ValueError, match="^relation is not transitively closed$"):
+            Poset(names, gap)
+
+
+class TestNoLibraryPathRunsTheChecks:
+    # every order the library builds is closed by construction, so none of
+    # them goes through the checked constructor (an n**3 matmul per poset)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        init = Poset.__init__
+
+        def counting(self, *args):
+            calls.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(Poset, "__init__", counting)
+        return calls
+
+    def test_the_counter_sees_the_public_constructor(self, checked):
+        Poset(["a"], [[True]])
+        assert checked == ["Poset"]
+
+    def test_parsing_every_fixture(self, checked):
+        paths = sorted(Path(__file__).resolve().parents[1].glob("fixtures/*.json"))
+        for path in paths:
+            if not path.name.endswith(".expected.json"):
+                parse_instance(path)
+        assert len(paths) > 3 and checked == []
+
+    @pytest.mark.parametrize("kind", POSET_KINDS)
+    def test_gen_poset(self, checked, kind):
+        sizes = {"boolean_lattice": (3,), "grid": (2, 3)}.get(kind, (7,))
+        gen_poset(GenSpec(kind=kind, sizes=sizes, rng_seed=3))
+        assert checked == []
+
+    @pytest.mark.parametrize("poset_kind", POSET_KINDS)
+    def test_gen_instance(self, checked, poset_kind):
+        for bias in (False, True):
+            gen_instance(GenSpec(kind="random_instance", sizes=(4, 4, 5), rng_seed=5,
+                                 poset_kind=poset_kind, monotone_bias=bias))
+        assert checked == []
+
+    def test_game_and_its_transpose(self, checked):
+        C, D = grid_poset((2, 2)).full_subset(), grid_poset((3,)).full_subset()
+        game = ZeroSumGame(C, D, {(x, y): sum(x) - 2 * y[0] for x in C for y in D})
+        game.transpose()
+        assert checked == []
+
+    def test_dual_product_and_grid(self, checked):
+        p = chain("c", 3)
+        p.dual(), product(p, p), grid_poset((2, 3)).dual()
+        assert checked == []
 
 
 class TestCountsPast256:

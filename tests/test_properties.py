@@ -5,7 +5,8 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ordeq import (
     GenSpec,
@@ -14,11 +15,11 @@ from ordeq import (
     gen_instance,
     gen_poset,
     grid_poset,
+    load_poset,
     product,
-    transitive_closure,
 )
 from ordeq import equilibrium
-from ordeq.errors import NoSolution
+from ordeq.errors import CycleDetected, NoSolution
 from ordeq.generate import POSET_KINDS
 
 from oracles import (
@@ -31,10 +32,12 @@ from oracles import (
     dict_phi,
     dict_psi,
     dict_solution_set,
+    edge_poset,
     pair_leq,
     pair_lt,
     scan_order_matrix,
     scan_ordered,
+    warshall,
 )
 
 SMALL_SIZES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
@@ -55,7 +58,41 @@ def random_instance(seed, sizes=(4, 4, 6), **kw):
 @settings(max_examples=60, deadline=None)
 def test_closure_idempotence(seed):
     p = random_poset(seed)
-    assert np.array_equal(transitive_closure(p.leq_matrix), p.leq_matrix)
+    assert np.array_equal(warshall(p.leq_matrix), p.leq_matrix)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) over n <= 40 nodes: self-loops and repeats included, and
+    cycles unless the edges were drawn pointing forward."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if draw(st.booleans()):
+        edges = [tuple(sorted(e)) for e in edges]
+    return n, edges
+
+
+@given(edge_lists())
+@example((0, []))
+# a tail into a 6-cycle: 1 reaches 0 only in 5 steps, so the first pair
+# related both ways, (0, 1), needs every squaring of the cycle's block
+@example((9, [(8, 7), (7, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (5, 6)]))
+@settings(max_examples=300, deadline=None)
+def test_load_poset_is_the_checked_warshall_closure(case):
+    n, edges = case
+    names = [f"v{i}" for i in range(n)]
+    named = [(names[a], names[b]) for a, b in edges]
+    try:
+        expected = edge_poset(names, named)
+    except CycleDetected as refused:
+        with pytest.raises(CycleDetected) as got:
+            load_poset(names, named)
+        assert str(got.value) == str(refused)
+    else:
+        assert load_poset(names, named) == expected
 
 
 @given(SEEDS)
