@@ -11,13 +11,16 @@
 #      gen, grid-game the game parse (which builds the game) and its roep
 #      view; each takes a few seconds;
 #   4. no assert statements in src/ (invariants must survive python -O);
-#   5. no dead private helper: every _private function, method or class
-#      defined under src/ordeq/, and every _PRIVATE constant assigned at
-#      module level there, is used by name (a name read or an attribute;
-#      an import or the assignment alone does not count) somewhere in src/;
-#      and every _private attribute src/ordeq/ sets on an object (self._x =
-#      ... or object.__setattr__(self, "_x", ...)) is read as an attribute
-#      somewhere in src/;
+#   5. no dead private helper and no unread attribute: every _private
+#      function, method or class defined under src/ordeq/, and every
+#      _PRIVATE constant assigned at module level there, is used by name (a
+#      name read or an attribute; an import or the assignment alone does not
+#      count) somewhere in src/;
+#      every _private attribute src/ordeq/ sets on self (self._x = ...,
+#      also as one target of a tuple assignment, or object.__setattr__(self,
+#      "_x", ...)) is read as an attribute somewhere in src/; and every
+#      public attribute it sets that way is read as an attribute somewhere
+#      in src/, tests/, demos/, bench/ or scripts/;
 #   6. no unused import: every name a module under src/ordeq/ imports at
 #      module level (from __future__ aside) is used by name in that module
 #      or listed in its __all__;
@@ -63,9 +66,14 @@ python3 - <<'PY'
 import ast, pathlib, sys
 private = lambda name: name.startswith("_") and not name.endswith("__")  # noqa: E731
 is_self = lambda node: isinstance(node, ast.Name) and node.id == "self"  # noqa: E731
-defs, attrs, used, read = [], [], set(), set()
-for path in sorted(pathlib.Path("src").rglob("*.py")):
+defs, attrs, used, read, read_outside = [], [], set(), set(), set()
+for path in sorted(p for root in ("src", "tests", "demos", "bench", "scripts")
+                   for p in pathlib.Path(root).rglob("*.py")):
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.parts[0] != "src":
+        read_outside |= {node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        continue
     if "ordeq" in path.parts:
         defs += [(t.id, f"{path}:{node.lineno}") for node in tree.body
                  if isinstance(node, ast.Assign) for t in node.targets
@@ -81,18 +89,18 @@ for path in sorted(pathlib.Path("src").rglob("*.py")):
             used.add(node.attr)
             if isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif "ordeq" in path.parts and is_self(node.value) and private(node.attr):
+            elif "ordeq" in path.parts and is_self(node.value):
                 attrs.append((node.attr, f"{path}:{node.lineno}"))
         if ("ordeq" in path.parts and isinstance(node, ast.Call)
                 and ast.unparse(node.func) == "object.__setattr__" and len(node.args) > 1
                 and is_self(node.args[0]) and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str) and private(node.args[1].value)):
+                and isinstance(node.args[1].value, str)):
             attrs.append((node.args[1].value, f"{path}:{node.lineno}"))
 dead = [f"{where}: {name} is never used" for name, where in defs if name not in used]
 dead += [f"{where}: attribute {name} is set but never read" for name, where in attrs
-         if name not in read]
+         if name not in (read if private(name) else read | read_outside)]
 print("\n".join(dead) or f"{len(defs)} private definitions under src/ordeq/, each used; "
-      f"{len({name for name, _ in attrs})} private attributes set there, each read")
+      f"{len({name for name, _ in attrs})} attributes set there, each read")
 sys.exit(1 if dead else 0)
 PY
 

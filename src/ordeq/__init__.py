@@ -12,15 +12,7 @@ batch front end; :mod:`ordeq.fileio` the JSON file formats.
 __version__ = "0.1.0"
 
 from . import errors
-from .poset import (
-    GridPoset,
-    Poset,
-    ProductPoset,
-    Subset,
-    grid_poset,
-    load_poset,
-    product,
-)
+from .poset import Poset, Subset, grid_poset, load_poset, product
 from .maps import (
     MonotonicityReport,
     SetValuedMap,
@@ -50,8 +42,6 @@ __all__ = [
     "errors",
     "Poset",
     "Subset",
-    "ProductPoset",
-    "GridPoset",
     "load_poset",
     "product",
     "grid_poset",

@@ -20,7 +20,7 @@ hold.  Element ids come back only where a result leaves the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
@@ -351,19 +351,20 @@ class ProblemInstance:
         """Evaluate the existence-theorem preconditions at a seed pair.
 
         With direction "minimal" these are the order-dual conditions of the
-        descending climb: phi and psi increasing downward (reported under
-        the upward names, as for the dual instance), and a witness below
-        the seed.
+        descending climb: every flag is taken under the reversed orders of C
+        and D, as for the dual instance, so "increasing upward" there means
+        increasing downward here; the seed witness lies below the seed.
         """
         return self._hypotheses(self._resolve_seed(seed), direction)
 
     def _hypotheses(self, seed: tuple, direction: str) -> HypothesisReport:
         """check_hypotheses at a seed given as positions."""
-        phi_rep = self.phi_monotonicity
-        psi_rep = self.psi_monotonicity
         c_leq, d_leq = self._orders(direction)
-        if direction == "minimal":
-            phi_rep, psi_rep = _flip(phi_rep), _flip(psi_rep)
+        if direction == "maximal":
+            phi_rep, psi_rep = self.phi_monotonicity, self.psi_monotonicity
+        else:
+            phi_rep = mask_monotonicity(self._phi_mask, c_leq, d_leq)
+            psi_rep = mask_monotonicity(self._psi_mask, d_leq, c_leq)
         i, j = seed
         zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
         us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
@@ -567,10 +568,3 @@ def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):
         return kind(compress(elements, picks.tolist()))
     return kind(map(elements.__getitem__, picks.tolist()))
 
-
-def _flip(rep: MonotonicityReport) -> MonotonicityReport:
-    """The same map's report with both orders reversed: up and down swap."""
-    return replace(rep, increasing_upward=rep.increasing_downward,
-                   increasing_downward=rep.increasing_upward,
-                   decreasing_upward=rep.decreasing_downward,
-                   decreasing_downward=rep.decreasing_upward)

@@ -30,7 +30,7 @@ class ZeroExtent(OrdeqError):
 
 
 class InvalidSpec(OrdeqError):
-    """A generator specification is malformed or exceeds the configured caps."""
+    """A generator specification is malformed or exceeds the generator's caps."""
 
 
 class FilterExhausted(OrdeqError):

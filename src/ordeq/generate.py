@@ -29,6 +29,7 @@ from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, grid_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
+_CAPS = (6, 6, 12)  # the largest (|C|, |D|, |U|) gen_instance draws
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class GenSpec:
     filter: str = "none"
     poset_kind: str = "random_poset"  # shape of C and D in random instances
     max_retries: int = 200
-    caps: tuple = (6, 6, 12)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -98,10 +98,8 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
         return Poset._trusted([f"{prefix}{i:0{k}b}" for i in range(2 ** k)], bits & bits.T == bits)
     if kind == "grid":
         return grid_poset(sizes)
-    if kind == "random_poset":
-        (n,) = sizes
-        return Poset._trusted([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
-    raise InvalidSpec(f"{kind!r} does not generate a poset")
+    (n,) = sizes  # random_poset: GenSpec and gen_poset admit no other kind
+    return Poset._trusted([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
 
 
 def _random_order(n: int, rng: random.Random, density: float) -> np.ndarray:
@@ -206,9 +204,8 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
-    caps = spec.caps
-    if any(s > c for s, c in zip(spec.sizes, caps)):
-        raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {caps}")
+    if any(s > c for s, c in zip(spec.sizes, _CAPS)):
+        raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {_CAPS}")
 
     kind, density, n_u = spec.poset_kind, spec.density, spec.sizes[2]
     sides = (

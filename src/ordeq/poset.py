@@ -1,13 +1,17 @@
 """Finite partial orders: closed relations, extremal points, products, grids.
 
 Every poset stores its full reflexive, transitively closed boolean incidence
-matrix, so order queries are table lookups.  All objects are immutable after
-construction and safe to share across threads.
+matrix, so order queries are table lookups.  Products and grids are plain
+posets: :func:`product` and :func:`grid_poset` only build their elements and
+orders.  All objects are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -80,7 +84,8 @@ class Poset:
     The constructor checks that the relation is reflexive, antisymmetric
     (else :class:`CycleDetected`) and transitively closed; use
     :func:`load_poset` to build one from raw edges.  The orders the library
-    builds (closures, chains, grids, products, duals) skip these checks.
+    builds (closures, chains, grids, products, duals) skip these checks;
+    a grid or a product is such a poset, with no class of its own.
     """
 
     def __init__(self, elements: Sequence[Element], leq_matrix: np.ndarray):
@@ -273,26 +278,25 @@ def _greatest(elements: tuple, leq: np.ndarray):
     return elements[int(idx[0])] if len(idx) else None
 
 
-class ProductPoset(Poset):
-    """Poset of pairs from two factors under the component-wise order.
+def product(p_x: Poset, p_y: Poset) -> Poset:
+    """Pairs from two posets under the component-wise order.
 
-    (x1, y1) <= (x2, y2) iff x1 <= x2 in the left factor and y1 <= y2 in
-    the right one; the relation is materialized exhaustively over all pairs.
+    (x1, y1) <= (x2, y2) iff x1 <= x2 in p_x and y1 <= y2 in p_y.
     """
-
-    def __init__(self, left: Poset, right: Poset):
-        elements = [(a, b) for a in left.elements for b in right.elements]
-        matrix = np.kron(
-            left.leq_matrix.astype(np.uint8), right.leq_matrix.astype(np.uint8)
-        ).astype(bool)
-        self._adopt(elements, matrix)
-        self.left = left
-        self.right = right
+    return Poset._trusted(itertools.product(p_x, p_y), np.kron(p_x.leq_matrix, p_y.leq_matrix))
 
 
-def product(p_x: Poset, p_y: Poset) -> ProductPoset:
-    """Component-wise product order on pairs of elements."""
-    return ProductPoset(p_x, p_y)
+def grid_poset(dims: Sequence[int]) -> Poset:
+    """Integer coordinate tuples below dims, ordered component-wise; (2, 2) is the diamond.
+
+    The order is the Kronecker product of one chain per extent, in the
+    row-major order itertools.product lists the tuples in.
+    """
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ZeroExtent(f"grid extents must all be >= 1, got {dims}")
+    chains = (np.triu(np.ones((d, d), dtype=bool)) for d in dims)
+    return Poset._trusted(itertools.product(*map(range, dims)), reduce(np.kron, chains))
 
 
 def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Poset:
@@ -312,24 +316,3 @@ def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Pose
         succ[index[a]].append(index[b])
     leq, acyclic = _close(succ)  # on a cycle Poset(...) refuses leq, naming a pair
     return Poset._trusted(elements, leq) if acyclic else Poset(elements, leq)
-
-
-class GridPoset(Poset):
-    """Integer coordinate tuples below given extents, ordered component-wise."""
-
-    def __init__(self, dims: Sequence[int]):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ZeroExtent(f"grid extents must all be >= 1, got {dims}")
-        coords = np.stack(
-            np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"), axis=-1
-        ).reshape(-1, len(dims))
-        elements = [tuple(int(c) for c in row) for row in coords]
-        matrix = (coords[:, None, :] <= coords[None, :, :]).all(axis=-1)
-        self._adopt(elements, matrix)
-        self.dims = dims
-
-
-def grid_poset(dims: Sequence[int]) -> GridPoset:
-    """Finite grid under the component-wise order; dims (2, 2) is the diamond."""
-    return GridPoset(dims)

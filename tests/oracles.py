@@ -11,7 +11,8 @@ checked by the public Poset constructor.  The
 broadcast referee works on index codes, as the package's optima kernel
 does, but by another route.  The digest referee hashes the whole document
 as json.dumps writes it.  The subset and map referees scan the parent poset
-and test each cell for membership.
+and test each cell for membership.  The grid referee lays the coordinates
+out with np.meshgrid and compares them axis by axis.
 """
 
 import itertools
@@ -322,6 +323,19 @@ def edge_poset(names, edges):
     for a, b in edges:
         adj[at[a], at[b]] = True
     return Poset(names, warshall(adj))
+
+
+def meshgrid_grid(dims):
+    """(elements, leq) of a grid as it was built before the Kronecker order.
+
+    np.meshgrid lays out the coordinates; x <= y iff every coordinate of x is
+    at most y's.  np.meshgrid takes at most 32 axes.
+    """
+    coords = np.stack(
+        np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"), axis=-1
+    ).reshape(-1, len(dims))
+    elements = [tuple(int(c) for c in row) for row in coords]
+    return elements, (coords[:, None, :] <= coords[None, :, :]).all(axis=-1)
 
 
 def referee_poset(kind, sizes, rng, prefix, density):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ordeq import (GenSpec, ProblemInstance, gen_instance, gen_poset, parse_instance,
                    replay_report, serialize_instance)
 from ordeq.cli import main
+from ordeq.errors import ParseError
 from ordeq.fileio import serialize_poset_doc
 from ordeq.generate import KINDS, POSET_KINDS
 
@@ -53,6 +54,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert err == "error: ValidationError: posets.X: edge_kind must be 'hasse' or 'full'\n"
+
+    # more extents than np.meshgrid takes (32): a grid is the Kronecker product of chains
+    @pytest.mark.parametrize("dims, summary", [
+        ([1] * 40, "poset: 1 elements, 0 cover edges\n"),
+        ([2] * 11 + [1] * 40, "poset: 2048 elements, 11264 cover edges\n"),
+    ], ids=["40-unit-extents", "2048-elements-51-extents"])
+    def test_grid_of_many_extents(self, capsys, tmp_path, dims, summary):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"schema": "roep-poset/1", "grid": dims}))
+        assert run(capsys, "validate", str(path)) == (0, summary + "valid\n", "")
 
     def test_game_utility_is_capped_as_a_poset_is(self, capsys, tmp_path):
         # a game's U is the chain of its distinct payoffs, |U| up to |C| * |D|:
@@ -116,6 +127,21 @@ class TestSolve:
         code, _, err = run(capsys, "solve", FIXTURES["i3"], "--force")
         assert code == 3
         assert "no solution" in err
+
+    def test_forced_run_notes_failed_hypotheses(self, capsys, tmp_path):
+        # phi is not increasing upward, yet (c1, d0) solves above the seed
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
+        del doc["F"]
+        for row, value in zip(doc["T"], ["-1", "-1", "0", "1"]):
+            row[2] = value
+        path = tmp_path / "forced.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "solve", str(path))[0] == 2
+        code, out, err = run(capsys, "solve", str(path), "--force")
+        assert (code, err) == (0, "")
+        assert out.endswith("climb: (c0, d0) -> (c1, d0)\nsolution (maximal): (c1, d0)\n"
+                            "note: hypotheses failed; existence was not guaranteed "
+                            "(forced run)\n")
 
     def test_minimal_flag(self, capsys):
         code, out, _ = run(capsys, "solve", FIXTURES["i2"], "--seed", "c1:d1", "--minimal")
@@ -187,6 +213,16 @@ class TestReplay:
                 assert replay_report(doc, parse_instance(FIXTURES[name])), argv
                 replayed += 1
         assert replayed >= 2
+
+    def test_unreplayable_reports(self, capsys, tmp_path):
+        path = tmp_path / "check.json"
+        assert run(capsys, "check", FIXTURES["i2"], "--report", str(path))[0] == 0
+        doc, inst = json.loads(path.read_text()), parse_instance(FIXTURES["i2"])
+        assert replay_report(doc, inst)
+        with pytest.raises(ParseError, match="^expected a 'roep-report/1' document$"):
+            replay_report({**doc, "schema": "roep-report/0"}, inst)
+        assert not replay_report({**doc, "command": "frobnicate"}, inst)
+        assert not replay_report({**doc, "command": "game"}, inst)  # no game value
 
     @pytest.mark.parametrize("tamper", ["solutions", "direction", "trace", "passes", "all"])
     def test_tampered_game_report_fails(self, capsys, tmp_path, tamper):
@@ -351,7 +387,8 @@ class TestGen:
     def test_fuzzed_flags_never_exit_4(self, tmp_path):
         target = str(tmp_path / "x.json")
         sizes = ("0,3,4", "-1,3,4", "a,b,c", "3,3", "", "3", "2,2", "4,4,4", "1", "12",
-                 "99999", "99999,3,4", "3,99999", "1e3", "3,,3", "9" * 40)
+                 "99999", "99999,3,4", "3,99999", "1e3", "3,,3", "9" * 40,
+                 ",".join(["1"] * 33))
         for kind in KINDS:
             for size in sizes:
                 for density in ("nan", "inf", "-1", "2", "0.5"):
@@ -452,6 +489,38 @@ class TestPinnedOutputs:
         target.write_text(json.dumps(doc))
         expected = (1, "", f"error: ValidationError: {message}\n")
         assert run(capsys, "validate", str(target)) == expected
+
+    # each refusal of a malformed document, with its exact line
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "ParseError: instance document must be a JSON object"),
+        (lambda doc: doc.update(mode="dual"),
+         "ValidationError: mode: must be 'roep' or 'game', got 'dual'"),
+        (lambda doc: doc.update(posets=[]),
+         "ValidationError: posets: must be an object of named posets"),
+        (lambda doc: doc["posets"].update(X=[]),
+         "ValidationError: posets.X: poset must be an object"),
+        (lambda doc: doc.update(C=["c0"]), "ValidationError: C: must be an object"),
+        (lambda doc: doc["C"]["members"].append("nope"),
+         "ValidationError: C: UnknownElement: 'nope' is not an element of the parent poset"),
+        (lambda doc: doc["C"].update(members=[]), "ValidationError: C: must be nonempty"),
+        (lambda doc: doc.update(F=[]),
+         "ValidationError: F: must be an object of element -> list"),
+        (lambda doc: doc.update(T={}),
+         "ValidationError: T: must be a list of [x, y, value] rows"),
+        (lambda doc: doc["T"].__setitem__(0, ["c0", "d0"]),
+         "ValidationError: T: malformed row ['c0', 'd0']"),
+        (lambda doc: doc.update(seed=["c0"]), "ValidationError: seed: must be a [x, y] pair"),
+        (lambda doc: doc.pop("posets"),
+         "ValidationError: document: missing required field 'posets'"),
+    ], ids=["list", "mode", "posets-list", "poset-list", "subset-list", "unknown-member",
+            "empty-subset", "constraint-list", "table-object", "short-row", "short-seed",
+            "no-posets"])
+    def test_document_errors(self, capsys, tmp_path, edit, message):
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
+        edited = edit(doc)
+        target = tmp_path / "broken.json"
+        target.write_text(json.dumps(edited if isinstance(edited, list) else doc))
+        assert run(capsys, "validate", str(target)) == (1, "", f"error: {message}\n")
 
     # game2x2's payoff rows run over C x D in order: ("0,0", "0,0", "0"),
     # ("0,0", "0,1", "-1"), ("0,0", "1,0", "-1"), ("0,0", "1,1", "-2"), ...

@@ -8,8 +8,10 @@ frozen literal and the oracle's output.
 import numpy as np
 import pytest
 
-from ordeq import ObjectiveMap, ProblemInstance, constant_map, load_poset
-from ordeq.errors import UnknownElement, UtilityNotTotal, ValidationError
+from ordeq import GenSpec, ObjectiveMap, ProblemInstance, constant_map, load_poset
+from ordeq.errors import (InvalidSpec, ParseError, UnknownElement, UtilityNotTotal,
+                          ValidationError)
+from ordeq.fileio import parse_poset_doc
 
 from conftest import chain, instance_from_payoff, int_chain
 from oracles import (
@@ -305,3 +307,30 @@ class TestValidation:
         T = ObjectiveMap(U, {(x, y): 0 for x in X.elements for y in Y.elements})
         with pytest.raises(ValidationError):
             ProblemInstance(C, D, T, constant_map(D, C), constant_map(D, C))
+
+
+_I1 = instance_from_payoff(I1_PAYOFF)  # instances are immutable, so one is shared
+
+
+# each refusal of a malformed API call, with its exact message
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chain("c", 2).subset(["c0", "nope"]), UnknownElement,
+     "'nope' is not an element of the parent poset"),
+    (lambda: _I1.check_hypotheses(("c0", "d0"), "sideways"),
+     ValidationError, "direction must be 'maximal' or 'minimal', got 'sideways'"),
+    (lambda: ProblemInstance(_I1.C.parent.subset([]), _I1.D, _I1.T, _I1.F, _I1.G),
+     ValidationError, "C must be nonempty"),
+    (lambda: ProblemInstance(_I1.C, _I1.D, _I1.T, _I1.F, constant_map(_I1.C, _I1.D)),
+     ValidationError, "G must map D into subsets of C"),
+    (lambda: instance_from_payoff(I1_PAYOFF, seed=("c0", "d9")), UnknownElement,
+     "seed second component 'd9' is not in D"),
+    (lambda: GenSpec(kind="chain", sizes=(3,), poset_kind="x"), InvalidSpec,
+     "unknown poset_kind 'x'"),
+    (lambda: parse_poset_doc({"schema": "roep-instance/1", "grid": [2]}), ParseError,
+     "expected a 'roep-poset/1' document"),
+], ids=["subset-member", "direction", "empty-C", "G-domain", "seed-in-D", "poset-kind",
+        "poset-schema"])
+def test_api_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

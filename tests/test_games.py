@@ -14,6 +14,7 @@ import pytest
 import ordeq.fileio
 import ordeq.games
 from ordeq import (
+    Poset,
     SetValuedMap,
     ZeroSumGame,
     grid_poset,
@@ -24,7 +25,7 @@ from ordeq.errors import NoSolution, ValidationError, ZeroExtent
 from ordeq.fileio import parse_instance_dict, read_json
 
 from conftest import chain
-from oracles import referee_game_instance, saddle_solutions
+from oracles import meshgrid_grid, referee_game_instance, saddle_solutions
 
 
 def additive_game(dims, seed=None):
@@ -55,6 +56,20 @@ class TestGridPoset:
     def test_zero_extent(self):
         with pytest.raises(ZeroExtent):
             grid_poset((2, 0))
+
+    @pytest.mark.parametrize("dims", [(1,), (5,), (2048,), (1, 1), (3, 4), (1, 7), (32, 64),
+                                      (64, 32), (4, 1, 3), (2, 3, 4), (8, 16, 16), (16, 1, 128)])
+    def test_matches_the_meshgrid_referee(self, dims):
+        g = grid_poset(dims)
+        elements, leq = meshgrid_grid(dims)
+        assert type(g) is Poset
+        assert g.elements == tuple(elements)
+        assert np.array_equal(g.leq_matrix, leq)
+
+    def test_unit_extents_past_meshgrids_32_axes(self):
+        g, base = grid_poset((2,) * 11 + (1,) * 40), grid_poset((2,) * 11)
+        assert g.elements == tuple(e + (0,) * 40 for e in base.elements)
+        assert np.array_equal(g.leq_matrix, base.leq_matrix)
 
 
 class TestBuildGame:

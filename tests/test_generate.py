@@ -203,10 +203,13 @@ class TestSpecValidation:
             gen_instance(GenSpec(kind="random_instance", sizes=(7, 3, 5)))
 
     def test_caps_overridable(self):
-        inst = gen_instance(
-            GenSpec(kind="random_instance", sizes=(7, 2, 4), caps=(8, 8, 12), rng_seed=1)
-        )
-        assert len(inst.C) == 7
+        # the caps are the generator's, not the spec's: (6, 6, 12) is the largest
+        with pytest.raises(TypeError):
+            GenSpec(kind="random_instance", sizes=(7, 2, 4), caps=(8, 8, 12))
+        inst = gen_instance(GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=1))
+        assert (len(inst.C), len(inst.D)) == (6, 6)
+        with pytest.raises(InvalidSpec, match=r"exceed the caps \(6, 6, 12\)"):
+            gen_instance(GenSpec(kind="random_instance", sizes=(6, 6, 13)))
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidSpec):

@@ -300,6 +300,8 @@ class TestProduct:
         left = load_poset(["a", "b", "c"], [("a", "b")])
         right = chain("d", 2)
         prod = product(left, right)
+        assert type(prod) is Poset
+        assert prod.elements == tuple((a, b) for a in "abc" for b in right.elements)
         for p in prod.elements:
             for q in prod.elements:
                 assert prod.leq(p, q) == (left.leq(p[0], q[0]) and right.leq(p[1], q[1]))
