@@ -19,7 +19,6 @@ from .errors import (
     InvariantBreach,
     NoSolution,
     OrdeqError,
-    ParseError,
     ValidationError,
 )
 from .fileio import (
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     except InvariantBreach as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, ValidationError, OrdeqError) as exc:
+    except OrdeqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -434,7 +434,7 @@ class ProblemInstance:
         best = self._extremal_mask(p if fixed else seed, direction)
         if not best.any():
             raise NoSolution(
-                f"no solution above seed {hyp.seed!r}"
+                f"no solution {'above' if direction == 'maximal' else 'below'} seed {hyp.seed!r}"
                 + ("" if hyp.passes else " (hypotheses were not satisfied)")
             )
         # cells run in pair_index order: the first set one is the least pair

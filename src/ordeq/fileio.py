@@ -465,7 +465,7 @@ def replay_report(report: dict, instance) -> bool:
     and from freshly computed hypotheses, solution set, certificate, game
     value and exit code.
     """
-    if report.get("schema") != REPORT_SCHEMA:
+    if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
     if report.get("instance_digest") != instance_digest(instance):
         return False

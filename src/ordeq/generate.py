@@ -120,26 +120,23 @@ def gen_poset(spec: GenSpec) -> Poset:
     return _poset(spec.kind, spec.sizes, rng, "e", spec.density)
 
 
-class _Side:
-    """One poset of an instance: its ids, and its order when drawing it needs no rng."""
+def _side(kind: str, n: int, prefix: str, density: float) -> tuple:
+    """One poset of an instance, of about n elements: its ids, and a draw of its order.
 
-    def __init__(self, kind: str, sizes: tuple, prefix: str, density: float):
-        self.density = density
-        if kind == "random_poset":
-            (n,) = sizes
-            self.names = tuple(f"{prefix}{i}" for i in range(n))
-            self.poset = None
-        else:
-            self.poset = _poset(kind, sizes, None, prefix, density)
-            self.names = self.poset.elements
-
-    def draw(self, rng: random.Random) -> np.ndarray:
-        if self.poset is not None:
-            return self.poset.leq_matrix
-        return _random_order(len(self.names), rng, self.density)
-
-    def build(self, leq: np.ndarray) -> Poset:
-        return self.poset if self.poset is not None else Poset._trusted(self.names, leq)
+    A random order is drawn from the attempt's rng; any other is built once, here.
+    """
+    if kind == "random_poset":
+        ids = tuple(f"{prefix}{i}" for i in range(n))
+        return ids, lambda rng: _random_order(n, rng, density)
+    sizes = (n,)
+    if kind == "grid":
+        # the two extents nearest a square whose product is n
+        a = max(a for a in range(1, int(n ** 0.5) + 1) if n % a == 0)
+        sizes = (a, n // a)
+    elif kind == "boolean_lattice":
+        sizes = (max(1, n.bit_length() - 1),)
+    poset = _poset(kind, sizes, None, prefix, density)
+    return poset.elements, lambda rng: poset.leq_matrix
 
 
 def _nonempty_subset(rng: random.Random, n: int) -> list:
@@ -178,18 +175,6 @@ def _draw_constraint(spec: GenSpec, rng: random.Random, n_dom: int, n_cod: int) 
     return mask
 
 
-def _poset_sizes(kind: str, n: int) -> tuple:
-    if kind == "grid":
-        # split n into two extents, keeps |elements| == n for composite n
-        for a in range(int(n ** 0.5), 0, -1):
-            if n % a == 0:
-                return (a, n // a)
-    if kind == "boolean_lattice":
-        k = max(1, n.bit_length() - 1)
-        return (k,)
-    return (n,)
-
-
 def gen_instance(spec: GenSpec) -> ProblemInstance:
     """Generate a valid problem instance; deterministic in spec.rng_seed.
 
@@ -208,21 +193,21 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {_CAPS}")
 
     kind, density, n_u = spec.poset_kind, spec.density, spec.sizes[2]
-    sides = (
-        _Side(kind, _poset_sizes(kind, spec.sizes[0]), "c", density),
-        _Side(kind, _poset_sizes(kind, spec.sizes[1]), "d", density),
-        _Side("chain" if spec.monotone_bias else "random_poset", (n_u,), "u", density),
+    ids, draws = zip(
+        _side(kind, spec.sizes[0], "c", density),
+        _side(kind, spec.sizes[1], "d", density),
+        _side("chain" if spec.monotone_bias else "random_poset", n_u, "u", density),
     )
-    n_c, n_d = len(sides[0].names), len(sides[1].names)  # a boolean lattice may be smaller
+    n_c, n_d = len(ids[0]), len(ids[1])  # a boolean lattice may be smaller
     filtering = spec.filter == "require_hypotheses"
     master = random.Random(spec.rng_seed)
     for _ in range(spec.max_retries if filtering else 1):
         rng = random.Random(master.getrandbits(63))
-        c_leq, d_leq, u_leq = (side.draw(rng) for side in sides)
+        c_leq, d_leq, u_leq = (draw(rng) for draw in draws)
         T = _draw_table(spec, rng, c_leq, d_leq)
         F = _draw_constraint(spec, rng, n_c, n_d)
         if not filtering:
-            return _build(sides, (c_leq, d_leq, u_leq), T, F,
+            return _build(ids, (c_leq, d_leq, u_leq), T, F,
                           _draw_constraint(spec, rng, n_d, n_c))
         lt = u_leq & ~np.eye(n_u, dtype=bool)
         phi = _optima(T, F, lt)
@@ -235,7 +220,7 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
         seeds = np.flatnonzero(_bool_matmul(c_leq, psi.T) & _bool_matmul(phi, d_leq.T))
         if len(seeds):
-            return _build(sides, (c_leq, d_leq, u_leq), T, F, G,
+            return _build(ids, (c_leq, d_leq, u_leq), T, F, G,
                           seed=divmod(int(seeds[0]), n_d))
     raise FilterExhausted(
         f"no instance passing check_hypotheses found in {spec.max_retries} attempts "
@@ -243,14 +228,14 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     )
 
 
-def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
+def _build(ids: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
            G: np.ndarray, seed=None) -> ProblemInstance:
     """The instance made of an attempt's codes; G's row j is G(y_j).
 
     With a seed (positions in C and D) the instance must pass
     check_hypotheses there, or the filter and the instance disagree.
     """
-    X, Y, U = (side.build(leq) for side, leq in zip(sides, orders))
+    X, Y, U = map(Poset._trusted, ids, orders)
     inst = ProblemInstance._from_codes(
         X.full_subset(), Y.full_subset(), U, T, F, G,
         seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),

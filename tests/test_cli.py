@@ -4,22 +4,29 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordeq import (GenSpec, ProblemInstance, gen_instance, gen_poset, parse_instance,
-                   replay_report, serialize_instance)
+from ordeq import (GenSpec, ProblemInstance, ZeroSumGame, gen_instance, gen_poset,
+                   parse_instance, replay_report, serialize_instance)
 from ordeq.cli import main
 from ordeq.errors import ParseError
 from ordeq.fileio import serialize_poset_doc
 from ordeq.generate import KINDS, POSET_KINDS
 
 from conftest import FIXTURES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -96,6 +103,21 @@ class TestCheck:
         assert code == 2
         assert "phi increasing upward: False" in out
 
+    def test_failure_names_psi(self, capsys, tmp_path):
+        # unconstrained, psi(d0) = {c0, c1} but psi(d1) = {c0}
+        doc = json.loads(Path(FIXTURES["i2"]).read_text())
+        del doc["F"], doc["G"]
+        for row, value in zip(doc["T"], ["-1", "0", "-1", "-1"]):
+            row[2] = value
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (2, "")
+        assert out.endswith("phi increasing upward: True\npsi increasing upward: False\n"
+                            "values universally inductive: True\n"
+                            "seed condition: True witness=(c0, d0)\n"
+                            "hypotheses: FAIL: psi is not increasing upward\n")
+
     def test_seed_flag_overrides(self, capsys):
         code, out, _ = run(capsys, "check", FIXTURES["i2"], "--seed", "c1:d1")
         assert code == 0
@@ -142,6 +164,15 @@ class TestSolve:
         assert out.endswith("climb: (c0, d0) -> (c1, d0)\nsolution (maximal): (c1, d0)\n"
                             "note: hypotheses failed; existence was not guaranteed "
                             "(forced run)\n")
+
+    @pytest.mark.parametrize("name, seed", [
+        ("i1", "('c0', 'd0')"), ("i2", "('c0', 'd0')"), ("i3", "('c0', 'd0')"),
+        ("game2x2", "('0,0', '0,0')"), ("game3x3", "('0,0', '0,0')"),
+    ], ids=["i1", "i2", "i3", "game2x2", "game3x3"])
+    def test_minimal_solve_searches_below_the_seed(self, capsys, name, seed):
+        assert run(capsys, "solve", FIXTURES[name], "--minimal", "--force") == (
+            3, "", f"no solution: no solution below seed {seed} "
+                   "(hypotheses were not satisfied)\n")
 
     def test_minimal_flag(self, capsys):
         code, out, _ = run(capsys, "solve", FIXTURES["i2"], "--seed", "c1:d1", "--minimal")
@@ -223,6 +254,16 @@ class TestReplay:
             replay_report({**doc, "schema": "roep-report/0"}, inst)
         assert not replay_report({**doc, "command": "frobnicate"}, inst)
         assert not replay_report({**doc, "command": "game"}, inst)  # no game value
+        for report in ([], None, "x"):
+            with pytest.raises(ParseError, match="^expected a 'roep-report/1' document$"):
+                replay_report(report, inst)
+        # malformed claims of a solve report are refused, not raised
+        assert run(capsys, "solve", FIXTURES["i2"], "--report", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        assert replay_report(doc, inst)
+        for field, claim in [("seed", ["c0"]), ("climb_trace", 5), ("elapsed_seconds", "0.1"),
+                             ("solution", ["d1", "d1"])]:
+            assert not replay_report({**doc, field: claim}, inst), field
 
     @pytest.mark.parametrize("tamper", ["solutions", "direction", "trace", "passes", "all"])
     def test_tampered_game_report_fails(self, capsys, tmp_path, tamper):
@@ -415,6 +456,51 @@ class TestExitCodeContract:
         assert code == 4
         assert "InvariantBreach: the solver's trace is not a climb through gamma" in err
 
+    def test_failed_saddle_reverification_is_exit_4(self, capsys, monkeypatch):
+        solve = ZeroSumGame.solve_maximal
+        monkeypatch.setattr(ZeroSumGame, "solve_maximal", lambda self, *args, **kw: replace(
+            solve(self, *args, **kw), solution=("0,0", "0,0")))
+        assert run(capsys, "game", FIXTURES["game2x2"]) == (
+            4, "", "internal error: InvariantBreach: reported equilibrium ('0,0', '0,0') "
+                   "failed the saddle re-verification\n")
+
+    def test_generated_seed_failing_its_hypotheses_is_exit_4(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(ProblemInstance, "check_hypotheses",
+                            lambda self, *args: SimpleNamespace(passes=False))
+        assert run(capsys, "gen", "--kind", "random_instance", "--seed", "11", "--sizes", "3,3,5",
+                   "--monotone-bias", "--filter", "require_hypotheses",
+                   "-o", str(tmp_path / "inst.json")) == (
+            4, "", "internal error: InvariantBreach: generated seed ('c2', 'd1') "
+                   "fails check_hypotheses\n")
+
+    def test_any_other_exception_is_exit_4(self, capsys, monkeypatch):
+        def boom(path):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("ordeq.cli.parse_instance", boom)
+        assert run(capsys, "check", FIXTURES["i1"]) == (
+            4, "", "internal error: RuntimeError: boom\n")
+
+
+class TestProcess:
+    """`python -m ordeq.cli` as its own process, through `entry()` and the exit status."""
+
+    def ordeq(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "ordeq.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self):
+        done = self.ordeq("--version")
+        assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+
+    def test_check_matches_in_process(self, capsys):
+        done = self.ordeq("check", "fixtures/i1_unconstrained.json")
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, "check", FIXTURES["i1"])
+        assert done.returncode == 0
+
+    def test_enumerate_without_solutions_exits_3(self):
+        assert self.ordeq("enumerate", "fixtures/i3_matching_pennies.json").returncode == 3
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -422,33 +508,34 @@ def _digest(text: str) -> str:
 
 # (fixture, command, exit code, stdout, stderr, report without elapsed_seconds),
 # the last three as the first 16 hex digits of their sha256; recorded before
-# instances were built straight from their index codes
+# instances were built straight from their index codes, except the stderr of
+# "solve --minimal --force", which now says the search ran below the seed
 PINNED = [
     ("i1", "check", 0, "0c3b4ee6c49d1fd0", "e3b0c44298fc1c14", "5cd5bac246f74279"),
     ("i1", "solve --force", 0, "fdcae40e1e5ef056", "e3b0c44298fc1c14", "b2d44d4d572cca92"),
-    ("i1", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i1", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
     ("i1", "enumerate", 0, "d179cbbfeaa93a17", "e3b0c44298fc1c14", "97b16dc3fb303590"),
     ("i1", "validate", 0, "ceac2d8c4681b705", "e3b0c44298fc1c14", None),
     ("i2", "check", 0, "dddc8170f7a2ab36", "e3b0c44298fc1c14", "a3324caa25d46819"),
     ("i2", "solve --force", 0, "42ee9f33a377a004", "e3b0c44298fc1c14", "ead150216dc4b167"),
-    ("i2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
     ("i2", "enumerate", 0, "7480d1ecc8a10d2f", "e3b0c44298fc1c14", "ba03329c03c829b4"),
     ("i2", "validate", 0, "2fb812ed20948faa", "e3b0c44298fc1c14", None),
     ("i3", "check", 2, "9b0e00fae7550087", "e3b0c44298fc1c14", "9d9e39f04aa5a382"),
     ("i3", "solve --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
-    ("i3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
+    ("i3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
     ("i3", "enumerate", 3, "23763284ade89aea", "e3b0c44298fc1c14", "324a2e6d16003e04"),
     ("i3", "validate", 0, "d6be67238f775a97", "e3b0c44298fc1c14", None),
     ("game2x2", "check", 0, "e0b0876585d65fcd", "e3b0c44298fc1c14", "b6e13db08b1d95a6"),
     ("game2x2", "solve --force", 0, "4d14485515db030c", "e3b0c44298fc1c14", "2087dcc6c22868cd"),
-    ("game2x2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "dce8c758d76ae367", None),
+    ("game2x2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "1b9f4e70d73272eb", None),
     ("game2x2", "enumerate", 0, "8ec4f3ab419051ac", "e3b0c44298fc1c14", "d4271304c62d6415"),
     ("game2x2", "validate", 0, "cadb3678d4f2cdb6", "e3b0c44298fc1c14", None),
     ("game2x2", "game", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
     ("game2x2", "game --force", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
     ("game3x3", "check", 0, "b9b71001c40b5f81", "e3b0c44298fc1c14", "f224233767e56ebc"),
     ("game3x3", "solve --force", 0, "792937d443452e51", "e3b0c44298fc1c14", "742513b621c65450"),
-    ("game3x3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "dce8c758d76ae367", None),
+    ("game3x3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "1b9f4e70d73272eb", None),
     ("game3x3", "enumerate", 0, "47238717fe2a74e7", "e3b0c44298fc1c14", "1a9886a0e07eb526"),
     ("game3x3", "validate", 0, "d9489a6a81ea9037", "e3b0c44298fc1c14", None),
     ("game3x3", "game", 0, "e91eb2872921455d", "e3b0c44298fc1c14", "33e8b3c16f78aa30"),
@@ -503,6 +590,7 @@ class TestPinnedOutputs:
         (lambda doc: doc["C"]["members"].append("nope"),
          "ValidationError: C: UnknownElement: 'nope' is not an element of the parent poset"),
         (lambda doc: doc["C"].update(members=[]), "ValidationError: C: must be nonempty"),
+        (lambda doc: doc["D"].update(members=[]), "ValidationError: D: must be nonempty"),
         (lambda doc: doc.update(F=[]),
          "ValidationError: F: must be an object of element -> list"),
         (lambda doc: doc.update(T={}),
@@ -513,7 +601,7 @@ class TestPinnedOutputs:
         (lambda doc: doc.pop("posets"),
          "ValidationError: document: missing required field 'posets'"),
     ], ids=["list", "mode", "posets-list", "poset-list", "subset-list", "unknown-member",
-            "empty-subset", "constraint-list", "table-object", "short-row", "short-seed",
+            "empty-subset", "empty-D", "constraint-list", "table-object", "short-row", "short-seed",
             "no-posets"])
     def test_document_errors(self, capsys, tmp_path, edit, message):
         doc = json.loads(Path(FIXTURES["i2"]).read_text())

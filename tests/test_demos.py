@@ -17,3 +17,16 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert names["inst"].check_hypotheses(("c0", "d0")).passes is True
+    rep = names["rep"]
+    assert rep.solution == ("c1", "d1")
+    assert rep.climb_trace == (("c0", "d0"), ("c1", "d0"), ("c1", "d1"))
+    assert names["inst"].solution_set == names["fixed"]

@@ -8,7 +8,8 @@ frozen literal and the oracle's output.
 import numpy as np
 import pytest
 
-from ordeq import GenSpec, ObjectiveMap, ProblemInstance, constant_map, load_poset
+from ordeq import (GenSpec, ObjectiveMap, ProblemInstance, constant_map, gen_instance,
+                   load_poset)
 from ordeq.errors import (InvalidSpec, ParseError, UnknownElement, UtilityNotTotal,
                           ValidationError)
 from ordeq.fileio import parse_poset_doc
@@ -320,6 +321,12 @@ _I1 = instance_from_payoff(I1_PAYOFF)  # instances are immutable, so one is shar
      ValidationError, "direction must be 'maximal' or 'minimal', got 'sideways'"),
     (lambda: ProblemInstance(_I1.C.parent.subset([]), _I1.D, _I1.T, _I1.F, _I1.G),
      ValidationError, "C must be nonempty"),
+    (lambda: ProblemInstance(_I1.C, _I1.D.parent.subset([]), _I1.T, _I1.F, _I1.G),
+     ValidationError, "D must be nonempty"),
+    (lambda: _I1.T.value("c0", "d9"), UnknownElement,
+     "objective table has no entry for ('c0', 'd9')"),
+    (lambda: gen_instance(GenSpec(kind="chain", sizes=(3,))), InvalidSpec,
+     "kind 'chain' does not generate an instance"),
     (lambda: ProblemInstance(_I1.C, _I1.D, _I1.T, _I1.F, constant_map(_I1.C, _I1.D)),
      ValidationError, "G must map D into subsets of C"),
     (lambda: instance_from_payoff(I1_PAYOFF, seed=("c0", "d9")), UnknownElement,
@@ -328,8 +335,8 @@ _I1 = instance_from_payoff(I1_PAYOFF)  # instances are immutable, so one is shar
      "unknown poset_kind 'x'"),
     (lambda: parse_poset_doc({"schema": "roep-instance/1", "grid": [2]}), ParseError,
      "expected a 'roep-poset/1' document"),
-], ids=["subset-member", "direction", "empty-C", "G-domain", "seed-in-D", "poset-kind",
-        "poset-schema"])
+], ids=["subset-member", "direction", "empty-C", "empty-D", "missing-objective",
+        "gen-poset-kind", "G-domain", "seed-in-D", "poset-kind", "poset-schema"])
 def test_api_refusals(call, error, message):
     with pytest.raises(error) as caught:
         call()

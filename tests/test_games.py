@@ -86,6 +86,11 @@ class TestBuildGame:
         assert tuple(inst.U.elements) == (Fraction(-1), Fraction(1))
         assert inst.U.is_total()
 
+    def test_repr_names_the_sizes(self):
+        game = additive_game((2, 3))
+        assert repr(game) == "ZeroSumGame(|C|=6, |D|=6, |U|=7)"
+        assert repr(game.instance) == "ProblemInstance(|C|=6, |D|=6, |U|=7)"
+
     def test_additive_payoff_five_chain(self):
         inst = additive_game((2, 2)).instance
         assert tuple(inst.U.elements) == tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))

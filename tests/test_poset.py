@@ -119,6 +119,12 @@ class TestQueries:
         with pytest.raises(EmptySubset):
             d.subset(set()).least()
 
+    def test_equality_and_hash(self):
+        assert chain("c", 2) == chain("c", 2)
+        assert hash(chain("c", 2)) == hash(chain("c", 2))
+        assert chain("c", 2) != antichain("c", 2)
+        assert (chain("c", 2) == 3) is False
+
     def test_hasse_edges_regenerate_relation(self):
         p = load_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
         rebuilt = load_poset(p.elements, p.hasse_edges())
