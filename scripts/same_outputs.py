@@ -9,7 +9,9 @@ of REV then each run, in one process per tree, the same list of
 `ordeq.cli.main` calls on the same input files:
 
 - every file under `fixtures/` under `validate`, `check`, `solve --force`,
-  `solve --minimal --force`, `enumerate`, `game` and `game --force`;
+  `solve --minimal --force`, `enumerate`, `game` and `game --force`, and an
+  instance file also under `solve --minimal --force` seeded at the last
+  members of its C and D, so a descending climb writes a report;
 - a few edge-case posets (`EDGE_CASES`: cycles, self-loops, repeated edges,
   no edges) as poset documents under `validate`, and as the X poset of the
   `i1` fixture under `validate` and `check`, so a cycle's refusal text is
@@ -21,8 +23,9 @@ of REV then each run, in one process per tree, the same list of
 
 Each run is hashed over its exit code, stdout, stderr, the `--report`
 document without `elapsed_seconds`, and the file `gen` writes.  The script
-prints the number of runs and the first run that differs, and exits 1 on
-any difference.
+prints the number of runs, then every run that differs, with both sides'
+exit code and the start of their stdout and stderr, then the number of
+differences; it exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -60,7 +63,12 @@ def _jobs(inputs: Path) -> list:
 
     jobs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
-        for command in FIXTURE_COMMANDS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        commands = list(FIXTURE_COMMANDS)
+        if "C" in doc and "D" in doc:  # descend from the last members of C and D
+            last = (doc["C"]["members"][-1], doc["D"]["members"][-1])
+            commands.append("solve --minimal --force --seed {}:{}".format(*last))
+        for command in commands:
             extra = [] if command == "validate" else ["--report", REPORT]
             jobs.append((f"{path.name} {command}", [*command.split()[:1], str(path),
                                                    *command.split()[1:], *extra]))
@@ -145,14 +153,13 @@ def main(rev: str) -> int:
             print(f"{side} did not import ordeq from its own src/")
             return 1
     print(f"{len(now['runs'])} runs")
-    for old, new in zip(was["runs"], now["runs"]):
-        if old[1] != new[1]:
-            print(f"first difference: {old[0]}")
-            print(f"  {rev}: exit {old[2]}\n    stdout {old[3]!r}\n    stderr {old[4]!r}")
-            print(f"  this checkout: exit {new[2]}\n    stdout {new[3]!r}\n    stderr {new[4]!r}")
-            return 1
-    print("0 differences")
-    return 0
+    differing = [(old, new) for old, new in zip(was["runs"], now["runs"]) if old[1] != new[1]]
+    for old, new in differing:
+        print(f"difference: {old[0]}")
+        print(f"  {rev}: exit {old[2]}\n    stdout {old[3]!r}\n    stderr {old[4]!r}")
+        print(f"  this checkout: exit {new[2]}\n    stdout {new[3]!r}\n    stderr {new[4]!r}")
+    print(f"{len(differing)} differences")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

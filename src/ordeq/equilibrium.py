@@ -93,12 +93,14 @@ class SolutionCertificate:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Solver precondition trail for a given seed pair.
+    """Solver precondition trail for a given seed pair and climb direction.
 
     Mirrors the three conditions the existence argument needs: both
     order-optimization maps increasing upward, universally inductive values
     (a theorem at finite scale, so not evaluated), and a witnessed seed
-    condition: some z' in psi(y') above x' and u' in phi(x') above y'.
+    condition: some z' in psi(y') above x' and u' in phi(x') above y'.  A
+    minimal climb needs the order duals: increasing downward, a witness
+    below.  The monotonicity reports are the instance's own either way.
     """
 
     seed: Pair
@@ -106,6 +108,7 @@ class HypothesisReport:
     psi_monotonicity: MonotonicityReport
     seed_condition: bool
     seed_witness: Optional[Pair]  # (z', u') when seed_condition holds
+    direction: str = "maximal"
 
     @property
     def values_universally_inductive(self) -> bool:
@@ -119,18 +122,13 @@ class HypothesisReport:
 
     @property
     def passes(self) -> bool:
-        return (
-            self.phi_monotonicity.increasing_upward
-            and self.psi_monotonicity.increasing_upward
-            and self.seed_condition
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.phi_monotonicity.increasing_upward:
-            out.append("phi is not increasing upward")
-        if not self.psi_monotonicity.increasing_upward:
-            out.append("psi is not increasing upward")
+        way = "upward" if self.direction == "maximal" else "downward"
+        out = [f"{name} is not increasing {way}" for name, rep in
+               (("phi", self.phi_monotonicity), ("psi", self.psi_monotonicity))
+               if not getattr(rep, f"increasing_{way}")]
         if not self.seed_condition:
             out.append(f"seed condition has no witness at {self.seed!r}")
         return out
@@ -157,24 +155,24 @@ class ProblemInstance:
     as pair_index does.  The codes are _T, where _T[i, j] is the position of
     T(x_i, y_j) in U; _F, where _F[i, j] says y_j is in F(x_i); and _G, where
     _G[j, i] says x_i is in G(y_j).  The parse, the generator and games (a
-    ZeroSumGame is an instance) build these codes directly; None for F or G
-    is the all-true mask.  The public constructor keeps its checks and the
-    maps it is given, and converts them once: its lookup of every pair is
-    the check that T is total.  Otherwise T, F and G are views built from
-    the codes on first read.  All operations are pure; the phi and psi
+    ZeroSumGame is an instance) build these codes directly; an omitted F or
+    G, None, is the all-true mask.  The public constructor keeps its checks
+    and the maps it is given, and converts them once: its lookup of every
+    pair is the check that T is total.  Otherwise T, F and G are views built
+    from the codes on first read.  All operations are pure; the phi and psi
     masks and the solution set are computed lazily and cached.
     """
 
-    def __init__(self, C: Subset, D: Subset, T: ObjectiveMap,
-                 F: SetValuedMap, G: SetValuedMap, seed: Optional[Pair] = None):
-        _check_parts(C, D, F, G)
+    def __init__(self, C: Subset, D: Subset, T: ObjectiveMap, F: Optional[SetValuedMap] = None,
+                 G: Optional[SetValuedMap] = None, seed: Optional[Pair] = None):
+        masks = _check_parts(C, D, F, G)
         try:  # looking every pair up is the check that T is total
             cells = [T.table[x, y] for x in C.ordered() for y in D.ordered()]
         except KeyError as exc:
             raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
         codes = np.array(list(map(T.utility.index, cells)), dtype=np.intp)
-        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), F.mask(), G.mask(), seed)
-        self.T, self.F, self.G = T, F, G
+        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), *masks, seed)
+        self.T, self.F, self.G = T, F or self.F, G or self.G
 
     @classmethod
     def _from_codes(cls, C: Subset, D: Subset, U: Poset, T: np.ndarray, F: Optional[np.ndarray],
@@ -351,27 +349,23 @@ class ProblemInstance:
         """Evaluate the existence-theorem preconditions at a seed pair.
 
         With direction "minimal" these are the order-dual conditions of the
-        descending climb: every flag is taken under the reversed orders of C
-        and D, as for the dual instance, so "increasing upward" there means
-        increasing downward here; the seed witness lies below the seed.
+        descending climb: phi and psi increasing downward, and a seed witness
+        below the seed.  Either way the report carries the instance's own
+        monotonicity reports, with every flag in the orders of C and D.
         """
         return self._hypotheses(self._resolve_seed(seed), direction)
 
     def _hypotheses(self, seed: tuple, direction: str) -> HypothesisReport:
         """check_hypotheses at a seed given as positions."""
         c_leq, d_leq = self._orders(direction)
-        if direction == "maximal":
-            phi_rep, psi_rep = self.phi_monotonicity, self.psi_monotonicity
-        else:
-            phi_rep = mask_monotonicity(self._phi_mask, c_leq, d_leq)
-            psi_rep = mask_monotonicity(self._psi_mask, d_leq, c_leq)
         i, j = seed
         zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
         us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
         witness = self._pair((zs[0], us[0])) if len(zs) and len(us) else None
-        return HypothesisReport(seed=self._pair(seed), phi_monotonicity=phi_rep,
-                                psi_monotonicity=psi_rep, seed_condition=witness is not None,
-                                seed_witness=witness)
+        return HypothesisReport(seed=self._pair(seed), phi_monotonicity=self.phi_monotonicity,
+                                psi_monotonicity=self.psi_monotonicity,
+                                seed_condition=witness is not None, seed_witness=witness,
+                                direction=direction)
 
     def _resolve_seed(self, seed: Optional[Pair]) -> tuple[int, int]:
         """The (row, column) of the seed, or of the instance's own seed when none is given."""
@@ -408,8 +402,8 @@ class ProblemInstance:
     def solve_minimal(self, seed: Optional[Pair] = None, force: bool = False) -> SolutionReport:
         """Descending climb: solve_maximal under the reversed orders of C and D.
 
-        Requires the dual hypotheses (phi, psi increasing downward and the
-        reversed seed condition).  phi and psi themselves only involve the
+        Requires the order-dual hypotheses: phi and psi increasing downward
+        and a seed witness below the seed.  phi and psi only involve the
         utility order, so the solution set is unchanged; only the climb
         direction and the promotion target (minimal below the seed) flip.
         """
@@ -544,7 +538,8 @@ def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.n
 
 
 def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
-                 G: Optional[SetValuedMap]) -> None:
+                 G: Optional[SetValuedMap]) -> tuple:
+    """The masks of F and G, None for an omitted map, once the parts are checked to fit."""
     if not C.members:
         raise ValidationError("C must be nonempty")
     if not D.members:
@@ -553,6 +548,7 @@ def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
         raise ValidationError("F must map C into subsets of D")
     if G is not None and (G.domain != D or G.codomain != C):
         raise ValidationError("G must map D into subsets of C")
+    return tuple(None if m is None else m.mask() for m in (F, G))
 
 
 def _mask_map(domain: Subset, codomain: Subset, mask: np.ndarray) -> SetValuedMap:

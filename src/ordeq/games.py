@@ -88,7 +88,7 @@ class ZeroSumGame(ProblemInstance):
     def __init__(self, C: Subset, D: Subset, payoff: Mapping,
                  F: Optional[SetValuedMap] = None, G: Optional[SetValuedMap] = None,
                  seed: Optional[Pair] = None):
-        _check_parts(C, D, F, G)
+        masks = _check_parts(C, D, F, G)
         cs, ds = C.ordered(), D.ordered()
         U, T = _game_codes(C, D, [payoff.get((x, y), _HOLE) for x in cs for y in ds])
         if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
@@ -96,8 +96,7 @@ class ZeroSumGame(ProblemInstance):
             raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
         if seed is not None and not (seed[0] in C and seed[1] in D):
             raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
-        self._setup(C, D, U, T, None if F is None else F.mask(),
-                    None if G is None else G.mask(), seed)
+        self._setup(C, D, U, T, *masks, seed)
 
     @property
     def payoff(self) -> Mapping:

@@ -179,6 +179,31 @@ class TestSolve:
         assert code == 0
         assert "solution (minimal): (c1, d1)" in out
 
+    def test_minimal_solve_needs_phi_increasing_downward(self, capsys):
+        # game3x3's phi is increasing upward, as check reports, but not downward
+        assert run(capsys, "solve", FIXTURES["game3x3"], "--minimal", "--seed", "2,2:2,2") == (
+            2, "", "hypothesis failure: solver preconditions failed: "
+                   "phi is not increasing downward\n")
+
+    def test_minimal_report_names_the_flags_as_check_does(self, capsys, tmp_path):
+        check, solve = tmp_path / "check.json", tmp_path / "solve.json"
+        assert run(capsys, "check", FIXTURES["game3x3"], "--seed", "2,2:2,2",
+                   "--report", str(check))[0] == 0
+        code, out, err = run(capsys, "solve", FIXTURES["game3x3"], "--minimal", "--force",
+                             "--seed", "2,2:2,2", "--report", str(solve))
+        assert (code, err) == (0, "")
+        assert "climb: (2,2, 2,2) -> (2,2, 0,2) -> (0,2, 0,2)\n" in out
+        assert "solution (minimal): (0,2, 0,2)\n" in out
+        checked, solved = (json.loads(path.read_text()) for path in (check, solve))
+        same = ["seed", "values_universally_inductive"] + [
+            f"{m}_increasing_{way}" for m in ("phi", "psi") for way in ("upward", "downward")]
+        assert {k: solved["hypotheses"][k] for k in same} == {
+            k: checked["hypotheses"][k] for k in same}
+        assert solved["hypotheses"]["phi_increasing_downward"] is False
+        assert solved["hypotheses"]["seed_witness"] == ["2,2", "0,2"]  # below the seed
+        assert solved["hypotheses"]["passes"] is False
+        assert replay_report(solved, parse_instance(FIXTURES["game3x3"]))
+
     def test_report_file_replays(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "solve", FIXTURES["i2"], "--report", str(report_path))

@@ -18,6 +18,7 @@ from ordeq import (
     ProblemInstance,
     SetValuedMap,
     ZeroSumGame,
+    constant_map,
     gen_instance,
     grid_poset,
     instance_digest,
@@ -181,6 +182,22 @@ class TestViews:
                     assert (x in inst.G(y)) == inst._G[j, i]
             assert inst.phi_map.table == {x: inst.phi(x) for x in inst.C.ordered()}
             assert inst.psi_map.table == {y: inst.psi(y) for y in inst.D.ordered()}
+
+    def test_omitted_maps_are_the_constant_maps(self):
+        # F and G default to None, as for a ZeroSumGame: each is then the constant map
+        for inst in _instances():
+            F, G = constant_map(inst.C, inst.D), constant_map(inst.D, inst.C)
+            for given, explicit in (((), (F, G)), ((None, inst.G), (F, inst.G))):
+                omitted = ProblemInstance(inst.C, inst.D, inst.T, *given)
+                full = ProblemInstance(inst.C, inst.D, inst.T, *explicit)
+                for codes in ("_T", "_F", "_G"):
+                    assert np.array_equal(getattr(omitted, codes), getattr(full, codes)), codes
+                assert (omitted.F, omitted.G) == (full.F, full.G) == explicit
+                assert omitted.solution_set == full.solution_set
+                for seed in [(x, y) for x in inst.C.ordered() for y in inst.D.ordered()]:
+                    for direction in ("maximal", "minimal"):
+                        assert (omitted.check_hypotheses(seed, direction)
+                                == full.check_hypotheses(seed, direction))
 
     def test_public_constructor_keeps_its_maps(self):
         inst = parse_instance(FIXTURES["i2"])

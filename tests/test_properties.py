@@ -1,5 +1,6 @@
 """Property-based checks over generated posets and instances."""
 
+import re
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -190,6 +191,13 @@ def _reversed_orders(m):
     return SetValuedMap(dom, cod, dict(m.table))
 
 
+def _up_down_swapped(flags):
+    """The flags by name with upward and downward swapped, as reversing both orders does."""
+    swap = {"upward": "downward", "downward": "upward"}
+    return {re.sub("upward|downward", lambda m: swap[m[0]], name): flag
+            for name, flag in flags.items()}
+
+
 def test_monotonicity_matches_dict_referee():
     # 100 seeds for each poset kind and bias setting: 1000 instances
     checked = 0
@@ -202,13 +210,14 @@ def test_monotonicity_matches_dict_referee():
                 phi, psi = dict_monotonicity(inst.phi_map), dict_monotonicity(inst.psi_map)
                 assert asdict(inst.phi_monotonicity) == phi
                 assert asdict(inst.psi_monotonicity) == psi
-                # the descending climb's conditions: both orders reversed
+                # the descending climb reads the same flags, in the orders of C and D
                 hyp = inst.check_hypotheses((inst.C.ordered()[0], inst.D.ordered()[0]),
                                             direction="minimal")
-                assert asdict(hyp.phi_monotonicity) == dict_monotonicity(
-                    _reversed_orders(inst.phi_map))
-                assert asdict(hyp.psi_monotonicity) == dict_monotonicity(
-                    _reversed_orders(inst.psi_map))
+                assert asdict(hyp.phi_monotonicity) == phi
+                assert asdict(hyp.psi_monotonicity) == psi
+                # under both orders reversed (the dual instance) upward and downward swap
+                assert dict_monotonicity(_reversed_orders(inst.phi_map)) == _up_down_swapped(phi)
+                assert dict_monotonicity(_reversed_orders(inst.psi_map)) == _up_down_swapped(psi)
                 seen.update(phi.items())
                 checked += 1
     assert checked == 1000
@@ -294,18 +303,28 @@ def _forced(solve, seed):
         rep = solve(seed, force=True)
     except NoSolution:
         return None
-    return rep.solution, rep.climb_trace, rep.hypotheses
+    return rep.solution, rep.climb_trace
 
 
 @given(SEEDS)
 @settings(max_examples=25, deadline=None)
 def test_minimal_direction_matches_dual_instance(seed):
-    # the descending climb reverses the orders in place of building the dual
+    # the descending climb reverses the orders in place of building the dual; it
+    # reports the instance's own flags, which are the dual's with up and down swapped
     inst = random_instance(seed, sizes=(4, 4, 6), monotone_bias=seed % 2 == 0)
     dual = inst.dual()
     for x in inst.C.ordered():
         for y in inst.D.ordered():
-            assert inst.check_hypotheses((x, y), "minimal") == dual.check_hypotheses((x, y))
+            hyp, dual_hyp = inst.check_hypotheses((x, y), "minimal"), dual.check_hypotheses((x, y))
+            assert hyp.phi_monotonicity is inst.phi_monotonicity
+            assert hyp.psi_monotonicity is inst.psi_monotonicity
+            for rep, dual_rep in ((hyp.phi_monotonicity, dual_hyp.phi_monotonicity),
+                                  (hyp.psi_monotonicity, dual_hyp.psi_monotonicity)):
+                assert asdict(dual_rep) == _up_down_swapped(asdict(rep))
+            assert (hyp.seed, hyp.seed_witness, hyp.passes) == (
+                dual_hyp.seed, dual_hyp.seed_witness, dual_hyp.passes)
+            assert hyp.failures() == [f.replace("upward", "downward")
+                                      for f in dual_hyp.failures()]
             assert _forced(inst.solve_minimal, (x, y)) == _forced(dual.solve_maximal, (x, y))
 
 
