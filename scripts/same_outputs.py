@@ -16,6 +16,11 @@ of REV then each run, in one process per tree, the same list of
   no edges) as poset documents under `validate`, and as the X poset of the
   `i1` fixture under `validate` and `check`, so a cycle's refusal text is
   compared too;
+- the 2x2 game fixture with its first payoff written in each spelling of
+  `PAYOFF_SPELLINGS` (the accepted ones also all at once, one a cell, and
+  every payoff as a JSON int), under `validate`, `check`, `game --force`
+  and `enumerate`, so both the plain-integer reading and Fraction's own
+  parser are compared, refusals included;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate` and each of the workload's commands;
@@ -55,6 +60,42 @@ EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
     "no-edges": (["c0", "c1", "c2"], []),
 }
 
+PAYOFF_COMMANDS = ("validate", "check", "game --force", "enumerate")
+PAYOFF_SPELLINGS = {  # name: a payoff value; the first six are refused
+    "zero-denominator": "1/0", "spaced-slash": "1 / 2", "signed-denominator": "1/-2",
+    "huge-exponent": "1e5000", "bool": True, "float": 1.5,
+    "half": "1/2", "two-quarters": "2/4", "leading-space": " 1/2", "plus": "+1",
+    "underscore": "1_0", "decimal": "0.5", "bare-decimal": ".5", "trailing-point": "1.",
+    "exponent": "1e2", "minus-zero": "-0", "newline": "1\n", "arabic-indic": "\u0661/\u0662",
+}
+
+
+def _command_jobs(path: Path, commands) -> list:
+    """(name, argv) of each command on one file, each but validate writing a report."""
+    return [(f"{path.name} {command}",
+             [*command.split()[:1], str(path), *command.split()[1:],
+              *([] if command == "validate" else ["--report", REPORT])])
+            for command in commands]
+
+
+def _payoff_jobs(inputs: Path) -> list:
+    """The 2x2 game fixture with payoffs in the spellings the benchmark never writes."""
+    base = json.loads((ROOT / "fixtures" / "game_additive_2x2.json").read_text(encoding="utf-8"))
+    accepted = list(PAYOFF_SPELLINGS.values())[6:]
+    tables = {name: [value] for name, value in PAYOFF_SPELLINGS.items()}
+    tables["all-accepted"] = accepted
+    tables["json-ints"] = [int(row[2]) for row in base["payoff"]]
+    spellings = inputs / "payoff-spellings"
+    spellings.mkdir(parents=True)
+    jobs = []
+    for name, values in tables.items():
+        rows = [[x, y, v] for (x, y, _), v in zip(base["payoff"], values)]
+        path = spellings / f"{name}.json"
+        path.write_text(json.dumps({**base, "payoff": rows + base["payoff"][len(rows):]}),
+                        encoding="utf-8")
+        jobs += _command_jobs(path, PAYOFF_COMMANDS)
+    return jobs
+
 
 def _jobs(inputs: Path) -> list:
     """(name, argv) of every run; outputs are named relative to the run's directory."""
@@ -68,10 +109,7 @@ def _jobs(inputs: Path) -> list:
         if "C" in doc and "D" in doc:  # descend from the last members of C and D
             last = (doc["C"]["members"][-1], doc["D"]["members"][-1])
             commands.append("solve --minimal --force --seed {}:{}".format(*last))
-        for command in commands:
-            extra = [] if command == "validate" else ["--report", REPORT]
-            jobs.append((f"{path.name} {command}", [*command.split()[:1], str(path),
-                                                   *command.split()[1:], *extra]))
+        jobs += _command_jobs(path, commands)
     base = json.loads((ROOT / "fixtures" / "i1_unconstrained.json").read_text(encoding="utf-8"))
     edge_cases = inputs / "edge-cases"
     edge_cases.mkdir(parents=True)
@@ -84,6 +122,7 @@ def _jobs(inputs: Path) -> list:
         jobs.append((f"{doc.name} validate", ["validate", str(doc)]))
         jobs += [(f"{instance.name} {command}", [command, str(instance)])
                  for command in ("validate", "check")]
+    jobs += _payoff_jobs(inputs)
     for name, workload in WORKLOADS.items():
         paths = write_instances(name, 1, inputs / name)
         for path in paths:

@@ -9,8 +9,9 @@ converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
 the API follows too, before the builder there makes the game.  An object
 that repeats a key is refused.  Rows become codes in one pass: each T or
 payoff row goes straight into a flat C x D list, at the positions C and D
-number its ids, a T value as its position in U; F and G become masks, each
-with its domain on rows.  Serialization normalizes: element ids become
+number its ids, a T value as its position in U, a payoff as its slot among
+the distinct raw payoffs; each F and G row sets its bits in a mask, with
+its domain on rows.  Serialization normalizes: element ids become
 strings, relations become Hasse edges, rows are emitted in a canonical
 order; parse-then-serialize is idempotent after the first pass.  It reads
 the codes, so ids are converted once per element, never once per cell,
@@ -34,7 +35,6 @@ from . import __version__
 from .equilibrium import ProblemInstance
 from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
 from .games import _HOLE, ZeroSumGame, _as_fraction, _game_codes
-from .maps import SetValuedMap
 from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
 
 INSTANCE_SCHEMA = "roep-instance/1"
@@ -121,21 +121,48 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
 
 
 def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> np.ndarray:
+    """An F or G table as its mask, domain on rows, in one pass over its rows.
+
+    The errors and their order are SetValuedMap's, each in its section's words.
+    """
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: must be an object of element -> list")
     for key, values in data.items():
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
+    cols, lens, picks = codomain._index, [], []
     with _section(section):
-        return SetValuedMap(domain, codomain, data).mask()
+        for x in domain.ordered():
+            values = data.get(x)
+            if values is None:
+                raise ValidationError(f"set-valued map has no entry for {x!r}")
+            if not values:
+                raise ValidationError(
+                    f"set-valued map value at {x!r} is empty; values must be nonempty")
+            try:
+                picks += map(cols.__getitem__, values)
+            except KeyError:
+                stray = {y for y in values if y not in cols}
+                raise ValidationError(f"value at {x!r} contains non-codomain elements "
+                                      f"{sorted(map(repr, stray))}") from None
+            lens.append(len(values))
+        if len(data) > len(lens):  # every member of the domain has its entry
+            extra = set(data) - domain.members
+            raise ValidationError(
+                f"table has entries outside the domain: {sorted(map(repr, extra))}")
+    mask = np.zeros((len(domain), len(codomain)), dtype=bool)
+    mask[np.repeat(np.arange(len(lens)), lens), picks] = True
+    return mask
 
 
-def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> list:
-    """The [x, y, value] rows, in one pass, as a flat C x D list of codes (_HOLE for none).
+def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> tuple:
+    """The [x, y, value] rows, in one pass, as a flat C x D list of codes, and a hole.
 
     A value's code is codes[v], else new(v, pair), which may raise; a value
     error waits until every row has passed its structure, membership and
-    duplicate checks, so it is the first in row order.
+    duplicate checks, so it is the first in row order.  The hole is the
+    first (x, y) pair with no row, or None: each row fills one cell, so
+    there is one iff there are fewer rows than cells.
     """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
@@ -164,7 +191,10 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
         cells[k] = t
     if bad is not None:
         raise bad
-    return cells
+    if len(data) == len(cells):
+        return cells, None
+    x, y = divmod(cells.index(_HOLE), n_d)
+    return cells, (C.ordered()[x], D.ordered()[y])
 
 
 def _parse_seed(data, C: Subset, D: Subset):
@@ -217,30 +247,34 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
     seed = _parse_seed(doc.get("seed"), C, D)
 
     if mode == "game":
-        exact = {}  # raw value -> its one Fraction
+        slots, exact = {}, []  # raw value -> its slot; each slot's one Fraction
 
-        def fraction(v, pair):
+        def slot(v, pair):
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
-            return exact.setdefault(v, _as_fraction(v))
+            exact.append(_as_fraction(v))
+            slots[v] = len(slots)
+            return slots[v]
 
-        cells = _parse_cells("payoff", _require("document", doc, "payoff"), C, D, exact, fraction)
+        cells, hole = _parse_cells("payoff", _require("document", doc, "payoff"), C, D, slots,
+                                   slot)
         # U is the chain of the distinct values, a dense |U| x |U| order
-        if len({f.as_integer_ratio() for f in exact.values()}) > _MAX_POSET_ELEMENTS:
+        if len(exact) > _MAX_POSET_ELEMENTS and len(
+                {f.as_integer_ratio() for f in exact}) > _MAX_POSET_ELEMENTS:
             raise ValidationError(f"payoff: more than {_MAX_POSET_ELEMENTS} distinct values")
         with _section("game"):
-            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells), F, G, seed)
+            if hole:
+                raise ValidationError(f"payoff table has no entry for {hole!r}")
+            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells, exact), F, G, seed)
 
     def refuse(v, pair):
         raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
 
     U = posets["U"]
-    cells = _parse_cells("T", _require("document", doc, "T"), C, D, U._index, refuse)
+    cells, hole = _parse_cells("T", _require("document", doc, "T"), C, D, U._index, refuse)
     with _section("instance"):
-        if _HOLE in cells:
-            x, y = divmod(cells.index(_HOLE), len(D))
-            pair = (C.ordered()[x], D.ordered()[y])
-            raise UnknownElement(f"objective table has no entry for {pair!r}")
+        if hole:
+            raise UnknownElement(f"objective table has no entry for {hole!r}")
         return ProblemInstance._from_codes(
             C, D, U, np.array(cells, dtype=np.intp).reshape(len(C), len(D)), F, G, seed=seed)
 

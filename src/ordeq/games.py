@@ -5,15 +5,18 @@ receives its negation.  Payoffs are exact rationals: order comparisons decide
 equilibria, and float ties would corrupt the argmax/argmin sets.  A game is
 a problem instance whose utility poset is the chain of its distinct payoff
 values, which keeps it minimal and totally ordered.  One pass builds it:
-each payoff cell is read once, each distinct raw value becomes its Fraction
-once, by the one payoff rule that files and the API share (so every game
-built from string or int payoffs serializes), only the distinct values are
-sorted, and each cell's code is its value's position in U.  No payoff
-table is built unless one is read.
+each payoff cell is read once and coded as its slot among the distinct raw
+values, each of which becomes its Fraction once, by the one payoff rule
+that files and the API share (so every game built from string or int
+payoffs serializes); a plain ASCII integer or ratio is read as two ints,
+any other spelling by Fraction's own parser.  Only the distinct values are
+sorted, and one gather turns the slots into positions in U.  No Fraction
+is hashed, and no payoff table is built unless one is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -37,6 +40,8 @@ _HOLE = object()  # the payoff cell of a pair that has none
 # a decimal string's mantissa and exponent, where Fraction reads them; anchored
 # at the start, since a search would rescan a long digit string from each digit
 _EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?\d[\d_]*)\s*\Z")
+# the spelling str(Fraction) writes, read as two ints without Fraction's regex
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _as_fraction(v) -> Fraction:
@@ -47,7 +52,9 @@ def _as_fraction(v) -> Fraction:
     string whose decimal exponent passes Python's int digit limit by more
     than its mantissa's digit count has more digits than that, so it is
     refused before its power of ten is built (Fraction("1e10000000") alone
-    took 10.6 s).  A zero mantissa is 0 at any exponent.
+    took 10.6 s).  A zero mantissa is 0 at any exponent.  A plain ASCII
+    ``-?digits(/digits)?`` string is read as two ints; int() keeps to the
+    digit limit, so the lowest terms have a string form.
     """
     if type(v) is Fraction:
         return v
@@ -56,6 +63,9 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, bool):  # Fraction would take True as 1
         raise _bad_payoff(v)
     try:
+        plain = _PLAIN.fullmatch(v) if isinstance(v, str) else None
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
         m = _EXPONENT.match(v) if isinstance(v, str) and ("e" in v or "E" in v) else None
         limit = sys.get_int_max_str_digits() if m else 0
         if limit and abs(int(m[2])) > limit + len(m[1].replace("_", "").replace(".", "")):
@@ -90,7 +100,23 @@ class ZeroSumGame(ProblemInstance):
                  seed: Optional[Pair] = None):
         masks = _check_parts(C, D, F, G)
         cs, ds = C.ordered(), D.ordered()
-        U, T = _game_codes(C, D, [payoff.get((x, y), _HOLE) for x in cs for y in ds])
+        slots, exact, cells = {}, [], []
+        for pair in itertools.product(cs, ds):
+            v = payoff.get(pair, _HOLE)
+            if v is _HOLE:
+                raise ValidationError(f"payoff table has no entry for {pair!r}")
+            # a Fraction is keyed by its lowest terms (no Fraction is hashed), any
+            # other value by its type and value (1, 1.0 and True never share a key)
+            key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
+            try:
+                s = slots.get(key)
+            except TypeError:  # an unhashable value is no rational
+                raise _bad_payoff(v) from None
+            if s is None:
+                s = slots[key] = len(exact)
+                exact.append(_as_fraction(v))
+            cells.append(s)
+        U, T = _game_codes(C, D, cells, exact)
         if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
             extra = set(payoff) - {(x, y) for x in cs for y in ds}
             raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
@@ -118,36 +144,19 @@ class ZeroSumGame(ProblemInstance):
                                        self._G, self._F, seed)
 
 
-def _game_codes(C: Subset, D: Subset, cells: list) -> tuple:
-    """A game's utility chain U and codes T, from one read of each payoff cell.
+def _game_codes(C: Subset, D: Subset, cells: list, exact: list) -> tuple:
+    """A game's utility chain U and codes T, from each payoff cell's slot.
 
-    The cells run over C x D in row order, _HOLE where a pair has none.  A
-    distinct raw value is converted once, keyed by its lowest terms if it is
-    a Fraction (no Fraction is hashed), else by its type and value (1, 1.0
-    and True never share a key).  Only the distinct values are sorted; no
-    common denominator: on 20 000 values with denominators up to 10**9 its
-    lcm had over 312 000 bits, and ranking the scaled integers took 5 s
+    The cells run over C x D in row order, each the slot of its raw value,
+    and exact[s] is slot s's Fraction.  Only the distinct values are ranked;
+    no common denominator: on 20 000 values with denominators up to 10**9
+    its lcm had over 312 000 bits, and ranking the scaled integers took 5 s
     against 0.05 s for this sort.
     """
-    cs, ds = C.ordered(), D.ordered()
-    slots, exact, picks = {}, [], []
-    for v in cells:
-        if v is _HOLE:  # the cells read so far number its position
-            x, y = divmod(len(picks), len(ds))
-            raise ValidationError(f"payoff table has no entry for {(cs[x], ds[y])!r}")
-        key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
-        try:
-            s = slots.get(key)
-        except TypeError:  # an unhashable value is no rational
-            raise _bad_payoff(v) from None
-        if s is None:
-            s = slots[key] = len(exact)
-            exact.append(_as_fraction(v))
-        picks.append(s)
     terms = [v.as_integer_ratio() for v in exact]
     values = sorted(dict(zip(terms, exact)).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    T = np.array([rank[t] for t in terms], dtype=np.intp)[picks].reshape(len(cs), len(ds))
+    T = np.array([rank[t] for t in terms], dtype=np.intp)[cells].reshape(len(C), len(D))
     # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
     return Poset._trusted(values, np.triu(np.ones((len(values), len(values)), dtype=bool))), T
 

@@ -1,18 +1,21 @@
 """Finite partial orders: closed relations, extremal points, products, grids.
 
 Every poset stores its full reflexive, transitively closed boolean incidence
-matrix, so order queries are table lookups.  Products and grids are plain
-posets: :func:`product` and :func:`grid_poset` only build their elements and
-orders.  All objects are immutable after construction and safe to share
-across threads.
+matrix, so order queries are table lookups.  The public constructor and
+:func:`load_poset` number the elements as they refuse repeats; a poset the
+library builds numbers them on its first lookup by element, so a game's
+chain of payoffs, only read by position, is never hashed.  Products and
+grids are plain posets: :func:`product` and :func:`grid_poset` only build
+their elements and orders.  All objects are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from typing import Hashable, Iterable, Iterator, Sequence
+from functools import cached_property, reduce
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +92,8 @@ class Poset:
     """
 
     def __init__(self, elements: Sequence[Element], leq_matrix: np.ndarray):
-        self._adopt(elements, leq_matrix)
+        elements = tuple(elements)
+        self._adopt(elements, leq_matrix, _positions(elements))
         m, n = self.leq_matrix, len(self._elements)
         if m.shape != (n, n):
             raise ValueError(f"relation shape {m.shape} does not fit {n} elements")
@@ -106,18 +110,30 @@ class Poset:
         if n and (_bool_matmul(m, m) & ~m).any():
             raise ValueError("relation is not transitively closed")
 
-    def _adopt(self, elements: Sequence[Element], leq_matrix: np.ndarray) -> None:
+    def _adopt(self, elements: Sequence[Element], leq_matrix: np.ndarray,
+               index: Optional[dict] = None) -> None:
         self._elements = tuple(elements)
-        self._index: dict[Element, int] = _positions(self._elements)
+        if index is not None:
+            self._index = index
         self.leq_matrix = np.array(leq_matrix, dtype=bool)
         self.leq_matrix.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, elements: Sequence[Element], leq_matrix: np.ndarray) -> "Poset":
-        """A poset on an order the library built closed: the order is not checked."""
+    def _trusted(cls, elements: Sequence[Element], leq_matrix: np.ndarray,
+                 index: Optional[dict] = None) -> "Poset":
+        """A poset on distinct elements and an order the library built closed.
+
+        Neither is checked; ``index`` is the elements' numbering, if the
+        caller has made it, else they are numbered on first lookup.
+        """
         poset = cls.__new__(cls)
-        poset._adopt(elements, leq_matrix)
+        poset._adopt(elements, leq_matrix, index)
         return poset
+
+    @cached_property
+    def _index(self) -> dict:
+        """Each element's position, numbered on first lookup."""
+        return _positions(self._elements)
 
     @property
     def elements(self) -> tuple:
@@ -315,4 +331,4 @@ def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Pose
                 raise UnknownElement(f"edge endpoint {end!r} is not a declared element")
         succ[index[a]].append(index[b])
     leq, acyclic = _close(succ)  # on a cycle Poset(...) refuses leq, naming a pair
-    return Poset._trusted(elements, leq) if acyclic else Poset(elements, leq)
+    return Poset._trusted(elements, leq, index) if acyclic else Poset(elements, leq)

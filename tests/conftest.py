@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,24 @@ def i3():
 def constant_objective():
     """Every pair is a saddle of a constant map."""
     return instance_from_payoff({(i, j): 0 for i in range(2) for j in range(2)})
+
+
+@pytest.fixture(scope="session")
+def bench_files(tmp_path_factory):
+    """bench_files(name): the seed-1 instance files of a benchmark workload, written once."""
+    path = _FIXTURE_DIR.parent / "bench" / "workloads.py"
+    written = {}
+
+    def files(name):
+        if name not in written:
+            spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+            workloads = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = workloads  # dataclasses look their module up
+            try:
+                spec.loader.exec_module(workloads)
+                written[name] = workloads.write_instances(name, 1, tmp_path_factory.mktemp(name))
+            finally:
+                del sys.modules[spec.name]
+        return written[name]
+
+    return files

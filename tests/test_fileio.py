@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordeq import (
@@ -24,7 +25,7 @@ from ordeq import (
     serialize_instance,
 )
 from ordeq.errors import NoSolution, ParseError, ValidationError
-from ordeq.fileio import build_report, element_id, parse_instance_dict
+from ordeq.fileio import build_report, element_id, parse_instance_dict, read_json
 
 from conftest import FIXTURES
 from oracles import climb_ok, pair_lt, referee_digest
@@ -174,6 +175,61 @@ class TestParse:
         inst = parse_instance_dict(doc)
         assert inst.F("c0") == {"d0", "d1"}
         assert inst.G("d0") == {"c0", "c1"}
+
+
+_CONSTRAINT_ERRORS = {  # F over i2's C = {c0, c1} and D = {d0, d1}: the refusal, word for word
+    "not-an-object": (["d0"], "F: must be an object of element -> list"),
+    "non-list": ({"c0": "d0", "c1": ["d1"]}, "F: entry 'c0' must be a list of strings"),
+    "non-string": ({"c0": ["d0", 1], "c1": ["d1"]}, "F: entry 'c0' must be a list of strings"),
+    "missing": ({"c0": ["d0"]}, "F: ValidationError: set-valued map has no entry for 'c1'"),
+    "empty": ({"c0": [], "c1": ["d1"]},
+              "F: ValidationError: set-valued map value at 'c0' is empty; values must be nonempty"),
+    "stray": ({"c0": ["d0", "zz", "yy", "zz"], "c1": ["d1"]},
+              "F: ValidationError: value at 'c0' contains non-codomain elements "
+              "[\"'yy'\", \"'zz'\"]"),
+    "outside": ({"c0": ["d0"], "c1": ["d1"], "q": ["d0"], "p": []},
+                "F: ValidationError: table has entries outside the domain: [\"'p'\", \"'q'\"]"),
+    # a row's type first, in file order; then domain members in domain order; strays last
+    "non-list-after-missing": ({"q": ["d0"], "c1": 3}, "F: entry 'c1' must be a list of strings"),
+    "non-list-outside": ({"c0": ["d0"], "c1": ["d1"], "q": None},
+                         "F: entry 'q' must be a list of strings"),
+    "missing-before-outside": ({"q": ["d0"], "c1": ["d1"]},
+                               "F: ValidationError: set-valued map has no entry for 'c0'"),
+    "stray-before-missing": ({"c0": ["zz"]}, "F: ValidationError: value at 'c0' contains "
+                             "non-codomain elements [\"'zz'\"]"),
+    "empty-before-stray": ({"c0": [], "c1": ["zz"]}, "F: ValidationError: set-valued map "
+                           "value at 'c0' is empty; values must be nonempty"),
+}
+
+
+class TestConstraintParse:
+    @pytest.mark.parametrize("name", sorted(_CONSTRAINT_ERRORS))
+    def test_refusals_word_for_word(self, name):
+        table, message = _CONSTRAINT_ERRORS[name]
+        doc = load_doc("i2")
+        doc["F"] = table
+        with pytest.raises(ValidationError) as caught:
+            parse_instance_dict(doc)
+        assert str(caught.value) == message
+
+    def test_repeated_members_are_one(self):
+        doc = load_doc("i2")
+        doc["F"] = {"c0": ["d0", "d0"], "c1": ["d1", "d0", "d1"]}
+        assert parse_instance_dict(doc)._F.tolist() == [[True, False], [True, True]]
+
+    @pytest.mark.parametrize("workload", ["grid-game", "wide-oracle"])
+    def test_masks_match_the_set_valued_maps(self, workload, bench_files):
+        constrained = 0
+        for path in bench_files(workload):
+            doc = read_json(path)
+            inst = parse_instance_dict(doc)
+            for key, domain, codomain, mask in (("F", inst.C, inst.D, inst._F),
+                                                ("G", inst.D, inst.C, inst._G)):
+                if key in doc:
+                    constrained += 1
+                    want = SetValuedMap(domain, codomain, doc[key]).mask()
+                    assert np.array_equal(mask, want), (path, key)
+        assert constrained
 
 
 class TestRoundTrip:

@@ -1,15 +1,14 @@
 """Zero-sum games on grids: construction, equilibria, symmetry properties."""
 
-import importlib.util
 import random
 import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordeq.fileio
 import ordeq.games
@@ -21,6 +20,7 @@ from ordeq import (
     instance_digest,
     solve_game,
 )
+from ordeq.cli import main
 from ordeq.errors import NoSolution, ValidationError, ZeroExtent
 from ordeq.fileio import parse_instance_dict, read_json
 
@@ -388,18 +388,9 @@ class TestRankingMatchesReferee:
 
 
 @pytest.fixture(scope="module")
-def grid_game_document(tmp_path_factory):
+def grid_game_document(bench_files):
     """The first instance file of the grid-game benchmark workload at seed 1."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(workloads)
-        paths = workloads.write_instances("grid-game", 1, tmp_path_factory.mktemp("grid"))
-    finally:
-        del sys.modules[spec.name]
-    return read_json(paths[0])
+    return read_json(bench_files("grid-game")[0])
 
 
 class TestWorkPerDistinctValue:
@@ -431,16 +422,107 @@ class TestWorkPerDistinctValue:
         ZeroSumGame(C, D, payoff)
         assert 0 < len(made) <= len(set(payoff.values())) < len(payoff)
 
-    def test_at_most_two_hashes_per_utility_element(self, monkeypatch, grid_game_document):
-        # the game is built in the parse; its roep view shares the codes
-        hashed = [0]
-        plain = Fraction.__hash__
+    def test_a_check_hashes_no_payoff_and_parses_no_string(self, monkeypatch, bench_files,
+                                                           tmp_path):
+        # parse, hypotheses, digest and report: payoffs are coded at their distinct
+        # strings, plain ones are read as ints, and U is only read by position
+        counts = {"hash": 0, "string": 0}
+        plain_hash, plain_new = Fraction.__hash__, Fraction.__new__
 
-        def counting(self):
-            hashed[0] += 1
-            return plain(self)
+        def hashing(self):
+            counts["hash"] += 1
+            return plain_hash(self)
 
-        monkeypatch.setattr(Fraction, "__hash__", counting)
-        inst = parse_instance_dict(grid_game_document).instance
+        def making(cls, *args, **kwargs):
+            counts["string"] += bool(args) and isinstance(args[0], str)
+            return plain_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__hash__", hashing)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(making))
+        code = main(["check", str(bench_files("grid-game")[0]),
+                     "--report", str(tmp_path / "report.json")])
         monkeypatch.undo()
-        assert hashed[0] <= 2 * len(inst.U)
+        assert code == 0
+        assert counts == {"hash": 0, "string": 0}
+
+
+_PAYOFF_TEXT = st.one_of(st.text("0123456789\u0663-+/.e_ \n", max_size=7),
+                         st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True))
+
+
+def _fraction_or_none(s: str):
+    """Fraction(s), if it has a string form: what the exponent guard decides early."""
+    try:
+        exact = Fraction(s)
+        str(exact)
+        return exact
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestExactPayoffParse:
+    @pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+    @settings(max_examples=400, deadline=None)
+    @given(s=_PAYOFF_TEXT)
+    def test_agrees_with_fractions_own_parse(self, limit, s):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit or before)
+        try:
+            want = _fraction_or_none(s)
+            if want is None:
+                with pytest.raises(ValidationError) as caught:
+                    ordeq.games._as_fraction(s)
+                assert str(caught.value) == f"payoff: bad rational {s!r}"
+            else:
+                got = ordeq.games._as_fraction(s)
+                assert type(got) is Fraction and got == want
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_plain_string_past_the_digit_limit_refused(self):
+        long = "7" * 700
+        assert ordeq.games._as_fraction(long) == int(long)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for s in (long, f"1/{long}", f"-{long}/3"):
+                with pytest.raises(ValidationError) as caught:
+                    ordeq.games._as_fraction(s)
+                assert str(caught.value) == f"payoff: bad rational {s!r}"
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
+class TestErrorOrderAndSpellings:
+    def _table(self):
+        C, D = grid_poset((2,)).full_subset(), grid_poset((2,)).full_subset()
+        return C, D, {(x, y): 0 for x in C.ordered() for y in D.ordered()}
+
+    def test_first_hole_or_bad_value_in_cell_order(self):
+        C, D, payoff = self._table()
+        del payoff[((0,), (1,))]
+        payoff[((1,), (0,))] = "x"
+        with pytest.raises(ValidationError) as caught:
+            ZeroSumGame(C, D, payoff)
+        assert str(caught.value) == "payoff table has no entry for ((0,), (1,))"
+        C, D, payoff = self._table()
+        payoff[((0,), (1,))] = "x"
+        del payoff[((1,), (0,))]
+        with pytest.raises(ValidationError) as caught:
+            ZeroSumGame(C, D, payoff)
+        assert str(caught.value) == "payoff: bad rational 'x'"
+
+    def test_spellings_of_one_value_are_one_element(self):
+        X, Y = grid_poset((2,)), grid_poset((3,))
+        C, D = X.full_subset(), Y.full_subset()
+        spellings = [1, "1", "2/2", " 1 ", Fraction(1), "1"]
+        game = ZeroSumGame(C, D, dict(zip(((x, y) for x in C for y in D), spellings)))
+        doc = ordeq.fileio.serialize_instance(game)
+        for row, v in zip(doc["payoff"], [1, "1", "2/2", " 1 ", "1", 1]):
+            row[2] = v
+        parsed = parse_instance_dict(doc)
+        for g in (game, parsed):
+            assert g.U.elements == (Fraction(1),)
+            assert type(g.U.elements[0]) is Fraction
+            assert g._T.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert instance_digest(parsed) == instance_digest(game)
