@@ -23,7 +23,8 @@ of REV then each run, in one process per tree, the same list of
   parser are compared, refusals included;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
-  `validate` and each of the workload's commands;
+  `validate`, each of the workload's commands, and `solve --minimal
+  --force` seeded at the last members of C and D, as for the fixtures;
 - the 256 seed-1 `small-batch` `gen` specs.
 
 Each run is hashed over its exit code, stdout, stderr, the `--report`
@@ -97,6 +98,13 @@ def _payoff_jobs(inputs: Path) -> list:
     return jobs
 
 
+def _descent(path: Path) -> str:
+    """`solve --minimal --force` from the last members of the file's C and D."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return "solve --minimal --force --seed {}:{}".format(doc["C"]["members"][-1],
+                                                        doc["D"]["members"][-1])
+
+
 def _jobs(inputs: Path) -> list:
     """(name, argv) of every run; outputs are named relative to the run's directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -105,11 +113,8 @@ def _jobs(inputs: Path) -> list:
     jobs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
-        commands = list(FIXTURE_COMMANDS)
-        if "C" in doc and "D" in doc:  # descend from the last members of C and D
-            last = (doc["C"]["members"][-1], doc["D"]["members"][-1])
-            commands.append("solve --minimal --force --seed {}:{}".format(*last))
-        jobs += _command_jobs(path, commands)
+        descent = [_descent(path)] if "C" in doc and "D" in doc else []
+        jobs += _command_jobs(path, [*FIXTURE_COMMANDS, *descent])
     base = json.loads((ROOT / "fixtures" / "i1_unconstrained.json").read_text(encoding="utf-8"))
     edge_cases = inputs / "edge-cases"
     edge_cases.mkdir(parents=True)
@@ -129,6 +134,7 @@ def _jobs(inputs: Path) -> list:
             jobs.append((f"{path.name} validate", ["validate", str(path)]))
             jobs += [(f"{path.name} {command}", argv(command, str(path), REPORT))
                      for command in workload.commands if command != "gen"]
+            jobs += _command_jobs(path, [_descent(path)])
         if "gen" in workload.commands:
             jobs += [(f"gen {spec}", argv("gen", WRITTEN, REPORT, spec))
                      for spec in gen_specs(1, workload.instances)]

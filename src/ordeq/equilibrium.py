@@ -6,16 +6,18 @@ F: C -> subsets of D and G: D -> subsets of C.  A pair (x*, y*) solves the
 problem when it is feasible (x* in G(y*), y* in F(x*)), its value is maximal
 among feasible row deviations, and minimal among feasible column deviations.
 
-The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x)
-of the two order-optimization maps: a monotone climb from a seed pair reaches
-a fixed point of gamma, which is exactly a solution, and is then promoted to
-a maximal solution above the seed.  An instance is made of index codes
-(positions instead of element ids): the parse, the generator and games build
-them directly, and T, F and G are views of them.  phi and psi are boolean
-masks, each from one boolean matmul of the values present in each row with
-the strict order of U; their monotonicity flags are boolean matmuls of those
-masks with the orders of C and D, and the solution set is where both masks
-hold.  Element ids come back only where a result leaves the instance.
+The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x) of
+the two order-optimization maps: a monotone climb from a seed pair reaches a
+fixed point of gamma, which is exactly a solution, and is then promoted to the
+highest solution above it, first on ties: a pair strictly above another counts
+more members of C and D at or below it, so it is maximal, and replay takes a
+claim above the seed that is its own highest.  An instance is made of index
+codes (positions instead of element ids): the parse, the generator and games
+build them directly, and T, F and G are views of them.  phi and psi are boolean
+masks, each from one boolean matmul of the values present in each row with the
+strict order of U; their monotonicity flags are boolean matmuls of those masks
+with the orders of C and D, and the solution set is where both masks hold.
+Element ids come back only where a result leaves the instance.
 """
 
 from __future__ import annotations
@@ -322,17 +324,18 @@ class ProblemInstance:
     def _solution_mask(self) -> np.ndarray:
         return self._phi_mask & self._psi_mask.T
 
-    def _extremal_mask(self, p: tuple, direction: str) -> np.ndarray:
-        """The solutions above the pair at positions p with no solution strictly above them.
+    def _highest(self, p: tuple, direction: str) -> Optional[tuple]:
+        """The highest solution at or beyond the pair at positions p (the first on ties), or None.
 
-        With direction "minimal": below p, none strictly below.
+        Height: the members of C at or below x plus of D at or below y, in the direction's orders.
         """
-        i, j = p
         c_leq, d_leq = self._orders(direction)
-        above = self._solution_mask & c_leq[i][:, None] & d_leq[j][None, :]
-        # how many pairs of `above` lie at or above each pair: 1 is itself only
-        count = c_leq.astype(float) @ above.astype(float) @ d_leq.T.astype(float)
-        return above & (count == 1)
+        d_row = np.ascontiguousarray(d_leq[p[1]])  # a row of a reversed order is a strided column
+        rows, cols = np.nonzero(self._solution_mask & c_leq[p[0]][:, None] & d_row)
+        if not len(rows):
+            return None
+        k = int(np.argmax(c_leq.sum(axis=0)[rows] + d_leq.sum(axis=0)[cols]))
+        return int(rows[k]), int(cols[k])
 
     # -- hypotheses and solving ----------------------------------------------
 
@@ -390,9 +393,9 @@ class ProblemInstance:
         while a strictly greater q exists it advances to the one with the
         lexicographically smallest element indices.  When no strictly
         greater successor remains, p lies in gamma(p), hence is a solution.
-        The returned solution is a maximal element of the solution set
-        restricted to the up-set of the seed, above the fixed point the
-        climb reached.
+        It is promoted to the highest solution above it, first on ties: one
+        strictly above another counts more members of C and D at or below
+        it, so the pick is maximal.  Replay accepts any maximal solution.
 
         Raises HypothesisFailed unless the preconditions hold or ``force``
         is set; raises NoSolution when no solution exists above the seed.
@@ -404,8 +407,9 @@ class ProblemInstance:
 
         Requires the order-dual hypotheses: phi and psi increasing downward
         and a seed witness below the seed.  phi and psi only involve the
-        utility order, so the solution set is unchanged; only the climb
-        direction and the promotion target (minimal below the seed) flip.
+        utility order, so the solution set is unchanged; the climb and the
+        promotion flip, to the highest solution in the reversed orders: a
+        minimal one below the seed.  Replay accepts any minimal one.
         """
         return self._solve(seed, force, "minimal")
 
@@ -420,20 +424,16 @@ class ProblemInstance:
         trace = [seed]
         while (q := self._step(trace[-1], c_leq, d_leq)) is not None:
             trace.append(q)
-        i, j = p = trace[-1]
-        fixed = self._phi_mask[i, j] and self._psi_mask[j, i]
-        # the extremal solutions above a fixed point p are those above the seed
-        # that lie above p; with failing hypotheses a forced climb can strand
-        # at a non-fixed point, and the promotion then picks from all of them
-        best = self._extremal_mask(p if fixed else seed, direction)
-        if not best.any():
+        # the highest solution beyond the fixed point (first on ties) has none beyond it, which
+        # would be higher; a forced climb can strand at a non-fixed point: promote from the seed
+        fixed = trace[-1] if self._solution_mask[trace[-1]] else None
+        solution = self._highest(fixed or seed, direction)
+        if solution is None:
             raise NoSolution(
                 f"no solution {'above' if direction == 'maximal' else 'below'} seed {hyp.seed!r}"
                 + ("" if hyp.passes else " (hypotheses were not satisfied)")
             )
-        # cells run in pair_index order: the first set one is the least pair
-        solution = tuple(np.argwhere(best)[0].tolist())
-        if fixed and solution != p:
+        if fixed and solution != fixed:
             trace.append(solution)
         report = self._report(hyp, seed, direction, trace, solution)
         if report is None:

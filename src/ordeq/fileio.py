@@ -490,14 +490,14 @@ def build_report(command: str, instance, exit_code: int, elapsed: float,
 def replay_report(report: dict, instance) -> bool:
     """Re-verify a report against its instance: the digest and every claim.
 
-    The solution and the climb trace are the report's own; the solution
-    must be maximal (minimal) among the solutions above (below) the seed,
-    as ``direction`` says, and the trace must pass the solver's own climb
-    check: it starts at the seed and steps strictly through gamma (only its
-    last step may leave gamma, to promote a fixed point of gamma to the
-    solution).  Every other field must equal the report rebuilt from them
-    and from freshly computed hypotheses, solution set, certificate, game
-    value and exit code.
+    The solution and the climb trace are the report's own.  The solution
+    must lie above (below) the seed, as ``direction`` says, and be its own
+    highest, as the solver promotes: so any maximal (minimal) claim passes.
+    The trace must pass the solver's own climb check: it starts at the seed
+    and steps strictly through gamma (only its last step may leave gamma, to
+    promote a fixed point of gamma to the solution).  Every other field must
+    equal the report rebuilt from them and from freshly computed hypotheses,
+    solution set, certificate, game value and exit code.
     """
     if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
@@ -529,11 +529,11 @@ def _rebuild(report: dict, obj):
             fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
         else:
             sol, trace = pos(report["solution"]), [pos(p) for p in report["climb_trace"]]
-            if not obj._extremal_mask(seed, direction)[sol]:
-                return None
+            c_leq, d_leq = obj._orders(direction)
+            beyond = c_leq[seed[0], sol[0]] and d_leq[seed[1], sol[1]]
             fields["solution_report"] = rep = obj._report(hyp, seed, direction, trace, sol)
-            if rep is None:
-                return None
+            if rep is None or not beyond or obj._highest(sol, direction) != sol:
+                return None  # a trace that does not climb, or a claim that is not extremal
             if command == "game":
                 fields["game_value"] = obj.U.elements[obj._T[sol]]
     return build_report(command, obj, code, report["elapsed_seconds"],

@@ -9,7 +9,9 @@ oracle on a ``leq`` matrix, and the generator referee builds every attempt
 as validated objects, each poset from an edge list closed by Warshall and
 checked by the public Poset constructor.  The
 broadcast referee works on index codes, as the package's optima kernel
-does, but by another route.  The digest referee hashes the whole document
+does, but by another route.  The count referee finds the extremal
+solutions by counting, with float64 matmuls, where the solver takes one
+argmax of heights.  The digest referee hashes the whole document
 as json.dumps writes it.  The subset and map referees scan the parent poset
 and test each cell for membership.  The grid referee lays the coordinates
 out with np.meshgrid and compares them axis by axis.
@@ -137,6 +139,46 @@ def broadcast_optima(values, feasible, beats, chunk_cells=1 << 22):
         beaten &= f[:, :, None]
         out[lo:lo + step] = f & ~beaten.any(axis=1)
     return out
+
+
+# -- the count referee for the promotion ---------------------------------------
+#
+# The kernel the solver promoted with before it took the highest solution:
+# two float64 count matmuls count the solutions at or beyond each pair, and
+# the pairs whose count is 1 (themselves only) are extremal.  Its first set
+# cell, in pair_index order, is the pick the solver made then.
+
+
+def extremal_mask(inst, p, direction):
+    """The solutions at or beyond the pair at positions p with no solution strictly beyond them."""
+    i, j = p
+    c_leq, d_leq = inst._orders(direction)
+    beyond = inst._solution_mask & c_leq[i][:, None] & d_leq[j][None, :]
+    count = c_leq.astype(float) @ beyond.astype(float) @ d_leq.T.astype(float)
+    return beyond & (count == 1)
+
+
+def promotion_start(inst, rep):
+    """The positions the promotion of a solve report started from.
+
+    That is the fixed point of gamma the climb reached: the trace's last
+    pair, or the one before it when a promoted step was appended.  A climb
+    that stranded short of the solution promoted from the seed.
+    """
+    trace = rep.climb_trace
+    if trace[-1] != rep.solution:
+        start = rep.seed
+    elif len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2]):
+        start = trace[-2]
+    else:
+        start = trace[-1]
+    return inst._row(start[0]), inst._col(start[1])
+
+
+def referee_pick(inst, rep):
+    """The referee's first extremal cell beyond a solve report's promotion start, as positions."""
+    best = extremal_mask(inst, promotion_start(inst, rep), rep.direction)
+    return tuple(np.argwhere(best)[0].tolist())
 
 
 # -- the id-level climb referee -----------------------------------------------

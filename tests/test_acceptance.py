@@ -19,7 +19,7 @@ from ordeq.errors import FilterExhausted, NoSolution
 from ordeq.games import solve_game
 
 from conftest import FIXTURES
-from oracles import CompletenessOracle, dict_gamma_fixed_points, pair_leq, pair_lt
+from oracles import CompletenessOracle, dict_gamma_fixed_points, pair_leq, pair_lt, referee_pick
 
 POSET_KINDS_CYCLE = ("random_poset", "grid", "chain", "antichain", "boolean_lattice")
 
@@ -173,6 +173,8 @@ def test_criterion_2_existence_theorem(theorem_runs):
         assert pair_leq(inst, rep.seed, s)
         above = {t for t in inst.solution_set if pair_leq(inst, rep.seed, t)}
         assert not any(pair_lt(inst, s, t) for t in above)
+        # the highest solution is the count referee's first extremal cell
+        assert (inst._row(s[0]), inst._col(s[1])) == referee_pick(inst, rep)
     print(f"\n[acceptance] criterion 2 (existence, {len(theorem_runs)} instances): PASS")
 
 

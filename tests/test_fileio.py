@@ -1,5 +1,6 @@
 """Instance file parsing, normalization, digests, and report replay."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -28,7 +29,14 @@ from ordeq.errors import NoSolution, ParseError, ValidationError
 from ordeq.fileio import build_report, element_id, parse_instance_dict, read_json
 
 from conftest import FIXTURES
-from oracles import climb_ok, pair_lt, referee_digest
+from oracles import (
+    climb_ok,
+    extremal_mask,
+    pair_lt,
+    promotion_start,
+    referee_digest,
+    referee_pick,
+)
 
 
 def _forced_reports():
@@ -58,6 +66,24 @@ def _tampered_traces(inst, rep):
                 yield trace[:k] + [q] + trace[k + 1:]
     if len(trace) > 1:
         yield trace[:-1]  # drops the promotion step where there is one
+
+
+def _referee_report(inst, rep):
+    """The report of the count referee's pick, the solver's pick before; None where they agree.
+
+    A climb that stranded keeps its trace; one that reached a fixed point
+    is cut there, and a promoted last step to the referee's pick appended.
+    """
+    pick = inst._pair(referee_pick(inst, rep))
+    if pick == rep.solution:
+        return None
+    trace = rep.climb_trace
+    if trace[-1] == rep.solution:
+        fixed = inst._pair(promotion_start(inst, rep))
+        trace = trace[:trace.index(fixed) + 1] + ((pick,) if pick != fixed else ())
+    rep = dataclasses.replace(rep, solution=pick, climb_trace=trace,
+                              certificates={pick: inst.solution_certificate(*pick)})
+    return build_report("solve", inst, 0, 0.01, solution_report=rep)
 
 
 def load_doc(name):
@@ -495,6 +521,55 @@ class TestReports:
                 assert replay_report(claim, inst) == ok, (seed, trace, rep.direction)
                 verdicts[ok] += 1
         assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+    def test_forced_picks_against_the_count_referee(self):
+        # the pick is extremal above the promotion's start; where the
+        # hypotheses pass it is also the count kernel's pick, the first cell
+        passing = changed = 0
+        for seed, inst, rep in _forced_reports():
+            sol = inst._row(rep.solution[0]), inst._col(rep.solution[1])
+            assert extremal_mask(inst, promotion_start(inst, rep), rep.direction)[sol]
+            first = referee_pick(inst, rep)
+            if rep.hypotheses.passes:
+                assert sol == first, (seed, rep.seed, rep.direction)
+                passing += 1
+            changed += sol != first
+        assert passing > 100 and changed, (passing, changed)
+
+    def test_replay_predicate_agrees_with_the_count_referee(self):
+        # a claim q replays when it lies at or beyond the seed and is its own
+        # highest solution: exactly the cells of the referee's mask
+        for seed, inst, rep in _forced_reports():
+            i, j = inst._row(rep.seed[0]), inst._col(rep.seed[1])
+            best = extremal_mask(inst, (i, j), rep.direction)
+            c_leq, d_leq = inst._orders(rep.direction)
+            for q in np.ndindex(best.shape):
+                claim = c_leq[i, q[0]] and d_leq[j, q[1]] and inst._highest(q, rep.direction) == q
+                assert claim == best[q], (seed, rep.seed, q, rep.direction)
+
+    def test_reports_of_the_count_referees_pick_replay(self):
+        # what the solver wrote when it promoted with the count kernel
+        rewritten = 0
+        for seed, inst, rep in _forced_reports():
+            doc = _referee_report(inst, rep)
+            if doc is not None:
+                assert replay_report(doc, inst), (seed, rep.seed, rep.direction)
+                rewritten += 1
+        assert rewritten
+
+    @pytest.mark.parametrize("name", ["wide-oracle", "small-batch"])
+    def test_bench_reports_of_the_count_referees_pick_replay(self, bench_files, name):
+        rewritten = 0
+        for path in bench_files(name):
+            inst = parse_instance(str(path))
+            try:
+                doc = _referee_report(inst, inst.solve_maximal(force=True))
+            except NoSolution:
+                continue
+            if doc is not None:
+                assert replay_report(doc, inst), path.name
+                rewritten += 1
+        assert rewritten
 
     def test_replay_rejects_a_solution_that_is_not_maximal(self, constant_objective):
         rep = constant_objective.solve_maximal(("c0", "d0"))

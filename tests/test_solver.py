@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ordeq import (
@@ -20,7 +21,7 @@ from ordeq import (
 from ordeq.errors import HypothesisFailed, NoSolution
 
 from conftest import FIXTURES, chain, int_chain
-from oracles import pair_leq, pair_lt
+from oracles import extremal_mask, pair_leq, pair_lt
 
 
 class TestSolveMaximal:
@@ -222,6 +223,29 @@ class TestGridGameScale:
         assert rep.solution == ((31, 31), (31, 31))
         assert rep.solutions == {((31, 31), (31, 31))}
         assert elapsed < 5.0, f"build + check + solve took {elapsed:.2f} s"
+
+
+class TestPosetCapScale:
+    def test_forced_solves_on_two_chains_at_the_cap(self):
+        # C = D = a 2048-chain, U an 8-chain: the hypotheses fail, and the
+        # maximal climb strands and promotes from the seed.  Counting the
+        # solutions beyond each pair took two 2048^3 matmuls, 0.66 s a solve;
+        # the descent starts at the top, since nothing solves below e0, e0
+        X = chain("e", 2048)
+        C = D = X.full_subset()
+        ij = np.arange(2048)
+        T = (ij[:, None] + ij[None, :]) * 8 // 4096
+        inst = ProblemInstance._from_codes(C, D, int_chain(0, 7), T, None, None, ("e0", "e0"))
+        assert not inst.check_hypotheses().passes
+        for solve, seed in ((inst.solve_maximal, ("e0", "e0")),
+                            (inst.solve_minimal, ("e2047", "e2047"))):
+            started = time.perf_counter()
+            rep = solve(seed, force=True)
+            elapsed = time.perf_counter() - started
+            sol = inst._row(rep.solution[0]), inst._col(rep.solution[1])
+            start = inst._row(seed[0]), inst._col(seed[1])
+            assert extremal_mask(inst, start, rep.direction)[sol], rep.solution
+            assert elapsed < 0.3, f"{rep.direction} solve took {elapsed:.2f} s"
 
 
 class TestInvariantBreach:
