@@ -28,10 +28,13 @@ of REV then each run, in one process per tree, the same list of
 - the 256 seed-1 `small-batch` `gen` specs.
 
 Each run is hashed over its exit code, stdout, stderr, the `--report`
-document without `elapsed_seconds`, and the file `gen` writes.  The script
-prints the number of runs, then every run that differs, with both sides'
-exit code and the start of their stdout and stderr, then the number of
-differences; it exits 1 on any difference.
+document without `elapsed_seconds`, and the file `gen` writes; and hashed
+again with the instance digest masked: the hex after `digest=` on stdout,
+and the report's `instance_digest` and `schema`.  The script prints the
+number of runs, then every run that differs, marked when it differs only
+in those digest fields, with both sides' exit code and the start of their
+stdout and stderr, then the number of differences, split into digest-only
+and all others; it exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
                     "enumerate", "game", "game --force")
 REPORT, WRITTEN = "report.json", "written.json"
+DIGEST_FIELDS = ("instance_digest", "schema")  # the report fields a digest-only change may move
 EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
     "two-cycle": (["c0", "c1"], [["c0", "c1"], ["c1", "c0"]]),
     "cycle-with-tail": (["c0", "c1", "c2", "c3"],
@@ -163,7 +168,12 @@ def _run_jobs(jobs_file: str) -> None:
             written = Path(WRITTEN).read_text(encoding="utf-8")
         blob = json.dumps([code, out.getvalue(), err.getvalue(), report, written],
                           sort_keys=True)
-        results.append([name, hashlib.sha256(blob.encode()).hexdigest(), code,
+        masked = json.dumps([code, re.sub(r"digest=[0-9a-f]+", "digest=", out.getvalue()),
+                             err.getvalue(), report and {k: v for k, v in report.items()
+                                                         if k not in DIGEST_FIELDS}, written],
+                            sort_keys=True)
+        results.append([name, hashlib.sha256(blob.encode()).hexdigest(),
+                        hashlib.sha256(masked.encode()).hexdigest(), code,
                         out.getvalue()[:300], err.getvalue()[:300]])
     json.dump({"ordeq": sys.modules["ordeq"].__file__, "runs": results}, sys.stdout)
 
@@ -199,11 +209,15 @@ def main(rev: str) -> int:
             return 1
     print(f"{len(now['runs'])} runs")
     differing = [(old, new) for old, new in zip(was["runs"], now["runs"]) if old[1] != new[1]]
+    digest_only = 0
     for old, new in differing:
-        print(f"difference: {old[0]}")
-        print(f"  {rev}: exit {old[2]}\n    stdout {old[3]!r}\n    stderr {old[4]!r}")
-        print(f"  this checkout: exit {new[2]}\n    stdout {new[3]!r}\n    stderr {new[4]!r}")
-    print(f"{len(differing)} differences")
+        only = old[2] == new[2]
+        digest_only += only
+        print(f"difference{' (digest or report schema only)' if only else ''}: {old[0]}")
+        print(f"  {rev}: exit {old[3]}\n    stdout {old[4]!r}\n    stderr {old[5]!r}")
+        print(f"  this checkout: exit {new[3]}\n    stdout {new[4]!r}\n    stderr {new[5]!r}")
+    print(f"{len(differing)} differences: {digest_only} only in the digest or report schema, "
+          f"{len(differing) - digest_only} other")
     return 1 if differing else 0
 
 

@@ -331,9 +331,10 @@ class ProblemInstance:
         """
         c_leq, d_leq = self._orders(direction)
         d_row = np.ascontiguousarray(d_leq[p[1]])  # a row of a reversed order is a strided column
-        rows, cols = np.nonzero(self._solution_mask & c_leq[p[0]][:, None] & d_row)
-        if not len(rows):
+        beyond = np.flatnonzero(self._solution_mask & c_leq[p[0]][:, None] & d_row)
+        if not len(beyond):
             return None
+        rows, cols = np.divmod(beyond, len(d_row))
         k = int(np.argmax(c_leq.sum(axis=0)[rows] + d_leq.sum(axis=0)[cols]))
         return int(rows[k]), int(cols[k])
 

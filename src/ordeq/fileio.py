@@ -15,7 +15,18 @@ its domain on rows.  Serialization normalizes: element ids become
 strings, relations become Hasse edges, rows are emitted in a canonical
 order; parse-then-serialize is idempotent after the first pass.  It reads
 the codes, so ids are converted once per element, never once per cell,
-and serves dump_instance and the API; the digest is encoded from the codes.
+and serves dump_instance and the API.
+
+The instance digest is one sha256 over the codes, never over JSON text.
+Each field is framed as its byte length (8 bytes, little-endian) and then
+its bytes, in this order: the tag ``roep-digest/1``; the mode; for X, Y
+and a roep's U, the ids' lengths in code points (``<u4``), the ids joined
+as UTF-8 with surrogates passed through, and the closed leq matrix as
+packed bits; C and D as packed membership over their parents; a game's U,
+its payoffs ascending, as the two id fields; T as ``<u4`` positions in U,
+C x D row-major; F and G as packed bits; the seed's ``<u4`` positions in C
+and D, or an empty field.  Bits are packed row-major, first bit highest,
+as np.packbits does.  Reports (schema roep-report/2) carry it.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate, compress
-from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Union
 
@@ -39,7 +49,8 @@ from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
 
 INSTANCE_SCHEMA = "roep-instance/1"
 POSET_SCHEMA = "roep-poset/1"
-REPORT_SCHEMA = "roep-report/1"
+REPORT_SCHEMA = "roep-report/2"
+_DIGEST_TAG = b"roep-digest/1"
 
 
 def element_id(e) -> str:
@@ -305,28 +316,24 @@ def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
     return parse_instance_dict(read_json(path))
 
 
+def _ids(p: Poset) -> list:
+    """A poset's element ids, in element order; two elements with one id would not parse back."""
+    ids = list(map(element_id, p.elements))
+    if len(set(ids)) < len(ids):
+        seen = set()
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise ValidationError(f"cannot serialize: two elements share the id {repeated!r}")
+    return ids
+
+
 def _poset_doc(p: Poset) -> dict:
-    # distinct elements with one string form would not parse back
-    ids = [element_id(e) for e in p.elements]
-    seen = set()
-    for i in ids:
-        if i in seen:
-            raise ValidationError(f"cannot serialize: two elements share the id {i!r}")
-        seen.add(i)
+    ids = _ids(p)
     name = dict(zip(p.elements, ids))
     return {
         "elements": ids,
         "edges": sorted([name[a], name[b]] for a, b in p.hasse_edges()),
         "edge_kind": "hasse",
     }
-
-
-def _parts(obj) -> tuple:
-    """An instance's poset documents and the ids of C, D and U, each id converted once."""
-    posets = {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)}
-    if not isinstance(obj, ZeroSumGame):
-        posets["U"] = _poset_doc(obj.U)
-    return (posets, *([element_id(e) for e in es] for es in (obj._cs, obj._ds, obj.U.elements)))
 
 
 def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
@@ -337,7 +344,10 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     are the T rows of a roep.
     """
     game = isinstance(obj, ZeroSumGame)
-    posets, cs, ds, us = _parts(obj)
+    posets = {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)}
+    if not game:
+        posets["U"] = _poset_doc(obj.U)
+    cs, ds, us = ([element_id(e) for e in es] for es in (obj._cs, obj._ds, obj.U.elements))
     doc = {"schema": INSTANCE_SCHEMA, "mode": "game" if game else "roep", "posets": posets,
            "C": {"poset": "X", "members": cs}, "D": {"poset": "Y", "members": ds}}
     doc["payoff" if game else "T"] = [
@@ -363,44 +373,59 @@ def dump_instance(obj, path) -> None:
 
 
 def instance_digest(obj) -> str:
-    """sha256 over the canonical text of the normalized document.
+    """sha256 over the instance's codes, in one fixed byte layout.
 
-    That text is json.dumps(serialize_instance(obj), sort_keys=True,
-    separators=(",", ":")), written here from the codes: each id is
-    JSON-encoded once, and one join writes the rows, three pieces a cell.
+    The digest reads only what the normalized document holds, so
+    digest(parse(serialize(x))) == digest(x).  The hash runs over a list of
+    fields, each written as its byte length (8 bytes, little-endian) and
+    then its bytes.  In order:
+
+    1. the tag ``roep-digest/1``;
+    2. the mode, ``roep`` or ``game``;
+    3. for X, Y and (a roep only) U, each poset as three fields: the
+       lengths in code points of its element ids (``<u4`` each), the ids
+       joined, as UTF-8 with surrogates passed through, and its closed leq
+       matrix as np.packbits writes it (row-major, first bit highest, the
+       last byte zero-padded);
+    4. C and D, each as packed bits of membership over its parent's
+       elements;
+    5. a game only: its U, the chain of its payoffs in ascending order, as
+       the two id fields of step 3, each value's id the Fraction's str;
+    6. T, one ``<u4`` per C x D cell, row-major, each the position of its
+       value in U (members of C and D numbered in parent order);
+    7. F (|C| x |D|) and G (|D| x |C|) as packed bits, an omitted map all true;
+    8. the seed as the ``<u4`` positions of its members in C and D, or an
+       empty field when there is none.
     """
     game = isinstance(obj, ZeroSumGame)
-    posets, cs, ds, us = _parts(obj)
-    ids = {i for doc in posets.values() for i in doc["elements"]}.union(us)
-    quoted = dict(zip(ids, map(encode_basestring_ascii, ids)))  # what json.dumps writes
-    cq, dq, uq = ([quoted[i] for i in part] for part in (cs, ds, us))
-    cells = np.empty(obj._T.shape + (3,), dtype=object)  # ',["x",' '"y",' '"u"]'
-    cells[..., 0] = np.array([",[" + q + "," for q in cq], dtype=object)[:, None]
-    cells[..., 1] = np.array([q + "," for q in dq], dtype=object)
-    cells[..., 2] = np.array([q + "]" for q in uq], dtype=object)[obj._T]
-    texts = {name: '{"edge_kind":"hasse","edges":[%s],"elements":[%s]}' % (
-        ",".join("[%s,%s]" % (quoted[a], quoted[b]) for a, b in doc["edges"]),
-        ",".join(map(quoted.get, doc["elements"]))) for name, doc in posets.items()}
-    fields = {"C": '{"members":[%s],"poset":"X"}' % ",".join(cq),
-              "D": '{"members":[%s],"poset":"Y"}' % ",".join(dq),
-              "F": _rows_text(cs, obj._F, dq, quoted), "G": _rows_text(ds, obj._G, cq, quoted),
-              "payoff" if game else "T": "[%s]" % "".join(cells.ravel().tolist())[1:],
-              "mode": '"game"' if game else '"roep"', "schema": json.dumps(INSTANCE_SCHEMA),
-              "posets": _object_text(texts)}
-    if obj.seed is not None:
-        fields["seed"] = "[%s,%s]" % tuple(quoted[element_id(e)] for e in obj.seed)
-    return hashlib.sha256(_object_text(fields).encode("ascii")).hexdigest()
+    h = hashlib.sha256()
 
+    def field(data) -> None:
+        data = memoryview(data)
+        h.update(data.nbytes.to_bytes(8, "little"))
+        h.update(data)
 
-def _object_text(fields: dict) -> str:
-    """An object's canonical text, from plain keys and their values' texts."""
-    return "{%s}" % ",".join('"%s":%s' % item for item in sorted(fields.items()))
+    def id_fields(ids: list) -> None:
+        field(np.array(list(map(len, ids)), dtype="<u4"))
+        field("".join(ids).encode("utf-8", "surrogatepass"))
 
-
-def _rows_text(keys: list, mask: np.ndarray, values: list, quoted: dict) -> str:
-    """The text of {key: the values where its mask row is set}, keys sorted."""
-    return "{%s}" % ",".join("%s:[%s]" % (quoted[k], ",".join(compress(values, row)))
-                             for k, row in sorted(zip(keys, mask.tolist())))
+    field(_DIGEST_TAG)
+    field(b"game" if game else b"roep")
+    for p in (obj.C.parent, obj.D.parent) if game else (obj.C.parent, obj.D.parent, obj.U):
+        id_fields(_ids(p))
+        field(np.packbits(p.leq_matrix))
+    for s in (obj.C, obj.D):
+        member = np.zeros(len(s.parent), dtype=bool)
+        member[list(map(s.parent._index.__getitem__, s.ordered()))] = True
+        field(np.packbits(member))
+    if game:
+        id_fields(list(map(str, obj.U.elements)))  # element_id of distinct Fractions: distinct
+    field(np.ascontiguousarray(obj._T, dtype="<u4"))
+    field(np.packbits(obj._F))
+    field(np.packbits(obj._G))
+    seed = () if obj.seed is None else (obj.C._index[obj.seed[0]], obj.D._index[obj.seed[1]])
+    field(np.array(seed, dtype="<u4"))
+    return h.hexdigest()
 
 
 def serialize_poset_doc(p: Poset) -> dict:

@@ -11,10 +11,10 @@ checked by the public Poset constructor.  The
 broadcast referee works on index codes, as the package's optima kernel
 does, but by another route.  The count referee finds the extremal
 solutions by counting, with float64 matmuls, where the solver takes one
-argmax of heights.  The digest referee hashes the whole document
-as json.dumps writes it.  The subset and map referees scan the parent poset
-and test each cell for membership.  The grid referee lays the coordinates
-out with np.meshgrid and compares them axis by axis.
+argmax of heights.  The digest referee lays out the digest's bytes from
+the normalized document alone.  The subset and map referees scan the
+parent poset and test each cell for membership.  The grid referee lays the
+coordinates out with np.meshgrid and compares them axis by axis.
 """
 
 import itertools
@@ -545,19 +545,67 @@ def referee_game_instance(C, D, payoff, F=None, G=None, seed=None):
 
 # -- the instance digest -------------------------------------------------------
 #
-# The digest as it was computed before its text was encoded from the codes:
-# the whole normalized document through json.dumps.
+# The digest's byte layout, derived from the normalized document alone: ids
+# from the element and member lists, each order closed by Warshall from the
+# Hasse edges, positions from the id lists, a game's U ranked from its
+# payoff strings, bits packed one by one and ints by struct.
+
+
+def _pack_bits(bits):
+    """Bits first-highest in each byte, the last byte padded with zeros."""
+    bits = [bool(b) for b in bits]
+    bits += [False] * (-len(bits) % 8)
+    return bytes(sum(b << (7 - k) for k, b in enumerate(bits[i:i + 8]))
+                 for i in range(0, len(bits), 8))
+
+
+def _id_fields(ids):
+    """The id lengths in code points and the ids joined, as UTF-8 with surrogates passed."""
+    import struct
+
+    return [struct.pack(f"<{len(ids)}I", *(len(i) for i in ids)),
+            "".join(ids).encode("utf-8", "surrogatepass")]
 
 
 def referee_digest(obj):
-    """sha256 of json.dumps(serialize_instance(obj)) with sorted keys and no spaces."""
+    """sha256 over the framed fields instance_digest documents, from serialize_instance(obj)."""
     import hashlib
-    import json
+    import struct
+    from fractions import Fraction
 
     from ordeq import serialize_instance
 
-    blob = json.dumps(serialize_instance(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    doc = serialize_instance(obj)
+    game = doc["mode"] == "game"
+    posets = doc["posets"]
+    fields = [b"roep-digest/1", doc["mode"].encode("ascii")]
+    for name in ("X", "Y") if game else ("X", "Y", "U"):
+        names = posets[name]["elements"]
+        at = {e: k for k, e in enumerate(names)}
+        adj = np.zeros((len(names), len(names)), dtype=bool)
+        for a, b in posets[name]["edges"]:
+            adj[at[a], at[b]] = True
+        fields += _id_fields(names)
+        fields.append(_pack_bits(warshall(adj).ravel().tolist()))
+    cs, ds = doc["C"]["members"], doc["D"]["members"]
+    for members, name in ((set(cs), "X"), (set(ds), "Y")):
+        fields.append(_pack_bits([e in members for e in posets[name]["elements"]]))
+    if game:
+        value = {v: Fraction(v) for _, _, v in doc["payoff"]}
+        chain = sorted(set(value.values()))
+        fields += _id_fields([str(v) for v in chain])
+        code = {v: chain.index(f) for v, f in value.items()}
+    else:
+        code = {u: k for k, u in enumerate(posets["U"]["elements"])}
+    table = {(x, y): code[v] for x, y, v in doc["payoff" if game else "T"]}
+    fields.append(struct.pack(f"<{len(table)}I", *(table[x, y] for x in cs for y in ds)))
+    F, G = ({k: set(v) for k, v in doc[m].items()} for m in ("F", "G"))
+    fields.append(_pack_bits([y in F[x] for x in cs for y in ds]))
+    fields.append(_pack_bits([x in G[y] for y in ds for x in cs]))
+    seed = doc.get("seed")
+    fields.append(struct.pack("<2I", cs.index(seed[0]), ds.index(seed[1])) if seed else b"")
+    blob = b"".join(struct.pack("<Q", len(f)) + f for f in fields)
+    return hashlib.sha256(blob).hexdigest()
 
 
 # -- subsets and maps as codes -------------------------------------------------

@@ -209,7 +209,7 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", FIXTURES["i2"], "--report", str(report_path))
         assert code == 0
         doc = json.loads(report_path.read_text())
-        assert doc["schema"] == "roep-report/1"
+        assert doc["schema"] == "roep-report/2"
         assert doc["solution"] == ["c1", "d1"]
         assert replay_report(doc, parse_instance(FIXTURES["i2"]))
 
@@ -270,17 +270,48 @@ class TestReplay:
                 replayed += 1
         assert replayed >= 2
 
+    # each fixture's digest as roep-report/1 files carry it: the sha256 of the
+    # normalized document's canonical JSON text
+    SCHEMA_1_DIGESTS = {
+        "i1": "5f160b34885e7b80e376e05c0929c6b702b20aeb81e225ca7b72109de0b7313d",
+        "i2": "9e97b91ae2fd7374f58da251843f4f2a707de313b3f509c267b872111d1f55d7",
+        "i3": "af37906d81844a0b4e55cee72cc81c7c242254fedbfb782238739c96b7801c21",
+        "game2x2": "b57515ba5fd79b3feedbe6e1f43bdb98597b6dc3224538cc5462a6db2737e05c",
+        "game3x3": "f9e2ca7a947e143e75ccf88d1281432d980ffa2dd51c1b6f6906817c417b5a73",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_1_DIGESTS))
+    def test_schema_1_reports_are_refused_and_fresh_ones_replay(self, capsys, tmp_path, name):
+        # a /1 report digests another byte layout: it is refused as a document,
+        # not replayed into a digest mismatch
+        inst = parse_instance(FIXTURES[name])
+        written = 0
+        for k, argv in enumerate(REPORTING_COMMANDS):
+            path = tmp_path / f"report{k}.json"
+            run(capsys, *argv, FIXTURES[name], "--report", str(path))
+            if not path.exists():
+                continue
+            doc = json.loads(path.read_text())
+            assert doc["schema"] == "roep-report/2"
+            assert replay_report(doc, inst), argv
+            old = {**doc, "schema": "roep-report/1",
+                   "instance_digest": self.SCHEMA_1_DIGESTS[name]}
+            with pytest.raises(ParseError, match="^expected a 'roep-report/2' document$"):
+                replay_report(old, inst)
+            written += 1
+        assert written >= 2
+
     def test_unreplayable_reports(self, capsys, tmp_path):
         path = tmp_path / "check.json"
         assert run(capsys, "check", FIXTURES["i2"], "--report", str(path))[0] == 0
         doc, inst = json.loads(path.read_text()), parse_instance(FIXTURES["i2"])
         assert replay_report(doc, inst)
-        with pytest.raises(ParseError, match="^expected a 'roep-report/1' document$"):
+        with pytest.raises(ParseError, match="^expected a 'roep-report/2' document$"):
             replay_report({**doc, "schema": "roep-report/0"}, inst)
         assert not replay_report({**doc, "command": "frobnicate"}, inst)
         assert not replay_report({**doc, "command": "game"}, inst)  # no game value
         for report in ([], None, "x"):
-            with pytest.raises(ParseError, match="^expected a 'roep-report/1' document$"):
+            with pytest.raises(ParseError, match="^expected a 'roep-report/2' document$"):
                 replay_report(report, inst)
         # malformed claims of a solve report are refused, not raised
         assert run(capsys, "solve", FIXTURES["i2"], "--report", str(path))[0] == 0
@@ -534,37 +565,39 @@ def _digest(text: str) -> str:
 # (fixture, command, exit code, stdout, stderr, report without elapsed_seconds),
 # the last three as the first 16 hex digits of their sha256; recorded before
 # instances were built straight from their index codes, except the stderr of
-# "solve --minimal --force", which now says the search ran below the seed
+# "solve --minimal --force", which now says the search ran below the seed, and
+# stdout and report wherever they carry the digest: each of those is the earlier
+# output with the digest that hashes the codes and schema roep-report/2 put in
 PINNED = [
-    ("i1", "check", 0, "0c3b4ee6c49d1fd0", "e3b0c44298fc1c14", "5cd5bac246f74279"),
-    ("i1", "solve --force", 0, "fdcae40e1e5ef056", "e3b0c44298fc1c14", "b2d44d4d572cca92"),
+    ("i1", "check", 0, "d0159c9cd24161ac", "e3b0c44298fc1c14", "d7b9036c36ab2af5"),
+    ("i1", "solve --force", 0, "11d70ced7d65271a", "e3b0c44298fc1c14", "50c0de8ac67c7650"),
     ("i1", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
-    ("i1", "enumerate", 0, "d179cbbfeaa93a17", "e3b0c44298fc1c14", "97b16dc3fb303590"),
-    ("i1", "validate", 0, "ceac2d8c4681b705", "e3b0c44298fc1c14", None),
-    ("i2", "check", 0, "dddc8170f7a2ab36", "e3b0c44298fc1c14", "a3324caa25d46819"),
-    ("i2", "solve --force", 0, "42ee9f33a377a004", "e3b0c44298fc1c14", "ead150216dc4b167"),
+    ("i1", "enumerate", 0, "805ec8ab47a7ebfd", "e3b0c44298fc1c14", "d7c626b514aba940"),
+    ("i1", "validate", 0, "e573637d0d77ea26", "e3b0c44298fc1c14", None),
+    ("i2", "check", 0, "e8f4a365381e8cad", "e3b0c44298fc1c14", "c955085bcddb03cd"),
+    ("i2", "solve --force", 0, "f20fe31e1ee81e60", "e3b0c44298fc1c14", "9017233e67c1502a"),
     ("i2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
-    ("i2", "enumerate", 0, "7480d1ecc8a10d2f", "e3b0c44298fc1c14", "ba03329c03c829b4"),
-    ("i2", "validate", 0, "2fb812ed20948faa", "e3b0c44298fc1c14", None),
-    ("i3", "check", 2, "9b0e00fae7550087", "e3b0c44298fc1c14", "9d9e39f04aa5a382"),
+    ("i2", "enumerate", 0, "fff6f79b041d80da", "e3b0c44298fc1c14", "2c037beb75d14ef1"),
+    ("i2", "validate", 0, "4739ef1e137da8f1", "e3b0c44298fc1c14", None),
+    ("i3", "check", 2, "d102e2d9343c0371", "e3b0c44298fc1c14", "f9c8529ad645e532"),
     ("i3", "solve --force", 3, "e3b0c44298fc1c14", "14fa174c70ffa0eb", None),
     ("i3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "da395b4dd31f6e81", None),
-    ("i3", "enumerate", 3, "23763284ade89aea", "e3b0c44298fc1c14", "324a2e6d16003e04"),
-    ("i3", "validate", 0, "d6be67238f775a97", "e3b0c44298fc1c14", None),
-    ("game2x2", "check", 0, "e0b0876585d65fcd", "e3b0c44298fc1c14", "b6e13db08b1d95a6"),
-    ("game2x2", "solve --force", 0, "4d14485515db030c", "e3b0c44298fc1c14", "2087dcc6c22868cd"),
+    ("i3", "enumerate", 3, "eb956c28cc50c91d", "e3b0c44298fc1c14", "803e79bbf844575c"),
+    ("i3", "validate", 0, "25aa3e8d05ff6d3d", "e3b0c44298fc1c14", None),
+    ("game2x2", "check", 0, "fd78b66620925bef", "e3b0c44298fc1c14", "877edebf02236f2a"),
+    ("game2x2", "solve --force", 0, "13a0388f393f79a6", "e3b0c44298fc1c14", "392cd4771f69c973"),
     ("game2x2", "solve --minimal --force", 3, "e3b0c44298fc1c14", "1b9f4e70d73272eb", None),
-    ("game2x2", "enumerate", 0, "8ec4f3ab419051ac", "e3b0c44298fc1c14", "d4271304c62d6415"),
-    ("game2x2", "validate", 0, "cadb3678d4f2cdb6", "e3b0c44298fc1c14", None),
-    ("game2x2", "game", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
-    ("game2x2", "game --force", 0, "4a9d14fb91a5bdb3", "e3b0c44298fc1c14", "922f65c631723b65"),
-    ("game3x3", "check", 0, "b9b71001c40b5f81", "e3b0c44298fc1c14", "f224233767e56ebc"),
-    ("game3x3", "solve --force", 0, "792937d443452e51", "e3b0c44298fc1c14", "742513b621c65450"),
+    ("game2x2", "enumerate", 0, "856667d0ace19412", "e3b0c44298fc1c14", "f15177da2f5b33c7"),
+    ("game2x2", "validate", 0, "982222f711dafd6d", "e3b0c44298fc1c14", None),
+    ("game2x2", "game", 0, "b1fbefbc896660c6", "e3b0c44298fc1c14", "916f182558f2dd78"),
+    ("game2x2", "game --force", 0, "b1fbefbc896660c6", "e3b0c44298fc1c14", "916f182558f2dd78"),
+    ("game3x3", "check", 0, "52837a8927faf179", "e3b0c44298fc1c14", "caecb86d9027890d"),
+    ("game3x3", "solve --force", 0, "2d68bf4b87fd35b2", "e3b0c44298fc1c14", "beb35ea7e230b15d"),
     ("game3x3", "solve --minimal --force", 3, "e3b0c44298fc1c14", "1b9f4e70d73272eb", None),
-    ("game3x3", "enumerate", 0, "47238717fe2a74e7", "e3b0c44298fc1c14", "1a9886a0e07eb526"),
-    ("game3x3", "validate", 0, "d9489a6a81ea9037", "e3b0c44298fc1c14", None),
-    ("game3x3", "game", 0, "e91eb2872921455d", "e3b0c44298fc1c14", "33e8b3c16f78aa30"),
-    ("game3x3", "game --force", 0, "e91eb2872921455d", "e3b0c44298fc1c14", "33e8b3c16f78aa30"),
+    ("game3x3", "enumerate", 0, "8be536647f6ff08b", "e3b0c44298fc1c14", "8c6a2c5108e61614"),
+    ("game3x3", "validate", 0, "f613cd60fbe17e9f", "e3b0c44298fc1c14", None),
+    ("game3x3", "game", 0, "c8f84d321caa1856", "e3b0c44298fc1c14", "b9be520b6714e5d9"),
+    ("game3x3", "game --force", 0, "c8f84d321caa1856", "e3b0c44298fc1c14", "b9be520b6714e5d9"),
 ]
 
 

@@ -193,6 +193,7 @@ class TestViews:
                 for codes in ("_T", "_F", "_G"):
                     assert np.array_equal(getattr(omitted, codes), getattr(full, codes)), codes
                 assert (omitted.F, omitted.G) == (full.F, full.G) == explicit
+                assert instance_digest(omitted) == instance_digest(full)
                 assert omitted.solution_set == full.solution_set
                 for seed in [(x, y) for x in inst.C.ordered() for y in inst.D.ordered()]:
                     for direction in ("maximal", "minimal"):

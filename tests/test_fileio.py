@@ -86,6 +86,12 @@ def _referee_report(inst, rep):
     return build_report("solve", inst, 0, 0.01, solution_report=rep)
 
 
+def document_sha256(obj) -> str:
+    """The sha256 of the normalized document's canonical JSON text."""
+    text = json.dumps(serialize_instance(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def load_doc(name):
     with open(FIXTURES[name], "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -261,9 +267,11 @@ class TestConstraintParse:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["i1", "i2", "i3", "game2x2", "game3x3"])
     def test_serialize_parse_idempotent(self, name):
-        first = serialize_instance(parse_instance(FIXTURES[name]))
+        inst = parse_instance(FIXTURES[name])
+        first = serialize_instance(inst)
         second = serialize_instance(parse_instance_dict(first))
         assert first == second
+        assert instance_digest(parse_instance_dict(first)) == instance_digest(inst)
 
     def test_generated_instance_round_trips(self, tmp_path):
         from ordeq import dump_instance
@@ -276,6 +284,7 @@ class TestRoundTrip:
             parse_instance_dict(serialize_instance(reparsed))
         )
         assert reparsed.solution_set == inst.solution_set
+        assert instance_digest(reparsed) == instance_digest(inst)
 
     def test_colliding_element_ids_refused(self):
         # 1 and "1" both print as "1": the document would not parse back
@@ -305,16 +314,29 @@ class TestRoundTrip:
         assert path.read_bytes() == b"earlier contents\n"
 
     # Pinned digests: reports carry the instance digest, so a change to the
-    # serialized bytes would make every earlier report fail to replay.
-    @pytest.mark.parametrize("name,digest", [
+    # codes or to the digest's layout would make every earlier report fail to
+    # replay.  Each case also pins the sha256 of the normalized document's
+    # canonical JSON text (the digest of roep-report/1), so a change to the
+    # serialized bytes shows on its own.
+    FIXTURE_DIGESTS = {
+        "i1": "760158a66f79ffd2d55359164e3bb048835be0d28ba76211f72891cf5ed03aec",
+        "i2": "cb0360a77fab721ff5dbc5112af54cfe7587790a0f17fb90674afdc43ff53878",
+        "i3": "20ee11ca9bcd814698ee7b19a4e323f52f5f008082fc50799a121f281d18c6ee",
+        "game2x2": "2da2056548564e8f8ebd51d9d017a6eaeca7b857988800db2415c5f5887ce3a7",
+        "game3x3": "7627cbc63fc372698b1bef68e2583ac8bb3e253b4ceefb2dfe16e53d7615cc5f",
+    }
+
+    @pytest.mark.parametrize("name,document", [
         ("i1", "5f160b34885e7b80e376e05c0929c6b702b20aeb81e225ca7b72109de0b7313d"),
         ("i2", "9e97b91ae2fd7374f58da251843f4f2a707de313b3f509c267b872111d1f55d7"),
         ("i3", "af37906d81844a0b4e55cee72cc81c7c242254fedbfb782238739c96b7801c21"),
         ("game2x2", "b57515ba5fd79b3feedbe6e1f43bdb98597b6dc3224538cc5462a6db2737e05c"),
         ("game3x3", "f9e2ca7a947e143e75ccf88d1281432d980ffa2dd51c1b6f6906817c417b5a73"),
     ])
-    def test_fixture_digest_pinned(self, name, digest):
-        assert instance_digest(parse_instance(FIXTURES[name])) == digest
+    def test_fixture_digest_pinned(self, name, document):
+        inst = parse_instance(FIXTURES[name])
+        assert document_sha256(inst) == document
+        assert instance_digest(inst) == self.FIXTURE_DIGESTS[name]
 
     def test_grid_game_digest_pinned(self):
         # tuple ids, C a proper subset of its grid, F and G constrained
@@ -329,7 +351,7 @@ class TestRoundTrip:
                                 for y in D.members})
         game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=((0, 0), (0, 0)))
         assert instance_digest(game) == (
-            "55bd4f85fb1e986f4e299338d86bf28637dca0348e06a205554f2725935def60")
+            "a6ccfd74902589fee0fb60dcf965ee13290a9be5942470398c8e7cf3f8cdd1e2")
 
     def test_payoffs_beyond_float_range_pinned(self, tmp_path, capsys):
         # +-10**400 do not fit a float; the game's U (in the roep digest)
@@ -340,23 +362,40 @@ class TestRoundTrip:
         doc["payoff"][0][2], doc["payoff"][1][2] = "1e400", "-1e400"
         game = parse_instance_dict(doc)
         assert instance_digest(game) == (
-            "608c5468697110c4f74eba8a371ee3999d043a50e53d87a0d1a86ad025d811d4")
+            "d2a4068f1942d3ad995f9b3cbdd1c7fcbef5ecce80eefbe3fe561cd7e2d7ae5c")
         assert instance_digest(game.instance) == (
-            "c4a7f75d90e5bd2fbb2cb2c3e4590c051a8c89e788bf4fda3b25b5a4ee5a1216")
+            "bf4c9081bb1f88e67a5ab13e96ac2dbd9d11c99840542851207b8e2f7a63efaf")
         path, report = tmp_path / "huge.json", tmp_path / "report.json"
         path.write_text(json.dumps(doc))
         assert main(["game", "--force", str(path), "--report", str(report)]) == 0
         assert capsys.readouterr().out == (
-            "instance: mode=game |C|=4 |D|=4 |U|=7 digest=608c54686971\n"
+            "instance: mode=game |C|=4 |D|=4 |U|=7 digest=d2a4068f1942\n"
             "climb: (0,0, 0,0) -> (0,0, 0,1) -> (1,1, 0,1) -> (1,1, 1,1)\n"
             "equilibrium: (1,1, 1,1)\nvalue: 0\nsaddle inequalities verified: True\n")
         rep = json.loads(report.read_text())
         del rep["elapsed_seconds"]
         blob = json.dumps(rep, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "44f10ddb1272e8659bab24c115fab81eaed4dc1b54cf280775d927728460659d")
+            "614fa7a5ed11975baca922ed6117fcaccfbb8b0512f689ec26acce0ec5654c76")
 
-    @pytest.mark.parametrize("kind,bias,digest", [
+    GENERATED_DIGESTS = {
+        ("chain", False): "f219ead28f25f9052b64b10868442055edf09322425d76a364d095359df2899e",
+        ("chain", True): "cbfc699cdec7332cd1f8ae675b523a4d509a244f59a7c5c4de5f8ec5dfa79a4f",
+        ("antichain", False): "fb3401feaa25c3fe239d21df85f7f84231c0136d508013d170a6e9f821b687af",
+        ("antichain", True): "45b9cfae7ba8ceee52b11075a5d667424f50940b030d4bb709c8bc9b2a085b20",
+        ("boolean_lattice", False):
+            "a48509699ba2c81404fa00605352a16c40a181afa988346ded36de561a7c0a15",
+        ("boolean_lattice", True):
+            "10fc79b989f8b165dd940ff04522ac321adb9580a0f689b1cd9bc4e52e6ac68e",
+        ("grid", False): "286e1db8cc82e6b06579701a18e7bf8b9e5062262d3c4141357212132dad27fd",
+        ("grid", True): "0c73d65a33500dae07bdb28fcd24ac1defa8646325ff5526f78687dd92ece976",
+        ("random_poset", False):
+            "9d5916ecf525fd0110791b7fa69548fb956b3c896554193208a47697df84a498",
+        ("random_poset", True):
+            "daddc2479330d14bb0102b68abafac59b091e2e621c270471a508c5553622e56",
+    }
+
+    @pytest.mark.parametrize("kind,bias,document", [
         ("chain", False, "06ec16aebfc9de7c9f88a99ac88beec532261d58d962cd1f373a81e91d425dc6"),
         ("chain", True, "15a337bd326ecbd87b7fef538ea292a5efc8510dccd3ed18aac0f153529d01f3"),
         ("antichain", False, "4de9b3ff7078a3001ea9fd1449cf3e504e05d962484c44d54e18424605943693"),
@@ -372,10 +411,12 @@ class TestRoundTrip:
         ("random_poset", True,
          "092f032161cb18197605238ee9e957899abc3fa7e7238ef6e24dc09c5cf4a90c"),
     ])
-    def test_generated_digest_pinned(self, kind, bias, digest):
+    def test_generated_digest_pinned(self, kind, bias, document):
         spec = GenSpec(kind="random_instance", sizes=(5, 5, 8), rng_seed=7,
                        filter="require_hypotheses", poset_kind=kind, monotone_bias=bias)
-        assert instance_digest(gen_instance(spec)) == digest
+        inst = gen_instance(spec)
+        assert document_sha256(inst) == document
+        assert instance_digest(inst) == self.GENERATED_DIGESTS[kind, bias]
 
     def test_serialize_converts_ids_per_element_not_per_cell(self, monkeypatch):
         import ordeq.fileio as fileio
@@ -420,7 +461,7 @@ def _odd_instance(rng, seed):
 
 
 class TestDigestReferee:
-    """instance_digest against the hash of the whole document as json.dumps writes it."""
+    """instance_digest against its byte layout, laid out from the normalized document."""
 
     @pytest.mark.parametrize("name", ["i1", "i2", "i3", "game2x2", "game3x3"])
     def test_fixtures(self, name):
@@ -445,6 +486,9 @@ class TestDigestReferee:
         for seed in range(20):
             inst = _odd_instance(random.Random(seed), seed % 2)
             assert instance_digest(inst) == referee_digest(inst), seed
+            # tuple and Fraction ids parse back as their strings, with the same digest
+            again = parse_instance_dict(serialize_instance(inst))
+            assert instance_digest(again) == instance_digest(inst), seed
             game = ZeroSumGame(inst.C, inst.D, {
                 (x, y): Fraction(inst.U.index(u) - 1, 3) for (x, y), u in inst.T.table.items()},
                 F=inst.F, G=inst.G, seed=inst.seed)
@@ -461,6 +505,104 @@ class TestDigestReferee:
             pair = (rng.choice(C.ordered()), rng.choice(D.ordered())) if seed % 2 else None
             inst = ProblemInstance(C, D, T, constant_map(C, D), constant_map(D, C), seed=pair)
             assert instance_digest(inst) == referee_digest(inst), seed
+
+
+    def test_a_table_of_65536_cells(self):
+        # C = D = a 256-chain, U a non-total poset, F and G random, a seed
+        X = load_poset([f"e{i}" for i in range(256)],
+                       [(f"e{i}", f"e{i + 1}") for i in range(255)])
+        U = load_poset(["u0", "u1", "u2", "u3"], [("u0", "u1"), ("u0", "u2")])
+        C = D = X.full_subset()
+        rng = np.random.default_rng(5)
+        F, G = rng.random((256, 256)) < 0.5, rng.random((256, 256)) < 0.5
+        F[:, 0] = G[:, 0] = True
+        inst = ProblemInstance._from_codes(C, D, U, rng.integers(0, 4, (256, 256)), F, G,
+                                           ("e3", "e250"))
+        assert len(inst.C) * len(inst.D) >= 65536
+        assert instance_digest(inst) == referee_digest(inst)
+
+    def test_lone_surrogate_ids(self):
+        # JSON can spell a lone surrogate; its id is hashed as it is, not refused
+        doc = load_doc("i2")
+        text = json.dumps(doc).replace('"c0"', '"\\ud800"').replace('"d1"', '"\\udc00"')
+        inst = parse_instance_dict(json.loads(text))
+        assert "\ud800" in inst.C and "\udc00" in inst.D
+        assert instance_digest(inst) == referee_digest(inst)
+        assert instance_digest(parse_instance_dict(serialize_instance(inst))) == (
+            instance_digest(inst))
+
+
+def _sensitivity_doc():
+    """A small roep document whose every field one edit can change alone."""
+    return {
+        "schema": "roep-instance/1", "mode": "roep",
+        "posets": {"X": {"elements": ["c0", "c1", "c2"], "edges": [["c0", "c1"]]},
+                   "Y": {"elements": ["d0", "d1", "d2"], "edges": [["d0", "d1"]]},
+                   "U": {"elements": ["u0", "u1", "u2"], "edges": [["u0", "u1"]]}},
+        "C": {"poset": "X", "members": ["c0", "c1"]},
+        "D": {"poset": "Y", "members": ["d0", "d1"]},
+        "T": [["c0", "d0", "u0"], ["c0", "d1", "u1"], ["c1", "d0", "u2"], ["c1", "d1", "u0"]],
+        "F": {"c0": ["d0", "d1"], "c1": ["d1"]},
+        "G": {"d0": ["c0"], "d1": ["c0", "c1"]},
+        "seed": ["c0", "d1"],
+    }
+
+
+def _member_swapped(doc, old, new):
+    """The document with member old of C or D replaced by the non-member new.
+
+    new sits where old did among the members, so every position is kept.
+    """
+    text = json.dumps({k: v for k, v in doc.items() if k != "posets"})
+    return {**json.loads(text.replace(f'"{old}"', f'"{new}"')), "posets": doc["posets"]}
+
+
+def _renamed(doc, old, new):
+    return json.loads(json.dumps(doc).replace(f'"{old}"', f'"{new}"'))
+
+
+def _edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+class TestDigestSections:
+    """One edit to one section of the document changes the digest."""
+
+    EDITS = {
+        "id": lambda d: _renamed(d, "c2", "c9"),
+        "member id": lambda d: _renamed(d, "d1", "d9"),
+        "U id": lambda d: _renamed(d, "u2", "u9"),
+        # c1 and u1 are maximal, so each edge sets one bit of its closed order
+        "order of X": lambda d: _edited(d, lambda d: d["posets"]["X"]["edges"].append(
+            ["c2", "c1"])),
+        "order of U": lambda d: _edited(d, lambda d: d["posets"]["U"]["edges"].append(
+            ["u2", "u1"])),
+        "C member": lambda d: _member_swapped(d, "c1", "c2"),
+        "D member": lambda d: _member_swapped(d, "d1", "d2"),
+        "T cell": lambda d: _edited(d, lambda d: d["T"][3].__setitem__(2, "u1")),
+        "F bit": lambda d: _edited(d, lambda d: d["F"]["c1"].append("d0")),
+        "G bit": lambda d: _edited(d, lambda d: d["G"]["d0"].append("c1")),
+        "seed": lambda d: _edited(d, lambda d: d.__setitem__("seed", ["c1", "d1"])),
+        "no seed": lambda d: _edited(d, lambda d: d.pop("seed")),
+    }
+
+    def test_each_edit_changes_the_digest(self):
+        base = parse_instance_dict(_sensitivity_doc())
+        digests = {"base": instance_digest(base)}
+        for name, edit in self.EDITS.items():
+            inst = parse_instance_dict(edit(_sensitivity_doc()))
+            assert instance_digest(inst) == referee_digest(inst), name
+            digests[name] = instance_digest(inst)
+        assert len(set(digests.values())) == len(digests), digests
+
+    def test_the_mode_changes_the_digest(self):
+        # a game and its roep view hold the same codes under another mode
+        for name in ("game2x2", "game3x3"):
+            game = parse_instance(FIXTURES[name])
+            assert np.array_equal(game._T, game.instance._T)
+            assert instance_digest(game) != instance_digest(game.instance)
 
 
 class TestReports:
