@@ -21,6 +21,11 @@ of REV then each run, in one process per tree, the same list of
   every payoff as a JSON int), under `validate`, `check`, `game --force`
   and `enumerate`, so both the plain-integer reading and Fraction's own
   parser are compared, refusals included;
+- the `i2` fixture and the 2x2 game fixture with a malformed F table
+  (`MALFORMED_F`: an entry missing, empty, stray or outside the domain, a
+  value that is no list) or seed (`MALFORMED_SEEDS`: an unknown C or D
+  member, a non-string) under `validate` and `check`, so a refusal's words
+  are compared too;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -75,6 +80,20 @@ PAYOFF_SPELLINGS = {  # name: a payoff value; the first six are refused
     "exponent": "1e2", "minus-zero": "-0", "newline": "1\n", "arabic-indic": "\u0661/\u0662",
 }
 
+MALFORMED_COMMANDS = ("validate", "check")
+MALFORMED_F = {  # name: the F table from C's and D's member lists
+    "F-missing": lambda cs, ds: {x: [ds[0]] for x in cs[1:]},
+    "F-empty": lambda cs, ds: {x: [ds[0]] if k else [] for k, x in enumerate(cs)},
+    "F-stray": lambda cs, ds: {x: [ds[0]] if k else [ds[0], "zz"] for k, x in enumerate(cs)},
+    "F-outside": lambda cs, ds: {**{x: [ds[0]] for x in cs}, "q": [ds[0]]},
+    "F-non-list": lambda cs, ds: {x: [ds[0]] if k else ds[0] for k, x in enumerate(cs)},
+}
+MALFORMED_SEEDS = {  # name: the seed from C's and D's member lists
+    "seed-C-unknown": lambda cs, ds: ["q", ds[0]],
+    "seed-D-unknown": lambda cs, ds: [cs[0], "q"],
+    "seed-non-string": lambda cs, ds: [cs[0], 5],
+}
+
 
 def _command_jobs(path: Path, commands) -> list:
     """(name, argv) of each command on one file, each but validate writing a report."""
@@ -100,6 +119,23 @@ def _payoff_jobs(inputs: Path) -> list:
         path.write_text(json.dumps({**base, "payoff": rows + base["payoff"][len(rows):]}),
                         encoding="utf-8")
         jobs += _command_jobs(path, PAYOFF_COMMANDS)
+    return jobs
+
+
+def _malformed_jobs(inputs: Path) -> list:
+    """i2 and the 2x2 game fixture, each with one malformed F table or seed."""
+    malformed = inputs / "malformed"
+    malformed.mkdir(parents=True)
+    jobs = []
+    for fixture in ("i2_constrained", "game_additive_2x2"):
+        base = json.loads((ROOT / "fixtures" / f"{fixture}.json").read_text(encoding="utf-8"))
+        cs, ds = base["C"]["members"], base["D"]["members"]
+        edits = {name: {"F": make(cs, ds)} for name, make in MALFORMED_F.items()}
+        edits.update({name: {"seed": make(cs, ds)} for name, make in MALFORMED_SEEDS.items()})
+        for name, edit in edits.items():
+            path = malformed / f"{fixture}.{name}.json"
+            path.write_text(json.dumps({**base, **edit}), encoding="utf-8")
+            jobs += _command_jobs(path, MALFORMED_COMMANDS)
     return jobs
 
 
@@ -133,6 +169,7 @@ def _jobs(inputs: Path) -> list:
         jobs += [(f"{instance.name} {command}", [command, str(instance)])
                  for command in ("validate", "check")]
     jobs += _payoff_jobs(inputs)
+    jobs += _malformed_jobs(inputs)
     for name, workload in WORKLOADS.items():
         paths = write_instances(name, 1, inputs / name)
         for path in paths:

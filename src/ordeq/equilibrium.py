@@ -54,7 +54,11 @@ class ObjectiveMap:
     def __post_init__(self):
         tbl = dict(self.table)
         for pair, v in tbl.items():
-            if v not in self.utility:
+            try:
+                known = v in self.utility
+            except TypeError:  # an unhashable value is no element
+                known = False
+            if not known:
                 raise ValidationError(
                     f"objective value {v!r} at {pair!r} is not in the utility poset"
                 )
@@ -193,6 +197,7 @@ class ProblemInstance:
         self._G = np.ones(T.shape[::-1], dtype=bool) if G is None else G
         self._lt = U.leq_matrix & ~np.eye(len(U), dtype=bool)
         self._c_leq, self._d_leq = C.order_matrix(), D.order_matrix()
+        self._by_direction = {}  # _directed's, built on first use
         self.seed = None if seed is None else self._pair(self._resolve_seed(seed))
 
     @cached_property
@@ -237,12 +242,18 @@ class ProblemInstance:
         return list(zip(_ids(self._cs, rows, list), _ids(self._ds, cols, list)))
 
     def _orders(self, direction: str) -> tuple:
-        """The orders of C and D for a climb direction: reversed when minimal."""
-        if direction == "maximal":
-            return self._c_leq, self._d_leq
-        if direction == "minimal":
-            return self._c_leq.T, self._d_leq.T
-        raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
+        """The orders of C and D for a climb direction: reversed when minimal, contiguous."""
+        return self._directed(direction)[:2]
+
+    def _directed(self, direction: str) -> tuple:
+        """_orders, then each member's height in them: the count at or below it; built once."""
+        if direction not in ("maximal", "minimal"):
+            raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
+        if direction not in self._by_direction:
+            orders = [np.ascontiguousarray(m if direction == "maximal" else m.T)
+                      for m in (self._c_leq, self._d_leq)]
+            self._by_direction[direction] = (*orders, *(m.sum(axis=0) for m in orders))
+        return self._by_direction[direction]
 
     # -- order-optimization mappings ----------------------------------------
 
@@ -329,13 +340,12 @@ class ProblemInstance:
 
         Height: the members of C at or below x plus of D at or below y, in the direction's orders.
         """
-        c_leq, d_leq = self._orders(direction)
-        d_row = np.ascontiguousarray(d_leq[p[1]])  # a row of a reversed order is a strided column
-        beyond = np.flatnonzero(self._solution_mask & c_leq[p[0]][:, None] & d_row)
+        c_leq, d_leq, c_height, d_height = self._directed(direction)
+        beyond = np.flatnonzero(self._solution_mask & c_leq[p[0]][:, None] & d_leq[p[1]])
         if not len(beyond):
             return None
-        rows, cols = np.divmod(beyond, len(d_row))
-        k = int(np.argmax(c_leq.sum(axis=0)[rows] + d_leq.sum(axis=0)[cols]))
+        rows, cols = np.divmod(beyond, len(d_leq))
+        k = int(np.argmax(c_height[rows] + d_height[cols]))
         return int(rows[k]), int(cols[k])
 
     # -- hypotheses and solving ----------------------------------------------
@@ -372,17 +382,22 @@ class ProblemInstance:
                                 direction=direction)
 
     def _resolve_seed(self, seed: Optional[Pair]) -> tuple[int, int]:
-        """The (row, column) of the seed, or of the instance's own seed when none is given."""
+        """The (row, column) of the seed, or of the instance's own: the one check of a seed."""
         if seed is None:
             seed = self.seed
         if seed is None:
             raise ValidationError("no seed pair given and the instance has none")
-        x0, y0 = seed
-        if x0 not in self.C:
+        try:
+            x0, y0 = seed
+            i, j = self.C._index.get(x0), self.D._index.get(y0)
+        except (TypeError, ValueError):  # not two values, or an unhashable one
+            raise ValidationError(
+                f"seed must be a pair of C and D members, got {seed!r}") from None
+        if i is None:
             raise UnknownElement(f"seed first component {x0!r} is not in C")
-        if y0 not in self.D:
+        if j is None:
             raise UnknownElement(f"seed second component {y0!r} is not in D")
-        return self.C._index[x0], self.D._index[y0]
+        return i, j
 
     def pair_index(self, p: Pair) -> tuple[int, int]:
         return (self.C.parent.index(p[0]), self.D.parent.index(p[1]))

@@ -3,30 +3,28 @@
 Instance documents name their posets, the subsets C and D, the objective
 table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
-id or poset name that is not a JSON string.  A game's payoffs are JSON
+id or poset name that is not a JSON string.  Where the library has a rule
+on what the values mean, the parse calls it rather than a copy, and its
+words appear under the section's name.  A game's payoffs are JSON
 integers or rational strings (never booleans or floats), each distinct one
 converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
-the API follows too, before the builder there makes the game.  An object
-that repeats a key is refused.  Rows become codes in one pass: each T or
-payoff row goes straight into a flat C x D list, at the positions C and D
-number its ids, a T value as its position in U, a payoff as its slot among
-the distinct raw payoffs; each F and G row sets its bits in a mask, with
-its domain on rows.  Serialization normalizes: element ids become
-strings, relations become Hasse edges, rows are emitted in a canonical
-order; parse-then-serialize is idempotent after the first pass.  It reads
-the codes, so ids are converted once per element, never once per cell,
-and serves dump_instance and the API.
+the API follows too, before the builder there makes the game.  An F or G
+entry is a list of strings; the table is then checked and masked, domain
+on rows, by the SetValuedMap rule of :mod:`ordeq.maps`.  A seed is a list
+of two strings; whether they are members of C and D is the instance's own
+check, as for a seed given to the API.  An object that repeats a key is
+refused.  Rows become codes in one pass: each T or payoff row goes straight
+into a flat C x D list, at the positions C and D number its ids, a T value
+as its position in U, a payoff as its slot among the distinct raw payoffs.
+Serialization normalizes: element ids become strings, relations become
+Hasse edges, rows are emitted in a canonical order; parse-then-serialize
+is idempotent after the first pass.  It reads the codes, so ids are
+converted once per element, never once per cell, and serves dump_instance
+and the API.
 
-The instance digest is one sha256 over the codes, never over JSON text.
-Each field is framed as its byte length (8 bytes, little-endian) and then
-its bytes, in this order: the tag ``roep-digest/1``; the mode; for X, Y
-and a roep's U, the ids' lengths in code points (``<u4``), the ids joined
-as UTF-8 with surrogates passed through, and the closed leq matrix as
-packed bits; C and D as packed membership over their parents; a game's U,
-its payoffs ascending, as the two id fields; T as ``<u4`` positions in U,
-C x D row-major; F and G as packed bits; the seed's ``<u4`` positions in C
-and D, or an empty field.  Bits are packed row-major, first bit highest,
-as np.packbits does.  Reports (schema roep-report/2) carry it.
+The instance digest is one sha256 over the codes, never over JSON text;
+the instance_digest docstring gives its byte layout.  Reports (schema
+roep-report/2) carry it.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from . import __version__
 from .equilibrium import ProblemInstance
 from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
 from .games import _HOLE, ZeroSumGame, _as_fraction, _game_codes
+from .maps import _table_mask
 from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
 
 INSTANCE_SCHEMA = "roep-instance/1"
@@ -132,38 +131,14 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
 
 
 def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> np.ndarray:
-    """An F or G table as its mask, domain on rows, in one pass over its rows.
-
-    The errors and their order are SetValuedMap's, each in its section's words.
-    """
+    """An F or G table as its mask, domain on rows: lists of strings, then the map rule."""
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: must be an object of element -> list")
     for key, values in data.items():
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
-    cols, lens, picks = codomain._index, [], []
     with _section(section):
-        for x in domain.ordered():
-            values = data.get(x)
-            if values is None:
-                raise ValidationError(f"set-valued map has no entry for {x!r}")
-            if not values:
-                raise ValidationError(
-                    f"set-valued map value at {x!r} is empty; values must be nonempty")
-            try:
-                picks += map(cols.__getitem__, values)
-            except KeyError:
-                stray = {y for y in values if y not in cols}
-                raise ValidationError(f"value at {x!r} contains non-codomain elements "
-                                      f"{sorted(map(repr, stray))}") from None
-            lens.append(len(values))
-        if len(data) > len(lens):  # every member of the domain has its entry
-            extra = set(data) - domain.members
-            raise ValidationError(
-                f"table has entries outside the domain: {sorted(map(repr, extra))}")
-    mask = np.zeros((len(domain), len(codomain)), dtype=bool)
-    mask[np.repeat(np.arange(len(lens)), lens), picks] = True
-    return mask
+        return _table_mask(domain, codomain, data)
 
 
 def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> tuple:
@@ -208,17 +183,12 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
     return cells, (C.ordered()[x], D.ordered()[y])
 
 
-def _parse_seed(data, C: Subset, D: Subset):
+def _parse_seed(data):
     if data is None:
         return None
-    if not isinstance(data, list) or len(data) != 2:
+    if not isinstance(data, list) or len(data) != 2 or not all(isinstance(e, str) for e in data):
         raise ValidationError("seed: must be a [x, y] pair")
-    x, y = data
-    if not isinstance(x, str) or x not in C.members:
-        raise ValidationError(f"seed: {x!r} is not a member of C")
-    if not isinstance(y, str) or y not in D.members:
-        raise ValidationError(f"seed: {y!r} is not a member of D")
-    return (x, y)
+    return tuple(data)
 
 
 def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
@@ -255,7 +225,7 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
     F = _parse_constraints("F", doc["F"], C, D) if "F" in doc else None
     G = _parse_constraints("G", doc["G"], D, C) if "G" in doc else None
-    seed = _parse_seed(doc.get("seed"), C, D)
+    seed = _parse_seed(doc.get("seed"))
 
     if mode == "game":
         slots, exact = {}, []  # raw value -> its slot; each slot's one Fraction

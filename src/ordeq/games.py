@@ -120,8 +120,6 @@ class ZeroSumGame(ProblemInstance):
         if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
             extra = set(payoff) - {(x, y) for x in cs for y in ds}
             raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
-        if seed is not None and not (seed[0] in C and seed[1] in D):
-            raise ValidationError(f"seed {seed!r} is not a pair of C and D members")
         self._setup(C, D, U, T, *masks, seed)
 
     @property

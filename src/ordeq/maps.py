@@ -1,12 +1,15 @@
 """Set-valued mappings between posets and their order-monotonicity taxonomy.
 
-The monotonicity flags are computed on index codes: a map is a boolean
-(domain x codomain) membership mask, and each up/down flag is
-increasing-upward under reversed orders; the four take four boolean matmuls.
+A map's table is checked, and its mask built, in one pass by the one rule
+that the F and G tables of an instance file follow too.  The monotonicity
+flags are computed on index codes: a map is a boolean (domain x codomain)
+membership mask, and each up/down flag is increasing-upward under reversed
+orders; the four take four boolean matmuls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -26,28 +29,10 @@ class SetValuedMap:
     table: Mapping
 
     def __post_init__(self):
-        tbl = {}
-        for x in self.domain.ordered():
-            if x not in self.table:
-                raise ValidationError(f"set-valued map has no entry for {x!r}")
-            if isinstance(self.table[x], str):  # iterable, but its characters are no value
-                raise ValidationError(f"set-valued map value at {x!r} is a string, not a set")
-            value = frozenset(self.table[x])
-            if not value:
-                raise ValidationError(
-                    f"set-valued map value at {x!r} is empty; values must be nonempty"
-                )
-            stray = value - self.codomain.members
-            if stray:
-                raise ValidationError(
-                    f"value at {x!r} contains non-codomain elements {sorted(map(repr, stray))}"
-                )
-            tbl[x] = value
-        extra = set(self.table) - self.domain.members
-        if extra:
-            raise ValidationError(
-                f"table has entries outside the domain: {sorted(map(repr, extra))}"
-            )
+        # the check and the table each read every value, so an iterator is read into a tuple first
+        table = {x: tuple(v) if isinstance(v, Iterator) else v for x, v in self.table.items()}
+        object.__setattr__(self, "_mask", _table_mask(self.domain, self.codomain, table))
+        tbl = {x: frozenset(table[x]) for x in self.domain.ordered()}
         object.__setattr__(self, "table", MappingProxyType(tbl))
 
     def __call__(self, x) -> frozenset:
@@ -66,14 +51,45 @@ class SetValuedMap:
         Rows and columns follow the parent orders; the shape is
         (len(domain), len(codomain)) even when the domain is empty.
         """
-        values = list(self.table.values())  # built in domain order
-        mask = np.zeros((len(values), len(self.codomain)), dtype=bool)
-        rows = np.repeat(np.arange(len(values)), list(map(len, values)))
-        mask[rows, [self.codomain._index[y] for value in values for y in value]] = True
-        return mask
+        return self._mask.copy()
 
     def is_singleton_valued(self) -> bool:
         return all(len(v) == 1 for _, v in self.entries())
+
+
+def _table_mask(domain: Subset, codomain: Subset, table: Mapping) -> np.ndarray:
+    """A map's table, checked, as its membership mask with the domain on rows.
+
+    Each domain member, in domain order, needs a nonempty collection of
+    codomain members; then the table may have no other key.
+    """
+    cols, lens, picks = codomain._index, [], []
+    for x in domain.ordered():
+        if x not in table:
+            raise ValidationError(f"set-valued map has no entry for {x!r}")
+        values = table[x]
+        if isinstance(values, str):  # iterable, but its characters are no value
+            raise ValidationError(f"set-valued map value at {x!r} is a string, not a set")
+        start = len(picks)
+        try:
+            picks += map(cols.__getitem__, values)
+        except (KeyError, TypeError):  # a member outside the codomain or with no hash, or no set
+            if not isinstance(values, Iterable):
+                raise ValidationError(f"set-valued map value at {x!r} is not a set") from None
+            keys = list(cols)  # a list's membership test compares, and never hashes
+            stray = sorted({repr(y) for y in values if y not in keys})
+            raise ValidationError(
+                f"value at {x!r} contains non-codomain elements {stray}") from None
+        if len(picks) == start:
+            raise ValidationError(
+                f"set-valued map value at {x!r} is empty; values must be nonempty")
+        lens.append(len(picks) - start)
+    if len(table) > len(lens):  # every member of the domain has its entry
+        extra = [key for key in table if key not in domain.members]
+        raise ValidationError(f"table has entries outside the domain: {sorted(map(repr, extra))}")
+    mask = np.zeros((len(domain), len(codomain)), dtype=bool)
+    mask[np.repeat(np.arange(len(lens)), lens), picks] = True
+    return mask
 
 
 def constant_map(domain: Subset, codomain: Subset) -> SetValuedMap:

@@ -12,7 +12,6 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -519,15 +518,6 @@ class TestExitCodeContract:
         assert run(capsys, "game", FIXTURES["game2x2"]) == (
             4, "", "internal error: InvariantBreach: reported equilibrium ('0,0', '0,0') "
                    "failed the saddle re-verification\n")
-
-    def test_generated_seed_failing_its_hypotheses_is_exit_4(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(ProblemInstance, "check_hypotheses",
-                            lambda self, *args: SimpleNamespace(passes=False))
-        assert run(capsys, "gen", "--kind", "random_instance", "--seed", "11", "--sizes", "3,3,5",
-                   "--monotone-bias", "--filter", "require_hypotheses",
-                   "-o", str(tmp_path / "inst.json")) == (
-            4, "", "internal error: InvariantBreach: generated seed ('c2', 'd1') "
-                   "fails check_hypotheses\n")
 
     def test_any_other_exception_is_exit_4(self, capsys, monkeypatch):
         def boom(path):

@@ -8,8 +8,8 @@ frozen literal and the oracle's output.
 import numpy as np
 import pytest
 
-from ordeq import (GenSpec, ObjectiveMap, ProblemInstance, constant_map, gen_instance,
-                   load_poset)
+from ordeq import (GenSpec, ObjectiveMap, ProblemInstance, SetValuedMap, ZeroSumGame,
+                   constant_map, gen_instance, load_poset)
 from ordeq.errors import (InvalidSpec, ParseError, UnknownElement, UtilityNotTotal,
                           ValidationError)
 from ordeq.fileio import parse_poset_doc
@@ -311,6 +311,7 @@ class TestValidation:
 
 
 _I1 = instance_from_payoff(I1_PAYOFF)  # instances are immutable, so one is shared
+_ZEROS = {(x, y): 0 for x in _I1.C.ordered() for y in _I1.D.ordered()}
 
 
 # each refusal of a malformed API call, with its exact message
@@ -335,8 +336,31 @@ _I1 = instance_from_payoff(I1_PAYOFF)  # instances are immutable, so one is shar
      "unknown poset_kind 'x'"),
     (lambda: parse_poset_doc({"schema": "roep-instance/1", "grid": [2]}), ParseError,
      "expected a 'roep-poset/1' document"),
+    (lambda: SetValuedMap(_I1.C, _I1.D, {"c0": 5, "c1": ["d0"]}), ValidationError,
+     "set-valued map value at 'c0' is not a set"),
+    (lambda: SetValuedMap(_I1.C, _I1.D, {"c0": None, "c1": ["d0"]}), ValidationError,
+     "set-valued map value at 'c0' is not a set"),
+    (lambda: SetValuedMap(_I1.C, _I1.D, {"c0": [["d0"]], "c1": ["d0"]}), ValidationError,
+     "value at 'c0' contains non-codomain elements [\"['d0']\"]"),
+    (lambda: ObjectiveMap(_I1.U, {("c0", "d0"): ["u0"]}), ValidationError,
+     "objective value ['u0'] at ('c0', 'd0') is not in the utility poset"),
+    (lambda: ProblemInstance(_I1.C, _I1.D, _I1.T, seed=(["c0"], "d0")), ValidationError,
+     "seed must be a pair of C and D members, got (['c0'], 'd0')"),
+    (lambda: ProblemInstance(_I1.C, _I1.D, _I1.T, seed=("c0",)), ValidationError,
+     "seed must be a pair of C and D members, got ('c0',)"),
+    (lambda: ZeroSumGame(_I1.C, _I1.D, _ZEROS, seed=(["c0"], "d0")), ValidationError,
+     "seed must be a pair of C and D members, got (['c0'], 'd0')"),
+    (lambda: ZeroSumGame(_I1.C, _I1.D, _ZEROS, seed=("c0",)), ValidationError,
+     "seed must be a pair of C and D members, got ('c0',)"),
+    (lambda: _I1.check_hypotheses((["c0"], "d0")), ValidationError,
+     "seed must be a pair of C and D members, got (['c0'], 'd0')"),
+    (lambda: _I1.check_hypotheses(("c0",)), ValidationError,
+     "seed must be a pair of C and D members, got ('c0',)"),
 ], ids=["subset-member", "direction", "empty-C", "empty-D", "missing-objective",
-        "gen-poset-kind", "G-domain", "seed-in-D", "poset-kind", "poset-schema"])
+        "gen-poset-kind", "G-domain", "seed-in-D", "poset-kind", "poset-schema",
+        "map-value-int", "map-value-none", "map-member-list", "objective-value-list",
+        "instance-seed-member-list", "instance-seed-short", "game-seed-member-list",
+        "game-seed-short", "check-seed-member-list", "check-seed-short"])
 def test_api_refusals(call, error, message):
     with pytest.raises(error) as caught:
         call()

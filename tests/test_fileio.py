@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordeq import (
     ObjectiveMap,
@@ -25,7 +26,7 @@ from ordeq import (
     replay_report,
     serialize_instance,
 )
-from ordeq.errors import NoSolution, ParseError, ValidationError
+from ordeq.errors import NoSolution, ParseError, UnknownElement, ValidationError
 from ordeq.fileio import build_report, element_id, parse_instance_dict, read_json
 
 from conftest import FIXTURES
@@ -262,6 +263,49 @@ class TestConstraintParse:
                     want = SetValuedMap(domain, codomain, doc[key]).mask()
                     assert np.array_equal(mask, want), (path, key)
         assert constrained
+
+
+_F_KEYS = st.sampled_from(["c0", "c1", "q", "p"])  # i2's C and two strays
+_F_VALUES = st.lists(st.sampled_from(["d0", "d1", "zz", "yy"]), max_size=4)
+
+
+class TestOneConstraintRule:
+    """The file parse and SetValuedMap check an F table by one rule, in the same words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.dictionaries(_F_KEYS, _F_VALUES, max_size=4))
+    def test_file_and_map_agree(self, table):
+        doc = load_doc("i2")
+        inst = parse_instance_dict(doc)
+        try:
+            want = SetValuedMap(inst.C, inst.D, table).mask().tolist()
+        except ValidationError as exc:
+            want = str(exc)
+        doc["F"] = table
+        try:
+            got = parse_instance_dict(doc)._F.tolist()
+        except ValidationError as exc:
+            got = str(exc).removeprefix("F: ValidationError: ")
+        assert got == want
+
+    @pytest.mark.parametrize("name, section", [("i2", "instance"), ("game2x2", "game")])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_seed_refused_in_the_same_words(self, name, section, side):
+        doc = load_doc(name)
+        obj = parse_instance_dict(doc)
+        seed = list(obj.seed)
+        seed[side] = "q"
+        doc["seed"] = seed
+        with pytest.raises(ValidationError) as from_file:
+            parse_instance_dict(doc)
+        with pytest.raises(UnknownElement) as from_api:
+            if section == "game":
+                ZeroSumGame(obj.C, obj.D, obj.payoff, obj.F, obj.G, tuple(seed))
+            else:
+                ProblemInstance(obj.C, obj.D, obj.T, obj.F, obj.G, tuple(seed))
+        component = ("first", "second")[side]
+        assert str(from_api.value) == f"seed {component} component 'q' is not in {'CD'[side]}"
+        assert str(from_file.value) == f"{section}: UnknownElement: {from_api.value}"
 
 
 class TestRoundTrip:

@@ -21,7 +21,7 @@ from ordeq import (
     solve_game,
 )
 from ordeq.cli import main
-from ordeq.errors import NoSolution, ValidationError, ZeroExtent
+from ordeq.errors import NoSolution, UnknownElement, ValidationError, ZeroExtent
 from ordeq.fileio import parse_instance_dict, read_json
 
 from conftest import chain
@@ -178,9 +178,9 @@ class TestBuildGame:
         C = grid_poset((2,)).full_subset()
         D = grid_poset((2,)).full_subset()
         payoff = {(x, y): 0 for x in C.ordered() for y in D.ordered()}
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(UnknownElement, match="seed"):
             ZeroSumGame(C, D, payoff, seed=((5,), (0,)))
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(UnknownElement, match="seed"):
             ZeroSumGame(C, D, payoff, seed=((0,), (5,)))
 
 

@@ -51,6 +51,12 @@ class TestSetValuedMap:
         with pytest.raises(UnknownElement):
             m("nope")
 
+    def test_iterator_values_read_once(self):
+        # the table check reads every value, and so does the table built after it
+        m = make_map({"c0": iter(["d0"]), "c1": (y for y in ("d1", "d0"))})
+        assert m.entries() == (("c0", {"d0"}), ("c1", {"d0", "d1"}))
+        assert m.mask().tolist() == [[True, False], [True, True]]
+
     def test_string_value_rejected(self):
         # a str is iterable, but its characters are no value
         X, Y = chain("x", 1), load_poset(["a", "b", "ab"])
