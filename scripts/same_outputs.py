@@ -21,6 +21,9 @@ of REV then each run, in one process per tree, the same list of
   every payoff as a JSON int), under `validate`, `check`, `game --force`
   and `enumerate`, so both the plain-integer reading and Fraction's own
   parser are compared, refusals included;
+- grid games of k x k strategies each (`GENERIC_GAME_SIZES`) whose
+  payoffs are all distinct, so that |U| = k**4, under `validate`, `check`,
+  `game --force` and `enumerate`;
 - the `i2` fixture and the 2x2 game fixture with a malformed F table
   (`MALFORMED_F`: an entry missing, empty, stray or outside the domain, a
   value that is no list) or seed (`MALFORMED_SEEDS`: an unknown C or D
@@ -80,6 +83,8 @@ PAYOFF_SPELLINGS = {  # name: a payoff value; the first six are refused
     "exponent": "1e2", "minus-zero": "-0", "newline": "1\n", "arabic-indic": "\u0661/\u0662",
 }
 
+GENERIC_GAME_SIZES = (6, 7, 8)  # k: 1296, 2401 and 4096 distinct payoffs
+
 MALFORMED_COMMANDS = ("validate", "check")
 MALFORMED_F = {  # name: the F table from C's and D's member lists
     "F-missing": lambda cs, ds: {x: [ds[0]] for x in cs[1:]},
@@ -118,6 +123,25 @@ def _payoff_jobs(inputs: Path) -> list:
         path = spellings / f"{name}.json"
         path.write_text(json.dumps({**base, "payoff": rows + base["payoff"][len(rows):]}),
                         encoding="utf-8")
+        jobs += _command_jobs(path, PAYOFF_COMMANDS)
+    return jobs
+
+
+def _generic_game_jobs(inputs: Path) -> list:
+    """k x k grid games with payoff n*a - b, a and b the positions of x and y: all distinct."""
+    generic = inputs / "generic-games"
+    generic.mkdir(parents=True)
+    jobs = []
+    for k in GENERIC_GAME_SIZES:
+        ids = [f"{i},{j}" for i in range(k) for j in range(k)]
+        doc = {"schema": "roep-instance/1", "mode": "game",
+               "posets": {"X": {"grid": [k, k]}, "Y": {"grid": [k, k]}},
+               "C": {"poset": "X", "members": ids}, "D": {"poset": "Y", "members": ids},
+               "payoff": [[x, y, f"{len(ids) * a - b}/7"] for a, x in enumerate(ids)
+                          for b, y in enumerate(ids)],
+               "seed": [ids[0], ids[0]]}
+        path = generic / f"generic-{k}x{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         jobs += _command_jobs(path, PAYOFF_COMMANDS)
     return jobs
 
@@ -169,6 +193,7 @@ def _jobs(inputs: Path) -> list:
         jobs += [(f"{instance.name} {command}", [command, str(instance)])
                  for command in ("validate", "check")]
     jobs += _payoff_jobs(inputs)
+    jobs += _generic_game_jobs(inputs)
     jobs += _malformed_jobs(inputs)
     for name, workload in WORKLOADS.items():
         paths = write_instances(name, 1, inputs / name)

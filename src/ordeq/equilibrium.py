@@ -14,10 +14,13 @@ more members of C and D at or below it, so it is maximal, and replay takes a
 claim above the seed that is its own highest.  An instance is made of index
 codes (positions instead of element ids): the parse, the generator and games
 build them directly, and T, F and G are views of them.  phi and psi are boolean
-masks, each from one boolean matmul of the values present in each row with the
-strict order of U; their monotonicity flags are boolean matmuls of those masks
-with the orders of C and D, and the solution set is where both masks hold.
-Element ids come back only where a result leaves the instance.
+masks.  When U is totally ordered (a game's U always is) they are the
+feasible cells at each row's minimum and each column's maximum of T's ranks
+in U, as in the classical saddle-point problem; otherwise each is one boolean
+matmul of the values present in each row with the strict order of U.  Their
+monotonicity flags are boolean matmuls of those masks with the orders of C
+and D, and the solution set is where both masks hold.  Element ids come back
+only where a result leaves the instance.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .maps import MonotonicityReport, SetValuedMap, mask_monotonicity
 from .poset import Poset, Subset, _bool_matmul
 
 Pair = tuple
+_ABOVE_EVERY_RANK = np.iinfo(np.intp).max  # ranks are intp counts of elements
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,8 @@ class ProblemInstance:
         self._T = T
         self._F = np.ones(T.shape, dtype=bool) if F is None else F
         self._G = np.ones(T.shape[::-1], dtype=bool) if G is None else G
-        self._lt = U.leq_matrix & ~np.eye(len(U), dtype=bool)
+        ranks = U._ranks  # a game's chain has ranks and no order matrix, which is not read
+        self._values, self._lt = _utility_order(T, ranks, U.leq_matrix if ranks is None else None)
         self._c_leq, self._d_leq = C.order_matrix(), D.order_matrix()
         self._by_direction = {}  # _directed's, built on first use
         self.seed = None if seed is None else self._pair(self._resolve_seed(seed))
@@ -209,11 +214,11 @@ class ProblemInstance:
 
     @cached_property
     def F(self) -> SetValuedMap:
-        return _mask_map(self.C, self.D, self._F)
+        return SetValuedMap._from_mask(self.C, self.D, self._F)
 
     @cached_property
     def G(self) -> SetValuedMap:
-        return _mask_map(self.D, self.C, self._G)
+        return SetValuedMap._from_mask(self.D, self.C, self._G)
 
     def __repr__(self):
         return (
@@ -260,12 +265,12 @@ class ProblemInstance:
     @cached_property
     def _phi_mask(self) -> np.ndarray:
         # row i: phi(x_i) over the members of D
-        return _optima(self._T, self._F, self._lt)
+        return _optima(self._values, self._F, self._lt, lowest=True)
 
     @cached_property
     def _psi_mask(self) -> np.ndarray:
         # row j: psi(y_j) over the members of C
-        return _optima(self._T.T, self._G, self._lt.T)
+        return _optima(self._values.T, self._G, self._lt, lowest=False)
 
     def phi(self, x) -> frozenset:
         """Feasible argmin: y in F(x) whose value T(x, y) is minimal in T(x, F(x))."""
@@ -289,11 +294,11 @@ class ProblemInstance:
 
     @cached_property
     def phi_map(self) -> SetValuedMap:
-        return _mask_map(self.C, self.D, self._phi_mask)
+        return SetValuedMap._from_mask(self.C, self.D, self._phi_mask)
 
     @cached_property
     def psi_map(self) -> SetValuedMap:
-        return _mask_map(self.D, self.C, self._psi_mask)
+        return SetValuedMap._from_mask(self.D, self.C, self._psi_mask)
 
     def gamma(self, x, y) -> frozenset:
         """The product correspondence gamma(x, y) = psi(y) x phi(x); never empty."""
@@ -307,7 +312,7 @@ class ProblemInstance:
 
     def _certificate(self, i: int, j: int) -> SolutionCertificate:
         """solution_certificate at a pair given as positions."""
-        v = self._T[i, j]
+        values, v = self._values, self._values[i, j]
         rows = np.flatnonzero(self._G[j])
         cols = np.flatnonzero(self._F[i])
         return SolutionCertificate(
@@ -316,9 +321,13 @@ class ProblemInstance:
             feasible_in_f=bool(self._F[i, j]),
             row_candidates=_ids(self._cs, rows, tuple),
             col_candidates=_ids(self._ds, cols, tuple),
-            row_violators=_ids(self._cs, rows[self._lt[v, self._T[rows, j]]], tuple),
-            col_violators=_ids(self._ds, cols[self._lt[self._T[i, cols], v]], tuple),
+            row_violators=_ids(self._cs, rows[self._below(v, values[rows, j])], tuple),
+            col_violators=_ids(self._ds, cols[self._below(values[i, cols], v)], tuple),
         )
+
+    def _below(self, a, b) -> np.ndarray:
+        """Whether each value of a is strictly below that of b in U, both as _values holds them."""
+        return a < b if self._lt is None else self._lt[a, b]
 
     def is_solution(self, x, y) -> bool:
         return self.solution_certificate(x, y).ok
@@ -514,10 +523,8 @@ class ProblemInstance:
         i, j = self._row(x), self._col(y)
         if not (self._G[j, i] and self._F[i, j]):
             return False
-        rank = self.U.leq_matrix.sum(axis=0)  # how many values lie at or below each
-        row_max = rank[self._T[self._G[j], j]].max()
-        col_min = rank[self._T[i, self._F[i]]].min()
-        return bool(row_max == rank[self._T[i, j]] == col_min)
+        ranks = self._values  # T's values as ranks in U
+        return bool(ranks[self._G[j], j].max() == ranks[i, j] == ranks[i, self._F[i]].min())
 
     def reduce_to_oep(self, replace: str = "both") -> "ProblemInstance":
         """Replace F, G, or both by the constant maps onto D and C.
@@ -539,17 +546,36 @@ class ProblemInstance:
         return ProblemInstance._from_codes(C2, D2, self.U, self._T, self._F, self._G, self.seed)
 
 
-def _optima(values: np.ndarray, feasible: np.ndarray, beats: np.ndarray) -> np.ndarray:
-    """Row-wise optima: the feasible cells that no feasible cell of their row beats.
+def _utility_order(T: np.ndarray, ranks: Optional[np.ndarray], leq: Optional[np.ndarray]) -> tuple:
+    """What the kernels compare T's values by: (T's ranks, None) when U is total, else (T, lt).
 
-    Cell (r, c) is dropped when some feasible (r, k) has
-    beats[values[r, k], values[r, c]].  present[r, u] says value u sits in a
-    feasible cell of row r, so one boolean matmul with beats gives the
-    values each row beats, whatever the order of U.
+    ranks are U's ranks, None unless U is total; only then is leq, U's
+    order, read, for its strict order lt.
     """
-    present = np.zeros((len(values), len(beats)), dtype=bool)
+    if ranks is None:
+        return T, leq & ~np.eye(len(leq), dtype=bool)
+    return ranks[T], None
+
+
+def _optima(values: np.ndarray, feasible: np.ndarray, lt: Optional[np.ndarray],
+            lowest: bool) -> np.ndarray:
+    """Row-wise optima: the feasible cells whose value no feasible cell of their row beats.
+
+    A lower value beats when lowest (phi), a higher one otherwise (psi).
+    values and lt are as _utility_order gives them.  Ranks in a total U
+    leave the feasible cells at the row's minimum (maximum).  Otherwise
+    present[r, u] says value u sits in a feasible cell of row r, so one
+    boolean matmul with the strict order gives the values each row beats.
+    """
+    if lt is None:
+        if lowest:
+            best = values.min(axis=1, initial=_ABOVE_EVERY_RANK, where=feasible)
+        else:
+            best = values.max(axis=1, initial=-1, where=feasible)
+        return feasible & (values == best[:, None])
+    present = np.zeros((len(values), len(lt)), dtype=bool)
     present[feasible.nonzero()[0], values[feasible]] = True
-    beaten = _bool_matmul(present, beats)
+    beaten = _bool_matmul(present, lt if lowest else lt.T)
     return feasible & ~beaten[np.arange(len(values))[:, None], values]
 
 
@@ -565,13 +591,6 @@ def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
     if G is not None and (G.domain != D or G.codomain != C):
         raise ValidationError("G must map D into subsets of C")
     return tuple(None if m is None else m.mask() for m in (F, G))
-
-
-def _mask_map(domain: Subset, codomain: Subset, mask: np.ndarray) -> SetValuedMap:
-    """The map whose value at the i-th domain member is the codomain members set in row i."""
-    cod = codomain.ordered()
-    return SetValuedMap(domain, codomain,
-                        {x: _ids(cod, row) for x, row in zip(domain.ordered(), mask)})
 
 
 def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):

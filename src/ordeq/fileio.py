@@ -239,10 +239,7 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
         cells, hole = _parse_cells("payoff", _require("document", doc, "payoff"), C, D, slots,
                                    slot)
-        # U is the chain of the distinct values, a dense |U| x |U| order
-        if len(exact) > _MAX_POSET_ELEMENTS and len(
-                {f.as_integer_ratio() for f in exact}) > _MAX_POSET_ELEMENTS:
-            raise ValidationError(f"payoff: more than {_MAX_POSET_ELEMENTS} distinct values")
+        # U is the chain of the distinct values; it stores no order, so their number has no cap
         with _section("game"):
             if hole:
                 raise ValidationError(f"payoff table has no entry for {hole!r}")

@@ -4,7 +4,9 @@ Player 1 picks from C and receives the payoff; player 2 picks from D and
 receives its negation.  Payoffs are exact rationals: order comparisons decide
 equilibria, and float ties would corrupt the argmax/argmin sets.  A game is
 a problem instance whose utility poset is the chain of its distinct payoff
-values, which keeps it minimal and totally ordered.  One pass builds it:
+values, which keeps it minimal and totally ordered: its ranks are its codes,
+so phi and psi are row minima and column maxima, and the chain stores no
+order matrix (so any number of distinct payoffs fits).  One pass builds it:
 each payoff cell is read once and coded as its slot among the distinct raw
 values, each of which becomes its Fraction once, by the one payoff rule
 that files and the API share (so every game built from string or int
@@ -30,7 +32,7 @@ import numpy as np
 from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap
-from .poset import Poset, Subset
+from .poset import Subset, _Chain
 
 __all__ = ["ZeroSumGame", "GameReport", "solve_game"]
 
@@ -136,7 +138,7 @@ class ZeroSumGame(ProblemInstance):
     def transpose(self) -> "ZeroSumGame":
         """Swap the players: payoff negated and transposed, constraints swapped."""
         # negating reverses the chain: position t becomes |U| - 1 - t, the order stays
-        U = Poset._trusted([-v for v in reversed(self.U.elements)], self.U.leq_matrix)
+        U = _Chain([-v for v in reversed(self.U.elements)])
         seed = (self.seed[1], self.seed[0]) if self.seed is not None else None
         return ZeroSumGame._from_codes(self.D, self.C, U, (len(U) - 1 - self._T).T,
                                        self._G, self._F, seed)
@@ -155,8 +157,8 @@ def _game_codes(C: Subset, D: Subset, cells: list, exact: list) -> tuple:
     values = sorted(dict(zip(terms, exact)).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
     T = np.array([rank[t] for t in terms], dtype=np.intp)[cells].reshape(len(C), len(D))
-    # the chain's leq matrix is triangular: values[i] <= values[j] iff i <= j
-    return Poset._trusted(values, np.triu(np.ones((len(values), len(values)), dtype=bool))), T
+    # values[i] <= values[j] iff i <= j: a chain in element order, with no matrix stored
+    return _Chain(values), T
 
 
 def _order_key(v: Fraction) -> tuple:

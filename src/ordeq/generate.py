@@ -9,8 +9,9 @@ guarantees acyclicity by construction.
 
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  The hypothesis
-filter rejects an attempt on these arrays (phi before G is even drawn), and
-the accepted attempt's codes become the instance as they are.
+filter rejects an attempt on these arrays (phi before G is even drawn), by
+the kernels an instance picks for the same U (T's ranks when U is total),
+and the accepted attempt's codes become the instance as they are.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from operator import mul
 
 import numpy as np
 
-from .equilibrium import ProblemInstance, _optima
+from .equilibrium import ProblemInstance, _optima, _utility_order
 from .errors import FilterExhausted, InvalidSpec
 from .maps import increasing_upward
-from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, grid_poset
+from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, _total_ranks,
+                    grid_poset)
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -210,12 +212,12 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         if not filtering:
             return _build(ids, (c_leq, d_leq, u_leq), T, F,
                           _draw_constraint(spec, rng, n_d, n_c))
-        lt = u_leq & ~np.eye(n_u, dtype=bool)
-        phi = _optima(T, F, lt)
+        values, lt = _utility_order(T, _total_ranks(u_leq), u_leq)
+        phi = _optima(values, F, lt, lowest=True)
         if not increasing_upward(phi, c_leq, d_leq):
             continue
         G = _draw_constraint(spec, rng, n_d, n_c)  # the attempt's last draw
-        psi = _optima(T.T, G, lt.T)
+        psi = _optima(values.T, G, lt, lowest=False)
         if not increasing_upward(psi, d_leq, c_leq):
             continue
         # seed (x, y): some z in psi(y) above x and some u in phi(x) above y

@@ -1,16 +1,18 @@
 """Set-valued mappings between posets and their order-monotonicity taxonomy.
 
 A map's table is checked, and its mask built, in one pass by the one rule
-that the F and G tables of an instance file follow too.  The monotonicity
-flags are computed on index codes: a map is a boolean (domain x codomain)
-membership mask, and each up/down flag is increasing-upward under reversed
-orders; the four take four boolean matmuls.
+that the F and G tables of an instance file follow too; the maps an instance
+builds from masks it holds (its F, G, phi and psi) keep the mask unchecked.
+The monotonicity flags are computed on index codes: a map is a boolean
+(domain x codomain) membership mask, and each up/down flag is
+increasing-upward under reversed orders; the four take four boolean matmuls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -34,6 +36,20 @@ class SetValuedMap:
         object.__setattr__(self, "_mask", _table_mask(self.domain, self.codomain, table))
         tbl = {x: frozenset(table[x]) for x in self.domain.ordered()}
         object.__setattr__(self, "table", MappingProxyType(tbl))
+
+    @classmethod
+    def _from_mask(cls, domain: Subset, codomain: Subset, mask: np.ndarray) -> "SetValuedMap":
+        """The map whose value at the i-th domain member is the codomain members set in row i.
+
+        The mask is kept as it is, unchecked: the caller holds it with every row nonempty.
+        """
+        self = cls.__new__(cls)
+        cod, rows = codomain.ordered(), mask.tolist()
+        table = {x: frozenset(compress(cod, row)) for x, row in zip(domain.ordered(), rows)}
+        for name, value in (("domain", domain), ("codomain", codomain), ("_mask", mask),
+                            ("table", MappingProxyType(table))):
+            object.__setattr__(self, name, value)
+        return self
 
     def __call__(self, x) -> frozenset:
         try:

@@ -1,7 +1,11 @@
 """Finite partial orders: closed relations, extremal points, products, grids.
 
 Every poset stores its full reflexive, transitively closed boolean incidence
-matrix, so order queries are table lookups.  The public constructor and
+matrix, so order queries are table lookups; the one exception is a game's
+chain of payoffs, whose order is its element order: it is total with no
+matrix, and builds its triangle only if one is read.  A total order also
+has ranks, each element's count of elements below it, on which the
+equilibrium kernels compare values.  The public constructor and
 :func:`load_poset` number the elements as they refuse repeats; a poset the
 library builds numbers them on its first lookup by element, so a game's
 chain of payoffs, only read by position, is never hashed.  Products and
@@ -23,9 +27,10 @@ from .errors import CycleDetected, DuplicateElement, EmptySubset, UnknownElement
 
 Element = Hashable
 
-# the most elements a generated or parsed poset may have: its order is an
+# the most elements a generated or declared poset may have: its order is an
 # n x n matrix (99999 elements would ask for 10 GB), and the monotonicity
-# checks multiply |C| x |C| by |C| x |D| matrices
+# checks multiply |C| x |C| by |C| x |D| matrices; a game's chain of payoffs
+# stores no matrix, and has no cap
 _MAX_POSET_ELEMENTS = 2048
 
 
@@ -79,6 +84,18 @@ def _close(succ: list) -> tuple:
     rows = np.frombuffer(b"".join([b.to_bytes(width, "little") for b in down]), np.uint8)
     bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
     return bits.view(bool).T, True  # column j: the down-set of j
+
+
+def _total_ranks(leq: np.ndarray) -> Optional[np.ndarray]:
+    """Each element's count of elements strictly below it when the order leq is total, else None.
+
+    An order is total iff each of its n(n-1)/2 pairs is related, one way
+    only: iff leq holds n(n+1)/2 entries.  Its down-set sizes are then 1 to n.
+    """
+    n = len(leq)
+    if np.count_nonzero(leq) != n * (n + 1) // 2:
+        return None
+    return leq.sum(axis=0) - 1
 
 
 class Poset:
@@ -149,7 +166,7 @@ class Poset:
         return a in self._index
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self)} elements)"
+        return f"Poset({len(self)} elements)"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -181,7 +198,12 @@ class Poset:
 
     def is_total(self) -> bool:
         """True iff every pair of elements is comparable."""
-        return bool((self.leq_matrix | self.leq_matrix.T).all())
+        return self._ranks is not None
+
+    @cached_property
+    def _ranks(self) -> Optional[np.ndarray]:
+        """_total_ranks of the order, computed once."""
+        return _total_ranks(self.leq_matrix)
 
     def dual(self) -> "Poset":
         """Same elements under the reversed order."""
@@ -213,6 +235,28 @@ class Poset:
         i, j = np.nonzero(lt & ~_bool_matmul(lt, lt))  # row-major, as argwhere
         at = self._elements.__getitem__
         return list(zip(map(at, i.tolist()), map(at, j.tolist())))
+
+
+class _Chain(Poset):
+    """The chain of distinct elements in their given order: a game's utility.
+
+    Its ranks are its positions, so it is total without a matrix; the upper
+    triangle that is its leq matrix is built only if a caller reads it.
+    """
+
+    def __init__(self, elements: Sequence[Element]):
+        self._elements = tuple(elements)
+
+    @cached_property
+    def leq_matrix(self) -> np.ndarray:
+        n = len(self._elements)
+        leq = np.triu(np.ones((n, n), dtype=bool))
+        leq.flags.writeable = False
+        return leq
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        return np.arange(len(self._elements))
 
 
 @dataclass(frozen=True)

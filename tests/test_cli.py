@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from ordeq.cli import main
 from ordeq.errors import ParseError
 from ordeq.fileio import serialize_poset_doc
 from ordeq.generate import KINDS, POSET_KINDS
+from ordeq.poset import _Chain
 
 from conftest import FIXTURES
 
@@ -32,6 +34,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def generic_game_doc(k):
+    """A k x k grid game whose payoffs n*a - b (a, b the positions of x, y) are all distinct.
+
+    phi and psi are constant at the top of the grid, so the hypotheses pass at
+    the bottom seed and the top pair is the one solution.
+    """
+    ids = [f"{i},{j}" for i in range(k) for j in range(k)]
+    n = len(ids)
+    return {"schema": "roep-instance/1", "mode": "game",
+            "posets": {"X": {"grid": [k, k]}, "Y": {"grid": [k, k]}},
+            "C": {"poset": "X", "members": ids}, "D": {"poset": "Y", "members": ids},
+            "payoff": [[x, y, f"{n * a - b}/7"] for a, x in enumerate(ids)
+                       for b, y in enumerate(ids)],
+            "seed": [ids[0], ids[0]]}
 
 
 class TestValidate:
@@ -71,11 +89,11 @@ class TestValidate:
         path.write_text(json.dumps({"schema": "roep-poset/1", "grid": dims}))
         assert run(capsys, "validate", str(path)) == (0, summary + "valid\n", "")
 
-    def test_game_utility_is_capped_as_a_poset_is(self, capsys, tmp_path):
-        # a game's U is the chain of its distinct payoffs, |U| up to |C| * |D|:
-        # a 16x16-grid game with all-distinct payoffs asked for a 4 GiB order
+    def test_game_utility_has_no_distinct_payoff_cap(self, capsys, tmp_path):
+        # a game's U is the chain of its distinct payoffs, |U| up to |C| * |D|;
+        # it stores no order matrix, so it is not capped as a declared poset is
         cells = [(str(x), str(y)) for x in range(64) for y in range(33)]
-        for distinct, expected in ((2048, 0), (2049, 1)):
+        for distinct in (2048, 2049, len(cells)):
             doc = {"schema": "roep-instance/1", "mode": "game",
                    "posets": {"X": {"grid": [64]}, "Y": {"grid": [33]}},
                    "C": {"poset": "X", "members": [str(x) for x in range(64)]},
@@ -84,10 +102,33 @@ class TestValidate:
                               for k, (x, y) in enumerate(cells)]}
             path = tmp_path / f"game{distinct}.json"
             path.write_text(json.dumps(doc))
-            code, _, err = run(capsys, "validate", str(path))
-            assert code == expected, distinct
-            if expected:
-                assert err == "error: ValidationError: payoff: more than 2048 distinct values\n"
+            code, out, err = run(capsys, "validate", str(path))
+            assert (code, err) == (0, ""), distinct
+            assert f"|C|=64 |D|=33 |U|={distinct} " in out and out.endswith("valid\n")
+
+
+class TestGameUtilityOrder:
+    """A game's U is a chain with no stored order: no command on a game builds it."""
+
+    @pytest.mark.parametrize("command", ["check", "solve", "enumerate", "game", "validate"])
+    def test_game_commands_never_build_the_order_of_u(self, capsys, monkeypatch, tmp_path,
+                                                      command):
+        built = []
+
+        def recorded(chain):
+            built.append(len(chain))
+            return np.triu(np.ones((len(chain), len(chain)), dtype=bool))
+
+        monkeypatch.setattr(_Chain, "leq_matrix", property(recorded))
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(generic_game_doc(3)))
+        report = ["--report", str(tmp_path / "report.json")] if command != "validate" else []
+        for game in (str(path), FIXTURES["game2x2"]):
+            assert type(parse_instance(game).U) is _Chain
+            name, *flags = command.split()
+            code, _, err = run(capsys, name, game, *flags, *report)
+            assert (code, err) == (0, ""), game
+        assert built == []
 
 
 class TestCheck:
@@ -546,6 +587,25 @@ class TestProcess:
 
     def test_enumerate_without_solutions_exits_3(self):
         assert self.ordeq("enumerate", "fixtures/i3_matching_pennies.json").returncode == 3
+
+    # each command in its own process, which reports its exit code and peak RSS
+    MEASURED = ("import resource, sys\nfrom ordeq.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+    @pytest.mark.parametrize("command", ["check", "solve --force", "game --force", "enumerate"])
+    def test_generic_16x16_game_in_bounded_memory(self, tmp_path, command):
+        # 65 536 distinct payoffs: a dense order of U alone would take 4 GiB
+        path = tmp_path / "generic16.json"
+        path.write_text(json.dumps(generic_game_doc(16)))
+        name, *flags = command.split()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", self.MEASURED, name, str(path), *flags],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert done.stderr == ""
+        code, peak_kib = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert "|U|=65536 " in done.stdout and "(15,15, 15,15)" in done.stdout
+        assert peak_kib < 200 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def _digest(text: str) -> str:

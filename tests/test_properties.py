@@ -1,5 +1,6 @@
 """Property-based checks over generated posets and instances."""
 
+import random
 import re
 import time
 from dataclasses import asdict
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ordeq import (
     GenSpec,
+    ObjectiveMap,
+    ProblemInstance,
     SetValuedMap,
     ZeroSumGame,
     gen_instance,
@@ -21,6 +24,7 @@ from ordeq import (
 )
 from ordeq import equilibrium
 from ordeq.errors import CycleDetected, NoSolution
+from ordeq.fileio import parse_instance_dict, serialize_instance
 from ordeq.generate import POSET_KINDS
 
 from oracles import (
@@ -232,14 +236,19 @@ def test_row_chunked_tables_match_dict_referee():
         assert all(v == dict_phi(inst, x) for x, v in inst.phi_map.entries())
         assert all(v == dict_psi(inst, y) for y, v in inst.psi_map.entries())
         assert inst.solution_set == dict_solution_set(inst)
-        for mask, T, F, lt in ((inst._phi_mask, inst._T, inst._F, inst._lt),
-                               (inst._psi_mask, inst._T.T, inst._G, inst._lt.T)):
-            rows = [equilibrium._optima(T[[r]], F[[r]], lt)[0] for r in range(len(T))]
+        values, lt = inst._values, inst._lt
+        for mask, V, F, lowest in ((inst._phi_mask, values, inst._F, True),
+                                   (inst._psi_mask, values.T, inst._G, False)):
+            rows = [equilibrium._optima(V[[r]], F[[r]], lt, lowest)[0] for r in range(len(V))]
             assert np.array_equal(mask, np.array(rows))
 
 
+def _strict_order(U):
+    return U.leq_matrix & ~np.eye(len(U), dtype=bool)
+
+
 def _masks_match_broadcast(inst):
-    T, F, G, lt = inst._T, inst._F, inst._G, inst._lt
+    T, F, G, lt = inst._T, inst._F, inst._G, _strict_order(inst.U)
     assert np.array_equal(inst._phi_mask, broadcast_optima(T, F, lt))
     assert np.array_equal(inst._psi_mask, broadcast_optima(T.T, G, lt.T))
 
@@ -296,6 +305,111 @@ def test_optima_match_broadcast_referee_on_grid_games():
     assert all(v == dict_phi(distinct, x, distinct.D.members) for x, v in phis.items())
     assert all(v == dict_psi(distinct, y, distinct.C.members) for y, v in psis.items())
     assert elapsed < 0.5, f"global maps took {elapsed:.2f} s"
+
+
+# -- the rank kernel of a total U against the boolean-matmul referee ------------
+#
+# A total U compares T's values by rank: phi and psi are the feasible row
+# minima and column maxima, and a certificate's violators are rank
+# comparisons.  The matmul kernel on U's strict order, which a non-total U
+# still uses, referees every case: chains from gen, generic-payoff games,
+# their transposes, reductions and duals, and a declared chain whose element
+# order is not its order, so that its ranks are not its codes.
+
+
+def _rank_kernel_matches_matmul(inst):
+    assert inst.U.is_total() and inst._lt is None
+    lt = _strict_order(inst.U)
+    T, F, G = inst._T, inst._F, inst._G
+    phi = equilibrium._optima(T, F, lt, lowest=True)
+    psi = equilibrium._optima(T.T, G, lt, lowest=False)
+    assert np.array_equal(inst._phi_mask, phi)
+    assert np.array_equal(inst._psi_mask, psi)
+    assert inst.solution_set == frozenset(inst._pairs(phi & psi.T))
+    cs, ds = inst.C.ordered(), inst.D.ordered()
+    rows_of = [np.flatnonzero(g) for g in G]
+    for i, x in enumerate(cs):
+        cols = np.flatnonzero(F[i])
+        for j, y in enumerate(ds):
+            cert, rows = inst.solution_certificate(x, y), rows_of[j]
+            assert cert.row_violators == tuple(cs[r] for r in rows[lt[T[i, j], T[rows, j]]])
+            assert cert.col_violators == tuple(ds[c] for c in cols[lt[T[i, cols], T[i, j]]])
+            assert inst.scalar_saddle_check(x, y) == inst.is_solution(x, y)
+
+
+def _with_transforms(inst):
+    return (inst, inst.reduce_to_oep(), inst.reduce_to_oep("F"), inst.dual())
+
+
+def test_rank_kernel_matches_matmul_on_the_gen_sweep():
+    chains_seen = 0
+    for inst in _gen_sweep():
+        if inst.U.is_total():
+            chains_seen += 1
+            for case in _with_transforms(inst):
+                _rank_kernel_matches_matmul(case)
+        else:
+            assert inst._lt is not None
+    assert chains_seen >= 500  # every monotone-bias instance has a chain U
+
+
+def _generic_game(rng, k, constrained):
+    """A k x k grid game whose payoffs are all distinct rationals, in random order."""
+    X = grid_poset((k, k))
+    C = D = X.full_subset()
+    values = rng.sample(range(-10**6, 10**6), k ** 4)
+    payoff = {(x, y): Fraction(values.pop(), 7) for x in X.elements for y in X.elements}
+    F = G = None
+    if constrained:
+        F = SetValuedMap(C, D, {x: rng.sample(X.elements, rng.randint(1, k * k)) for x in C})
+        G = SetValuedMap(D, C, {y: rng.sample(X.elements, rng.randint(1, k * k)) for y in D})
+    return ZeroSumGame(C, D, payoff, F, G, seed=(X.elements[0], X.elements[0]))
+
+
+def test_rank_kernel_matches_matmul_on_generic_games():
+    rng = random.Random(24)
+    for k in (1, 2, 3, 4, 5):
+        for constrained in (False, True):
+            game = _generic_game(rng, k, constrained)
+            assert len(game.U) == k ** 4
+            for g in (game, game.transpose()):
+                for case in (*_with_transforms(g), g.instance):
+                    _rank_kernel_matches_matmul(case)
+
+
+def _shuffled_chain_instance(rng, order):
+    """An instance whose U is a chain u0 < u1 < ... declared with its elements in ``order``."""
+    U = load_poset([f"u{i}" for i in order],
+                   [(f"u{i}", f"u{i + 1}") for i in range(len(order) - 1)])
+    X = gen_poset(GenSpec(kind="random_poset", sizes=(4,), rng_seed=rng.randrange(10**6)))
+    C = D = X.full_subset()
+    T = ObjectiveMap(U, {(x, y): rng.choice(U.elements) for x in X.elements for y in X.elements})
+    F = SetValuedMap(C, D, {x: rng.sample(X.elements, rng.randint(1, 4)) for x in C})
+    G = SetValuedMap(D, C, {y: rng.sample(X.elements, rng.randint(1, 4)) for y in D})
+    return ProblemInstance(C, D, T, F, G, seed=(X.elements[0], X.elements[0]))
+
+
+def test_rank_kernel_matches_matmul_on_a_chain_declared_out_of_order():
+    rng = random.Random(3)
+    for order in [(2, 0, 1)] * 40 + [(3, 5, 0, 4, 1, 2)] * 40:
+        inst = _shuffled_chain_instance(rng, order)
+        assert inst.U._ranks.tolist() == list(order)  # ranks are not codes
+        parsed = parse_instance_dict(serialize_instance(inst))
+        assert parsed.U.elements == inst.U.elements
+        for case in (*_with_transforms(inst), parsed):
+            _rank_kernel_matches_matmul(case)
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_ranks_are_the_strict_down_set_sizes_of_a_total_order(seed):
+    p = random_poset(seed, n=1 + seed % 6, density=0.5 + seed % 5 / 10)
+    leq = p.leq_matrix
+    assert p.is_total() == bool((leq | leq.T).all())
+    if p.is_total():
+        assert p._ranks.tolist() == [int(col.sum()) - 1 for col in leq.T]
+    else:
+        assert p._ranks is None
 
 
 def _forced(solve, seed):
