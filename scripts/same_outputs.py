@@ -29,6 +29,10 @@ of REV then each run, in one process per tree, the same list of
   value that is no list) or seed (`MALFORMED_SEEDS`: an unknown C or D
   member, a non-string) under `validate` and `check`, so a refusal's words
   are compared too;
+- the same two fixtures with more than one fault in their `T` or `payoff`
+  rows (`MULTI_FAULT`: rows reversed, reversed with two bad values, a hole
+  before a bad value, a malformed row after a bad value) under `validate`
+  and `check`, so the order in which faults are refused is compared too;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -99,6 +103,18 @@ MALFORMED_SEEDS = {  # name: the seed from C's and D's member lists
     "seed-non-string": lambda cs, ds: [cs[0], 5],
 }
 
+MULTI_FAULT = {  # name: the T or payoff rows, from the fixture's, which run over C x D in order
+    "rows-reversed": lambda rows: rows[::-1],
+    "reversed-two-bad": lambda rows: _bad(rows, 0, len(rows) - 1)[::-1],
+    "hole-and-bad": lambda rows: [r for k, r in enumerate(_bad(rows, 2)) if k != 1],
+    "malformed-after-bad": lambda rows: _bad(rows, 0) + [rows[0][:2]],
+}
+
+
+def _bad(rows: list, *positions) -> list:
+    """The rows, the value at each given position k now "qk": no id of U and no rational."""
+    return [[x, y, f"q{k}" if k in positions else v] for k, (x, y, v) in enumerate(rows)]
+
 
 def _command_jobs(path: Path, commands) -> list:
     """(name, argv) of each command on one file, each but validate writing a report."""
@@ -147,7 +163,7 @@ def _generic_game_jobs(inputs: Path) -> list:
 
 
 def _malformed_jobs(inputs: Path) -> list:
-    """i2 and the 2x2 game fixture, each with one malformed F table or seed."""
+    """i2 and the 2x2 game fixture, each with one malformed F table or seed, or faulty rows."""
     malformed = inputs / "malformed"
     malformed.mkdir(parents=True)
     jobs = []
@@ -156,6 +172,8 @@ def _malformed_jobs(inputs: Path) -> list:
         cs, ds = base["C"]["members"], base["D"]["members"]
         edits = {name: {"F": make(cs, ds)} for name, make in MALFORMED_F.items()}
         edits.update({name: {"seed": make(cs, ds)} for name, make in MALFORMED_SEEDS.items()})
+        table = "T" if "T" in base else "payoff"
+        edits.update({name: {table: make(base[table])} for name, make in MULTI_FAULT.items()})
         for name, edit in edits.items():
             path = malformed / f"{fixture}.{name}.json"
             path.write_text(json.dumps({**base, **edit}), encoding="utf-8")

@@ -13,14 +13,15 @@ entry is a list of strings; the table is then checked and masked, domain
 on rows, by the SetValuedMap rule of :mod:`ordeq.maps`.  A seed is a list
 of two strings; whether they are members of C and D is the instance's own
 check, as for a seed given to the API.  An object that repeats a key is
-refused.  Rows become codes in one pass: each T or payoff row goes straight
-into a flat C x D list, at the positions C and D number its ids, a T value
-as its position in U, a payoff as its slot among the distinct raw payoffs.
-Serialization normalizes: element ids become strings, relations become
-Hasse edges, rows are emitted in a canonical order; parse-then-serialize
-is idempotent after the first pass.  It reads the codes, so ids are
-converted once per element, never once per cell, and serves dump_instance
-and the API.
+refused.  A T or payoff table is laid out, then coded: every row is checked
+and its raw value put in a flat C x D list, at the positions C and D number
+its ids, before one pass codes the list (a T value as its position in U, a
+payoff as its slot among the distinct raw payoffs), so the first bad value
+in C x D order is refused.  Serialization normalizes: element ids become
+strings, relations become Hasse edges, rows are emitted in a canonical
+order; parse-then-serialize is idempotent after the first pass.  It reads
+the codes, so ids are converted once per element, never once per cell, and
+serves dump_instance and the API; a poset too large to parse is refused.
 
 The instance digest is one sha256 over the codes, never over JSON text;
 the instance_digest docstring gives its byte layout.  Reports (schema
@@ -44,7 +45,7 @@ from .equilibrium import ProblemInstance
 from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
 from .games import _HOLE, ZeroSumGame, _as_fraction, _game_codes
 from .maps import _table_mask
-from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, grid_poset, load_poset
+from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, _past_cap, grid_poset, load_poset
 
 INSTANCE_SCHEMA = "roep-instance/1"
 POSET_SCHEMA = "roep-poset/1"
@@ -80,6 +81,16 @@ def _require(section: str, data: dict, key: str):
     return data[key]
 
 
+def _strings(data) -> bool:
+    """A list of strings, the JSON rule for ids: a loop, twice as fast as all() per edge."""
+    if not isinstance(data, list):
+        return False
+    for e in data:
+        if not isinstance(e, str):
+            return False
+    return True
+
+
 def _parse_poset(section: str, data) -> Poset:
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: poset must be an object")
@@ -90,30 +101,25 @@ def _parse_poset(section: str, data) -> Poset:
             isinstance(d, int) and not isinstance(d, bool) for d in dims
         ):
             raise ValidationError(f"{section}: grid must be a list of integers")
-        # a non-positive extent is grid_poset's to refuse; the running product
-        # stops at the first partial product past the limit
-        if all(d >= 1 for d in dims) and any(
-                n > _MAX_POSET_ELEMENTS for n in accumulate(dims, mul)):
+        # a non-positive extent is grid_poset's to refuse
+        if all(d >= 1 for d in dims) and _past_cap(accumulate(dims, mul)):
             raise ValidationError(f"{section}: grid has more than {_MAX_POSET_ELEMENTS} elements")
         with _section(section):
             base = grid_poset(dims)
         return Poset._trusted(map(element_id, base.elements), base.leq_matrix)
     _reject_unknown(section, data, {"elements", "edges", "edge_kind"})
     elements = _require(section, data, "elements")
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not _strings(elements):
         raise ValidationError(f"{section}: elements must be a list of strings")
-    if len(elements) > _MAX_POSET_ELEMENTS:
+    if _past_cap([len(elements)]):
         raise ValidationError(f"{section}: more than {_MAX_POSET_ELEMENTS} elements")
     edges = data.get("edges", [])
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
-        for e in edges
-    ):
+    if not isinstance(edges, list) or not all(_strings(e) and len(e) == 2 for e in edges):
         raise ValidationError(f"{section}: edges must be a list of [a, b] pairs of strings")
     if data.get("edge_kind", "hasse") not in ("hasse", "full"):
         raise ValidationError(f"{section}: edge_kind must be 'hasse' or 'full'")
     with _section(section):
-        return load_poset(elements, [tuple(e) for e in edges])
+        return load_poset(elements, edges)
 
 
 def _parse_subset(section: str, data, posets: dict) -> Subset:
@@ -124,7 +130,7 @@ def _parse_subset(section: str, data, posets: dict) -> Subset:
     if not isinstance(name, str) or name not in posets:
         raise ValidationError(f"{section}: references unknown poset {name!r}")
     members = _require(section, data, "members")
-    if not isinstance(members, list) or not all(isinstance(e, str) for e in members):
+    if not _strings(members):
         raise ValidationError(f"{section}: members must be a list of strings")
     with _section(section):
         return posets[name].subset(members)
@@ -135,25 +141,23 @@ def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> 
     if not isinstance(data, dict):
         raise ValidationError(f"{section}: must be an object of element -> list")
     for key, values in data.items():
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        if not _strings(values):
             raise ValidationError(f"{section}: entry {key!r} must be a list of strings")
     with _section(section):
         return _table_mask(domain, codomain, data)
 
 
-def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> tuple:
-    """The [x, y, value] rows, in one pass, as a flat C x D list of codes, and a hole.
+def _parse_cells(section: str, data, C: Subset, D: Subset) -> tuple:
+    """The [x, y, value] rows laid out as a flat C x D list of raw values, and a hole.
 
-    A value's code is codes[v], else new(v, pair), which may raise; a value
-    error waits until every row has passed its structure, membership and
-    duplicate checks, so it is the first in row order.  The hole is the
-    first (x, y) pair with no row, or None: each row fills one cell, so
-    there is one iff there are fewer rows than cells.
+    Every row passes its shape, membership and duplicate checks, in row order,
+    before any value is read.  The hole is the first (x, y) pair with no row,
+    or None: each row fills one cell, so there is one iff rows are fewer.
     """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
     rows, cols, n_d = C._index, D._index, len(D)
-    cells, bad = [_HOLE] * (len(C) * n_d), None
+    cells = [_HOLE] * (len(C) * n_d)
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"{section}: malformed row {row!r}")
@@ -167,16 +171,7 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
         k = i * n_d + j
         if cells[k] is not _HOLE:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
-        # True and 1 are one dict key, so no bool is looked up
-        t = codes.get(v) if isinstance(v, (str, int)) and not isinstance(v, bool) else None
-        if t is None and bad is None:
-            try:
-                t = new(v, (x, y))
-            except ValidationError as exc:
-                bad = exc
-        cells[k] = t
-    if bad is not None:
-        raise bad
+        cells[k] = v
     if len(data) == len(cells):
         return cells, None
     x, y = divmod(cells.index(_HOLE), n_d)
@@ -186,7 +181,7 @@ def _parse_cells(section: str, data, C: Subset, D: Subset, codes: dict, new) -> 
 def _parse_seed(data):
     if data is None:
         return None
-    if not isinstance(data, list) or len(data) != 2 or not all(isinstance(e, str) for e in data):
+    if not _strings(data) or len(data) != 2:
         raise ValidationError("seed: must be a [x, y] pair")
     return tuple(data)
 
@@ -228,33 +223,35 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
     seed = _parse_seed(doc.get("seed"))
 
     if mode == "game":
+        cells, hole = _parse_cells("payoff", _require("document", doc, "payoff"), C, D)
         slots, exact = {}, []  # raw value -> its slot; each slot's one Fraction
-
-        def slot(v, pair):
-            if isinstance(v, bool) or not isinstance(v, (str, int)):
+        for v in cells:
+            if isinstance(v, (str, int)) and not isinstance(v, bool):  # True and 1: one key
+                if v not in slots:
+                    slots[v] = len(exact)
+                    exact.append(_as_fraction(v))
+            elif v is not _HOLE:
                 raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
-            exact.append(_as_fraction(v))
-            slots[v] = len(slots)
-            return slots[v]
-
-        cells, hole = _parse_cells("payoff", _require("document", doc, "payoff"), C, D, slots,
-                                   slot)
+        cells = list(map(slots.get, cells))  # the hole's slot is None
         # U is the chain of the distinct values; it stores no order, so their number has no cap
         with _section("game"):
             if hole:
                 raise ValidationError(f"payoff table has no entry for {hole!r}")
             return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells, exact), F, G, seed)
 
-    def refuse(v, pair):
-        raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
-
     U = posets["U"]
-    cells, hole = _parse_cells("T", _require("document", doc, "T"), C, D, U._index, refuse)
+    cells, hole = _parse_cells("T", _require("document", doc, "T"), C, D)
+    try:  # a value outside U (None, or unhashable), or else the hole, raises TypeError
+        T = np.fromiter(map(U._index.get, cells), np.intp, len(cells)).reshape(len(C), len(D))
+    except TypeError:
+        for k, v in enumerate(cells):
+            if v is not _HOLE and not (isinstance(v, str) and v in U._index):
+                pair = (C.ordered()[k // len(D)], D.ordered()[k % len(D)])
+                raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
     with _section("instance"):
         if hole:
             raise UnknownElement(f"objective table has no entry for {hole!r}")
-        return ProblemInstance._from_codes(
-            C, D, U, np.array(cells, dtype=np.intp).reshape(len(C), len(D)), F, G, seed=seed)
+        return ProblemInstance._from_codes(C, D, U, T, F, G, seed=seed)
 
 
 def read_json(path):
@@ -294,6 +291,8 @@ def _ids(p: Poset) -> list:
 
 
 def _poset_doc(p: Poset) -> dict:
+    if _past_cap([len(p)]):  # the parse would refuse it, so its order is not read
+        raise ValidationError(f"cannot serialize: a poset past {_MAX_POSET_ELEMENTS} elements")
     ids = _ids(p)
     name = dict(zip(p.elements, ids))
     return {

@@ -36,7 +36,7 @@ from .poset import Subset, _Chain
 
 __all__ = ["ZeroSumGame", "GameReport", "solve_game"]
 
-_HOLE = object()  # the payoff cell of a pair that has none
+_HOLE = object()  # the cell of a pair that has no entry or row
 
 
 # a decimal string's mantissa and exponent, where Fraction reads them; anchored

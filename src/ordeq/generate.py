@@ -26,7 +26,7 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima, _utility_order
 from .errors import FilterExhausted, InvalidSpec
 from .maps import increasing_upward
-from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, _total_ranks,
+from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, _past_cap, _total_ranks,
                     grid_poset)
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
@@ -79,7 +79,7 @@ class GenSpec:
                 counts = [2 ** min(self.sizes[0], 64)]
             else:
                 counts = accumulate(self.sizes, mul)
-            if any(n > _MAX_POSET_ELEMENTS for n in counts):
+            if _past_cap(counts):
                 raise InvalidSpec(f"{self.kind} with sizes {self.sizes} has more than "
                                   f"{_MAX_POSET_ELEMENTS} elements")
 

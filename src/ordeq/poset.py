@@ -34,6 +34,11 @@ Element = Hashable
 _MAX_POSET_ELEMENTS = 2048
 
 
+def _past_cap(counts: Iterable[int]) -> bool:
+    """Whether a count passes _MAX_POSET_ELEMENTS, read up to the first that does."""
+    return any(n > _MAX_POSET_ELEMENTS for n in counts)
+
+
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # "exists" composition of boolean matrices, through BLAS: a float32 sum
     # of 0/1 terms is exact up to 2**24 and positive iff some term is 1
@@ -359,12 +364,13 @@ def grid_poset(dims: Sequence[int]) -> Poset:
     return Poset._trusted(itertools.product(*map(range, dims)), reduce(np.kron, chains))
 
 
-def load_poset(elements: Sequence[Element], edges: Iterable[tuple] = ()) -> Poset:
+def load_poset(elements: Sequence[Element], edges: Iterable[Sequence[Element]] = ()) -> Poset:
     """Build a validated poset from identifiers and order edges.
 
-    The stored relation is the reflexive-transitive closure of the edges, so
-    a Hasse diagram and any relation between it and its closure give one
-    poset.  Raises DuplicateElement, UnknownElement, or CycleDetected.
+    An edge is a pair a <= b: any two-item sequence, so a tuple or a parsed
+    JSON list.  The stored relation is the reflexive-transitive closure of
+    the edges, so a Hasse diagram and any relation between it and its
+    closure give one poset.  Raises DuplicateElement, UnknownElement, or CycleDetected.
     """
     elements = tuple(elements)
     index = _positions(elements)

@@ -732,7 +732,7 @@ class TestPinnedOutputs:
         # every row is checked before any value is: the duplicate is reported
         (lambda rows: (rows[0].__setitem__(2, True), rows.append(list(rows[3]))),
          "payoff: duplicate row for ('0,0', '1,1')"),
-        # values are checked in row order, whatever the kind of error
+        # values are checked in C x D order, whatever the kind of error
         (lambda rows: (rows[5].__setitem__(2, "x/y"), rows[9].__setitem__(2, 0.5)),
          "payoff: bad rational 'x/y'"),
     ], ids=["hole", "duplicate", "non-member", "true", "bad-rational", "precedence",

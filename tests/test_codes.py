@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ordeq.fileio
 from ordeq import (
     GenSpec,
     ObjectiveMap,
@@ -154,6 +155,17 @@ class TestBuiltFromCodes:
             row[2] = Counted(row[2])
         parse_instance_dict(doc)
         assert 0 < Counted.hashes <= len(doc["T"])
+
+    @pytest.mark.parametrize("doc", [load_doc("game2x2"), serialize_instance(seeded_game(2))],
+                             ids=["game2x2", "api-game"])
+    def test_payoff_parse_converts_each_distinct_value_once(self, monkeypatch, doc):
+        # counts the parse's calls to the payoff conversion it imports from games
+        made, convert = [], ordeq.fileio._as_fraction
+        monkeypatch.setattr(ordeq.fileio, "_as_fraction", lambda v: made.append(v) or convert(v))
+        parse_instance_dict(doc)
+        distinct = {v for _, _, v in doc["payoff"]}
+        assert len(distinct) < len(doc["payoff"])
+        assert sorted(made) == sorted(distinct)
 
 
 def _instances():

@@ -161,6 +161,36 @@ class TestParse:
         with pytest.raises(ValidationError, match="not an element of U"):
             parse_instance_dict(doc)
 
+    @pytest.mark.parametrize("name, table, bad, message", [
+        ("i2", "T", {0: "q0", 3: "q3"},
+         "T: value 'q0' at ('c0', 'd0') is not an element of U"),
+        ("game2x2", "payoff", {1: "x/y", 14: True}, "payoff: bad rational 'x/y'"),
+    ], ids=["T", "payoff"])
+    def test_first_bad_value_in_cell_order_whatever_the_row_order(self, name, table, bad,
+                                                                   message):
+        # the fixtures list their rows in C x D order; here they come reversed
+        doc = load_doc(name)
+        for k, v in bad.items():
+            doc[table][k][2] = v
+        doc[table].reverse()
+        with pytest.raises(ValidationError) as caught:
+            parse_instance_dict(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name, table", [("i1", "T"), ("i2", "T"), ("i3", "T"),
+                                             ("game2x2", "payoff"), ("game3x3", "payoff")])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_row_order_does_not_matter(self, name, table, data):
+        doc = load_doc(name)
+        want = parse_instance_dict(doc)
+        doc[table] = data.draw(st.permutations(doc[table]))
+        got = parse_instance_dict(doc)
+        for codes in ("_T", "_F", "_G"):
+            assert np.array_equal(getattr(got, codes), getattr(want, codes))
+        assert got.U == want.U
+        assert instance_digest(got) == instance_digest(want)
+
     def test_bad_seed(self):
         doc = load_doc("i2")
         doc["seed"] = ["c0", "zzz"]
@@ -342,6 +372,25 @@ class TestRoundTrip:
             serialize_instance(inst)
         with pytest.raises(ValidationError, match="share the id '1'"):
             instance_digest(inst)
+
+    def test_poset_past_the_cap_refused_before_its_order_is_read(self, tmp_path):
+        # a file holds posets of at most 2048 elements, so none past it is written:
+        # a 7 x 7 game's roep view has 2401 distinct payoffs in U, and a 64 x 64 grid X
+        k = 7
+        X = grid_poset((k, k))
+        C = X.full_subset()
+        payoff = {(x, y): Fraction(len(X) * a - b, 7) for a, x in enumerate(X.elements)
+                  for b, y in enumerate(X.elements)}
+        big = grid_poset((64, 64))
+        C2 = big.subset([(0, 0), (1, 1)])
+        T = ObjectiveMap(load_poset(["u"]), {(x, y): "u" for x in C2 for y in C2})
+        wide = ProblemInstance(C2, C2, T, constant_map(C2, C2), constant_map(C2, C2))
+        for inst in (ZeroSumGame(C, C, payoff).instance, wide):
+            path = tmp_path / "refused.json"
+            with pytest.raises(ValidationError) as caught:
+                dump_instance(inst, path)
+            assert str(caught.value) == "cannot serialize: a poset past 2048 elements"
+            assert not path.exists()
 
     def test_refused_dump_leaves_the_file_untouched(self, tmp_path):
         # the file was once opened, and so emptied, before serializing
