@@ -12,6 +12,11 @@ of REV then each run, in one process per tree, the same list of
   `solve --minimal --force`, `enumerate`, `game` and `game --force`, and an
   instance file also under `solve --minimal --force` seeded at the last
   members of its C and D, so a descending climb writes a report;
+- every instance fixture under `check`, `solve --force` and `game --force`
+  with `--seed` at the first members of its C and D and with `--seed q:q`
+  (no member), and a roep fixture also under `game` seeded at the first
+  members, so a seed is parsed by each op and the mode refusal is compared
+  with a seed given;
 - a few edge-case posets (`EDGE_CASES`: cycles, self-loops, repeated edges,
   no edges) as poset documents under `validate`, and as the X poset of the
   `i1` fixture under `validate` and `check`, so a cycle's refusal text is
@@ -65,6 +70,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
                     "enumerate", "game", "game --force")
+SEEDED_COMMANDS = ("check", "solve --force", "game --force")
 REPORT, WRITTEN = "report.json", "written.json"
 DIGEST_FIELDS = ("instance_digest", "schema")  # the report fields a digest-only change may move
 EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
@@ -188,6 +194,15 @@ def _descent(path: Path) -> str:
                                                         doc["D"]["members"][-1])
 
 
+def _seeded(path: Path) -> list:
+    """`SEEDED_COMMANDS` seeded at the first members of C and D and at q:q; a roep's `game` too."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    first = "--seed {}:{}".format(doc["C"]["members"][0], doc["D"]["members"][0])
+    roep = [] if doc.get("mode") == "game" else [f"game {first}"]
+    return [f"{command} {seed}" for seed in (first, "--seed q:q")
+            for command in SEEDED_COMMANDS] + roep
+
+
 def _jobs(inputs: Path) -> list:
     """(name, argv) of every run; outputs are named relative to the run's directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -196,8 +211,8 @@ def _jobs(inputs: Path) -> list:
     jobs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
-        descent = [_descent(path)] if "C" in doc and "D" in doc else []
-        jobs += _command_jobs(path, [*FIXTURE_COMMANDS, *descent])
+        seeded = [_descent(path), *_seeded(path)] if "C" in doc and "D" in doc else []
+        jobs += _command_jobs(path, [*FIXTURE_COMMANDS, *seeded])
     base = json.loads((ROOT / "fixtures" / "i1_unconstrained.json").read_text(encoding="utf-8"))
     edge_cases = inputs / "edge-cases"
     edge_cases.mkdir(parents=True)

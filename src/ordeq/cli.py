@@ -3,7 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 usage or parse/validation
 failure, 2 hypothesis failure, 3 no solution, 4 internal invariant breach
 (always a bug).  A game file parses into a ZeroSumGame, which is itself a
-ProblemInstance, so every command runs on what the parse returns.
+ProblemInstance, so every command runs on what the parse returns.  check,
+solve, enumerate and game take one path (_run_op): parse, run the op, print
+the instance line and then the op's lines, write the --report file.  An op
+that raises prints nothing to stdout and writes no report.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ EXIT_NO_SOLUTION = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_seed_flag(text: str, obj):
+def _seed(args, obj):
+    """The --seed pair, or None to fall back to the file's seed."""
+    if not (text := args.seed):
+        return None
     # ids may contain the separator: keep the one split into members of C and D
     sep = ":" if ":" in text else ","
     splits = [(text[:k], text[k + 1:]) for k, ch in enumerate(text) if ch == sep]
@@ -57,13 +63,6 @@ def _parse_seed_flag(text: str, obj):
 
 def _pair_str(pair) -> str:
     return f"({pair[0]}, {pair[1]})"
-
-
-def _write_report(args, command, obj, code, started, digest, **fields) -> None:
-    if args.report:
-        doc = build_report(command, obj, code, time.perf_counter() - started,
-                           digest=digest, **fields)
-        write_json(args.report, doc)
 
 
 def _describe(obj) -> str:
@@ -88,67 +87,59 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    obj = parse_instance(args.file)
-    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
-    hyp = obj.check_hypotheses(seed)
-    digest = _describe(obj)
-    print(f"seed: {_pair_str(hyp.seed)}")
-    print(f"phi increasing upward: {hyp.phi_monotonicity.increasing_upward}")
-    print(f"psi increasing upward: {hyp.psi_monotonicity.increasing_upward}")
-    print(f"values universally inductive: {hyp.values_universally_inductive}")
+def _check(obj, args):
+    hyp = obj.check_hypotheses(_seed(args, obj))
     witness = _pair_str(hyp.seed_witness) if hyp.seed_witness else "none"
-    print(f"seed condition: {hyp.seed_condition} witness={witness}")
-    code = EXIT_OK if hyp.passes else EXIT_HYPOTHESES
-    print("hypotheses: " + ("pass" if hyp.passes else "FAIL: " + "; ".join(hyp.failures())))
-    _write_report(args, "check", obj, code, started, digest, hypothesis_report=hyp)
-    return code
+    lines = [
+        f"seed: {_pair_str(hyp.seed)}",
+        f"phi increasing upward: {hyp.phi_monotonicity.increasing_upward}",
+        f"psi increasing upward: {hyp.psi_monotonicity.increasing_upward}",
+        f"values universally inductive: {hyp.values_universally_inductive}",
+        f"seed condition: {hyp.seed_condition} witness={witness}",
+        "hypotheses: " + ("pass" if hyp.passes else "FAIL: " + "; ".join(hyp.failures())),
+    ]
+    return EXIT_OK if hyp.passes else EXIT_HYPOTHESES, lines, {"hypothesis_report": hyp}
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    obj = parse_instance(args.file)
-    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
+def _solve(obj, args):
     solver = obj.solve_minimal if args.minimal else obj.solve_maximal
-    rep = solver(seed, force=args.force)
-    digest = _describe(obj)
-    print("climb: " + " -> ".join(_pair_str(p) for p in rep.climb_trace))
-    print(f"solution ({rep.direction}): {_pair_str(rep.solution)}")
+    rep = solver(_seed(args, obj), force=args.force)
+    lines = ["climb: " + " -> ".join(map(_pair_str, rep.climb_trace)),
+             f"solution ({rep.direction}): {_pair_str(rep.solution)}"]
     if not rep.existence_guaranteed:
-        print("note: hypotheses failed; existence was not guaranteed (forced run)")
-    _write_report(args, "solve", obj, EXIT_OK, started, digest, solution_report=rep)
-    return EXIT_OK
+        lines.append("note: hypotheses failed; existence was not guaranteed (forced run)")
+    return EXIT_OK, lines, {"solution_report": rep}
 
 
-def cmd_enumerate(args) -> int:
-    started = time.perf_counter()
-    obj = parse_instance(args.file)
+def _enumerate(obj, args):
     solutions = obj._pairs(obj._solution_mask)  # in pair_index order
-    digest = _describe(obj)
-    print(f"solutions: {len(solutions)}")
-    for s in solutions:
-        print("  " + _pair_str(s))
-    code = EXIT_OK if solutions else EXIT_NO_SOLUTION
-    _write_report(args, "enumerate", obj, code, started, digest, solutions=solutions)
-    return code
+    lines = [f"solutions: {len(solutions)}", *("  " + _pair_str(s) for s in solutions)]
+    return EXIT_OK if solutions else EXIT_NO_SOLUTION, lines, {"solutions": solutions}
 
 
-def cmd_game(args) -> int:
-    started = time.perf_counter()
-    obj = parse_instance(args.file)
+def _game(obj, args):
     if not isinstance(obj, ZeroSumGame):
         raise ValidationError("the 'game' command needs a mode=game instance file")
-    seed = _parse_seed_flag(args.seed, obj) if args.seed else None
-    result = solve_game(obj, seed, force=args.force)
+    result = solve_game(obj, _seed(args, obj), force=args.force)
+    lines = ["climb: " + " -> ".join(map(_pair_str, result.report.climb_trace)),
+             f"equilibrium: {_pair_str(result.equilibrium)}",
+             f"value: {result.value}",
+             f"saddle inequalities verified: {result.saddle_verified}"]
+    return EXIT_OK, lines, {"solution_report": result.report, "game_value": result.value}
+
+
+def _run_op(args) -> int:
+    """The op path; an op maps (instance, args) to (exit code, lines, build_report fields)."""
+    started = time.perf_counter()
+    obj = parse_instance(args.file)
+    code, lines, fields = args.op(obj, args)
     digest = _describe(obj)
-    print("climb: " + " -> ".join(_pair_str(p) for p in result.report.climb_trace))
-    print(f"equilibrium: {_pair_str(result.equilibrium)}")
-    print(f"value: {result.value}")
-    print(f"saddle inequalities verified: {result.saddle_verified}")
-    _write_report(args, "game", obj, EXIT_OK, started, digest,
-                  solution_report=result.report, game_value=result.value)
-    return EXIT_OK
+    print("\n".join(lines))
+    if args.report:
+        write_json(args.report, build_report(args.command, obj, code,
+                                             time.perf_counter() - started,
+                                             digest=digest, **fields))
+    return code
 
 
 def cmd_gen(args) -> int:
@@ -195,22 +186,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate solver hypotheses at a seed")
     with_common(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=_run_op, op=_check)
 
     p = sub.add_parser("solve", help="monotone-climb solve from a seed")
     with_common(p)
     p.add_argument("--minimal", action="store_true", help="descending solve (dual order)")
     p.add_argument("--force", action="store_true", help="solve even if hypotheses fail")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=_run_op, op=_solve)
 
     p = sub.add_parser("enumerate", help="brute-force the full solution set")
     with_common(p, seed=False)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=_run_op, op=_enumerate)
 
     p = sub.add_parser("game", help="solve a zero-sum game instance")
     with_common(p)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_game)
+    p.set_defaults(func=_run_op, op=_game)
 
     p = sub.add_parser("gen", help="write a generated instance or poset file")
     p.add_argument("--kind", required=True, choices=KINDS)

@@ -24,7 +24,8 @@ the codes, so ids are converted once per element, never once per cell, and
 serves dump_instance and the API; a poset too large to parse is refused.
 
 The instance digest is one sha256 over the codes, never over JSON text;
-the instance_digest docstring gives its byte layout.  Reports (schema
+the instance_digest docstring gives its byte layout.  Like serialization,
+it refuses a poset too large to parse.  Reports (schema
 roep-report/2) carry it.
 """
 
@@ -342,9 +343,13 @@ def instance_digest(obj) -> str:
     """sha256 over the instance's codes, in one fixed byte layout.
 
     The digest reads only what the normalized document holds, so
-    digest(parse(serialize(x))) == digest(x).  The hash runs over a list of
-    fields, each written as its byte length (8 bytes, little-endian) and
-    then its bytes.  In order:
+    digest(parse(serialize(x))) == digest(x).  A poset past the 2048-element
+    cap has no file form, and so no parse for its digest to match: when a
+    poset whose order is hashed (a roep's X, Y and U, a game's X and Y) is
+    past it, the instance is refused (ValidationError) before any order is
+    read.  A game's U is hashed as ids only, so it has no cap here.  The
+    hash runs over a list of fields, each written as its byte length (8
+    bytes, little-endian) and then its bytes.  In order:
 
     1. the tag ``roep-digest/1``;
     2. the mode, ``roep`` or ``game``;
@@ -364,6 +369,9 @@ def instance_digest(obj) -> str:
        empty field when there is none.
     """
     game = isinstance(obj, ZeroSumGame)
+    posets = (obj.C.parent, obj.D.parent) if game else (obj.C.parent, obj.D.parent, obj.U)
+    if _past_cap(map(len, posets)):
+        raise ValidationError(f"cannot digest: a poset past {_MAX_POSET_ELEMENTS} elements")
     h = hashlib.sha256()
 
     def field(data) -> None:
@@ -377,7 +385,7 @@ def instance_digest(obj) -> str:
 
     field(_DIGEST_TAG)
     field(b"game" if game else b"roep")
-    for p in (obj.C.parent, obj.D.parent) if game else (obj.C.parent, obj.D.parent, obj.U):
+    for p in posets:
         id_fields(_ids(p))
         field(np.packbits(p.leq_matrix))
     for s in (obj.C, obj.D):

@@ -568,6 +568,47 @@ class TestExitCodeContract:
             4, "", "internal error: RuntimeError: boom\n")
 
 
+class TestOpPipeline:
+    """check, solve, enumerate and game: parse, run the op, print, then write the report."""
+
+    @pytest.mark.parametrize("command, name, first", [
+        ("check", "i1", "seed: "), ("solve", "i2", "climb: "),
+        ("enumerate", "i3", "solutions: "), ("game", "game3x3", "climb: "),
+    ])
+    def test_instance_line_then_the_op_lines(self, capsys, tmp_path, command, name, first):
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, command, FIXTURES[name], "--report", str(target))
+        assert target.exists() and json.loads(target.read_text())["exit_code"] == code
+        lines = out.splitlines()
+        assert lines[0].startswith("instance: mode=") and lines[1].startswith(first)
+        assert not any(line.startswith("instance: ") for line in lines[1:])
+        assert run(capsys, command, FIXTURES[name]) == (code, out, err)  # --report adds nothing
+
+    # the (exit 3) forced solve on i3 is pinned in TestPinnedOutputs
+    @pytest.mark.parametrize("argv, code, err", [
+        (["solve", "i3"], 2, "hypothesis failure: solver preconditions failed: "),
+        (["game", "i2"], 1, "error: ValidationError: the 'game' command needs a mode=game "),
+        # the mode is refused before the seed is read
+        (["game", "i2", "--seed", "c0:d0"], 1,
+         "error: ValidationError: the 'game' command needs a mode=game "),
+    ], ids=["solve-i3", "game-i2", "game-i2-seeded"])
+    def test_a_refused_op_prints_nothing_and_writes_no_report(self, capsys, tmp_path, argv,
+                                                              code, err):
+        target = tmp_path / "report.json"
+        command, name, *flags = argv
+        got = run(capsys, command, FIXTURES[name], *flags, "--report", str(target))
+        assert got[:2] == (code, "") and got[2].startswith(err)
+        assert not target.exists()
+
+    def test_an_op_breaching_an_invariant_prints_nothing_and_writes_no_report(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(ProblemInstance, "_climbs", lambda self, *args: False)
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, "solve", FIXTURES["i2"], "--report", str(target))
+        assert (code, out) == (4, "")
+        assert not target.exists()
+
+
 class TestProcess:
     """`python -m ordeq.cli` as its own process, through `entry()` and the exit status."""
 

@@ -392,6 +392,27 @@ class TestRoundTrip:
             assert str(caught.value) == "cannot serialize: a poset past 2048 elements"
             assert not path.exists()
 
+    def test_digest_refuses_a_poset_past_the_cap_before_its_order_is_read(self):
+        # such a poset has no file form, so no parsed dump has a digest to match; the
+        # roep view of a k x k game with distinct payoffs has k**4 of them in U
+        for k in (7, 8):
+            X = grid_poset((k, k))
+            C = X.full_subset()
+            game = ZeroSumGame(C, C, {(x, y): Fraction(len(X) * a - b, 7)
+                                      for a, x in enumerate(X.elements)
+                                      for b, y in enumerate(X.elements)})
+            with pytest.raises(ValidationError, match="^cannot digest: a poset past 2048 "
+                                                      "elements$"):
+                instance_digest(game.instance)
+            assert "leq_matrix" not in game.U.__dict__, k
+            instance_digest(game)  # the game hashes its U as ids: no cap, no order
+            assert "leq_matrix" not in game.U.__dict__, k
+        C = grid_poset((64, 64)).subset([(0, 0), (1, 1)])
+        T = ObjectiveMap(load_poset(["u"]), {(x, y): "u" for x in C for y in C})
+        wide = ProblemInstance(C, C, T, constant_map(C, C), constant_map(C, C))
+        with pytest.raises(ValidationError, match="^cannot digest: a poset past 2048 elements$"):
+            instance_digest(wide)
+
     def test_refused_dump_leaves_the_file_untouched(self, tmp_path):
         # the file was once opened, and so emptied, before serializing
         X = load_poset(["c0", "c1"], [("c0", "c1")])
