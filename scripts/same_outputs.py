@@ -34,10 +34,12 @@ of REV then each run, in one process per tree, the same list of
   value that is no list) or seed (`MALFORMED_SEEDS`: an unknown C or D
   member, a non-string) under `validate` and `check`, so a refusal's words
   are compared too;
-- the same two fixtures with more than one fault in their `T` or `payoff`
-  rows (`MULTI_FAULT`: rows reversed, reversed with two bad values, a hole
-  before a bad value, a malformed row after a bad value) under `validate`
-  and `check`, so the order in which faults are refused is compared too;
+- the same two fixtures with a missing pair or more than one fault in
+  their `T` or `payoff` rows (`ROW_FAULTS`: one pair missing, rows
+  reversed, reversed with two bad values, a hole before a bad value, a
+  malformed row after a bad value) under `validate` and `check`, so a
+  missing pair's words and the order in which faults are refused are
+  compared too;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -85,9 +87,9 @@ EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
 }
 
 PAYOFF_COMMANDS = ("validate", "check", "game --force", "enumerate")
-PAYOFF_SPELLINGS = {  # name: a payoff value; the first six are refused
+PAYOFF_SPELLINGS = {  # name: a payoff value; the first eight are refused
     "zero-denominator": "1/0", "spaced-slash": "1 / 2", "signed-denominator": "1/-2",
-    "huge-exponent": "1e5000", "bool": True, "float": 1.5,
+    "huge-exponent": "1e5000", "bool": True, "float": 1.5, "null": None, "list": [1],
     "half": "1/2", "two-quarters": "2/4", "leading-space": " 1/2", "plus": "+1",
     "underscore": "1_0", "decimal": "0.5", "bare-decimal": ".5", "trailing-point": "1.",
     "exponent": "1e2", "minus-zero": "-0", "newline": "1\n", "arabic-indic": "\u0661/\u0662",
@@ -109,7 +111,8 @@ MALFORMED_SEEDS = {  # name: the seed from C's and D's member lists
     "seed-non-string": lambda cs, ds: [cs[0], 5],
 }
 
-MULTI_FAULT = {  # name: the T or payoff rows, from the fixture's, which run over C x D in order
+ROW_FAULTS = {  # name: the T or payoff rows, from the fixture's, which run over C x D in order
+    "hole": lambda rows: rows[:1] + rows[2:],
     "rows-reversed": lambda rows: rows[::-1],
     "reversed-two-bad": lambda rows: _bad(rows, 0, len(rows) - 1)[::-1],
     "hole-and-bad": lambda rows: [r for k, r in enumerate(_bad(rows, 2)) if k != 1],
@@ -133,7 +136,7 @@ def _command_jobs(path: Path, commands) -> list:
 def _payoff_jobs(inputs: Path) -> list:
     """The 2x2 game fixture with payoffs in the spellings the benchmark never writes."""
     base = json.loads((ROOT / "fixtures" / "game_additive_2x2.json").read_text(encoding="utf-8"))
-    accepted = list(PAYOFF_SPELLINGS.values())[6:]
+    accepted = list(PAYOFF_SPELLINGS.values())[8:]
     tables = {name: [value] for name, value in PAYOFF_SPELLINGS.items()}
     tables["all-accepted"] = accepted
     tables["json-ints"] = [int(row[2]) for row in base["payoff"]]
@@ -179,7 +182,7 @@ def _malformed_jobs(inputs: Path) -> list:
         edits = {name: {"F": make(cs, ds)} for name, make in MALFORMED_F.items()}
         edits.update({name: {"seed": make(cs, ds)} for name, make in MALFORMED_SEEDS.items()})
         table = "T" if "T" in base else "payoff"
-        edits.update({name: {table: make(base[table])} for name, make in MULTI_FAULT.items()})
+        edits.update({name: {table: make(base[table])} for name, make in ROW_FAULTS.items()})
         for name, edit in edits.items():
             path = malformed / f"{fixture}.{name}.json"
             path.write_text(json.dumps({**base, **edit}), encoding="utf-8")

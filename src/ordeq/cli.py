@@ -47,8 +47,8 @@ EXIT_INTERNAL = 4
 
 
 def _seed(args, obj):
-    """The --seed pair, or None to fall back to the file's seed."""
-    if not (text := args.seed):
+    """The --seed pair, or None without --seed (the file's seed then holds); "" names none."""
+    if (text := args.seed) is None:
         return None
     # ids may contain the separator: keep the one split into members of C and D
     sep = ":" if ":" in text else ","

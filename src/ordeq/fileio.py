@@ -5,10 +5,9 @@ table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  Where the library has a rule
 on what the values mean, the parse calls it rather than a copy, and its
-words appear under the section's name.  A game's payoffs are JSON
-integers or rational strings (never booleans or floats), each distinct one
-converted to a Fraction once by the payoff rule of :mod:`ordeq.games`, which
-the API follows too, before the builder there makes the game.  An F or G
+words appear under the section's name.  A game's payoff table is coded
+and refused by the payoff loop of :mod:`ordeq.games`, which the API runs
+too, so a file's payoffs follow the API's rule in its words.  An F or G
 entry is a list of strings; the table is then checked and masked, domain
 on rows, by the SetValuedMap rule of :mod:`ordeq.maps`.  A seed is a list
 of two strings; whether they are members of C and D is the instance's own
@@ -17,11 +16,12 @@ refused.  A T or payoff table is laid out, then coded: every row is checked
 and its raw value put in a flat C x D list, at the positions C and D number
 its ids, before one pass codes the list (a T value as its position in U, a
 payoff as its slot among the distinct raw payoffs), so the first bad value
-in C x D order is refused.  Serialization normalizes: element ids become
-strings, relations become Hasse edges, rows are emitted in a canonical
-order; parse-then-serialize is idempotent after the first pass.  It reads
-the codes, so ids are converted once per element, never once per cell, and
-serves dump_instance and the API; a poset too large to parse is refused.
+in C x D order is refused, and then the first missing pair.  Serialization
+normalizes: element ids become strings, relations become Hasse edges, rows
+are emitted in a canonical order; parse-then-serialize is idempotent after
+the first pass.  It reads the codes, so ids are converted once per
+element, never once per cell, and serves dump_instance and the API; a
+poset too large to parse is refused.
 
 The instance digest is one sha256 over the codes, never over JSON text;
 the instance_digest docstring gives its byte layout.  Like serialization,
@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .equilibrium import ProblemInstance
 from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
-from .games import _HOLE, ZeroSumGame, _as_fraction, _game_codes
+from .games import _HOLE, ZeroSumGame, _game_codes
 from .maps import _table_mask
 from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, _past_cap, grid_poset, load_poset
 
@@ -148,12 +148,11 @@ def _parse_constraints(section: str, data, domain: Subset, codomain: Subset) -> 
         return _table_mask(domain, codomain, data)
 
 
-def _parse_cells(section: str, data, C: Subset, D: Subset) -> tuple:
-    """The [x, y, value] rows laid out as a flat C x D list of raw values, and a hole.
+def _parse_cells(section: str, data, C: Subset, D: Subset) -> list:
+    """The [x, y, value] rows laid out as a flat C x D list of raw values, _HOLE where none.
 
     Every row passes its shape, membership and duplicate checks, in row order,
-    before any value is read.  The hole is the first (x, y) pair with no row,
-    or None: each row fills one cell, so there is one iff rows are fewer.
+    before any value is read.
     """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
@@ -173,10 +172,7 @@ def _parse_cells(section: str, data, C: Subset, D: Subset) -> tuple:
         if cells[k] is not _HOLE:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
         cells[k] = v
-    if len(data) == len(cells):
-        return cells, None
-    x, y = divmod(cells.index(_HOLE), n_d)
-    return cells, (C.ordered()[x], D.ordered()[y])
+    return cells
 
 
 def _parse_seed(data):
@@ -224,34 +220,25 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
     seed = _parse_seed(doc.get("seed"))
 
     if mode == "game":
-        cells, hole = _parse_cells("payoff", _require("document", doc, "payoff"), C, D)
-        slots, exact = {}, []  # raw value -> its slot; each slot's one Fraction
-        for v in cells:
-            if isinstance(v, (str, int)) and not isinstance(v, bool):  # True and 1: one key
-                if v not in slots:
-                    slots[v] = len(exact)
-                    exact.append(_as_fraction(v))
-            elif v is not _HOLE:
-                raise ValidationError(f"payoff: value {v!r} must be an integer or rational string")
-        cells = list(map(slots.get, cells))  # the hole's slot is None
-        # U is the chain of the distinct values; it stores no order, so their number has no cap
+        # the API's payoff loop; U stores no order, so the number of distinct values has no cap
+        U, T = _game_codes(C, D, _parse_cells("payoff", _require("document", doc, "payoff"), C, D))
         with _section("game"):
-            if hole:
-                raise ValidationError(f"payoff table has no entry for {hole!r}")
-            return ZeroSumGame._from_codes(C, D, *_game_codes(C, D, cells, exact), F, G, seed)
+            return ZeroSumGame._from_codes(C, D, U, T, F, G, seed)
 
     U = posets["U"]
-    cells, hole = _parse_cells("T", _require("document", doc, "T"), C, D)
-    try:  # a value outside U (None, or unhashable), or else the hole, raises TypeError
+    cells = _parse_cells("T", _require("document", doc, "T"), C, D)
+    try:  # a value outside U (None, or unhashable), or else a hole, raises TypeError
         T = np.fromiter(map(U._index.get, cells), np.intp, len(cells)).reshape(len(C), len(D))
     except TypeError:
         for k, v in enumerate(cells):
             if v is not _HOLE and not (isinstance(v, str) and v in U._index):
                 pair = (C.ordered()[k // len(D)], D.ordered()[k % len(D)])
                 raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
-    with _section("instance"):
-        if hole:
+        x, y = divmod(cells.index(_HOLE), len(D))
+        hole = (C.ordered()[x], D.ordered()[y])
+        with _section("instance"):
             raise UnknownElement(f"objective table has no entry for {hole!r}")
+    with _section("instance"):
         return ProblemInstance._from_codes(C, D, U, T, F, G, seed=seed)
 
 

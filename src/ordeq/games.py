@@ -6,12 +6,14 @@ equilibria, and float ties would corrupt the argmax/argmin sets.  A game is
 a problem instance whose utility poset is the chain of its distinct payoff
 values, which keeps it minimal and totally ordered: its ranks are its codes,
 so phi and psi are row minima and column maxima, and the chain stores no
-order matrix (so any number of distinct payoffs fits).  One pass builds it:
-each payoff cell is read once and coded as its slot among the distinct raw
-values, each of which becomes its Fraction once, by the one payoff rule
-that files and the API share (so every game built from string or int
-payoffs serializes); a plain ASCII integer or ratio is read as two ints,
-any other spelling by Fraction's own parser.  Only the distinct values are
+order matrix (so any number of distinct payoffs fits).  One loop codes a
+payoff table, for the file parse and the constructor alike: each C x D
+cell's raw value is read once, in row order, and coded as its slot among
+the distinct raw values, each of which becomes its Fraction once, by the
+one payoff rule (so every game built from string or int payoffs
+serializes); a plain ASCII integer or ratio is read as two ints, any other
+spelling by Fraction's own parser.  The first bad value in C x D order is
+refused, then the first pair with no payoff.  Only the distinct values are
 sorted, and one gather turns the slots into positions in U.  No Fraction
 is hashed, and no payoff table is built unless one is read.
 """
@@ -102,23 +104,7 @@ class ZeroSumGame(ProblemInstance):
                  seed: Optional[Pair] = None):
         masks = _check_parts(C, D, F, G)
         cs, ds = C.ordered(), D.ordered()
-        slots, exact, cells = {}, [], []
-        for pair in itertools.product(cs, ds):
-            v = payoff.get(pair, _HOLE)
-            if v is _HOLE:
-                raise ValidationError(f"payoff table has no entry for {pair!r}")
-            # a Fraction is keyed by its lowest terms (no Fraction is hashed), any
-            # other value by its type and value (1, 1.0 and True never share a key)
-            key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
-            try:
-                s = slots.get(key)
-            except TypeError:  # an unhashable value is no rational
-                raise _bad_payoff(v) from None
-            if s is None:
-                s = slots[key] = len(exact)
-                exact.append(_as_fraction(v))
-            cells.append(s)
-        U, T = _game_codes(C, D, cells, exact)
+        U, T = _game_codes(C, D, [payoff.get(pair, _HOLE) for pair in itertools.product(cs, ds)])
         if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
             extra = set(payoff) - {(x, y) for x in cs for y in ds}
             raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
@@ -144,19 +130,38 @@ class ZeroSumGame(ProblemInstance):
                                        self._G, self._F, seed)
 
 
-def _game_codes(C: Subset, D: Subset, cells: list, exact: list) -> tuple:
-    """A game's utility chain U and codes T, from each payoff cell's slot.
+def _game_codes(C: Subset, D: Subset, cells: list) -> tuple:
+    """A game's utility chain U and codes T, from each C x D cell's raw payoff.
 
-    The cells run over C x D in row order, each the slot of its raw value,
-    and exact[s] is slot s's Fraction.  Only the distinct values are ranked;
-    no common denominator: on 20 000 values with denominators up to 10**9
-    its lcm had over 312 000 bits, and ranking the scaled integers took 5 s
-    against 0.05 s for this sort.
+    The cells run over C x D in row order, _HOLE where a pair has no payoff.
+    Each distinct raw value gets a slot (a Fraction by its lowest terms, so
+    none is hashed; any other value by its type and value, so 1, 1.0 and
+    True never share one) and its Fraction once, by the payoff rule; so the
+    first bad value in C x D order is refused, and then the first hole.
+    Only the distinct values are ranked; no common denominator: on 20 000
+    values with denominators up to 10**9 its lcm had over 312 000 bits, and
+    ranking the scaled integers took 5 s against 0.05 s for this sort.
     """
+    slots, exact, codes = {}, [], []  # raw value's key -> its slot; each slot's one Fraction
+    for v in cells:
+        key = v.as_integer_ratio() if type(v) is Fraction else (type(v), v)
+        try:
+            s = slots.get(key)
+        except TypeError:  # an unhashable value is no rational
+            raise _bad_payoff(v) from None
+        if s is None:
+            s = slots[key] = len(exact)
+            exact.append(v if v is _HOLE else _as_fraction(v))
+        codes.append(s)
+    hole = slots.get((object, _HOLE))  # _HOLE's key, as any other value's
+    if hole is not None:
+        x, y = divmod(codes.index(hole), len(D))
+        pair = (C.ordered()[x], D.ordered()[y])
+        raise ValidationError(f"payoff table has no entry for {pair!r}")
     terms = [v.as_integer_ratio() for v in exact]
     values = sorted(dict(zip(terms, exact)).values(), key=_order_key)
     rank = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    T = np.array([rank[t] for t in terms], dtype=np.intp)[cells].reshape(len(C), len(D))
+    T = np.array([rank[t] for t in terms], dtype=np.intp)[codes].reshape(len(C), len(D))
     # values[i] <= values[j] iff i <= j: a chain in element order, with no matrix stored
     return _Chain(values), T
 

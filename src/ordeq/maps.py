@@ -174,22 +174,22 @@ def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,
     Each up/down flag is :func:`increasing_upward` under reversed orders:
     reversing the domain order swaps upward and downward, reversing the
     codomain order swaps increasing and decreasing.  So the escapes under
-    each codomain direction are computed once, and each flag is one AND.
+    each codomain direction are computed once, and each flag is one AND.  A
+    singleton-valued map is strictly increasing (decreasing) iff it is
+    increasing (decreasing) upward and no x < x' share their one value.
     """
+    up, down = _escapes(mask, cod_leq), _escapes(mask, cod_leq.T)
+    inc_up, dec_up = not (dom_leq & up).any(), not (dom_leq & down).any()
     strict_inc = strict_dec = None
     if (mask.sum(axis=1) == 1).all():
         single = mask.nonzero()[1]  # the one value of each row, row by row
-        lt = cod_leq & ~np.eye(len(cod_leq), dtype=bool)
-        ascends = lt[np.ix_(single, single)]  # [x, x']: value at x < value at x'
         pairs = dom_leq & ~np.eye(len(dom_leq), dtype=bool)
-        strict_inc = bool(ascends[pairs].all())
-        strict_dec = bool(ascends.T[pairs].all())
-
-    up, down = _escapes(mask, cod_leq), _escapes(mask, cod_leq.T)
+        untied = not (pairs & (single[:, None] == single)).any()
+        strict_inc, strict_dec = inc_up and untied, dec_up and untied
     return MonotonicityReport(
-        increasing_upward=not (dom_leq & up).any(),
+        increasing_upward=inc_up,
         increasing_downward=not (dom_leq.T & down).any(),
-        decreasing_upward=not (dom_leq & down).any(),
+        decreasing_upward=dec_up,
         decreasing_downward=not (dom_leq.T & up).any(),
         strictly_increasing=strict_inc,
         strictly_decreasing=strict_dec,

@@ -292,6 +292,14 @@ class TestSeedFlag:
         assert code == 1
         assert "ValidationError" in err and "'c0' and 'd9'" in err
 
+    @pytest.mark.parametrize("command, name", [("check", "i2"), ("solve", "i2"),
+                                               ("game", "game2x2")])
+    def test_empty_seed_is_refused_not_ignored(self, capsys, command, name):
+        code, _, err = run(capsys, command, FIXTURES[name], "--seed", "")
+        assert code == 1
+        assert err == ("error: ValidationError: --seed '' names no pair of C and D members; "
+                       "candidate splits: none\n")
+
 
 REPORTING_COMMANDS = [["check"], ["solve", "--force"], ["solve", "--minimal", "--force"],
                       ["game"], ["game", "--force"], ["enumerate"]]
@@ -762,13 +770,11 @@ class TestPinnedOutputs:
     # game2x2's payoff rows run over C x D in order: ("0,0", "0,0", "0"),
     # ("0,0", "0,1", "-1"), ("0,0", "1,0", "-1"), ("0,0", "1,1", "-2"), ...
     @pytest.mark.parametrize("edit, message", [
-        (lambda rows: rows.pop(1),
-         "game: ValidationError: payoff table has no entry for ('0,0', '0,1')"),
+        (lambda rows: rows.pop(1), "payoff table has no entry for ('0,0', '0,1')"),
         (lambda rows: rows.append(list(rows[2])), "payoff: duplicate row for ('0,0', '1,0')"),
         (lambda rows: rows[2].__setitem__(1, "9,9"),
          "payoff: row references '9,9', not a member of D"),
-        (lambda rows: rows[1].__setitem__(2, True),
-         "payoff: value True must be an integer or rational string"),
+        (lambda rows: rows[1].__setitem__(2, True), "payoff: bad rational True"),
         (lambda rows: rows[1].__setitem__(2, "1/0"), "payoff: bad rational '1/0'"),
         # every row is checked before any value is: the duplicate is reported
         (lambda rows: (rows[0].__setitem__(2, True), rows.append(list(rows[3]))),
@@ -853,7 +859,7 @@ class TestMalformedDocuments:
         assert "ValidationError" in err
 
     @pytest.mark.parametrize("path, message", [
-        (("payoff", 0, 2), "payoff: value True must be an integer or rational string"),
+        (("payoff", 0, 2), "payoff: bad rational True"),
         (("posets", "X"), "posets.X: grid must be a list of integers"),
     ], ids=["payoff-value", "grid-extent"])
     def test_boolean_where_a_number_belongs(self, capsys, tmp_path, path, message):

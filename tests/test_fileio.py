@@ -297,10 +297,16 @@ class TestConstraintParse:
 
 _F_KEYS = st.sampled_from(["c0", "c1", "q", "p"])  # i2's C and two strays
 _F_VALUES = st.lists(st.sampled_from(["d0", "d1", "zz", "yy"]), max_size=4)
+_NO_ROW = object()  # a pair left out of the payoff table
+_PAYOFFS = st.one_of(  # ints, plain and spelled rationals, refused values and holes
+    st.integers(-3, 3),
+    st.sampled_from(["1", "-2", "1/2", "2/4", " 1 ", "1e2", "x", "1/0", True, None, 1.5, [1],
+                     _NO_ROW]),
+)
 
 
 class TestOneConstraintRule:
-    """The file parse and SetValuedMap check an F table by one rule, in the same words."""
+    """The file parse and the API check an F table, a payoff table and a seed by one rule."""
 
     @settings(max_examples=300, deadline=None)
     @given(table=st.dictionaries(_F_KEYS, _F_VALUES, max_size=4))
@@ -317,6 +323,24 @@ class TestOneConstraintRule:
         except ValidationError as exc:
             got = str(exc).removeprefix("F: ValidationError: ")
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_PAYOFFS, min_size=16, max_size=16))
+    def test_file_and_game_agree(self, values):
+        doc = load_doc("game2x2")
+        game = parse_instance_dict(doc)
+        pairs = [(x, y) for x in game.C.ordered() for y in game.D.ordered()]
+        table = {pair: v for pair, v in zip(pairs, values) if v is not _NO_ROW}
+        doc["payoff"] = [[x, y, v] for (x, y), v in table.items()]
+        outcomes = []
+        for build in (lambda: parse_instance_dict(doc),
+                      lambda: ZeroSumGame(game.C, game.D, table, game.F, game.G, game.seed)):
+            try:
+                built = build()
+                outcomes.append((built.U.elements, built._T.tolist()))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("name, section", [("i2", "instance"), ("game2x2", "game")])
     @pytest.mark.parametrize("side", [0, 1])

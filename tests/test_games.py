@@ -395,16 +395,16 @@ def grid_game_document(bench_files):
 
 class TestWorkPerDistinctValue:
     def test_one_fraction_per_distinct_payoff_string(self, monkeypatch, grid_game_document):
-        # counts the parse's calls to the payoff conversion it imports from games
+        # counts the parse's calls to the payoff conversion, in the payoff loop of games
         doc = grid_game_document
         made = []
-        convert = ordeq.fileio._as_fraction
+        convert = ordeq.games._as_fraction
 
         def counting(v):
             made.append(v)
             return convert(v)
 
-        monkeypatch.setattr(ordeq.fileio, "_as_fraction", counting)
+        monkeypatch.setattr(ordeq.games, "_as_fraction", counting)
         parse_instance_dict(doc)
         distinct = {v for _, _, v in doc["payoff"]}
         assert len(distinct) < len(doc["payoff"])
@@ -499,9 +499,16 @@ class TestErrorOrderAndSpellings:
         return C, D, {(x, y): 0 for x in C.ordered() for y in D.ordered()}
 
     def test_first_hole_or_bad_value_in_cell_order(self):
+        # as in a file: every value is refused before a missing pair
         C, D, payoff = self._table()
         del payoff[((0,), (1,))]
         payoff[((1,), (0,))] = "x"
+        with pytest.raises(ValidationError) as caught:
+            ZeroSumGame(C, D, payoff)
+        assert str(caught.value) == "payoff: bad rational 'x'"
+        C, D, payoff = self._table()
+        del payoff[((0,), (1,))]
+        del payoff[((1,), (0,))]
         with pytest.raises(ValidationError) as caught:
             ZeroSumGame(C, D, payoff)
         assert str(caught.value) == "payoff table has no entry for ((0,), (1,))"
