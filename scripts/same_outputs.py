@@ -37,9 +37,11 @@ of REV then each run, in one process per tree, the same list of
 - the same two fixtures with a missing pair or more than one fault in
   their `T` or `payoff` rows (`ROW_FAULTS`: one pair missing, rows
   reversed, reversed with two bad values, a hole before a bad value, a
-  malformed row after a bad value) under `validate` and `check`, so a
-  missing pair's words and the order in which faults are refused are
-  compared too;
+  malformed row after a bad value), or with an empty C or D, under
+  `validate` and `check`, so a missing pair's words and the order in which
+  faults are refused are compared too; and `i2` with its first `T` value
+  in each refused spelling of `T_SPELLINGS` (JSON `true`, `null`, an
+  integer, a float, a list, an object, an id of X), under the same two;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -119,6 +121,11 @@ ROW_FAULTS = {  # name: the T or payoff rows, from the fixture's, which run over
     "malformed-after-bad": lambda rows: _bad(rows, 0) + [rows[0][:2]],
 }
 
+T_SPELLINGS = {  # name: i2's first T value; no id of U, so each is refused
+    "T-true": True, "T-null": None, "T-int": 1, "T-float": 1.5, "T-list": [1], "T-object": {},
+    "T-X-id": "c0",
+}
+
 
 def _bad(rows: list, *positions) -> list:
     """The rows, the value at each given position k now "qk": no id of U and no rational."""
@@ -172,7 +179,7 @@ def _generic_game_jobs(inputs: Path) -> list:
 
 
 def _malformed_jobs(inputs: Path) -> list:
-    """i2 and the 2x2 game fixture, each with one malformed F table or seed, or faulty rows."""
+    """i2 and the 2x2 game fixture with one fault (F, seed, rows, empty C or D); i2's bad T."""
     malformed = inputs / "malformed"
     malformed.mkdir(parents=True)
     jobs = []
@@ -183,6 +190,10 @@ def _malformed_jobs(inputs: Path) -> list:
         edits.update({name: {"seed": make(cs, ds)} for name, make in MALFORMED_SEEDS.items()})
         table = "T" if "T" in base else "payoff"
         edits.update({name: {table: make(base[table])} for name, make in ROW_FAULTS.items()})
+        edits.update({f"{side}-empty": {side: {**base[side], "members": []}} for side in "CD"})
+        if table == "T":
+            edits.update({name: {"T": [[*base["T"][0][:2], v], *base["T"][1:]]}
+                          for name, v in T_SPELLINGS.items()})
         for name, edit in edits.items():
             path = malformed / f"{fixture}.{name}.json"
             path.write_text(json.dumps({**base, **edit}), encoding="utf-8")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -46,6 +46,7 @@ from .poset import Poset, Subset, _bool_matmul
 
 Pair = tuple
 _ABOVE_EVERY_RANK = np.iinfo(np.intp).max  # ranks are intp counts of elements
+_HOLE = object()  # the cell of a pair that has no entry or row
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,17 @@ class ProblemInstance:
     _G[j, i] says x_i is in G(y_j).  The parse, the generator and games (a
     ZeroSumGame is an instance) build these codes directly; an omitted F or
     G, None, is the all-true mask.  The public constructor keeps its checks
-    and the maps it is given, and converts them once: its lookup of every
-    pair is the check that T is total.  Otherwise T, F and G are views built
-    from the codes on first read.  All operations are pure; the phi and psi
-    masks and the solution set are computed lazily and cached.
+    and the maps it is given, and converts them once: the parse's T loop
+    codes T's table over C x D and refuses a missing pair.  Otherwise T, F
+    and G are views built from the codes on first read.  All operations are
+    pure; the phi and psi masks and the solution set are computed lazily and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap, F: Optional[SetValuedMap] = None,
                  G: Optional[SetValuedMap] = None, seed: Optional[Pair] = None):
         masks = _check_parts(C, D, F, G)
-        try:  # looking every pair up is the check that T is total
-            cells = [T.table[x, y] for x in C.ordered() for y in D.ordered()]
-        except KeyError as exc:
-            raise UnknownElement(f"objective table has no entry for {exc.args[0]!r}") from None
-        codes = np.array(list(map(T.utility.index, cells)), dtype=np.intp)
-        self._setup(C, D, T.utility, codes.reshape(len(C), len(D)), *masks, seed)
+        cells = [T.table.get(pair, _HOLE) for pair in product(C.ordered(), D.ordered())]
+        self._setup(C, D, T.utility, _objective_codes(C, D, T.utility, cells), *masks, seed)
         self.T, self.F, self.G = T, F or self.F, G or self.G
 
     @classmethod
@@ -591,6 +588,20 @@ def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],
     if G is not None and (G.domain != D or G.codomain != C):
         raise ValidationError("G must map D into subsets of C")
     return tuple(None if m is None else m.mask() for m in (F, G))
+
+
+def _objective_codes(C: Subset, D: Subset, U: Poset, cells: list) -> np.ndarray:
+    """T's codes from its C x D cells in row order (_HOLE where none), for files and API alike.
+
+    ObjectiveMap's rule refuses the first value outside U in C x D order, then the first hole.
+    """
+    try:  # a value outside U (None, or unhashable), or a hole, raises TypeError
+        return np.fromiter(map(U._index.get, cells), np.intp, len(cells)).reshape(len(C), len(D))
+    except TypeError:
+        pairs = list(product(C.ordered(), D.ordered()))
+        ObjectiveMap(U, {pair: v for pair, v in zip(pairs, cells) if v is not _HOLE})
+        hole = pairs[cells.index(_HOLE)]
+        raise UnknownElement(f"objective table has no entry for {hole!r}") from None
 
 
 def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):

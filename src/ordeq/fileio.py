@@ -5,23 +5,23 @@ table (or a rational payoff table in game mode), the constraint tables, and
 an optional seed pair.  Unknown fields are rejected, and so is any element
 id or poset name that is not a JSON string.  Where the library has a rule
 on what the values mean, the parse calls it rather than a copy, and its
-words appear under the section's name.  A game's payoff table is coded
-and refused by the payoff loop of :mod:`ordeq.games`, which the API runs
-too, so a file's payoffs follow the API's rule in its words.  An F or G
-entry is a list of strings; the table is then checked and masked, domain
-on rows, by the SetValuedMap rule of :mod:`ordeq.maps`.  A seed is a list
-of two strings; whether they are members of C and D is the instance's own
-check, as for a seed given to the API.  An object that repeats a key is
-refused.  A T or payoff table is laid out, then coded: every row is checked
-and its raw value put in a flat C x D list, at the positions C and D number
-its ids, before one pass codes the list (a T value as its position in U, a
-payoff as its slot among the distinct raw payoffs), so the first bad value
-in C x D order is refused, and then the first missing pair.  Serialization
-normalizes: element ids become strings, relations become Hasse edges, rows
-are emitted in a canonical order; parse-then-serialize is idempotent after
-the first pass.  It reads the codes, so ids are converted once per
-element, never once per cell, and serves dump_instance and the API; a
-poset too large to parse is refused.
+words appear under the section's name.  An F or G entry is a list of
+strings; the table is then checked and masked, domain on rows, by the
+SetValuedMap rule of :mod:`ordeq.maps`.  A seed is a list of two strings;
+whether they are members of C and D, and whether C and D are nonempty,
+are the instance's own checks, as in the API.  An object that repeats a
+key is refused.  A T or payoff table is laid out, then coded: every row is
+checked and its raw value put in a flat C x D list, at the positions C and
+D number its ids, before the loop the API runs too codes the list (the
+instance's, under ``instance:``: a T value as its position in U; that of
+:mod:`ordeq.games`: a payoff as its slot among the distinct raw payoffs),
+so the first bad value in C x D order is refused in the API's words, and
+then the first missing pair.  Serialization normalizes: element ids become
+strings, relations become Hasse edges, rows are emitted in a canonical
+order; parse-then-serialize is idempotent after the first pass.  It reads
+the codes, so ids are converted once per element, never once per cell,
+and serves dump_instance and the API; a poset too large to parse is
+refused.
 
 The instance digest is one sha256 over the codes, never over JSON text;
 the instance_digest docstring gives its byte layout.  Like serialization,
@@ -42,9 +42,9 @@ from typing import Union
 import numpy as np
 
 from . import __version__
-from .equilibrium import ProblemInstance
-from .errors import OrdeqError, ParseError, UnknownElement, ValidationError
-from .games import _HOLE, ZeroSumGame, _game_codes
+from .equilibrium import _HOLE, ProblemInstance, _check_parts, _objective_codes
+from .errors import OrdeqError, ParseError, ValidationError
+from .games import ZeroSumGame, _game_codes
 from .maps import _table_mask
 from .poset import _MAX_POSET_ELEMENTS, Poset, Subset, _past_cap, grid_poset, load_poset
 
@@ -210,10 +210,8 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
     C = _parse_subset("C", _require("document", doc, "C"), posets)
     D = _parse_subset("D", _require("document", doc, "D"), posets)
-    if not C.members:
-        raise ValidationError("C: must be nonempty")
-    if not D.members:
-        raise ValidationError("D: must be nonempty")
+    with _section("instance"):
+        _check_parts(C, D, None, None)
 
     F = _parse_constraints("F", doc["F"], C, D) if "F" in doc else None
     G = _parse_constraints("G", doc["G"], D, C) if "G" in doc else None
@@ -227,19 +225,8 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
 
     U = posets["U"]
     cells = _parse_cells("T", _require("document", doc, "T"), C, D)
-    try:  # a value outside U (None, or unhashable), or else a hole, raises TypeError
-        T = np.fromiter(map(U._index.get, cells), np.intp, len(cells)).reshape(len(C), len(D))
-    except TypeError:
-        for k, v in enumerate(cells):
-            if v is not _HOLE and not (isinstance(v, str) and v in U._index):
-                pair = (C.ordered()[k // len(D)], D.ordered()[k % len(D)])
-                raise ValidationError(f"T: value {v!r} at {pair!r} is not an element of U")
-        x, y = divmod(cells.index(_HOLE), len(D))
-        hole = (C.ordered()[x], D.ordered()[y])
-        with _section("instance"):
-            raise UnknownElement(f"objective table has no entry for {hole!r}")
-    with _section("instance"):
-        return ProblemInstance._from_codes(C, D, U, T, F, G, seed=seed)
+    with _section("instance"):  # the instance's own T loop, which the API runs too
+        return ProblemInstance._from_codes(C, D, U, _objective_codes(C, D, U, cells), F, G, seed)
 
 
 def read_json(path):

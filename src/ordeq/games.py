@@ -31,15 +31,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .equilibrium import Pair, ProblemInstance, SolutionReport, _check_parts
+from .equilibrium import _HOLE, Pair, ProblemInstance, SolutionReport, _check_parts
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap
 from .poset import Subset, _Chain
 
 __all__ = ["ZeroSumGame", "GameReport", "solve_game"]
-
-_HOLE = object()  # the cell of a pair that has no entry or row
-
 
 # a decimal string's mantissa and exponent, where Fraction reads them; anchored
 # at the start, since a search would rescan a long digit string from each digit

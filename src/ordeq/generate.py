@@ -71,6 +71,8 @@ class GenSpec:
             raise InvalidSpec(
                 f"random_instance needs sizes (|C|, |D|, |U|), got {self.sizes}"
             )
+        if type(self.max_retries) is not int or self.max_retries < 1:  # a bool is no count
+            raise InvalidSpec(f"max_retries must be an integer >= 1, got {self.max_retries!r}")
         if not 0.0 <= self.density <= 1.0:
             raise InvalidSpec(f"density must lie in [0, 1], got {self.density}")
         if self.kind in POSET_KINDS:

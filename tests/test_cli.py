@@ -720,7 +720,8 @@ class TestPinnedOutputs:
          "instance: UnknownElement: objective table has no entry for ('c0', 'd1')"),
         (lambda rows: rows.append(list(rows[2])), "T: duplicate row for ('c1', 'd0')"),
         (lambda rows: rows[1].__setitem__(2, "u9"),
-         "T: value 'u9' at ('c0', 'd1') is not an element of U"),
+         "instance: ValidationError: objective value 'u9' at ('c0', 'd1') is not in the "
+         "utility poset"),
         (lambda rows: rows[2].__setitem__(1, "c0"), "T: row references 'c0', not a member of D"),
         # every row is checked before any value is: the duplicate is reported
         (lambda rows: (rows[0].__setitem__(2, "u9"), rows.append(list(rows[3]))),
@@ -746,8 +747,10 @@ class TestPinnedOutputs:
         (lambda doc: doc.update(C=["c0"]), "ValidationError: C: must be an object"),
         (lambda doc: doc["C"]["members"].append("nope"),
          "ValidationError: C: UnknownElement: 'nope' is not an element of the parent poset"),
-        (lambda doc: doc["C"].update(members=[]), "ValidationError: C: must be nonempty"),
-        (lambda doc: doc["D"].update(members=[]), "ValidationError: D: must be nonempty"),
+        (lambda doc: doc["C"].update(members=[]),
+         "ValidationError: instance: ValidationError: C must be nonempty"),
+        (lambda doc: doc["D"].update(members=[]),
+         "ValidationError: instance: ValidationError: D must be nonempty"),
         (lambda doc: doc.update(F=[]),
          "ValidationError: F: must be an object of element -> list"),
         (lambda doc: doc.update(T={}),

@@ -158,12 +158,13 @@ class TestParse:
     def test_objective_value_outside_utility(self):
         doc = load_doc("i2")
         doc["T"][0][2] = "99"
-        with pytest.raises(ValidationError, match="not an element of U"):
+        with pytest.raises(ValidationError, match="not in the utility poset"):
             parse_instance_dict(doc)
 
     @pytest.mark.parametrize("name, table, bad, message", [
         ("i2", "T", {0: "q0", 3: "q3"},
-         "T: value 'q0' at ('c0', 'd0') is not an element of U"),
+         "instance: ValidationError: objective value 'q0' at ('c0', 'd0') is not in the "
+         "utility poset"),
         ("game2x2", "payoff", {1: "x/y", 14: True}, "payoff: bad rational 'x/y'"),
     ], ids=["T", "payoff"])
     def test_first_bad_value_in_cell_order_whatever_the_row_order(self, name, table, bad,
@@ -297,7 +298,11 @@ class TestConstraintParse:
 
 _F_KEYS = st.sampled_from(["c0", "c1", "q", "p"])  # i2's C and two strays
 _F_VALUES = st.lists(st.sampled_from(["d0", "d1", "zz", "yy"]), max_size=4)
-_NO_ROW = object()  # a pair left out of the payoff table
+_NO_ROW = object()  # a pair left out of the T or payoff table
+_OBJECTIVES = st.one_of(  # i2's U ids, its X ids (not in U), refused values and holes
+    st.sampled_from(["-1", "0", "1", "c0", "c1", True, None, 1.5, [1], {}, _NO_ROW]),
+    st.integers(-2, 2),
+)
 _PAYOFFS = st.one_of(  # ints, plain and spelled rationals, refused values and holes
     st.integers(-3, 3),
     st.sampled_from(["1", "-2", "1/2", "2/4", " 1 ", "1e2", "x", "1/0", True, None, 1.5, [1],
@@ -306,7 +311,7 @@ _PAYOFFS = st.one_of(  # ints, plain and spelled rationals, refused values and h
 
 
 class TestOneConstraintRule:
-    """The file parse and the API check an F table, a payoff table and a seed by one rule."""
+    """The file parse and the API check an F, T or payoff table and a seed by one rule."""
 
     @settings(max_examples=300, deadline=None)
     @given(table=st.dictionaries(_F_KEYS, _F_VALUES, max_size=4))
@@ -341,6 +346,25 @@ class TestOneConstraintRule:
             except ValidationError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_OBJECTIVES, min_size=4, max_size=4))
+    def test_file_and_instance_agree(self, values):
+        doc = load_doc("i2")
+        inst = parse_instance_dict(doc)
+        pairs = [(x, y) for x in inst.C.ordered() for y in inst.D.ordered()]
+        table = {pair: v for pair, v in zip(pairs, values) if v is not _NO_ROW}
+        doc["T"] = [[x, y, v] for (x, y), v in table.items()]
+        try:
+            got = parse_instance_dict(doc)._T.tolist()
+        except ValidationError as exc:
+            got = str(exc)
+        try:
+            T = ObjectiveMap(inst.U, table)
+            want = ProblemInstance(inst.C, inst.D, T, inst.F, inst.G, inst.seed)._T.tolist()
+        except (ValidationError, UnknownElement) as exc:
+            want = f"instance: {type(exc).__name__}: {exc}"
+        assert got == want
 
     @pytest.mark.parametrize("name, section", [("i2", "instance"), ("game2x2", "game")])
     @pytest.mark.parametrize("side", [0, 1])

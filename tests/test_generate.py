@@ -198,6 +198,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GenSpec(kind="chain", sizes=(3,), filter="sometimes")
 
+    @pytest.mark.parametrize("max_retries", [0, -3, 2.5, True, "5", None])
+    @pytest.mark.parametrize("filter", ["none", "require_hypotheses"])
+    def test_max_retries_must_be_a_positive_int(self, filter, max_retries):
+        with pytest.raises(InvalidSpec, match="max_retries must be an integer >= 1"):
+            GenSpec(kind="random_instance", sizes=(2, 2, 2), filter=filter,
+                    max_retries=max_retries)
+
     def test_caps_enforced(self):
         with pytest.raises(InvalidSpec):
             gen_instance(GenSpec(kind="random_instance", sizes=(7, 3, 5)))
