@@ -46,7 +46,12 @@ of REV then each run, in one process per tree, the same list of
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
   --force` seeded at the last members of C and D, as for the fixtures;
-- the 256 seed-1 `small-batch` `gen` specs.
+- the 256 seed-1 `small-batch` `gen` specs;
+- `gen` runs outside them, on the draws an instance side never makes or
+  that the hypothesis filter hides: `--kind random_poset` at
+  `GEN_POSET_SIZES` with each density of `GEN_DENSITIES`, and `--filter
+  none` random instances at `GEN_INSTANCE_SIZES` for every poset kind,
+  with and without `--monotone-bias`.
 
 Each run is hashed over its exit code, stdout, stderr, the `--report`
 document without `elapsed_seconds`, and the file `gen` writes; and hashed
@@ -127,6 +132,12 @@ T_SPELLINGS = {  # name: i2's first T value; no id of U, so each is refused
 }
 
 
+GEN_SEEDS = (1, 2, 2 ** 40 + 3)
+GEN_POSET_SIZES = (1, 7, 23, 40)  # random posets, up to past sample's pool method at 21
+GEN_DENSITIES = ("0", "0.35", "1")
+GEN_INSTANCE_SIZES = ("1,1,1", "3,4,5", "6,5,11")  # within gen_instance's caps (6, 6, 12)
+
+
 def _bad(rows: list, *positions) -> list:
     """The rows, the value at each given position k now "qk": no id of U and no rational."""
     return [[x, y, f"q{k}" if k in positions else v] for k, (x, y, v) in enumerate(rows)]
@@ -201,6 +212,18 @@ def _malformed_jobs(inputs: Path) -> list:
     return jobs
 
 
+def _gen_jobs(poset_kinds) -> list:
+    """`gen` runs of random posets, and of random instances with no filter."""
+    runs = [["--kind", "random_poset", "--sizes", str(n), "--density", density]
+            for n in GEN_POSET_SIZES for density in GEN_DENSITIES]
+    runs += [["--kind", "random_instance", "--sizes", sizes, "--poset-kind", kind, *bias]
+             for kind in poset_kinds for sizes in GEN_INSTANCE_SIZES
+             for bias in ([], ["--monotone-bias"])]
+    return [(" ".join(["gen", *run, "--seed", str(seed)]),
+             ["gen", *run, "--seed", str(seed), "-o", WRITTEN])
+            for run in runs for seed in GEN_SEEDS]
+
+
 def _descent(path: Path) -> str:
     """`solve --minimal --force` from the last members of the file's C and D."""
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -220,7 +243,7 @@ def _seeded(path: Path) -> list:
 def _jobs(inputs: Path) -> list:
     """(name, argv) of every run; outputs are named relative to the run's directory."""
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS, argv, gen_specs, write_instances
+    from workloads import SHAPES, WORKLOADS, argv, gen_specs, write_instances
 
     jobs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
@@ -252,7 +275,7 @@ def _jobs(inputs: Path) -> list:
         if "gen" in workload.commands:
             jobs += [(f"gen {spec}", argv("gen", WRITTEN, REPORT, spec))
                      for spec in gen_specs(1, workload.instances)]
-    return jobs
+    return jobs + _gen_jobs(SHAPES)
 
 
 def _run_jobs(jobs_file: str) -> None:

@@ -57,13 +57,14 @@ class ObjectiveMap:
     table: Mapping
 
     def __post_init__(self):
-        tbl = dict(self.table)
+        tbl, index, elements = dict(self.table), self.utility._index, self.utility.elements
         for pair, v in tbl.items():
             try:
-                known = v in self.utility
+                at = index.get(v)
             except TypeError:  # an unhashable value is no element
-                known = False
-            if not known:
+                at = None
+            # the element itself, not a value of another type that equals it (True for 1)
+            if at is None or type(elements[at]) is not type(v):
                 raise ValidationError(
                     f"objective value {v!r} at {pair!r} is not in the utility poset"
                 )
@@ -547,10 +548,11 @@ def _utility_order(T: np.ndarray, ranks: Optional[np.ndarray], leq: Optional[np.
     """What the kernels compare T's values by: (T's ranks, None) when U is total, else (T, lt).
 
     ranks are U's ranks, None unless U is total; only then is leq, U's
-    order, read, for its strict order lt.
+    order, read, for its strict order lt.  With leading axes, T is a stack
+    of instances, and so is leq unless they share U.
     """
     if ranks is None:
-        return T, leq & ~np.eye(len(leq), dtype=bool)
+        return T, leq & ~np.eye(leq.shape[-1], dtype=bool)
     return ranks[T], None
 
 
@@ -563,17 +565,18 @@ def _optima(values: np.ndarray, feasible: np.ndarray, lt: Optional[np.ndarray],
     leave the feasible cells at the row's minimum (maximum).  Otherwise
     present[r, u] says value u sits in a feasible cell of row r, so one
     boolean matmul with the strict order gives the values each row beats.
+    Leading axes are a stack of instances, as _utility_order gives them.
     """
     if lt is None:
         if lowest:
-            best = values.min(axis=1, initial=_ABOVE_EVERY_RANK, where=feasible)
+            best = values.min(axis=-1, initial=_ABOVE_EVERY_RANK, where=feasible)
         else:
-            best = values.max(axis=1, initial=-1, where=feasible)
-        return feasible & (values == best[:, None])
-    present = np.zeros((len(values), len(lt)), dtype=bool)
-    present[feasible.nonzero()[0], values[feasible]] = True
-    beaten = _bool_matmul(present, lt if lowest else lt.T)
-    return feasible & ~beaten[np.arange(len(values))[:, None], values]
+            best = values.max(axis=-1, initial=-1, where=feasible)
+        return feasible & (values == best[..., None])
+    present = np.zeros((*values.shape[:-1], lt.shape[-1]), dtype=bool)
+    present[(*feasible.nonzero()[:-1], values[feasible])] = True
+    beaten = _bool_matmul(present, lt if lowest else lt.swapaxes(-1, -2))
+    return feasible & ~np.take_along_axis(beaten, values, axis=-1)
 
 
 def _check_parts(C: Subset, D: Subset, F: Optional[SetValuedMap],

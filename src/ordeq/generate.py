@@ -8,17 +8,23 @@ edge set over a shuffled element order and closing transitively, which
 guarantees acyclicity by construction.
 
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
-matrices, T as positions in U, F and G as boolean masks.  The hypothesis
-filter rejects an attempt on these arrays (phi before G is even drawn), by
-the kernels an instance picks for the same U (T's ranks when U is total),
-and the accepted attempt's codes become the instance as they are.
+matrices, T as positions in U, F and G as boolean masks.  Its integer draws
+(a random order's shuffle, T's cells, a subset's size and members) read
+getrandbits as Random's shuffle, choice, randint and sample do (checked on
+CPython 3.10 to 3.13), so they give the stdlib's values without its method
+calls; random() and uniform() stay the stdlib's.  The hypothesis filter
+rejects attempts on these arrays in batches: phi is tested once on a
+batch's stacked codes, by the kernels an instance picks for the same U
+(T's ranks when U is total), and G is still each attempt's last draw, made
+only when its phi passes.  The accepted attempt's codes become the instance
+as they are.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import mul
 
 import numpy as np
@@ -32,6 +38,7 @@ from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, _past_cap,
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
 _CAPS = (6, 6, 12)  # the largest (|C|, |D|, |U|) gen_instance draws
+_BATCH_CAP = 16  # the most attempts whose phi gen_instance tests at once
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,11 @@ class GenSpec:
             )
         if type(self.max_retries) is not int or self.max_retries < 1:  # a bool is no count
             raise InvalidSpec(f"max_retries must be an integer >= 1, got {self.max_retries!r}")
-        if not 0.0 <= self.density <= 1.0:
-            raise InvalidSpec(f"density must lie in [0, 1], got {self.density}")
+        if (isinstance(self.density, bool) or not isinstance(self.density, (int, float))
+                or not 0.0 <= self.density <= 1.0):  # a bool is no number here
+            raise InvalidSpec(f"density must be a number in [0, 1], got {self.density!r}")
+        if type(self.monotone_bias) is not bool:
+            raise InvalidSpec(f"monotone_bias must be a bool, got {self.monotone_bias!r}")
         if self.kind in POSET_KINDS:
             # n elements, 2**k for a boolean lattice, the extents' product for a grid
             if self.kind == "boolean_lattice":
@@ -106,10 +116,22 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
     return Poset._trusted([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from range(n) as Random._randbelow makes it: the top n.bit_length() bits
+    of a word, until they fall below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_order(n: int, rng: random.Random, density: float) -> np.ndarray:
     """The leq matrix of edges drawn along a shuffled order, then closed."""
     order = list(range(n))
-    rng.shuffle(order)
+    for i in range(n - 1, 0, -1):  # Random.shuffle's swaps
+        j = _below(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
     succ = [None] * n  # each element's edges point to elements later in `order`
     for i in range(n):
         succ[order[i]] = [order[j] for j in range(i + 1, n) if rng.random() < density]
@@ -144,9 +166,14 @@ def _side(kind: str, n: int, prefix: str, density: float) -> tuple:
 
 
 def _nonempty_subset(rng: random.Random, n: int) -> list:
-    """Positions of a random nonempty subset of n members."""
-    k = rng.randint(1, n)
-    return rng.sample(range(n), k)
+    """Positions of a random nonempty subset of n members: the draws of randint(1, n), then
+    of sample(range(n), k) by its pool method, which sample takes up to 21 members."""
+    k, pool, picks = 1 + _below(rng, n), list(range(n)), []  # k: randint(1, n)
+    for i in range(n, n - k, -1):
+        j = _below(rng, i)
+        picks.append(pool[j])
+        pool[j] = pool[i - 1]  # the member not yet picked moves into the vacancy
+    return picks
 
 
 def _monotone_score(rng: random.Random, leq: np.ndarray) -> list:
@@ -160,23 +187,35 @@ def _draw_table(spec: GenSpec, rng: random.Random, c_leq: np.ndarray,
     """T as positions in U, one row per member of C."""
     n_u = spec.sizes[2]
     if spec.monotone_bias:
-        raw = np.subtract.outer(_monotone_score(rng, c_leq), _monotone_score(rng, d_leq))
-        levels = np.unique(raw)
-        return np.searchsorted(levels, raw) * n_u // len(levels)
-    u, shape = range(n_u), (len(c_leq), len(d_leq))
-    return np.array([rng.choice(u) for _ in range(shape[0] * shape[1])],
-                    dtype=np.intp).reshape(shape)
-
-
-def _draw_constraint(spec: GenSpec, rng: random.Random, n_dom: int, n_cod: int) -> np.ndarray:
-    """Row x: the value at domain member x, as a mask over the codomain members."""
-    mask = np.zeros((n_dom, n_cod), dtype=bool)
-    if spec.monotone_bias and rng.random() < 0.7:
-        mask[:, _nonempty_subset(rng, n_cod)] = True
+        f, g = _monotone_score(rng, c_leq), _monotone_score(rng, d_leq)
+        raw = [a - b for a in f for b in g]
+        level = {v: i for i, v in enumerate(sorted(set(raw)))}  # each distinct value's rank
+        cells = [level[v] * n_u // len(level) for v in raw]
     else:
-        for row in mask:
-            row[_nonempty_subset(rng, n_cod)] = True
-    return mask
+        cells = [_below(rng, n_u) for _ in range(len(c_leq) * len(d_leq))]
+    return np.array(cells, dtype=np.intp).reshape(len(c_leq), len(d_leq))
+
+
+def _draw_constraint(spec: GenSpec, rng: random.Random, n_dom: int, n_cod: int) -> list:
+    """The value at each domain member x, as positions x * n_cod + z of its codomain members z."""
+    rows = range(0, n_dom * n_cod, n_cod)
+    if spec.monotone_bias and rng.random() < 0.7:
+        picks = _nonempty_subset(rng, n_cod)
+        return [x + z for x in rows for z in picks]
+    return [x + z for x in rows for z in _nonempty_subset(rng, n_cod)]
+
+
+def _stack(leqs: tuple) -> np.ndarray:
+    """The attempts' orders of one poset: the order when they all share it, else their stack."""
+    return leqs[0] if all(leq is leqs[0] for leq in leqs) else np.array(leqs)
+
+
+def _masks(positions: list, n_dom: int, n_cod: int) -> np.ndarray:
+    """One (n_dom, n_cod) mask per attempt, set at that attempt's positions, in one scatter."""
+    size = n_dom * n_cod
+    flat = np.zeros(len(positions) * size, dtype=bool)
+    flat[[k + p for k, ps in zip(range(0, len(flat), size), positions) for p in ps]] = True
+    return flat.reshape(-1, n_dom, n_cod)
 
 
 def gen_instance(spec: GenSpec) -> ProblemInstance:
@@ -187,10 +226,13 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     check_hypotheses; the first passing pair in C x D order is recorded as
     the instance seed.  Each attempt is drawn as codes from its own rng and
     rejected on them: phi increasing upward is tested before G is drawn,
-    then psi, then the seed condition.  The masks and flags come from the
-    instance's own kernels on the same codes, so the verdict is the
-    instance's, and only the accepted attempt becomes an instance.  Raises
-    FilterExhausted honestly when the cap is hit.
+    then psi, then the seed condition.  Attempts are drawn in batches of 1,
+    2, 4, ... up to _BATCH_CAP, and phi is tested once per batch, on the
+    stacked codes; the first attempt in order whose phi passes goes on to
+    G and psi.  The masks and flags come from the instance's own kernels on
+    the same codes, so the verdict is the instance's, and only the accepted
+    attempt becomes an instance.  Raises FilterExhausted honestly when the
+    cap is hit.
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
@@ -204,29 +246,38 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         _side("chain" if spec.monotone_bias else "random_poset", n_u, "u", density),
     )
     n_c, n_d = len(ids[0]), len(ids[1])  # a boolean lattice may be smaller
-    filtering = spec.filter == "require_hypotheses"
     master = random.Random(spec.rng_seed)
-    for _ in range(spec.max_retries if filtering else 1):
+
+    def attempt() -> tuple:
+        """An attempt's rng, orders, T and F; its G is drawn from the rng later, if at all."""
         rng = random.Random(master.getrandbits(63))
-        c_leq, d_leq, u_leq = (draw(rng) for draw in draws)
-        T = _draw_table(spec, rng, c_leq, d_leq)
-        F = _draw_constraint(spec, rng, n_c, n_d)
-        if not filtering:
-            return _build(ids, (c_leq, d_leq, u_leq), T, F,
-                          _draw_constraint(spec, rng, n_d, n_c))
-        values, lt = _utility_order(T, _total_ranks(u_leq), u_leq)
+        orders = tuple(draw(rng) for draw in draws)
+        return (rng, orders, _draw_table(spec, rng, *orders[:2]),
+                _draw_constraint(spec, rng, n_c, n_d))
+
+    if spec.filter == "none":
+        rng, orders, T, F = attempt()
+        G = _draw_constraint(spec, rng, n_d, n_c)
+        return _build(ids, orders, T, _masks([F], n_c, n_d)[0], _masks([G], n_d, n_c)[0])
+    attempts, size = (attempt() for _ in range(spec.max_retries)), 1
+    while batch := list(islice(attempts, size)):
+        size = min(2 * size, _BATCH_CAP)
+        rngs, orders, T, F = zip(*batch)
+        c_leq, d_leq, u_leq = map(_stack, zip(*orders))
+        T, F = np.array(T), _masks(F, n_c, n_d)
+        # a shared U's ranks, if it is total; lt gives the same optima for any U
+        values, lt = _utility_order(T, _total_ranks(u_leq) if u_leq.ndim == 2 else None, u_leq)
         phi = _optima(values, F, lt, lowest=True)
-        if not increasing_upward(phi, c_leq, d_leq):
-            continue
-        G = _draw_constraint(spec, rng, n_d, n_c)  # the attempt's last draw
-        psi = _optima(values.T, G, lt, lowest=False)
-        if not increasing_upward(psi, d_leq, c_leq):
-            continue
-        # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
-        seeds = np.flatnonzero(_bool_matmul(c_leq, psi.T) & _bool_matmul(phi, d_leq.T))
-        if len(seeds):
-            return _build(ids, (c_leq, d_leq, u_leq), T, F, G,
-                          seed=divmod(int(seeds[0]), n_d))
+        for k in compress(range(len(batch)), increasing_upward(phi, c_leq, d_leq).tolist()):
+            G = _masks([_draw_constraint(spec, rngs[k], n_d, n_c)], n_d, n_c)[0]  # its last draw
+            psi = _optima(values[k].T, G, lt if u_leq.ndim == 2 else lt[k], lowest=False)
+            c_k, d_k = orders[k][:2]
+            if not increasing_upward(psi, d_k, c_k):
+                continue
+            # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
+            seeds = np.flatnonzero(_bool_matmul(c_k, psi.T) & _bool_matmul(phi[k], d_k.T))
+            if len(seeds):
+                return _build(ids, orders[k], T[k], F[k], G, seed=divmod(int(seeds[0]), n_d))
     raise FilterExhausted(
         f"no instance passing check_hypotheses found in {spec.max_retries} attempts "
         f"(spec seed {spec.rng_seed})"

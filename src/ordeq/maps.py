@@ -151,9 +151,9 @@ def monotonicity_report(m: SetValuedMap) -> MonotonicityReport:
 
 
 def _escapes(mask: np.ndarray, cod_leq: np.ndarray) -> np.ndarray:
-    """[x, x']: a value at x lies outside the down-closure of the value at x'."""
-    down = _bool_matmul(mask, cod_leq.T)  # row x: the down-closure of the value at x
-    return _bool_matmul(mask, ~down.T)
+    """[x, x']: a value at x lies outside the down-closure of the value at x' (per stacked map)."""
+    down = _bool_matmul(mask, cod_leq.swapaxes(-1, -2))  # row x: the down-closure at x
+    return _bool_matmul(mask, ~down.swapaxes(-1, -2))
 
 
 def increasing_upward(mask: np.ndarray, dom_leq: np.ndarray, cod_leq: np.ndarray) -> bool:
@@ -161,9 +161,10 @@ def increasing_upward(mask: np.ndarray, dom_leq: np.ndarray, cod_leq: np.ndarray
 
     dom_leq and cod_leq are the orders of the domain and codomain members.
     The flag fails iff some x <= x' has a value at x outside the down-closure
-    of the value at x'.
+    of the value at x'.  With leading axes, mask and the orders are stacks,
+    and the flags are an array: one per stacked map.
     """
-    return not (dom_leq & _escapes(mask, cod_leq)).any()
+    return ~(dom_leq & _escapes(mask, cod_leq)).any(axis=(-2, -1))
 
 
 def mask_monotonicity(mask: np.ndarray, dom_leq: np.ndarray,

@@ -290,6 +290,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ObjectiveMap(U, {("a", "b"): 7})
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_objective_value_must_be_the_element_not_an_equal_one(self, value):
+        # True and 1.0 hash and compare equal to U's element 1, but are not it:
+        # the instance would keep them while its codes and its file say '1'
+        U = load_poset([0, 1], [[0, 1]])
+        C, D = chain("c", 1).full_subset(), chain("d", 1).full_subset()
+        with pytest.raises(ValidationError, match="objective value .* is not in the utility poset"):
+            ProblemInstance(C, D, ObjectiveMap(U, {("c0", "d0"): value}))
+        inst = ProblemInstance(C, D, ObjectiveMap(U, {("c0", "d0"): 1}))
+        assert inst.T.value("c0", "d0") == 1 and inst._T.tolist() == [[1]]
+
     def test_total_table_required(self):
         X, Y = chain("c", 2), chain("d", 2)
         U = int_chain(0, 1)

@@ -3,19 +3,22 @@
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordeq import (
     GenSpec,
     ProblemInstance,
     gen_instance,
     gen_poset,
+    generate,
     instance_digest,
     serialize_instance,
 )
 from ordeq.errors import FilterExhausted, InvalidSpec
-from ordeq.generate import POSET_KINDS
+from ordeq.generate import _BATCH_CAP, POSET_KINDS, _below, _nonempty_subset, _random_order
 
 from oracles import dict_gamma_fixed_points, referee_digest, referee_gen_instance, referee_poset
 
@@ -165,6 +168,41 @@ class TestMatchesObjectReferee:
                 assert self._outcome(gen_instance, spec) == self._outcome(
                     referee_gen_instance, spec)
 
+    # (accepted attempt, poset kind, seed) of (4, 4, 6) unbiased specs, pinned during test
+    # authoring: each accepts first at that attempt, at or next to an end of the batches
+    # of 1, 2, 4, 8, 16, 16, ... attempts (after 1, 3, 7, 15, 31 and 47 attempts)
+    @pytest.mark.parametrize("accepted, kind, seed", [
+        (3, "chain", 4), (7, "random_poset", 94), (8, "chain", 7), (15, "random_poset", 33),
+        (16, "chain", 24), (17, "random_poset", 5), (31, "chain", 45), (32, "random_poset", 304),
+        (33, "chain", 14)])
+    def test_batch_ends_match(self, accepted, kind, seed):
+        assert _BATCH_CAP == 16  # the pins assume this schedule
+        outcomes = []
+        for max_retries in (accepted - 1, accepted):
+            spec = GenSpec(kind="random_instance", sizes=(4, 4, 6), rng_seed=seed,
+                           poset_kind=kind, filter="require_hypotheses", max_retries=max_retries)
+            got = self._outcome(gen_instance, spec)
+            assert got == self._outcome(referee_gen_instance, spec), spec
+            outcomes.append(got.startswith("FilterExhausted"))
+        assert outcomes == [True, False]
+
+    @pytest.mark.parametrize("max_retries", [1, 3, _BATCH_CAP, _BATCH_CAP + 1, 2 * _BATCH_CAP + 1])
+    def test_exhaustion_seeds_exactly_max_retries_attempts(self, monkeypatch, max_retries):
+        seeds = []
+
+        class Counting(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(generate, "random", SimpleNamespace(Random=Counting))
+        # exhausts all 200 attempts: pinned against the object referee
+        spec = GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=0,
+                       filter="require_hypotheses", max_retries=max_retries)
+        with pytest.raises(FilterExhausted, match=f"in {max_retries} attempts"):
+            gen_instance(spec)
+        assert len(seeds) == 1 + max_retries  # the spec's master rng, then one per attempt
+
     def test_builds_only_the_accepted_attempt(self, monkeypatch):
         built = []
         setup = ProblemInstance._setup
@@ -183,6 +221,41 @@ class TestMatchesObjectReferee:
         inst = gen_instance(GenSpec(kind="random_instance", sizes=(6, 6, 12), rng_seed=0,
                                     monotone_bias=True, filter="require_hypotheses"))
         assert built == [inst]
+
+
+class TestDrawsMatchRandom:
+    """Each draw read from getrandbits gives what the Random method it stands for gives,
+    and leaves the stream where that method does: the next random() is the same."""
+
+    @given(st.integers(0, 2 ** 64), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_below_is_choice(self, seed, n):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        assert [_below(ours, n) for _ in range(5)] == [stdlib.choice(range(n)) for _ in range(5)]
+        assert ours.random() == stdlib.random()
+
+    @given(st.integers(0, 2 ** 64), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_random_order_shuffles_as_shuffle(self, seed, n):
+        # at density 1 each element lies below every later one, so its down-set's size is
+        # one past its place in the shuffled order; each pair drew one random()
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        places = _random_order(n, ours, 1.0).sum(axis=0).tolist()
+        order = list(range(n))
+        stdlib.shuffle(order)
+        for _ in range(n * (n - 1) // 2):
+            stdlib.random()
+        assert sorted(range(n), key=places.__getitem__) == order
+        assert ours.random() == stdlib.random()
+
+    @given(st.integers(0, 2 ** 64), st.integers(1, 21))
+    @settings(max_examples=200, deadline=None)
+    def test_nonempty_subset_is_randint_then_sample(self, seed, n):
+        # sample takes its pool method up to 21 members (a side of an instance has at
+        # most 6); past that, for a subset of at most 5, it draws by a set of picks
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        assert _nonempty_subset(ours, n) == stdlib.sample(range(n), stdlib.randint(1, n))
+        assert ours.random() == stdlib.random()
 
 
 class TestSpecValidation:
@@ -204,6 +277,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="max_retries must be an integer >= 1"):
             GenSpec(kind="random_instance", sizes=(2, 2, 2), filter=filter,
                     max_retries=max_retries)
+
+    @pytest.mark.parametrize("density", [True, False, "0.5", None, [0.5], -0.5, 1.5,
+                                         float("nan")])
+    def test_density_must_be_a_number_in_the_unit_interval(self, density):
+        with pytest.raises(InvalidSpec, match=r"density must be a number in \[0, 1\]"):
+            GenSpec(kind="random_poset", sizes=(3,), density=density)
+
+    @pytest.mark.parametrize("density", [0, 1, 0.0, 0.35, 1.0])
+    def test_density_int_or_float(self, density):
+        assert GenSpec(kind="random_poset", sizes=(3,), density=density).density == density
+
+    @pytest.mark.parametrize("bias", ["no", 1, 0, None])
+    def test_monotone_bias_must_be_a_bool(self, bias):
+        with pytest.raises(InvalidSpec, match="monotone_bias must be a bool"):
+            GenSpec(kind="random_instance", sizes=(2, 2, 2), monotone_bias=bias)
 
     def test_caps_enforced(self):
         with pytest.raises(InvalidSpec):
