@@ -42,6 +42,10 @@ of REV then each run, in one process per tree, the same list of
   faults are refused are compared too; and `i2` with its first `T` value
   in each refused spelling of `T_SPELLINGS` (JSON `true`, `null`, an
   integer, a float, a list, an object, an id of X), under the same two;
+- generated roep files of `LARGE_ROEP_SIDE` x `LARGE_ROEP_SIDE` T rows,
+  with F and G written out and with them omitted, under `validate`,
+  `check`, `solve --force` and `enumerate`: enough rows that the cyclic
+  collector, when it is on, runs during the parse;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -69,6 +73,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -132,6 +137,9 @@ T_SPELLINGS = {  # name: i2's first T value; no id of U, so each is refused
 }
 
 
+LARGE_ROEP_SIDE = 128  # |C| = |D|: 16 384 T rows
+LARGE_ROEP_COMMANDS = ("validate", "check", "solve --force", "enumerate")
+
 GEN_SEEDS = (1, 2, 2 ** 40 + 3)
 GEN_POSET_SIZES = (1, 7, 23, 40)  # random posets, up to past sample's pool method at 21
 GEN_DENSITIES = ("0", "0.35", "1")
@@ -186,6 +194,33 @@ def _generic_game_jobs(inputs: Path) -> list:
         path = generic / f"generic-{k}x{k}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         jobs += _command_jobs(path, PAYOFF_COMMANDS)
+    return jobs
+
+
+def _large_roep_jobs(inputs: Path) -> list:
+    """Chains X, Y and U (16 values) and a T rising in x and falling in y, so the top block
+    of C x D solves without F and G; F and G, when written, are random."""
+    rng = random.Random(2017)
+    n = LARGE_ROEP_SIDE
+    cs, ds, us = ([f"{side}{i}" for i in range(size)] for side, size in
+                  (("c", n), ("d", n), ("u", 16)))
+    doc = {"schema": "roep-instance/1", "mode": "roep",
+           "posets": {name: {"elements": ids, "edges": [list(e) for e in zip(ids, ids[1:])]}
+                      for name, ids in (("X", cs), ("Y", ds), ("U", us))},
+           "C": {"poset": "X", "members": cs}, "D": {"poset": "Y", "members": ds},
+           "T": [[x, y, us[(i * 16 // n + (n - 1 - j) * 16 // n) // 2]]
+                 for i, x in enumerate(cs) for j, y in enumerate(ds)],
+           "seed": [cs[0], ds[0]]}
+    constrained = {**doc,
+                   "F": {x: [y for y in ds if rng.random() < 0.8] or ds[:1] for x in cs},
+                   "G": {y: [x for x in cs if rng.random() < 0.8] or cs[:1] for y in ds}}
+    large = inputs / "large-roep"
+    large.mkdir(parents=True)
+    jobs = []
+    for name, body in (("omitted", doc), ("constrained", constrained)):
+        path = large / f"roep-{n}x{n}-{name}.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        jobs += _command_jobs(path, LARGE_ROEP_COMMANDS)
     return jobs
 
 
@@ -265,6 +300,7 @@ def _jobs(inputs: Path) -> list:
     jobs += _payoff_jobs(inputs)
     jobs += _generic_game_jobs(inputs)
     jobs += _malformed_jobs(inputs)
+    jobs += _large_roep_jobs(inputs)
     for name, workload in WORKLOADS.items():
         paths = write_instances(name, 1, inputs / name)
         for path in paths:

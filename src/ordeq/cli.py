@@ -26,6 +26,7 @@ from .errors import (
 )
 from .fileio import (
     POSET_SCHEMA,
+    _collector_paused,
     build_report,
     dump_instance,
     instance_digest,
@@ -77,14 +78,15 @@ def _describe(obj) -> str:
 
 
 def cmd_validate(args) -> int:
-    doc = read_json(args.file)
-    if isinstance(doc, dict) and doc.get("schema") == POSET_SCHEMA:
-        poset = parse_poset_doc(doc)
-        print(f"poset: {len(poset)} elements, {len(poset.hasse_edges())} cover edges")
-    else:
-        _describe(parse_instance_dict(doc))
-    print("valid")
-    return EXIT_OK
+    with _collector_paused():  # the document tree lives until the return
+        doc = read_json(args.file)
+        if isinstance(doc, dict) and doc.get("schema") == POSET_SCHEMA:
+            poset = parse_poset_doc(doc)
+            print(f"poset: {len(poset)} elements, {len(poset.hasse_edges())} cover edges")
+        else:
+            _describe(parse_instance_dict(doc))
+        print("valid")
+        return EXIT_OK
 
 
 def _check(obj, args):
@@ -136,9 +138,10 @@ def _run_op(args) -> int:
     digest = _describe(obj)
     print("\n".join(lines))
     if args.report:
-        write_json(args.report, build_report(args.command, obj, code,
-                                             time.perf_counter() - started,
-                                             digest=digest, **fields))
+        with _collector_paused():  # the report tree, from build_report through write_json
+            write_json(args.report, build_report(args.command, obj, code,
+                                                 time.perf_counter() - started,
+                                                 digest=digest, **fields))
     return code
 
 

@@ -27,10 +27,18 @@ The instance digest is one sha256 over the codes, never over JSON text;
 the instance_digest docstring gives its byte layout.  Like serialization,
 it refuses a poset too large to parse.  Reports (schema
 roep-report/2) carry it.
+
+A document tree is thousands of small lists and dicts that die by
+refcount, and while it lives each young collection of the cyclic garbage
+collector rescans and promotes it.  So the collector is paused, if it was
+on, over a tree's whole life: in parse_instance from the read through the
+parse, in dump_instance from serialization through the write, and in the
+CLI's validate and around a report's build and write.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -68,6 +76,24 @@ def _section(section: str):
         yield
     except OrdeqError as exc:
         raise ValidationError(f"{section}: {type(exc).__name__}: {exc}") from exc
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic collector off for the block if it was on, and on again after it.
+
+    Hold it over a document tree's whole life, so that the tree dies by
+    refcount inside it; the promotions of a tree still alive set off full
+    collections.  Nested use leaves the collector as the outer block found it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _reject_unknown(section: str, data: dict, allowed: set) -> None:
@@ -252,7 +278,8 @@ def _object_dict(pairs: list) -> dict:
 
 def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:
     """Read and validate an instance file; ParseError or ValidationError on failure."""
-    return parse_instance_dict(read_json(path))
+    with _collector_paused():  # from the read through the parse: the tree dies in it
+        return parse_instance_dict(read_json(path))
 
 
 def _ids(p: Poset) -> list:
@@ -310,7 +337,8 @@ def write_json(path, doc) -> None:
 
 def dump_instance(obj, path) -> None:
     """Write the normalized document; a refused one leaves the file untouched."""
-    write_json(path, serialize_instance(obj))
+    with _collector_paused():
+        write_json(path, serialize_instance(obj))
 
 
 def instance_digest(obj) -> str:

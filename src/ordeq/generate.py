@@ -22,6 +22,7 @@ as they are.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
@@ -47,7 +48,8 @@ class GenSpec:
 
     sizes: per kind, (n,) for chain/antichain/random_poset, (k,) for
     boolean_lattice, grid extents for grid, (|C|, |D|, |U|) for
-    random_instance.  filter is "none" or "require_hypotheses"; the latter
+    random_instance.  Each size and rng_seed is an int, and a bool is none.
+    filter is "none" or "require_hypotheses"; the latter
     rejection-samples instances until check_hypotheses passes for some seed
     pair, which is then recorded on the instance.
     """
@@ -62,7 +64,11 @@ class GenSpec:
     max_retries: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        if not all(type(s) is int for s in self.sizes):  # 2.7, "3" and True are no sizes
+            raise InvalidSpec(f"sizes must be integers, got {self.sizes!r}")
+        if type(self.rng_seed) is not int:  # None would seed from the OS, not from the spec
+            raise InvalidSpec(f"rng_seed must be an integer, got {self.rng_seed!r}")
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.filter not in ("none", "require_hypotheses"):
@@ -147,13 +153,20 @@ def gen_poset(spec: GenSpec) -> Poset:
 
 
 def _side(kind: str, n: int, prefix: str, density: float) -> tuple:
-    """One poset of an instance, of about n elements: its ids, and a draw of its order.
+    """One poset of an instance, of about n elements, and a draw of its order.
 
-    A random order is drawn from the attempt's rng; any other is built once, here.
+    A random order is drawn from the attempt's rng, and the poset is then its
+    ids; any other is the poset itself, built once per process.
     """
     if kind == "random_poset":
-        ids = tuple(f"{prefix}{i}" for i in range(n))
-        return ids, lambda rng: _random_order(n, rng, density)
+        return tuple(f"{prefix}{i}" for i in range(n)), lambda rng: _random_order(n, rng, density)
+    poset = _fixed_side(kind, n, prefix)
+    return poset, lambda rng: poset.leq_matrix
+
+
+@functools.cache  # at most 4 kinds x 12 sizes x 3 prefixes, within _CAPS
+def _fixed_side(kind: str, n: int, prefix: str) -> Poset:
+    """A side of constant shape; it is immutable, so every instance can share it."""
     sizes = (n,)
     if kind == "grid":
         # the two extents nearest a square whose product is n
@@ -161,8 +174,7 @@ def _side(kind: str, n: int, prefix: str, density: float) -> tuple:
         sizes = (a, n // a)
     elif kind == "boolean_lattice":
         sizes = (max(1, n.bit_length() - 1),)
-    poset = _poset(kind, sizes, None, prefix, density)
-    return poset.elements, lambda rng: poset.leq_matrix
+    return _poset(kind, sizes, None, prefix, 0.0)
 
 
 def _nonempty_subset(rng: random.Random, n: int) -> list:
@@ -240,12 +252,12 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {_CAPS}")
 
     kind, density, n_u = spec.poset_kind, spec.density, spec.sizes[2]
-    ids, draws = zip(
+    sides, draws = zip(
         _side(kind, spec.sizes[0], "c", density),
         _side(kind, spec.sizes[1], "d", density),
         _side("chain" if spec.monotone_bias else "random_poset", n_u, "u", density),
     )
-    n_c, n_d = len(ids[0]), len(ids[1])  # a boolean lattice may be smaller
+    n_c, n_d = len(sides[0]), len(sides[1])  # a boolean lattice may be smaller
     master = random.Random(spec.rng_seed)
 
     def attempt() -> tuple:
@@ -258,7 +270,7 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     if spec.filter == "none":
         rng, orders, T, F = attempt()
         G = _draw_constraint(spec, rng, n_d, n_c)
-        return _build(ids, orders, T, _masks([F], n_c, n_d)[0], _masks([G], n_d, n_c)[0])
+        return _build(sides, orders, T, _masks([F], n_c, n_d)[0], _masks([G], n_d, n_c)[0])
     attempts, size = (attempt() for _ in range(spec.max_retries)), 1
     while batch := list(islice(attempts, size)):
         size = min(2 * size, _BATCH_CAP)
@@ -277,17 +289,21 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
             # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
             seeds = np.flatnonzero(_bool_matmul(c_k, psi.T) & _bool_matmul(phi[k], d_k.T))
             if len(seeds):
-                return _build(ids, orders[k], T[k], F[k], G, seed=divmod(int(seeds[0]), n_d))
+                return _build(sides, orders[k], T[k], F[k], G, seed=divmod(int(seeds[0]), n_d))
     raise FilterExhausted(
         f"no instance passing check_hypotheses found in {spec.max_retries} attempts "
         f"(spec seed {spec.rng_seed})"
     )
 
 
-def _build(ids: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
+def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
            G: np.ndarray, seed=None) -> ProblemInstance:
-    """The instance made of an attempt's codes; G's row j is G(y_j), a seed is positions."""
-    X, Y, U = map(Poset._trusted, ids, orders)
+    """The instance made of an attempt's codes; G's row j is G(y_j), a seed is positions.
+
+    A side that is a poset is used as it is; one that is ids gets the attempt's order.
+    """
+    X, Y, U = (side if isinstance(side, Poset) else Poset._trusted(side, leq)
+               for side, leq in zip(sides, orders))
     return ProblemInstance._from_codes(
         X.full_subset(), Y.full_subset(), U, T, F, G,
         seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),

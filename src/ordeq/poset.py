@@ -298,7 +298,12 @@ class Subset:
         return self._ordered
 
     def order_matrix(self) -> np.ndarray:
-        """The parent's leq matrix restricted to the members, in parent order."""
+        """The parent's leq matrix restricted to the members, in parent order.
+
+        A full subset's is the parent's own read-only matrix, not a copy.
+        """
+        if len(self._ordered) == len(self.parent):
+            return self.parent.leq_matrix
         idx = list(map(self.parent._index.__getitem__, self._ordered))
         return self.parent.leq_matrix[np.ix_(idx, idx)]
 
@@ -317,11 +322,9 @@ class Subset:
         return self.ordered(), self.order_matrix()
 
     def _extremal(self, upper: bool) -> "Subset":
-        els, strict = self._nonempty_order()
-        if not upper:
-            strict = strict.T
-        np.fill_diagonal(strict, False)
-        keep = ~strict.any(axis=1)
+        els, leq = self._nonempty_order()
+        # maximal: its row holds only its own diagonal entry (minimal: its column)
+        keep = np.count_nonzero(leq, axis=1 if upper else 0) == 1
         return Subset(self.parent, frozenset(e for e, k in zip(els, keep) if k))
 
     def greatest(self):

@@ -1,6 +1,8 @@
 """Shared instance builders for the test suite."""
 
+import gc
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +26,38 @@ FIXTURES = {
     "game3x3": str(_FIXTURE_DIR / "game_constrained_3x3.json"),
     "game3x3_expected": str(_FIXTURE_DIR / "game_constrained_3x3.expected.json"),
 }
+
+
+def _bad_t_text() -> str:
+    doc = json.loads(Path(FIXTURES["i2"]).read_text(encoding="utf-8"))
+    doc["T"][0][2] = "zz"  # no id of U
+    return json.dumps(doc)
+
+
+REFUSED_FILES = {  # name: the text of an instance file that the parse refuses; None: no file
+    "unreadable": None,
+    "invalid-json": "{not json",
+    "repeated-key": '{"schema": "roep-instance/1", "schema": "roep-instance/1"}',
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,  # RecursionError in json
+    "validation-error": _bad_t_text(),
+}
+
+
+def refused_file(tmp_path, name) -> Path:
+    """The path of REFUSED_FILES[name], written under tmp_path (or absent)."""
+    path = tmp_path / f"refused-{name}.json"
+    if REFUSED_FILES[name] is not None:
+        path.write_text(REFUSED_FILES[name], encoding="utf-8")
+    return path
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on (or off) for the test, and restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 def chain(prefix, n):

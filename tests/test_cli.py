@@ -1,6 +1,7 @@
 """The batch front end: commands, output, and the exit-code contract."""
 
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -25,7 +26,7 @@ from ordeq.fileio import serialize_poset_doc
 from ordeq.generate import KINDS, POSET_KINDS
 from ordeq.poset import _Chain
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REFUSED_FILES, refused_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -615,6 +616,28 @@ class TestOpPipeline:
         code, out, _ = run(capsys, "solve", FIXTURES["i2"], "--report", str(target))
         assert (code, out) == (4, "")
         assert not target.exists()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("name", [None, *sorted(REFUSED_FILES)])
+    def test_ops_leave_the_collector_as_found(self, capsys, tmp_path, collector, name):
+        path = FIXTURES["i2"] if name is None else str(refused_file(tmp_path, name))
+        report = str(tmp_path / "report.json")
+        unwritable = str(tmp_path / "absent" / "report.json")
+        for argv, ok in ((["validate", path], True), (["check", path, "--report", report], True),
+                         (["solve", path, "--force", "--report", report], True),
+                         (["enumerate", path, "--report", report], True),
+                         (["check", path, "--report", unwritable], False)):
+            code, _, _ = run(capsys, *argv)
+            assert code == (0 if ok and name is None else 1), argv
+            assert gc.isenabled() is collector, argv
+
+    def test_gen_leaves_the_collector_as_found(self, capsys, tmp_path, collector):
+        written = str(tmp_path / "written.json")
+        argv = ["gen", "--kind", "random_instance", "--sizes", "3,3,4", "--seed", "1"]
+        assert run(capsys, *argv, "-o", written)[0] == 0
+        assert run(capsys, *argv, "-o", str(tmp_path / "absent" / "written.json"))[0] == 1
+        assert gc.isenabled() is collector
 
 
 class TestProcess:

@@ -1,6 +1,7 @@
 """Instance file parsing, normalization, digests, and report replay."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -27,9 +28,10 @@ from ordeq import (
     serialize_instance,
 )
 from ordeq.errors import NoSolution, ParseError, UnknownElement, ValidationError
-from ordeq.fileio import build_report, element_id, parse_instance_dict, read_json
+from ordeq.fileio import (_collector_paused, build_report, element_id, parse_instance_dict,
+                          read_json)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REFUSED_FILES, refused_file
 from oracles import (
     climb_ok,
     extremal_mask,
@@ -264,6 +266,65 @@ _CONSTRAINT_ERRORS = {  # F over i2's C = {c0, c1} and D = {d0, d1}: the refusal
     "empty-before-stray": ({"c0": [], "c1": ["zz"]}, "F: ValidationError: set-valued map "
                            "value at 'c0' is empty; values must be nonempty"),
 }
+
+
+class TestCollectorPause:
+    """The cyclic collector is off while a document tree lives, and then as it was found."""
+
+    def test_parse(self, collector):
+        parse_instance(FIXTURES["i2"])
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_FILES))
+    def test_refused_parse(self, collector, tmp_path, name):
+        with pytest.raises((ParseError, ValidationError)):
+            parse_instance(refused_file(tmp_path, name))
+        assert gc.isenabled() is collector
+
+    def test_dump_and_refused_dump(self, collector, tmp_path):
+        dump_instance(parse_instance(FIXTURES["game2x2"]), tmp_path / "written.json")
+        assert gc.isenabled() is collector
+        C = grid_poset((64, 64)).subset([(0, 0), (1, 1)])
+        T = ObjectiveMap(load_poset(["u"]), {(x, y): "u" for x in C for y in C})
+        with pytest.raises(ValidationError, match="past 2048 elements"):
+            dump_instance(ProblemInstance(C, C, T), tmp_path / "refused.json")
+        assert gc.isenabled() is collector
+
+    def test_nested_blocks_and_an_exception(self, collector):
+        with pytest.raises(KeyError):
+            with _collector_paused():
+                with _collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError
+        assert gc.isenabled() is collector
+
+    def test_a_4096_row_parse_starts_no_collection(self, tmp_path):
+        # with the collector on, young collections rescan the rows while they live
+        cs, ds, us = ([f"{p}{i}" for i in range(n)] for p, n in (("c", 64), ("d", 64), ("u", 8)))
+        doc = {"schema": "roep-instance/1",
+               "posets": {"X": {"elements": cs}, "Y": {"elements": ds},
+                          "U": {"elements": us, "edges": [list(e) for e in zip(us, us[1:])]}},
+               "C": {"poset": "X", "members": cs}, "D": {"poset": "Y", "members": ds},
+               "T": [[x, y, us[i * j % 8]] for i, x in enumerate(cs) for j, y in enumerate(ds)]}
+        path = tmp_path / "roep-64x64.json"
+        path.write_text(json.dumps(doc))
+        starts = []
+
+        def started(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(started)
+        try:
+            inst = parse_instance(path)
+        finally:
+            gc.callbacks.remove(started)
+            (gc.enable if was else gc.disable)()
+        assert (len(inst.C), len(inst.D), starts) == (64, 64, [])
 
 
 class TestConstraintParse:

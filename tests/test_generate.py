@@ -130,6 +130,15 @@ class TestGenInstance:
             )
             assert inst.solution_set == dict_gamma_fixed_points(inst)
 
+    @pytest.mark.parametrize("kind", ["chain", "antichain", "grid", "boolean_lattice"])
+    def test_constant_sides_are_built_once_and_shared(self, kind):
+        # C and D of a constant shape, and a biased U (a chain), are one poset per size
+        a, b = (gen_instance(GenSpec(kind="random_instance", sizes=(4, 4, 6), rng_seed=seed,
+                                     poset_kind=kind, monotone_bias=True)) for seed in (1, 2))
+        assert a.C.parent is b.C.parent and a.D.parent is b.D.parent and a.U is b.U
+        assert a.C.parent is not a.D.parent  # ids c0.. and d0..; a grid's are tuples
+        assert not a.C.parent.leq_matrix.flags.writeable
+
 
 class TestMatchesObjectReferee:
     """The index-coded generator against the per-attempt object path."""
@@ -266,6 +275,19 @@ class TestSpecValidation:
     def test_bad_sizes(self):
         with pytest.raises(InvalidSpec):
             GenSpec(kind="chain", sizes=(0,))
+
+    @pytest.mark.parametrize("sizes", [(2.7,), (True,), ("3",)])
+    def test_sizes_must_be_ints(self, sizes):
+        # none is a count, though int() would make one of each
+        with pytest.raises(InvalidSpec, match="sizes must be integers"):
+            GenSpec(kind="chain", sizes=sizes)
+
+    @pytest.mark.parametrize("rng_seed", [None, (1, 2), "7", True, 7.0])
+    def test_rng_seed_must_be_an_int(self, rng_seed):
+        # None would seed from the OS, so one spec would give many instances;
+        # random.Random refuses a tuple with a raw TypeError
+        with pytest.raises(InvalidSpec, match="rng_seed must be an integer"):
+            GenSpec(kind="random_instance", sizes=(2, 2, 2), rng_seed=rng_seed)
 
     def test_bad_filter(self):
         with pytest.raises(InvalidSpec):

@@ -1,6 +1,7 @@
 """Poset construction, validation, queries, extremal points, products."""
 
 import random
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,19 @@ class TestSubsetCodes:
                     s = p.subset(members)
                     assert s.ordered() == tuple(s) == scan_ordered(s)
                     assert np.array_equal(s.order_matrix(), scan_order_matrix(s))
+
+    @pytest.mark.parametrize("kind", POSET_KINDS)
+    def test_full_subset_reads_the_parent_order_and_leaves_it_unchanged(self, kind):
+        p = gen_poset(GenSpec(kind=kind, sizes=(2, 3) if kind == "grid" else (3,), rng_seed=4))
+        before = p.leq_matrix.copy()
+        s = p.full_subset()
+        assert s.order_matrix() is p.leq_matrix
+        maximal, minimal = s.maximal_points(), s.minimal_points()
+        assert np.array_equal(p.leq_matrix, before)
+        # the referee: x is maximal iff no member is strictly above it
+        strict = scan_order_matrix(s) & ~np.eye(len(p), dtype=bool)
+        assert maximal.ordered() == tuple(compress(p.elements, ~strict.any(axis=1)))
+        assert minimal.ordered() == tuple(compress(p.elements, ~strict.any(axis=0)))
 
 
 class TestUpSet:
