@@ -30,7 +30,11 @@
 #      or listed in its __all__;
 #   7. Python 3.10 grammar: every .py file under src/, tests/, bench/, demos/
 #      and scripts/ parses with ast.parse(..., feature_version=(3, 10)), so
-#      syntax newer than the oldest supported Python fails here, not there.
+#      syntax newer than the oldest supported Python fails here, not there;
+#   8. a scaling smoke: scripts/scaling.py at the smallest size of each
+#      family, each op a child process with the script's timeout; it fails
+#      unless every row is a result (an exit code the CLI documents) or a
+#      recorded timeout, and every family has a row.
 # Not a step, since it needs a base revision: scripts/same_outputs.py REV
 # runs the CLI on the fixtures and the benchmark's inputs under this checkout
 # and under REV, and exits 1 on any difference in exit code, stdout, stderr,
@@ -144,3 +148,7 @@ for path in paths:
 print("\n".join(bad) or f"{len(paths)} files parse as Python 3.10")
 sys.exit(1 if bad else 0)
 PY
+
+scaling=$(mktemp)
+trap 'rm -f "$traced" "$scaling"' EXIT
+python3 scripts/scaling.py --smallest --out "$scaling"

@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a generated instance or poset file")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--seed", type=int, required=True, help="rng seed (64-bit integer)")
+    p.add_argument("--seed", type=int, required=True,
+                   help="rng seed (an integer; a seed and its negation write the same file)")
     p.add_argument("--sizes", required=True, help="comma-separated size parameters")
     p.add_argument("--density", type=float, default=0.35)
     p.add_argument("--monotone-bias", action="store_true", dest="monotone_bias")

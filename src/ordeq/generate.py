@@ -4,15 +4,17 @@ Everything is a pure function of the GenSpec: the same spec yields the same
 artifact, byte for byte after serialization.  Chains, antichains and Boolean
 lattices are built as their leq matrices (upper triangle, identity, bitmask
 inclusion).  Random posets are built by sampling a strict upper-triangular
-edge set over a shuffled element order and closing transitively, which
-guarantees acyclicity by construction.
+edge set over a shuffled element order, which guarantees acyclicity by
+construction, and each element's down-set is passed along its edges as
+they are drawn, so the order is closed when the last edge is.
 
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  Its integer draws
 (a random order's shuffle, T's cells, a subset's size and members) read
 getrandbits as Random's shuffle, choice, randint and sample do (checked on
-CPython 3.10 to 3.13), so they give the stdlib's values without its method
-calls; random() and uniform() stay the stdlib's.  The hypothesis filter
+CPython 3.10 to 3.13), so they give the stdlib's values; a shuffle's swaps
+and T's cells are each one run of draws in one loop, and a subset's are one
+inline loop; random() and uniform() stay the stdlib's.  The hypothesis filter
 rejects attempts on these arrays in batches: phi is tested once on a
 batch's stacked codes, by the kernels an instance picks for the same U
 (T's ranks when U is total), and G is still each attempt's last draw, made
@@ -33,8 +35,8 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima, _utility_order
 from .errors import FilterExhausted, InvalidSpec
 from .maps import increasing_upward
-from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _close, _past_cap, _total_ranks,
-                    grid_poset)
+from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _down_set_matrix, _past_cap,
+                    _total_ranks, grid_poset)
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -64,7 +66,10 @@ class GenSpec:
     max_retries: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+        try:
+            object.__setattr__(self, "sizes", tuple(self.sizes))
+        except TypeError:  # 5 and None hold no sizes
+            raise InvalidSpec(f"sizes must be integers, got {self.sizes!r}") from None
         if not all(type(s) is int for s in self.sizes):  # 2.7, "3" and True are no sizes
             raise InvalidSpec(f"sizes must be integers, got {self.sizes!r}")
         if type(self.rng_seed) is not int:  # None would seed from the OS, not from the spec
@@ -122,26 +127,36 @@ def _poset(kind: str, sizes: tuple, rng: random.Random, prefix: str,
     return Poset._trusted([f"{prefix}{i}" for i in range(n)], _random_order(n, rng, density))
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """A draw from range(n) as Random._randbelow makes it: the top n.bit_length() bits
-    of a word, until they fall below n."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+def _draws(rng: random.Random, bounds) -> list:
+    """One draw from range(b) per bound b, in order, each as Random._randbelow makes it:
+    the top b.bit_length() bits of a word, until they fall below b."""
+    getrandbits, out = rng.getrandbits, []
+    for b in bounds:
+        k = b.bit_length()
+        r = getrandbits(k)
+        while r >= b:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
 def _random_order(n: int, rng: random.Random, density: float) -> np.ndarray:
-    """The leq matrix of edges drawn along a shuffled order, then closed."""
+    """The leq matrix of edges drawn along a shuffled order, closed as they are drawn.
+
+    Every edge points to an element later in the order, so each element's
+    down-set is final when the draws reach it, and is passed along its edges
+    then.
+    """
     order = list(range(n))
-    for i in range(n - 1, 0, -1):  # Random.shuffle's swaps
-        j = _below(rng, i + 1)
+    for i, j in zip(range(n - 1, 0, -1), _draws(rng, range(n, 1, -1))):  # Random.shuffle's swaps
         order[i], order[j] = order[j], order[i]
-    succ = [None] * n  # each element's edges point to elements later in `order`
-    for i in range(n):
-        succ[order[i]] = [order[j] for j in range(i + 1, n) if rng.random() < density]
-    return _close(succ)[0]
+    down, draw = [1 << i for i in range(n)], rng.random
+    for i, a in enumerate(order):
+        below = down[a]
+        for b in order[i + 1:]:
+            if draw() < density:
+                down[b] |= below
+    return _down_set_matrix(down)
 
 
 def gen_poset(spec: GenSpec) -> Poset:
@@ -179,13 +194,22 @@ def _fixed_side(kind: str, n: int, prefix: str) -> Poset:
 
 def _nonempty_subset(rng: random.Random, n: int) -> list:
     """Positions of a random nonempty subset of n members: the draws of randint(1, n), then
-    of sample(range(n), k) by its pool method, which sample takes up to 21 members."""
-    k, pool, picks = 1 + _below(rng, n), list(range(n)), []  # k: randint(1, n)
-    for i in range(n, n - k, -1):
-        j = _below(rng, i)
-        picks.append(pool[j])
-        pool[j] = pool[i - 1]  # the member not yet picked moves into the vacancy
-    return picks
+    of sample(range(n), k) by its pool method, which sample takes up to 21 members.  They
+    are drawn as _draws draws them, inline, below n, then n, n - 1, ... for the picks."""
+    getrandbits, pool, picks, b, k = rng.getrandbits, list(range(n)), [], n, 0
+    while True:
+        w = b.bit_length()
+        r = getrandbits(w)
+        while r >= b:
+            r = getrandbits(w)
+        if not k:
+            k = r + 1  # randint(1, n)
+            continue
+        picks.append(pool[r])
+        if len(picks) == k:
+            return picks
+        b -= 1
+        pool[r] = pool[b]  # the member not yet picked moves into the vacancy
 
 
 def _monotone_score(rng: random.Random, leq: np.ndarray) -> list:
@@ -204,7 +228,7 @@ def _draw_table(spec: GenSpec, rng: random.Random, c_leq: np.ndarray,
         level = {v: i for i, v in enumerate(sorted(set(raw)))}  # each distinct value's rank
         cells = [level[v] * n_u // len(level) for v in raw]
     else:
-        cells = [_below(rng, n_u) for _ in range(len(c_leq) * len(d_leq))]
+        cells = _draws(rng, [n_u] * (len(c_leq) * len(d_leq)))
     return np.array(cells, dtype=np.intp).reshape(len(c_leq), len(d_leq))
 
 

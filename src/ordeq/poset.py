@@ -85,10 +85,16 @@ def _close(succ: list) -> tuple:
             block = _bool_matmul(block, block)
         leq[np.ix_(left, left)] = block  # every pair related both ways lies in it
         return leq, False
+    return _down_set_matrix(down), True
+
+
+def _down_set_matrix(down: list) -> np.ndarray:
+    """The leq matrix whose column j is down[j], an int bitset of the elements below j."""
+    n = len(down)
     width = -(-n // 8)
     rows = np.frombuffer(b"".join([b.to_bytes(width, "little") for b in down]), np.uint8)
     bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
-    return bits.view(bool).T, True  # column j: the down-set of j
+    return bits.view(bool).T
 
 
 def _total_ranks(leq: np.ndarray) -> Optional[np.ndarray]:

@@ -18,7 +18,7 @@ from ordeq import (
     serialize_instance,
 )
 from ordeq.errors import FilterExhausted, InvalidSpec
-from ordeq.generate import _BATCH_CAP, POSET_KINDS, _below, _nonempty_subset, _random_order
+from ordeq.generate import _BATCH_CAP, POSET_KINDS, _draws, _nonempty_subset, _random_order
 
 from oracles import dict_gamma_fixed_points, referee_digest, referee_gen_instance, referee_poset
 
@@ -81,6 +81,25 @@ class TestOrdersMatchEdgeReferee:
         made = gen_poset(spec)
         elapsed = time.perf_counter() - started
         assert made == referee_poset(kind, (size,), None, "e", spec.density)
+        assert elapsed < 1.0, f"gen_poset took {elapsed:.2f} s"
+
+    # a random order is closed as its edges are drawn; the referee draws the same edges
+    # along the same shuffle and closes them afterwards
+
+    @pytest.mark.parametrize("density", [0.0, 0.35, 1.0])
+    def test_random_poset_small_sizes(self, density):
+        for seed in (0, 1, 7, 2017):
+            for n in range(1, 41):
+                spec = GenSpec(kind="random_poset", sizes=(n,), rng_seed=seed, density=density)
+                assert gen_poset(spec) == referee_poset(
+                    "random_poset", (n,), random.Random(seed), "e", density), (seed, n)
+
+    def test_random_poset_largest_size_in_under_a_second(self):
+        # 0.26 s when its edges went through a Kahn pass after the draws
+        started = time.perf_counter()
+        made = gen_poset(GenSpec(kind="random_poset", sizes=(2048,), rng_seed=3))
+        elapsed = time.perf_counter() - started
+        assert len(made) == 2048
         assert elapsed < 1.0, f"gen_poset took {elapsed:.2f} s"
 
 
@@ -236,11 +255,12 @@ class TestDrawsMatchRandom:
     """Each draw read from getrandbits gives what the Random method it stands for gives,
     and leaves the stream where that method does: the next random() is the same."""
 
-    @given(st.integers(0, 2 ** 64), st.integers(1, 40))
+    @given(st.integers(0, 2 ** 64), st.lists(st.integers(1, 2 ** 40), max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_below_is_choice(self, seed, n):
+    def test_draws_are_choices(self, seed, bounds):
+        # a run of draws, each bound its own, gives choice's values in order
         ours, stdlib = random.Random(seed), random.Random(seed)
-        assert [_below(ours, n) for _ in range(5)] == [stdlib.choice(range(n)) for _ in range(5)]
+        assert _draws(ours, bounds) == [stdlib.choice(range(b)) for b in bounds]
         assert ours.random() == stdlib.random()
 
     @given(st.integers(0, 2 ** 64), st.integers(1, 40))
@@ -276,9 +296,9 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GenSpec(kind="chain", sizes=(0,))
 
-    @pytest.mark.parametrize("sizes", [(2.7,), (True,), ("3",)])
+    @pytest.mark.parametrize("sizes", [(2.7,), (True,), ("3",), 5, None])
     def test_sizes_must_be_ints(self, sizes):
-        # none is a count, though int() would make one of each
+        # none is a count, though int() would make one of each; 5 and None are no tuple
         with pytest.raises(InvalidSpec, match="sizes must be integers"):
             GenSpec(kind="chain", sizes=sizes)
 
