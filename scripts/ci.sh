@@ -34,7 +34,11 @@
 #   8. a scaling smoke: scripts/scaling.py at the smallest size of each
 #      family, each op a child process with the script's timeout; it fails
 #      unless every row is a result (an exit code the CLI documents) or a
-#      recorded timeout, and every family has a row.
+#      recorded timeout, and every family has a row;
+#   9. gen's copies of random's algorithms: scripts/check_random_copies.py
+#      (standard library only) under python3, then under each other CPython
+#      3.10 to 3.13 that starts, found as pythonX.Y or, with pyenv, as an
+#      installed X.Y.Z through PYENV_VERSION; it names each one it skips.
 # Not a step, since it needs a base revision: scripts/same_outputs.py REV
 # runs the CLI on the fixtures and the benchmark's inputs under this checkout
 # and under REV, and exits 1 on any difference in exit code, stdout, stderr,
@@ -152,3 +156,27 @@ PY
 scaling=$(mktemp)
 trap 'rm -f "$traced" "$scaling"' EXIT
 python3 scripts/scaling.py --smallest --out "$scaling"
+
+python3 scripts/check_random_copies.py
+ran=$(python3 -c 'import sys; print("%d.%d" % sys.version_info[:2])')
+for want in 3.10 3.11 3.12 3.13; do
+  [ "$want" = "$ran" ] && continue
+  candidates=("python$want")
+  if command -v pyenv >/dev/null 2>&1; then
+    installed=$(pyenv versions --bare 2>/dev/null || true)
+    for version in $(echo "$installed" | grep -E "^${want/./\\.}(\.[0-9]+)?$" || true); do
+      candidates+=("env PYENV_VERSION=$version python3")
+    done
+  fi
+  checked=""
+  for interpreter in "${candidates[@]}"; do
+    got=$($interpreter -c 'import sys; print(sys.implementation.name, *sys.version_info[:2])' \
+          2>/dev/null || true)
+    if [ "$got" = "cpython ${want/./ }" ]; then
+      $interpreter scripts/check_random_copies.py
+      checked=yes
+      break
+    fi
+  done
+  [ -n "$checked" ] || echo "skipped CPython $want: no interpreter of it starts"
+done

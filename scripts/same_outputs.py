@@ -53,9 +53,11 @@ of REV then each run, in one process per tree, the same list of
 - the 256 seed-1 `small-batch` `gen` specs;
 - `gen` runs outside them, on the draws an instance side never makes or
   that the hypothesis filter hides: `--kind random_poset` at
-  `GEN_POSET_SIZES` with each density of `GEN_DENSITIES`, and `--filter
-  none` random instances at `GEN_INSTANCE_SIZES` for every poset kind,
-  with and without `--monotone-bias`.
+  `GEN_POSET_SIZES` with each density of `GEN_DENSITIES`, every other
+  poset kind at `GEN_POSET_KIND_SIZES` (one element or the fewest, a
+  middle size, and 2048, the cap), and `--filter none` random instances
+  at `GEN_INSTANCE_SIZES` for every poset kind, with and without
+  `--monotone-bias`.
 
 Each run is hashed over its exit code, stdout, stderr, the `--report`
 document without `elapsed_seconds`, and the file `gen` writes; and hashed
@@ -143,6 +145,10 @@ LARGE_ROEP_COMMANDS = ("validate", "check", "solve --force", "enumerate")
 GEN_SEEDS = (1, 2, 2 ** 40 + 3)
 GEN_POSET_SIZES = (1, 7, 23, 40)  # random posets, up to past sample's pool method at 21
 GEN_DENSITIES = ("0", "0.35", "1")
+GEN_POSET_KIND_SIZES = {  # kind: sizes; no seed changes these, so they run at the first
+    "chain": ("1", "100", "2048"), "antichain": ("1", "100", "2048"),
+    "grid": ("1", "3,4,5", "32,64"), "boolean_lattice": ("1", "6", "11"),
+}
 GEN_INSTANCE_SIZES = ("1,1,1", "3,4,5", "6,5,11")  # within gen_instance's caps (6, 6, 12)
 
 
@@ -248,15 +254,17 @@ def _malformed_jobs(inputs: Path) -> list:
 
 
 def _gen_jobs(poset_kinds) -> list:
-    """`gen` runs of random posets, and of random instances with no filter."""
+    """`gen` runs of every poset kind, and of random instances with no filter."""
     runs = [["--kind", "random_poset", "--sizes", str(n), "--density", density]
             for n in GEN_POSET_SIZES for density in GEN_DENSITIES]
     runs += [["--kind", "random_instance", "--sizes", sizes, "--poset-kind", kind, *bias]
              for kind in poset_kinds for sizes in GEN_INSTANCE_SIZES
              for bias in ([], ["--monotone-bias"])]
+    seeded = [(run, seed) for run in runs for seed in GEN_SEEDS]
+    seeded += [(["--kind", kind, "--sizes", sizes], GEN_SEEDS[0])
+               for kind, all_sizes in GEN_POSET_KIND_SIZES.items() for sizes in all_sizes]
     return [(" ".join(["gen", *run, "--seed", str(seed)]),
-             ["gen", *run, "--seed", str(seed), "-o", WRITTEN])
-            for run in runs for seed in GEN_SEEDS]
+             ["gen", *run, "--seed", str(seed), "-o", WRITTEN]) for run, seed in seeded]
 
 
 def _descent(path: Path) -> str:

@@ -138,10 +138,8 @@ def _run_op(args) -> int:
     digest = _describe(obj)
     print("\n".join(lines))
     if args.report:
-        with _collector_paused():  # the report tree, from build_report through write_json
-            write_json(args.report, build_report(args.command, obj, code,
-                                                 time.perf_counter() - started,
-                                                 digest=digest, **fields))
+        write_json(args.report, build_report, args.command, obj, code,
+                   time.perf_counter() - started, digest=digest, **fields)
     return code
 
 
@@ -163,7 +161,7 @@ def cmd_gen(args) -> int:
         inst = gen_instance(spec)
         dump_instance(inst, args.output)
     else:
-        write_json(args.output, serialize_poset_doc(gen_poset(spec)))
+        write_json(args.output, serialize_poset_doc, gen_poset(spec))
     print(f"wrote {args.output}")
     return EXIT_OK
 

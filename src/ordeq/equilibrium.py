@@ -10,11 +10,11 @@ The solver iterates the product correspondence gamma(x, y) = psi(y) x phi(x) of
 the two order-optimization maps: a monotone climb from a seed pair reaches a
 fixed point of gamma, which is exactly a solution, and is then promoted to the
 highest solution above it, first on ties: a pair strictly above another counts
-more members of C and D at or below it, so it is maximal, and replay takes a
-claim above the seed that is its own highest.  An instance is made of index
-codes (positions instead of element ids): the parse, the generator and games
-build them directly, and T, F and G are views of them.  phi and psi are boolean
-masks.  When U is totally ordered (a game's U always is) they are the
+more members of C and D at or below it, so it is maximal.  The solver and
+replay share one claim rule, _climbs.  An instance is made of index codes
+(positions instead of element ids): the parse, the generator and games
+build them directly, and T, F and G are views of them.  phi and psi are
+boolean masks.  When U is totally ordered (a game's U always is) they are the
 feasible cells at each row's minimum and each column's maximum of T's ranks
 in U, as in the classical saddle-point problem; otherwise each is one boolean
 matmul of the values present in each row with the strict order of U.  Their
@@ -244,12 +244,8 @@ class ProblemInstance:
         rows, cols = np.nonzero(mask)
         return list(zip(_ids(self._cs, rows, list), _ids(self._ds, cols, list)))
 
-    def _orders(self, direction: str) -> tuple:
-        """The orders of C and D for a climb direction: reversed when minimal, contiguous."""
-        return self._directed(direction)[:2]
-
     def _directed(self, direction: str) -> tuple:
-        """_orders, then each member's height in them: the count at or below it; built once."""
+        """C's and D's orders in a direction, contiguous, then each member's height in them."""
         if direction not in ("maximal", "minimal"):
             raise ValidationError(f"direction must be 'maximal' or 'minimal', got {direction!r}")
         if direction not in self._by_direction:
@@ -378,7 +374,7 @@ class ProblemInstance:
 
     def _hypotheses(self, seed: tuple, direction: str) -> HypothesisReport:
         """check_hypotheses at a seed given as positions."""
-        c_leq, d_leq = self._orders(direction)
+        c_leq, d_leq = self._directed(direction)[:2]
         i, j = seed
         zs = np.flatnonzero(self._psi_mask[j] & c_leq[i])
         us = np.flatnonzero(self._phi_mask[i] & d_leq[j])
@@ -418,7 +414,7 @@ class ProblemInstance:
         greater successor remains, p lies in gamma(p), hence is a solution.
         It is promoted to the highest solution above it, first on ties: one
         strictly above another counts more members of C and D at or below
-        it, so the pick is maximal.  Replay accepts any maximal solution.
+        it, so the pick is maximal.  Replay accepts any maximal one above the seed.
 
         Raises HypothesisFailed unless the preconditions hold or ``force``
         is set; raises NoSolution when no solution exists above the seed.
@@ -432,7 +428,7 @@ class ProblemInstance:
         and a seed witness below the seed.  phi and psi only involve the
         utility order, so the solution set is unchanged; the climb and the
         promotion flip, to the highest solution in the reversed orders: a
-        minimal one below the seed.  Replay accepts any minimal one.
+        minimal one below the seed.  Replay accepts any minimal one below it.
         """
         return self._solve(seed, force, "minimal")
 
@@ -443,7 +439,7 @@ class ProblemInstance:
             raise HypothesisFailed(
                 "solver preconditions failed: " + "; ".join(hyp.failures()), report=hyp
             )
-        c_leq, d_leq = self._orders(direction)
+        c_leq, d_leq = self._directed(direction)[:2]
         trace = [seed]
         while (q := self._step(trace[-1], c_leq, d_leq)) is not None:
             trace.append(q)
@@ -460,7 +456,7 @@ class ProblemInstance:
             trace.append(solution)
         report = self._report(hyp, seed, direction, trace, solution)
         if report is None:
-            raise InvariantBreach(f"the solver's trace is not a climb through gamma: {trace}")
+            raise InvariantBreach(f"the solver's claim fails the claim rule: {trace}, {solution}")
         return report
 
     def _step(self, p: tuple, c_leq: np.ndarray, d_leq: np.ndarray) -> Optional[tuple]:
@@ -471,14 +467,15 @@ class ProblemInstance:
         return next(((z, u) for z in zs for u in us if (z, u) != p), None)
 
     def _climbs(self, trace: list, solution: tuple, direction: str) -> bool:
-        """Whether a trace of positions climbs gamma in a direction toward the solution.
+        """The claim rule: a trace of positions climbs gamma from the seed, its first pair.
 
         Each step goes strictly beyond the pair before it and lies in gamma
         of it; only a last step to the solution may leave gamma, to promote a
         fixed point.  A trace that stops short of the solution must strand:
         its last pair is no fixed point, and gamma has no pair beyond it.
+        The solution lies at or beyond the seed and is its own highest.
         """
-        c_leq, d_leq = self._orders(direction)
+        c_leq, d_leq = self._directed(direction)[:2]
         phi, psi = self._phi_mask, self._psi_mask
         in_gamma = lambda p, q: psi[p[1], q[0]] and phi[p[0], q[1]]  # noqa: E731
         for k, (a, b) in enumerate(zip(trace, trace[1:]), 2):
@@ -486,12 +483,14 @@ class ProblemInstance:
             promoted = k == len(trace) and b == solution and in_gamma(a, a)
             if not beyond or not (in_gamma(a, b) or promoted):
                 return False
-        last = trace[-1]
-        return last == solution or not in_gamma(last, last) and not self._step(last, c_leq, d_leq)
+        (s, t), last = trace[0], trace[-1]
+        ends = last == solution or not in_gamma(last, last) and not self._step(last, c_leq, d_leq)
+        return bool(ends and c_leq[s, solution[0]] and d_leq[t, solution[1]]
+                    and self._highest(solution, direction) == solution)
 
     def _report(self, hyp: HypothesisReport, seed: tuple, direction: str, trace: list,
                 solution: tuple) -> Optional[SolutionReport]:
-        """The report of a climb from the seed; None unless it climbs.
+        """The report of a claim from the seed; None unless it starts at the seed and _climbs.
 
         The seed, the trace and the solution are positions; hyp is the
         report of the hypotheses at the seed.  The solver and a report's

@@ -31,9 +31,8 @@ roep-report/2) carry it.
 A document tree is thousands of small lists and dicts that die by
 refcount, and while it lives each young collection of the cyclic garbage
 collector rescans and promotes it.  So the collector is paused, if it was
-on, over a tree's whole life: in parse_instance from the read through the
-parse, in dump_instance from serialization through the write, and in the
-CLI's validate and around a report's build and write.
+on, over a tree's whole life: in parse_instance, in the CLI's validate,
+and in write_json, the one writer of every document, from build to write.
 """
 
 from __future__ import annotations
@@ -328,17 +327,18 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     return doc
 
 
-def write_json(path, doc) -> None:
-    """Write indented JSON and a newline; a document that cannot be written touches no file."""
-    text = json.dumps(doc, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def write_json(path, build, *args, **kwargs) -> None:
+    """Write build(*args, **kwargs) as indented JSON, the collector paused from build to write;
+    a document that cannot be built or encoded touches no file."""
+    with _collector_paused():
+        text = json.dumps(build(*args, **kwargs), indent=2) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def dump_instance(obj, path) -> None:
     """Write the normalized document; a refused one leaves the file untouched."""
-    with _collector_paused():
-        write_json(path, serialize_instance(obj))
+    write_json(path, serialize_instance, obj)
 
 
 def instance_digest(obj) -> str:
@@ -491,14 +491,13 @@ def build_report(command: str, instance, exit_code: int, elapsed: float,
 def replay_report(report: dict, instance) -> bool:
     """Re-verify a report against its instance: the digest and every claim.
 
-    The solution and the climb trace are the report's own.  The solution
-    must lie above (below) the seed, as ``direction`` says, and be its own
-    highest, as the solver promotes: so any maximal (minimal) claim passes.
-    The trace must pass the solver's own climb check: it starts at the seed
-    and steps strictly through gamma (only its last step may leave gamma, to
-    promote a fixed point of gamma to the solution).  Every other field must
-    equal the report rebuilt from them and from freshly computed hypotheses,
-    solution set, certificate, game value and exit code.
+    The solution and the climb trace are the report's own, and must pass
+    the solver's claim rule, ProblemInstance._climbs: the trace climbs
+    gamma from the seed, and the solution lies above (below) it, as
+    ``direction`` says, and is its own highest, so any maximal (minimal)
+    claim passes.  Every other field must equal the report rebuilt from
+    them and from freshly computed hypotheses, solution set, certificate,
+    game value and exit code.
     """
     if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
@@ -530,11 +529,9 @@ def _rebuild(report: dict, obj):
             fields["hypothesis_report"], code = hyp, 0 if hyp.passes else 2
         else:
             sol, trace = pos(report["solution"]), [pos(p) for p in report["climb_trace"]]
-            c_leq, d_leq = obj._orders(direction)
-            beyond = c_leq[seed[0], sol[0]] and d_leq[seed[1], sol[1]]
-            fields["solution_report"] = rep = obj._report(hyp, seed, direction, trace, sol)
-            if rep is None or not beyond or obj._highest(sol, direction) != sol:
-                return None  # a trace that does not climb, or a claim that is not extremal
+            fields["solution_report"] = obj._report(hyp, seed, direction, trace, sol)
+            if fields["solution_report"] is None:
+                return None  # a claim the solver's own claim rule refuses
             if command == "game":
                 fields["game_value"] = obj.U.elements[obj._T[sol]]
     return build_report(command, obj, code, report["elapsed_seconds"],

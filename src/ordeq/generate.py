@@ -11,15 +11,15 @@ they are drawn, so the order is closed when the last edge is.
 An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  Its integer draws
 (a random order's shuffle, T's cells, a subset's size and members) read
-getrandbits as Random's shuffle, choice, randint and sample do (checked on
-CPython 3.10 to 3.13), so they give the stdlib's values; a shuffle's swaps
-and T's cells are each one run of draws in one loop, and a subset's are one
-inline loop; random() and uniform() stay the stdlib's.  The hypothesis filter
-rejects attempts on these arrays in batches: phi is tested once on a
-batch's stacked codes, by the kernels an instance picks for the same U
-(T's ranks when U is total), and G is still each attempt's last draw, made
-only when its phi passes.  The accepted attempt's codes become the instance
-as they are.
+getrandbits as Random's shuffle, choice, randint and sample do, so they
+give the stdlib's values (scripts/check_random_copies.py checks that on
+each CPython at hand); a shuffle's swaps and T's cells are each one run of
+draws in one loop, and a subset's are one inline loop; random() and
+uniform() stay the stdlib's.  The hypothesis filter rejects attempts on
+these arrays in batches: phi is tested once on a batch's stacked codes, by
+the kernels an instance picks for the same U (T's ranks when U is total),
+and G is still each attempt's last draw, made only when its phi passes.
+The accepted attempt's codes become the instance as they are.
 """
 
 from __future__ import annotations

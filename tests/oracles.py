@@ -152,7 +152,7 @@ def broadcast_optima(values, feasible, beats, chunk_cells=1 << 22):
 def extremal_mask(inst, p, direction):
     """The solutions at or beyond the pair at positions p with no solution strictly beyond them."""
     i, j = p
-    c_leq, d_leq = inst._orders(direction)
+    c_leq, d_leq = inst._directed(direction)[:2]
     beyond = inst._solution_mask & c_leq[i][:, None] & d_leq[j][None, :]
     count = c_leq.astype(float) @ beyond.astype(float) @ d_leq.T.astype(float)
     return beyond & (count == 1)

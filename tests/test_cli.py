@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -559,7 +559,27 @@ class TestExitCodeContract:
         monkeypatch.setattr(ProblemInstance, "_climbs", lambda self, *args: False)
         code, _, err = run(capsys, "solve", FIXTURES["i2"])
         assert code == 4
-        assert "InvariantBreach: the solver's trace is not a climb through gamma" in err
+        assert "InvariantBreach: the solver's claim fails the claim rule: " in err
+
+    def test_a_claim_that_is_not_its_own_highest_is_exit_4(self, capsys, monkeypatch,
+                                                           tmp_path):
+        # the climb from this file's seed reaches the fixed point (c1, d0), and the
+        # promotion goes on to (c2, d2); a promotion that stays put breaks the claim rule
+        path, target = str(tmp_path / "instance.json"), tmp_path / "report.json"
+        assert run(capsys, "gen", "--kind", "random_instance", "--sizes", "3,3,4", "--seed",
+                   "168", "--filter", "require_hypotheses", "-o", path)[0] == 0
+        highest, calls = ProblemInstance._highest, []
+
+        def stays_at_first(self, p, direction):
+            calls.append(p)
+            return p if len(calls) == 1 else highest(self, p, direction)
+
+        monkeypatch.setattr(ProblemInstance, "_highest", stays_at_first)
+        code, out, err = run(capsys, "solve", path, "--report", str(target))
+        assert (code, out, calls[0]) == (4, "", (1, 0))
+        assert err.startswith("internal error: InvariantBreach: the solver's claim fails the "
+                              "claim rule: [(0, 0), (1, 0)], (1, 0)")
+        assert not target.exists()
 
     def test_failed_saddle_reverification_is_exit_4(self, capsys, monkeypatch):
         solve = ZeroSumGame.solve_maximal
@@ -638,6 +658,39 @@ class TestCollectorPause:
         assert run(capsys, *argv, "-o", written)[0] == 0
         assert run(capsys, *argv, "-o", str(tmp_path / "absent" / "written.json"))[0] == 1
         assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True, ids=["collector-on"])
+    @pytest.mark.parametrize("kind, size", [("random_poset", "2048"), ("boolean_lattice", "11")])
+    def test_a_gen_poset_write_starts_no_collection(self, capsys, monkeypatch, tmp_path,
+                                                    collector, kind, size):
+        # 2048 elements: while the document lives, young collections would rescan its edges
+        events = []
+
+        def build(poset):
+            events.append("build")
+            return serialize_poset_doc(poset)
+
+        @contextmanager
+        def marked_open(*args, **kwargs):
+            with open(*args, **kwargs) as fh:
+                yield fh
+            events.append("written")
+
+        def started(phase, info):
+            if phase == "start":
+                events.append(info["generation"])
+
+        monkeypatch.setattr("ordeq.cli.serialize_poset_doc", build)
+        monkeypatch.setattr("ordeq.fileio.open", marked_open, raising=False)
+        argv = ["gen", "--kind", kind, "--sizes", size, "--seed", "1"]
+        gc.callbacks.append(started)
+        try:
+            assert run(capsys, *argv, "-o", str(tmp_path / "written.json"))[0] == 0
+            assert run(capsys, *argv, "-o", str(tmp_path / "absent" / "written.json"))[0] == 1
+        finally:
+            gc.callbacks.remove(started)
+        assert gc.isenabled()
+        assert events[events.index("build"):events.index("written") + 1] == ["build", "written"]
 
 
 class TestProcess:

@@ -907,7 +907,7 @@ class TestReports:
         for seed, inst, rep in _forced_reports():
             i, j = inst._row(rep.seed[0]), inst._col(rep.seed[1])
             best = extremal_mask(inst, (i, j), rep.direction)
-            c_leq, d_leq = inst._orders(rep.direction)
+            c_leq, d_leq = inst._directed(rep.direction)[:2]
             for q in np.ndindex(best.shape):
                 claim = c_leq[i, q[0]] and d_leq[j, q[1]] and inst._highest(q, rep.direction) == q
                 assert claim == best[q], (seed, rep.seed, q, rep.direction)
@@ -935,6 +935,27 @@ class TestReports:
                 assert replay_report(doc, inst), path.name
                 rewritten += 1
         assert rewritten
+
+    def test_replay_rejects_a_stranded_claim_outside_the_seeds_up_set(self):
+        # a forced climb that strands claims from the seed: a maximal (minimal)
+        # solution outside the seed's up-set (down-set) is its own highest, yet no claim
+        refused = {"maximal": 0, "minimal": 0}
+        for seed, inst, rep in _forced_reports():
+            if rep.climb_trace[-1] == rep.solution:
+                continue
+            c_leq, d_leq = inst._directed(rep.direction)[:2]
+            i, j = inst._row(rep.seed[0]), inst._col(rep.seed[1])
+            for q in zip(*np.nonzero(inst._solution_mask)):
+                q = tuple(map(int, q))
+                if inst._highest(q, rep.direction) != q or c_leq[i, q[0]] and d_leq[j, q[1]]:
+                    continue
+                pair = inst._pair(q)
+                claim = dataclasses.replace(  # its certificate is the claimed solution's
+                    rep, solution=pair, certificates={pair: inst.solution_certificate(*pair)})
+                doc = build_report("solve", inst, 0, 0.01, solution_report=claim)
+                assert not replay_report(doc, inst), (seed, rep.seed, pair, rep.direction)
+                refused[rep.direction] += 1
+        assert all(refused.values()), refused
 
     def test_replay_rejects_a_solution_that_is_not_maximal(self, constant_objective):
         rep = constant_objective.solve_maximal(("c0", "d0"))
