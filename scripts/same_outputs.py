@@ -25,7 +25,8 @@ of REV then each run, in one process per tree, the same list of
   `PAYOFF_SPELLINGS` (the accepted ones also all at once, one a cell, and
   every payoff as a JSON int), under `validate`, `check`, `game --force`
   and `enumerate`, so both the plain-integer reading and Fraction's own
-  parser are compared, refusals included;
+  parser are compared, refusals included, and so are values that round to
+  one float (1/3 and the float nearest it) or lie past the largest float;
 - grid games of k x k strategies each (`GENERIC_GAME_SIZES`) whose
   payoffs are all distinct, so that |U| = k**4, under `validate`, `check`,
   `game --force` and `enumerate`;
@@ -107,6 +108,9 @@ PAYOFF_SPELLINGS = {  # name: a payoff value; the first eight are refused
     "half": "1/2", "two-quarters": "2/4", "leading-space": " 1/2", "plus": "+1",
     "underscore": "1_0", "decimal": "0.5", "bare-decimal": ".5", "trailing-point": "1.",
     "exponent": "1e2", "minus-zero": "-0", "newline": "1\n", "arabic-indic": "\u0661/\u0662",
+    # 1/3 and the float nearest it, below it; past 2**1024, as a string and a JSON int
+    "third": "1/3", "third-as-float": "6004799503160661/18014398509481984",
+    "past-floats": str(2 ** 1024 + 1), "past-floats-negative": -(2 ** 1024 + 1),
 }
 
 GENERIC_GAME_SIZES = (6, 7, 8)  # k: 1296, 2401 and 4096 distinct payoffs

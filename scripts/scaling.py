@@ -38,7 +38,11 @@ grid game, or |C|,|D|,|U| for `gen_instance`):
 full run also splits the wall time of a few fixture commands into
 interpreter start and exit, `import numpy`, `import ordeq.cli` and the op,
 each the median of `SPLIT_REPEATS` runs, once with default BLAS threading
-and once with one thread.
+and once with one thread, both importing this checkout's `src/`, and once
+more with one thread from a temporary copy of `src/` whose bytecode cache
+is compiled in place.  A process with `PYTHONDONTWRITEBYTECODE` set (as the
+environment block records) writes no cache, so every import of this
+checkout compiles `src/` afresh; the last setting is what that costs.
 It writes everything with an environment block to `--out` (default
 `BENCH_scaling.json` at the repo root) and exits 1 if a row failed.
 """
@@ -46,12 +50,14 @@ It writes everything with an environment block to `--out` (default
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import multiprocessing
 import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,7 +72,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 MEMORY_CAP = 3 << 30  # bytes of address space per child
 TIMEOUT_S = 120.0  # per child
-SPLIT_REPEATS = 7
+SPLIT_REPEATS = 11
 SPLIT_STAGES = ("interpreter_s", "import_numpy_s", "import_ordeq_cli_s", "op_s", "wall_s")
 SPLIT_COMMANDS = {  # label: argv after `python -m ordeq.cli`
     "check i1": ["check", "fixtures/i1_unconstrained.json"],
@@ -212,8 +218,8 @@ FAMILIES = {  # name: (sizes, (size, path) -> [(command label, argv)]; it writes
 # -- child processes ---------------------------------------------------------------
 
 
-def _env(pinned: bool) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def _env(pinned: bool, src: Path = SRC) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
     for var in THREAD_VARS:
         env.pop(var, None)
         if pinned:
@@ -284,25 +290,35 @@ print(t1 - t0, t2 - t1, time.perf_counter() - t2, file=sys.stderr)
 
 
 def process_split() -> dict:
-    """Each fixture command's median wall time and its four stages, per BLAS setting.
+    """Each fixture command's median wall time and its four stages, per setting.
 
-    The child times its imports and the op itself; the interpreter's start
-    and exit are the rest of its wall time.
+    The settings are default BLAS threading and one thread, both on this
+    checkout's `src/`, and one thread on a copy of `src/` with its bytecode
+    compiled.  The child times its imports and the op itself; the
+    interpreter's start and exit are the rest of its wall time.
     """
-    out = {}
-    for setting, pinned in (("default_threads", False), ("one_thread", True)):
-        runs = {label: [] for label in SPLIT_COMMANDS}
-        for _ in range(SPLIT_REPEATS):  # interleaved, so a slow spell hits every command
-            for label, argv in SPLIT_COMMANDS.items():
-                row = run_child([sys.executable, "-c", SPLIT_CHILD, *argv], _env(pinned))
-                if row["status"] != "ok":
-                    raise SystemExit(f"{label}: {row}")
-                stages = [float(t) for t in row["stderr"].split()]
-                runs[label].append([row["wall_s"] - sum(stages), *stages, row["wall_s"]])
-        out[setting] = {label: dict(zip(SPLIT_STAGES, (round(statistics.median(column), 4)
-                                                       for column in zip(*rows))))
-                        for label, rows in runs.items()}
-        print(json.dumps({setting: out[setting]}), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        compiled = Path(tmp, "src")
+        shutil.copytree(SRC, compiled, ignore=shutil.ignore_patterns("__pycache__"))
+        if not compileall.compile_dir(compiled, quiet=1):
+            raise SystemExit(f"cannot compile {compiled}")
+        settings = {"default_threads": _env(False), "one_thread": _env(True),
+                    "one_thread_compiled": _env(True, compiled)}
+        runs = {setting: {label: [] for label in SPLIT_COMMANDS} for setting in settings}
+        for _ in range(SPLIT_REPEATS):  # interleaved, so a slow spell hits every run
+            for setting, env in settings.items():
+                for label, argv in SPLIT_COMMANDS.items():
+                    row = run_child([sys.executable, "-c", SPLIT_CHILD, *argv], env)
+                    if row["status"] != "ok":
+                        raise SystemExit(f"{setting} {label}: {row}")
+                    stages = [float(t) for t in row["stderr"].split()]
+                    runs[setting][label].append([row["wall_s"] - sum(stages), *stages,
+                                                 row["wall_s"]])
+    out = {setting: {label: dict(zip(SPLIT_STAGES, (round(statistics.median(column), 4)
+                                                    for column in zip(*rows))))
+                     for label, rows in by_label.items()}
+           for setting, by_label in runs.items()}
+    print(json.dumps(out), flush=True)
     return out
 
 

@@ -228,10 +228,13 @@ def parse_instance_dict(doc: dict) -> Union[ProblemInstance, ZeroSumGame]:
         raise ValidationError("posets: must be an object of named posets")
     expected_posets = {"X", "Y", "U"} if mode == "roep" else {"X", "Y"}
     _reject_unknown("posets", posets_doc, expected_posets)
-    posets = {
-        name: _parse_poset(f"posets.{name}", _require("posets", posets_doc, name))
-        for name in sorted(expected_posets)
-    }
+    posets = {}
+    for name in sorted(expected_posets):
+        data = _require("posets", posets_doc, name)
+        # a Y equal to X is parsed once; a grid's extents must still be ints, as True == 1
+        same = name == "Y" and data == posets_doc["X"] and all(
+            type(d) is int for d in data.get("grid", ()))
+        posets[name] = posets["X"] if same else _parse_poset(f"posets.{name}", data)
 
     C = _parse_subset("C", _require("document", doc, "C"), posets)
     D = _parse_subset("D", _require("document", doc, "D"), posets)
@@ -307,14 +310,15 @@ def serialize_instance(obj: Union[ProblemInstance, ZeroSumGame]) -> dict:
     """Normalized document for an instance or game; inverse of parse up to ids.
 
     Read from the instance's index codes.  A game's U is the chain of its
-    Fraction payoffs, whose ids are the payoff strings, so its payoff rows
-    are the T rows of a roep.
+    payoffs, whose ids are their Fractions' strings, formatted from the
+    lowest terms U holds, so its payoff rows are the T rows of a roep.
     """
     game = isinstance(obj, ZeroSumGame)
     posets = {"X": _poset_doc(obj.C.parent), "Y": _poset_doc(obj.D.parent)}
     if not game:
         posets["U"] = _poset_doc(obj.U)
-    cs, ds, us = ([element_id(e) for e in es] for es in (obj._cs, obj._ds, obj.U.elements))
+    cs, ds = ([element_id(e) for e in es] for es in (obj._cs, obj._ds))
+    us = obj.U._strs() if game else [element_id(u) for u in obj.U.elements]
     doc = {"schema": INSTANCE_SCHEMA, "mode": "game" if game else "roep", "posets": posets,
            "C": {"poset": "X", "members": cs}, "D": {"poset": "Y", "members": ds}}
     doc["payoff" if game else "T"] = [
@@ -363,7 +367,8 @@ def instance_digest(obj) -> str:
     4. C and D, each as packed bits of membership over its parent's
        elements;
     5. a game only: its U, the chain of its payoffs in ascending order, as
-       the two id fields of step 3, each value's id the Fraction's str;
+       the two id fields of step 3, each value's id the Fraction's str,
+       ``n`` or ``n/d`` in lowest terms, formatted from the terms U holds;
     6. T, one ``<u4`` per C x D cell, row-major, each the position of its
        value in U (members of C and D numbered in parent order);
     7. F (|C| x |D|) and G (|D| x |C|) as packed bits, an omitted map all true;
@@ -395,7 +400,7 @@ def instance_digest(obj) -> str:
         member[list(map(s.parent._index.__getitem__, s.ordered()))] = True
         field(np.packbits(member))
     if game:
-        id_fields(list(map(str, obj.U.elements)))  # element_id of distinct Fractions: distinct
+        id_fields(obj.U._strs())  # str of distinct Fractions: distinct
     field(np.ascontiguousarray(obj._T, dtype="<u4"))
     field(np.packbits(obj._F))
     field(np.packbits(obj._G))
@@ -533,6 +538,6 @@ def _rebuild(report: dict, obj):
             if fields["solution_report"] is None:
                 return None  # a claim the solver's own claim rule refuses
             if command == "game":
-                fields["game_value"] = obj.U.elements[obj._T[sol]]
+                fields["game_value"] = obj.U._value(obj._T[sol])
     return build_report(command, obj, code, report["elapsed_seconds"],
                         digest=report["instance_digest"], **fields)

@@ -3,9 +3,10 @@
 Every poset stores its full reflexive, transitively closed boolean incidence
 matrix, so order queries are table lookups; the one exception is a game's
 chain of payoffs, whose order is its element order: it is total with no
-matrix, and builds its triangle only if one is read.  A total order also
-has ranks, each element's count of elements below it, on which the
-equilibrium kernels compare values.  The public constructor and
+matrix, and builds its triangle only if one is read; it holds its values'
+lowest terms, and builds their Fractions only if they are read.  A total
+order also has ranks, each element's count of elements below it, on which
+the equilibrium kernels compare values.  The public constructor and
 :func:`load_poset` number the elements as they refuse repeats; a poset the
 library builds numbers them on its first lookup by element, so a game's
 chain of payoffs, only read by position, is never hashed.  Products and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -249,25 +251,42 @@ class Poset:
 
 
 class _Chain(Poset):
-    """The chain of distinct elements in their given order: a game's utility.
+    """A game's utility: distinct rationals in ascending order, held as lowest terms.
 
-    Its ranks are its positions, so it is total without a matrix; the upper
-    triangle that is its leq matrix is built only if a caller reads it.
+    It holds each value's lowest terms (n, d), d > 0, and builds the
+    Fractions that are its elements only if a caller reads them.  Its ranks
+    are its positions, so it is total without a matrix; the upper triangle
+    that is its leq matrix is built only if a caller reads it too.
     """
 
-    def __init__(self, elements: Sequence[Element]):
-        self._elements = tuple(elements)
+    def __init__(self, terms: list):
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    @cached_property
+    def _elements(self) -> tuple:
+        return tuple(Fraction(n, d) for n, d in self._terms)
+
+    def _value(self, t: int) -> Fraction:
+        """The value at position t, with no other element built."""
+        return Fraction(*self._terms[t])
+
+    def _strs(self) -> list:
+        """Each value's str(Fraction), "n" or "n/d", formatted from its terms."""
+        return [str(n) if d == 1 else f"{n}/{d}" for n, d in self._terms]
 
     @cached_property
     def leq_matrix(self) -> np.ndarray:
-        n = len(self._elements)
+        n = len(self._terms)
         leq = np.triu(np.ones((n, n), dtype=bool))
         leq.flags.writeable = False
         return leq
 
     @cached_property
     def _ranks(self) -> np.ndarray:
-        return np.arange(len(self._elements))
+        return np.arange(len(self._terms))
 
 
 @dataclass(frozen=True)

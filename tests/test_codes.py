@@ -159,9 +159,9 @@ class TestBuiltFromCodes:
     @pytest.mark.parametrize("doc", [load_doc("game2x2"), serialize_instance(seeded_game(2))],
                              ids=["game2x2", "api-game"])
     def test_payoff_parse_converts_each_distinct_value_once(self, monkeypatch, doc):
-        # counts the parse's calls to the payoff conversion, in the payoff loop of games
-        made, convert = [], ordeq.games._as_fraction
-        monkeypatch.setattr(ordeq.games, "_as_fraction", lambda v: made.append(v) or convert(v))
+        # counts the parse's calls to the payoff rule, in the payoff loop of games
+        made, convert = [], ordeq.games._lowest_terms
+        monkeypatch.setattr(ordeq.games, "_lowest_terms", lambda v: made.append(v) or convert(v))
         parse_instance_dict(doc)
         distinct = {v for _, _, v in doc["payoff"]}
         assert len(distinct) < len(doc["payoff"])

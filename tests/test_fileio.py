@@ -234,6 +234,27 @@ class TestParse:
         game = parse_instance_dict(doc)
         assert len(game.C) == 4
 
+    def test_a_y_equal_to_x_is_xs_poset(self):
+        doc = load_doc("game2x2")
+        assert doc["posets"]["Y"] == doc["posets"]["X"]
+        game = parse_instance_dict(doc)
+        assert game.D.parent is game.C.parent
+        doc["posets"]["Y"] = {**doc["posets"]["X"], "edges": doc["posets"]["X"]["edges"][:-1]}
+        other = parse_instance_dict(doc)
+        assert other.D.parent is not other.C.parent and other.D.parent != other.C.parent
+        doc["posets"] = {"X": {"grid": [2, 2]}, "Y": {"grid": [2, 2]}}
+        game = parse_instance_dict(doc)
+        assert game.D.parent is game.C.parent and len(game.C) == 4
+
+    @pytest.mark.parametrize("extents", [[2.0, 2], [True, 4], [1.0, 4.0]])
+    def test_a_y_grid_equal_to_xs_but_for_its_types_is_refused(self, extents):
+        # 2.0 == 2 and True == 1, yet only X's extents are ints
+        doc = load_doc("game2x2")
+        doc["posets"] = {"X": {"grid": [int(d) for d in extents]}, "Y": {"grid": extents}}
+        with pytest.raises(ValidationError) as caught:
+            parse_instance_dict(doc)
+        assert str(caught.value) == "posets.Y: grid must be a list of integers"
+
     def test_missing_constraints_default_to_constant(self):
         doc = load_doc("i1")
         doc.pop("F", None)

@@ -387,6 +387,57 @@ class TestRankingMatchesReferee:
             assert instance_digest(flipped) == instance_digest(swapped), k
 
 
+# 1/3 and the float nearest it, which lies below it; past 2**1024 every
+# value's float is an infinity; three spellings of one half
+_FLOAT_TWINS = ("1/3", "6004799503160661/18014398509481984")
+_PAST_FLOATS = (str(2 ** 1024 + 1), -(2 ** 1024 + 1))
+_HALVES = ("1/2", "2/4", "0.5")
+_RARE = (*_FLOAT_TWINS, *_PAST_FLOATS, *_HALVES, "-1/3", "-6004799503160661/18014398509481984",
+         str(2 ** 1024 + 3), -(2 ** 1030), "1e400", "1e-400", "-1e-400", "0", "-0", 7,
+         "1152921504606846977/1152921504606846976", "1152921504606846975/1152921504606846976",
+         "1")
+
+
+class TestRareSortPaths:
+    """Values that round to one float, or past the largest float, against an exact referee."""
+
+    def _check(self, values):
+        # a 2x2 grid game whose 16 cells hold the values in C x D order, from a file and the API
+        X = grid_poset((2, 2))
+        C, D = X.full_subset(), X.full_subset()
+        pairs = [(x, y) for x in C.ordered() for y in D.ordered()]
+        cells = [values[k % len(values)] for k in range(len(pairs))]
+        referee = sorted(set(map(Fraction, cells)))
+        api = ZeroSumGame(C, D, dict(zip(pairs, cells)))
+        doc = ordeq.fileio.serialize_instance(api)
+        for row, v in zip(doc["payoff"], cells):
+            row[2] = v
+        parsed = parse_instance_dict(doc)
+        for game in (api, parsed):
+            assert game.U.elements == tuple(referee), cells
+            assert game._T.ravel().tolist() == [referee.index(Fraction(v)) for v in cells]
+        assert instance_digest(parsed) == instance_digest(api)
+        return parsed
+
+    def test_values_that_round_to_one_float(self):
+        game = self._check(_FLOAT_TWINS)
+        assert float(Fraction(_FLOAT_TWINS[0])) == float(Fraction(_FLOAT_TWINS[1]))
+        assert game.U.elements == (Fraction(_FLOAT_TWINS[1]), Fraction(1, 3))
+
+    def test_values_past_the_largest_float(self):
+        game = self._check((*_PAST_FLOATS, str(2 ** 1024 + 3), "1e400", "-1e400"))
+        assert game.U.elements == (-10 ** 400, -(2 ** 1024 + 1), 2 ** 1024 + 1, 2 ** 1024 + 3,
+                                   10 ** 400)
+
+    def test_spellings_of_one_half_are_one_element(self):
+        assert self._check(_HALVES).U.elements == (Fraction(1, 2),)
+
+    def test_random_tables(self):
+        rng = random.Random(1024)
+        for _ in range(100):
+            self._check([rng.choice(_RARE) for _ in range(16)])
+
+
 @pytest.fixture(scope="module")
 def grid_game_document(bench_files):
     """The first instance file of the grid-game benchmark workload at seed 1."""
@@ -395,38 +446,33 @@ def grid_game_document(bench_files):
 
 class TestWorkPerDistinctValue:
     def test_one_fraction_per_distinct_payoff_string(self, monkeypatch, grid_game_document):
-        # counts the parse's calls to the payoff conversion, in the payoff loop of games
+        # counts the parse's calls to the payoff rule, in the payoff loop of games
         doc = grid_game_document
-        made = []
-        convert = ordeq.games._as_fraction
-
-        def counting(v):
-            made.append(v)
-            return convert(v)
-
-        monkeypatch.setattr(ordeq.games, "_as_fraction", counting)
+        made, convert = [], ordeq.games._lowest_terms
+        monkeypatch.setattr(ordeq.games, "_lowest_terms", lambda v: made.append(v) or convert(v))
         parse_instance_dict(doc)
         distinct = {v for _, _, v in doc["payoff"]}
         assert len(distinct) < len(doc["payoff"])
-        assert len(made) <= len(distinct)
+        assert sorted(made) == sorted(distinct)
 
     def test_api_converts_each_distinct_payoff_once(self, monkeypatch):
-        # 65 536 "k/3" cells hold 196 distinct strings; each is parsed once
+        # 65 536 "k/3" cells hold 196 distinct strings; each is read once
         X = grid_poset((16, 16))
         C, D = X.full_subset(), X.full_subset()
         payoff = {(x, y): f"{3 * (x[0] + 2 * x[1]) - (3 * y[0] + y[1])}/3"
                   for x in X.elements for y in X.elements}
-        made = []
-        convert = ordeq.games._as_fraction
-        monkeypatch.setattr(ordeq.games, "_as_fraction", lambda v: made.append(v) or convert(v))
+        made, convert = [], ordeq.games._lowest_terms
+        monkeypatch.setattr(ordeq.games, "_lowest_terms", lambda v: made.append(v) or convert(v))
         ZeroSumGame(C, D, payoff)
-        assert 0 < len(made) <= len(set(payoff.values())) < len(payoff)
+        assert sorted(made) == sorted(set(payoff.values()))
+        assert len(made) < len(payoff)
 
     def test_a_check_hashes_no_payoff_and_parses_no_string(self, monkeypatch, bench_files,
                                                            tmp_path):
         # parse, hypotheses, digest and report: payoffs are coded at their distinct
-        # strings, plain ones are read as ints, and U is only read by position
-        counts = {"hash": 0, "string": 0}
+        # strings, plain ones are read as ints, and U is only read by its lowest
+        # terms, so check and enumerate build no Fraction at all
+        counts = {"hash": 0, "string": 0, "built": 0}
         plain_hash, plain_new = Fraction.__hash__, Fraction.__new__
 
         def hashing(self):
@@ -434,16 +480,18 @@ class TestWorkPerDistinctValue:
             return plain_hash(self)
 
         def making(cls, *args, **kwargs):
+            counts["built"] += 1
             counts["string"] += bool(args) and isinstance(args[0], str)
             return plain_new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__hash__", hashing)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(making))
-        code = main(["check", str(bench_files("grid-game")[0]),
-                     "--report", str(tmp_path / "report.json")])
+        codes = [main([command, str(bench_files("grid-game")[0]),
+                       "--report", str(tmp_path / f"{command}.json")])
+                 for command in ("check", "enumerate")]
         monkeypatch.undo()
-        assert code == 0
-        assert counts == {"hash": 0, "string": 0}
+        assert codes == [0, 0]
+        assert counts == {"hash": 0, "string": 0, "built": 0}
 
 
 _PAYOFF_TEXT = st.one_of(st.text("0123456789\u0663-+/.e_ \n", max_size=7),
@@ -470,25 +518,29 @@ class TestExactPayoffParse:
         try:
             want = _fraction_or_none(s)
             if want is None:
-                with pytest.raises(ValidationError) as caught:
-                    ordeq.games._as_fraction(s)
-                assert str(caught.value) == f"payoff: bad rational {s!r}"
+                for rule in (ordeq.games._as_fraction, ordeq.games._lowest_terms):
+                    with pytest.raises(ValidationError) as caught:
+                        rule(s)
+                    assert str(caught.value) == f"payoff: bad rational {s!r}"
             else:
                 got = ordeq.games._as_fraction(s)
                 assert type(got) is Fraction and got == want
+                assert ordeq.games._lowest_terms(s) == want.as_integer_ratio()
         finally:
             sys.set_int_max_str_digits(before)
 
     def test_plain_string_past_the_digit_limit_refused(self):
         long = "7" * 700
         assert ordeq.games._as_fraction(long) == int(long)
+        assert ordeq.games._lowest_terms(f"-{long}/7") == (-int(long) // 7, 1)
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
             for s in (long, f"1/{long}", f"-{long}/3"):
-                with pytest.raises(ValidationError) as caught:
-                    ordeq.games._as_fraction(s)
-                assert str(caught.value) == f"payoff: bad rational {s!r}"
+                for rule in (ordeq.games._as_fraction, ordeq.games._lowest_terms):
+                    with pytest.raises(ValidationError) as caught:
+                        rule(s)
+                    assert str(caught.value) == f"payoff: bad rational {s!r}"
         finally:
             sys.set_int_max_str_digits(before)
 
