@@ -35,13 +35,12 @@
 #      family, each op a child process with the script's timeout; it fails
 #      unless every row is a result (an exit code the CLI documents) or a
 #      recorded timeout, and every family has a row;
-#   9. what rests on the interpreter's standard library: gen's copies of
-#      random's algorithms (scripts/check_random_copies.py) and the payoff
-#      rule against Fraction, at Python's int digit limit too
-#      (scripts/check_payoff_reading.py), both standard library only, under
-#      python3, then under each other CPython 3.10 to 3.13 that starts, found
-#      as pythonX.Y or, with pyenv, as an installed X.Y.Z through
-#      PYENV_VERSION; it names each one it skips.
+#   9. scripts/check_stdlib_rules.py, standard library only: gen's copies of
+#      random's algorithms against random, and the payoff rule against
+#      Fraction, at Python's int digit limit too; under python3, then under
+#      each other CPython 3.10 to 3.13 that starts, found as pythonX.Y or,
+#      with pyenv, as an installed X.Y.Z through PYENV_VERSION; it names each
+#      one it skips.
 # Not a step, since it needs a base revision: scripts/same_outputs.py REV
 # runs the CLI on the fixtures and the benchmark's inputs under this checkout
 # and under REV, and exits 1 on any difference in exit code, stdout, stderr,
@@ -160,8 +159,7 @@ scaling=$(mktemp)
 trap 'rm -f "$traced" "$scaling"' EXIT
 python3 scripts/scaling.py --smallest --out "$scaling"
 
-python3 scripts/check_random_copies.py
-python3 scripts/check_payoff_reading.py
+python3 scripts/check_stdlib_rules.py
 ran=$(python3 -c 'import sys; print("%d.%d" % sys.version_info[:2])')
 for want in 3.10 3.11 3.12 3.13; do
   [ "$want" = "$ran" ] && continue
@@ -177,8 +175,7 @@ for want in 3.10 3.11 3.12 3.13; do
     got=$($interpreter -c 'import sys; print(sys.implementation.name, *sys.version_info[:2])' \
           2>/dev/null || true)
     if [ "$got" = "cpython ${want/./ }" ]; then
-      $interpreter scripts/check_random_copies.py
-      $interpreter scripts/check_payoff_reading.py
+      $interpreter scripts/check_stdlib_rules.py
       checked=yes
       break
     fi

@@ -27,9 +27,10 @@ of REV then each run, in one process per tree, the same list of
   and `enumerate`, so both the plain-integer reading and Fraction's own
   parser are compared, refusals included, and so are values that round to
   one float (1/3 and the float nearest it) or lie past the largest float;
-- grid games of k x k strategies each (`GENERIC_GAME_SIZES`) whose
-  payoffs are all distinct, so that |U| = k**4, under `validate`, `check`,
-  `game --force` and `enumerate`;
+- grid games of k x k strategies each (`GENERIC_GAME_SIZES`, written by
+  `generic_game_doc` of `scripts/scaling.py`) whose payoffs are all
+  distinct, so that |U| = k**4, under `validate`, `check`, `game --force`
+  and `enumerate`;
 - the `i2` fixture and the 2x2 game fixture with a malformed F table
   (`MALFORMED_F`: an entry missing, empty, stray or outside the domain, a
   value that is no list) or seed (`MALFORMED_SEEDS`: an unknown C or D
@@ -189,20 +190,16 @@ def _payoff_jobs(inputs: Path) -> list:
 
 
 def _generic_game_jobs(inputs: Path) -> list:
-    """k x k grid games with payoff n*a - b, a and b the positions of x and y: all distinct."""
+    """The k x k grid games of `scripts/scaling.py`'s generic_game family: all payoffs distinct."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from scaling import generic_game_doc
+
     generic = inputs / "generic-games"
     generic.mkdir(parents=True)
     jobs = []
     for k in GENERIC_GAME_SIZES:
-        ids = [f"{i},{j}" for i in range(k) for j in range(k)]
-        doc = {"schema": "roep-instance/1", "mode": "game",
-               "posets": {"X": {"grid": [k, k]}, "Y": {"grid": [k, k]}},
-               "C": {"poset": "X", "members": ids}, "D": {"poset": "Y", "members": ids},
-               "payoff": [[x, y, f"{len(ids) * a - b}/7"] for a, x in enumerate(ids)
-                          for b, y in enumerate(ids)],
-               "seed": [ids[0], ids[0]]}
         path = generic / f"generic-{k}x{k}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(generic_game_doc(k)), encoding="utf-8")
         jobs += _command_jobs(path, PAYOFF_COMMANDS)
     return jobs
 

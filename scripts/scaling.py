@@ -12,8 +12,10 @@ size, the command, the bytes of the file read (or written, for `gen`), the
 exit code, the last line of stderr if any, the wall time from spawn to
 exit, and the child's own peak RSS (its `ru_maxrss`, read by `os.wait4`, so
 each op's memory is its own).  A child still running after `TIMEOUT_S`
-seconds is killed, and its row is a result with status "timeout"; every
-other row is "ok" when the exit code is one the CLI documents (0 to 3), else
+seconds is killed, and its row is a result with status "timeout"; a
+family's writer (the process that writes a file and lists its commands)
+that has not returned by then ends the run with exit 1.  Every other row
+is "ok" when the exit code is one the CLI documents (0 to 3), else
 "failed".  Each child runs with one BLAS thread (`THREAD_VARS` set to 1), as
 `bench/run.py` runs its ops, and under a `MEMORY_CAP` address-space limit,
 so a size past the machine's memory fails alone (MemoryError, exit 4).
@@ -71,7 +73,7 @@ SRC = ROOT / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 MEMORY_CAP = 3 << 30  # bytes of address space per child
-TIMEOUT_S = 120.0  # per child
+TIMEOUT_S = 120.0  # per child, and per writer
 SPLIT_REPEATS = 11
 SPLIT_STAGES = ("interpreter_s", "import_numpy_s", "import_ordeq_cli_s", "op_s", "wall_s")
 SPLIT_COMMANDS = {  # label: argv after `python -m ordeq.cli`
@@ -264,7 +266,11 @@ def run_families(smallest: bool) -> list:
         for name, (sizes, _) in FAMILIES.items():
             for size in sizes[:1] if smallest else sizes:
                 path = Path(tmp, f"{name}-{size}.json")
-                for command, argv in writers.apply(_argvs, (name, size, path)):
+                try:
+                    argvs = writers.apply_async(_argvs, (name, size, path)).get(TIMEOUT_S)
+                except multiprocessing.TimeoutError:
+                    raise SystemExit(f"{name} {size}: the writer took over {TIMEOUT_S} s") from None
+                for command, argv in argvs:
                     row = run_child(cli + argv, _env(pinned=True))
                     row = {"family": name, "size": size, "command": command,
                            "file_bytes": path.stat().st_size if path.exists() else None, **row}

@@ -170,16 +170,19 @@ class ProblemInstance:
     ZeroSumGame is an instance) build these codes directly; an omitted F or
     G, None, is the all-true mask.  The public constructor keeps its checks
     and the maps it is given, and converts them once: the parse's T loop
-    codes T's table over C x D and refuses a missing pair.  Otherwise T, F
-    and G are views built from the codes on first read.  All operations are
-    pure; the phi and psi masks and the solution set are computed lazily and cached.
+    codes T's table over C x D and refuses a missing pair, then an entry
+    outside C x D.  Otherwise T, F and G are views built from the codes on
+    first read.  All operations are pure; the phi and psi masks and the
+    solution set are computed lazily and cached.
     """
 
     def __init__(self, C: Subset, D: Subset, T: ObjectiveMap, F: Optional[SetValuedMap] = None,
                  G: Optional[SetValuedMap] = None, seed: Optional[Pair] = None):
         masks = _check_parts(C, D, F, G)
         cells = [T.table.get(pair, _HOLE) for pair in product(C.ordered(), D.ordered())]
-        self._setup(C, D, T.utility, _objective_codes(C, D, T.utility, cells), *masks, seed)
+        codes = _objective_codes(C, D, T.utility, cells)
+        _refuse_stray(T.table, C, D, "objective")
+        self._setup(C, D, T.utility, codes, *masks, seed)
         self.T, self.F, self.G = T, F or self.F, G or self.G
 
     @classmethod
@@ -604,6 +607,13 @@ def _objective_codes(C: Subset, D: Subset, U: Poset, cells: list) -> np.ndarray:
         ObjectiveMap(U, {pair: v for pair, v in zip(pairs, cells) if v is not _HOLE})
         hole = pairs[cells.index(_HOLE)]
         raise UnknownElement(f"objective table has no entry for {hole!r}") from None
+
+
+def _refuse_stray(table: Mapping, C: Subset, D: Subset, name: str) -> None:
+    """Refuse a table with entries outside C x D, once every pair of C x D has its entry."""
+    if len(table) != len(C) * len(D):
+        extra = set(table) - set(product(C.ordered(), D.ordered()))
+        raise ValidationError(f"{name} table has stray entries: {sorted(map(repr, extra))}")
 
 
 def _ids(elements: tuple, picks: np.ndarray, kind=frozenset):

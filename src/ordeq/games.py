@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .equilibrium import _HOLE, Pair, ProblemInstance, SolutionReport, _check_parts
+from .equilibrium import _HOLE, Pair, ProblemInstance, SolutionReport, _check_parts, _refuse_stray
 from .errors import InvariantBreach, ValidationError
 from .maps import SetValuedMap
 from .poset import Subset, _Chain
@@ -121,9 +121,7 @@ class ZeroSumGame(ProblemInstance):
         masks = _check_parts(C, D, F, G)
         cs, ds = C.ordered(), D.ordered()
         U, T = _game_codes(C, D, [payoff.get(pair, _HOLE) for pair in itertools.product(cs, ds)])
-        if len(payoff) != len(cs) * len(ds):  # every pair of C x D has its entry
-            extra = set(payoff) - {(x, y) for x in cs for y in ds}
-            raise ValidationError(f"payoff table has stray entries: {sorted(map(repr, extra))}")
+        _refuse_stray(payoff, C, D, "payoff")
         self._setup(C, D, U, T, *masks, seed)
 
     @property

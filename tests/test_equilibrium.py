@@ -312,6 +312,19 @@ class TestValidation:
                 constant_map(Y.full_subset(), X.full_subset()),
             )
 
+    def test_objective_entry_outside_c_x_d_refused(self):
+        # C = D = {a, b} in X = {a, b, z}: ('z', 'z') has no cell, so inst.T would hold
+        # an entry that its codes and its file lack
+        C = D = load_poset(["a", "b", "z"], []).subset(["a", "b"])
+        U, table = int_chain(0, 1), {(x, y): 0 for x in "ab" for y in "ab"}
+        with pytest.raises(ValidationError) as caught:
+            ProblemInstance(C, D, ObjectiveMap(U, {**table, ("z", "z"): 1}))
+        assert str(caught.value) == "objective table has stray entries: [\"('z', 'z')\"]"
+        del table[("a", "b")]  # a missing pair is refused first, as a game refuses it
+        with pytest.raises(UnknownElement) as caught:
+            ProblemInstance(C, D, ObjectiveMap(U, {**table, ("z", "z"): 1}))
+        assert str(caught.value) == "objective table has no entry for ('a', 'b')"
+
     def test_constraints_must_match_domains(self):
         X, Y = chain("c", 2), chain("d", 2)
         C, D = X.full_subset(), Y.full_subset()

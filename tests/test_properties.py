@@ -23,8 +23,8 @@ from ordeq import (
     product,
 )
 from ordeq import equilibrium
-from ordeq.errors import CycleDetected, NoSolution
-from ordeq.fileio import parse_instance_dict, serialize_instance
+from ordeq.errors import CycleDetected, NoSolution, OrdeqError
+from ordeq.fileio import element_id, instance_digest, parse_instance_dict, serialize_instance
 from ordeq.generate import POSET_KINDS
 
 from oracles import (
@@ -506,3 +506,93 @@ def test_scalar_equivalence_on_total_utilities(seed):
 def test_dual_solution_set_unchanged(seed):
     inst = random_instance(seed, sizes=(3, 3, 5))
     assert inst.dual().solution_set == inst.solution_set
+
+
+# -- the API boundary: a value of the wrong type is refused, or the object round-trips ----
+
+_AB = load_poset(["a", "b", "z"], [["a", "b"]]).subset(["a", "b"])  # z: of X, in no side
+_PAIRS = [(x, y) for x in "ab" for y in "ab"]
+_OUTSIDE = [("z", "z"), ("a", "z"), ("q", "b")]  # keys outside C x D
+_U = load_poset([0, 1, 2], [[0, 1], [1, 2]])
+# bools, floats, strs outside U, None and unhashables; some equal an element of U
+_WRONG = st.sampled_from([True, False, 0.0, 1.0, 2.5, float("nan"), "1", "u9", "", None, [0], {}])
+_SEEDS = st.sampled_from([None, ("a", "a"), ("b", "a"), ("z", "a"), ("a", None), (["a"], "b"),
+                          ("a",), True, 1.5])
+_PAYOFFS = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4),
+                     st.sampled_from(["1/2", "2/4", "-3", "0.5", "1e2", "1/0"]))
+
+
+@st.composite
+def _tables(draw, value):
+    """A table of `value`s over C x D, then one or two keys of it or outside C x D set to a
+    value, set to a wrong one, or dropped."""
+    table = {pair: draw(value) for pair in _PAIRS}
+    for _ in range(draw(st.integers(1, 2))):
+        pair, edit = draw(st.sampled_from(_PAIRS + _OUTSIDE)), draw(st.sampled_from("swd"))
+        if edit == "d":
+            table.pop(pair, None)
+        else:
+            table[pair] = draw(value if edit == "s" else _WRONG)
+    return table
+
+
+def _assert_round_trips(obj):
+    """The object's file parses back to the same table, ids for ids, and the same digest."""
+    back = parse_instance_dict(serialize_instance(obj))
+    ids = [{tuple(map(element_id, pair)): element_id(v) for pair, v in o.T.table.items()}
+           for o in (obj, back)]
+    assert ids[0] == ids[1]
+    assert instance_digest(back) == instance_digest(obj)
+
+
+@given(_tables(st.integers(0, 2)), _SEEDS)
+@example({**dict.fromkeys(_PAIRS, 0), ("a", "a"): True}, None)  # True equals U's 1 but is not it
+@example({**dict.fromkeys(_PAIRS, 0), ("z", "z"): 1}, None)  # an entry outside C x D
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_problem_instance_refuses_or_round_trips(table, seed):
+    try:
+        inst = ProblemInstance(_AB, _AB, ObjectiveMap(_U, table), seed=seed)
+    except OrdeqError:
+        return
+    _assert_round_trips(inst)
+
+
+@given(_tables(_PAYOFFS), _SEEDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_zero_sum_game_refuses_or_round_trips(payoff, seed):
+    try:
+        game = ZeroSumGame(_AB, _AB, payoff, seed=seed)
+    except OrdeqError:
+        return
+    _assert_round_trips(game)
+
+
+_GEN_FIELDS = {  # name: its right values, when it is given
+    "rng_seed": st.integers(0, 99), "density": st.floats(0, 1), "monotone_bias": st.booleans(),
+    "filter": st.sampled_from(["none", "require_hypotheses"]),
+    "poset_kind": st.sampled_from(POSET_KINDS), "max_retries": st.integers(1, 3)}
+
+
+@st.composite
+def _gen_fields(draw):
+    """GenSpec's keyword arguments, right for the kind, then up to two of them wrong."""
+    kind = draw(st.sampled_from(("random_instance",) * 5 + POSET_KINDS))  # half instances
+    n = {"random_instance": 3, "grid": 2}.get(kind, 1)
+    fields = {"kind": kind, "sizes": draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+              **draw(st.fixed_dictionaries({}, optional=_GEN_FIELDS))}
+    for name in draw(st.sets(st.sampled_from(["kind", "sizes", *_GEN_FIELDS]), max_size=2)):
+        fields[name] = draw(st.one_of(_WRONG, st.lists(st.one_of(st.integers(-1, 4), _WRONG),
+                                                       max_size=3)))
+    return fields
+
+
+@given(_gen_fields())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_gen_spec_refuses_or_round_trips(fields):
+    try:
+        spec = GenSpec(**fields)
+        made = gen_instance(spec) if spec.kind == "random_instance" else gen_poset(spec)
+    except OrdeqError:
+        return
+    if spec.kind == "random_instance":
+        _assert_round_trips(made)
