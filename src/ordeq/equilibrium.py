@@ -183,7 +183,11 @@ class ProblemInstance:
         codes = _objective_codes(C, D, T.utility, cells)
         _refuse_stray(T.table, C, D, "objective")
         self._setup(C, D, T.utility, codes, *masks, seed)
-        self.T, self.F, self.G = T, F or self.F, G or self.G
+        self.T = T
+        if F is not None:
+            self.F = F
+        if G is not None:
+            self.G = G
 
     @classmethod
     def _from_codes(cls, C: Subset, D: Subset, U: Poset, T: np.ndarray, F: Optional[np.ndarray],

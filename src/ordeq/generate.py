@@ -12,7 +12,7 @@ An instance attempt is drawn as codes: the orders of X, Y and U as leq
 matrices, T as positions in U, F and G as boolean masks.  Its integer draws
 (a random order's shuffle, T's cells, a subset's size and members) read
 getrandbits as Random's shuffle, choice, randint and sample do, so they
-give the stdlib's values (scripts/check_stdlib_rules.py checks that on
+give the stdlib's values (scripts/check_rules.py checks that on
 each CPython at hand); a shuffle's swaps and T's cells are each one run of
 draws in one loop, and a subset's are one inline loop; random() and
 uniform() stay the stdlib's.  The hypothesis filter rejects attempts on

@@ -212,6 +212,16 @@ class TestViews:
                         assert (omitted.check_hypotheses(seed, direction)
                                 == full.check_hypotheses(seed, direction))
 
+    def test_omitted_maps_are_views_built_on_first_read(self):
+        # the constructor keeps only the maps it is given
+        inst = parse_instance(FIXTURES["i2"])
+        omitted = ProblemInstance(inst.C, inst.D, inst.T)
+        assert "F" not in vars(omitted) and "G" not in vars(omitted)
+        assert (omitted.F, omitted.G) == (constant_map(inst.C, inst.D),
+                                          constant_map(inst.D, inst.C))
+        half = ProblemInstance(inst.C, inst.D, inst.T, None, inst.G)
+        assert "F" not in vars(half) and half.G is inst.G
+
     def test_public_constructor_keeps_its_maps(self):
         inst = parse_instance(FIXTURES["i2"])
         T, F, G = inst.T, inst.F, inst.G

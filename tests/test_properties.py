@@ -1,14 +1,21 @@
 """Property-based checks over generated posets and instances."""
 
+import copy
+import io
+import json
 import random
 import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ordeq import (
     GenSpec,
@@ -23,10 +30,13 @@ from ordeq import (
     product,
 )
 from ordeq import equilibrium
+from ordeq.cli import main as cli_main
 from ordeq.errors import CycleDetected, NoSolution, OrdeqError
-from ordeq.fileio import element_id, instance_digest, parse_instance_dict, serialize_instance
+from ordeq.fileio import (dump_instance, element_id, instance_digest, parse_instance,
+                          parse_instance_dict, replay_report, serialize_instance)
 from ordeq.generate import POSET_KINDS
 
+from conftest import FIXTURES
 from oracles import (
     CompletenessOracle,
     broadcast_optima,
@@ -596,3 +606,133 @@ def test_gen_spec_refuses_or_round_trips(fields):
         return
     if spec.kind == "random_instance":
         _assert_round_trips(made)
+
+
+# -- the file boundary: a mutated document exits 0-3 and round-trips, and its reports replay --
+
+_HOSTILE = ["1e5000", "1/0", True, False, 1.5, None, 0, -7, "", "zz", [], {}, ["c0"], {"k": 1}]
+_SPELLINGS = ["-3", "2/4", " 1/2", "+1", "0.25", "1e2"]  # rationals a payoff may be
+_OPS = [["validate"], ["check"], ["solve", "--force"], ["enumerate"], ["game"]]
+# a report's own choices, which another value may still verify: every other field is computed
+_FREE = {"elapsed_seconds", "seed", "direction", "solution", "climb_trace"}
+
+
+_DOCS = {**{name: json.loads(Path(FIXTURES[name]).read_text(encoding="utf-8"))
+             for name in ("i1", "i2", "i3", "game2x2", "game3x3")},
+         "gen": serialize_instance(random_instance(7, sizes=(3, 3, 4)))}
+
+
+def _children(node) -> list:
+    """(key, child) for each child of a JSON object or array; a scalar has none."""
+    if isinstance(node, dict):
+        return list(node.items())
+    return list(enumerate(node)) if isinstance(node, list) else []
+
+
+def _paths(node, path=()):
+    """The path of every node under a JSON document's root, the root's own aside."""
+    for key, child in _children(node):
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    for _, child in _children(node):
+        yield from _strings(child)
+
+
+@st.composite
+def _mutation(draw, doc):
+    """(a copy of doc with one node mutated, that node's path): replaced by a hostile value
+    or a rational's spelling, dropped, duplicated (a list element) or copied under a new key
+    (an object), swapped with a sibling, or, as an id, replaced by another string of doc."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent, key = reduce(lambda node, k: node[k], path[:-1], doc), path[-1]
+    edit = draw(st.sampled_from(["replace", "drop", "duplicate", "swap", "respell"]))
+    if edit == "replace":
+        parent[key] = draw(st.sampled_from(_HOSTILE + _SPELLINGS))
+    elif edit == "drop":
+        del parent[key]
+    elif edit == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif edit == "duplicate":
+        parent[f"{key}+"] = copy.deepcopy(parent[key])
+    elif edit == "swap":
+        other = draw(st.sampled_from([k for k, _ in _children(parent)]))
+        parent[key], parent[other] = parent[other], parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(sorted(set(_strings(doc)))))
+    return doc, path
+
+
+def _cli(*argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli_main(list(argv))
+
+
+def _payoff_set(value):
+    doc = copy.deepcopy(_DOCS["game2x2"])
+    doc["payoff"][1][2] = value
+    return doc, ("payoff", 1, 2)
+
+
+@given(st.sampled_from(sorted(_DOCS)).flatmap(lambda name: _mutation(_DOCS[name])))
+@example(_payoff_set("1e5000"))  # no string form under the int digit limit: _as_fraction refuses it
+@example(_payoff_set("1/0"))
+@example(_payoff_set(True))
+@example(_payoff_set(1.5))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_mutated_document_exits_0_to_3_and_round_trips(mutation):
+    doc, _ = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reports = Path(tmp, "doc.json"), []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for k, op in enumerate(_OPS):
+            report = Path(tmp, f"report{k}.json")
+            code = _cli(*op, str(path), *(["--report", str(report)] if k else []))
+            assert code in (0, 1, 2, 3), (op, code)
+            if k == 0 and code:
+                return  # refused, so every op refuses it too
+            if report.exists():
+                reports.append(json.loads(report.read_text(encoding="utf-8")))
+        inst, dumps = parse_instance(path), [Path(tmp, "dump1.json"), Path(tmp, "dump2.json")]
+        dump_instance(inst, dumps[0])
+        again = parse_instance(dumps[0])
+        assert instance_digest(again) == instance_digest(inst)
+        dump_instance(again, dumps[1])
+        assert dumps[1].read_bytes() == dumps[0].read_bytes()
+        for report in reports:
+            assert replay_report(report, inst), report["command"]
+
+
+@cache
+def _written_reports() -> list:
+    """(instance, report) for every report the CLI writes on the unmutated documents."""
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in sorted(_DOCS.items()):
+            path = Path(tmp, f"{name}.json")
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for k, op in enumerate(_OPS[1:]):
+                report = Path(tmp, f"{name}-{k}.json")
+                _cli(*op, str(path), "--report", str(report))
+                if report.exists():
+                    written.append((parse_instance(path),
+                                    json.loads(report.read_text(encoding="utf-8"))))
+    return written
+
+
+@given(st.deferred(lambda: st.sampled_from(_written_reports())).flatmap(
+    lambda written: st.tuples(st.just(written), _mutation(written[1]))))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_report_with_one_field_mutated_fails_replay_or_raises_ordeq_error(case):
+    (inst, written), (report, path) = case
+    assume(report != written)
+    try:
+        verified = replay_report(report, inst)
+    except OrdeqError:
+        return
+    assert verified is False or (verified is True and _FREE & set(path)), path
