@@ -24,11 +24,13 @@
 #      under python3, then under each other CPython 3.10 to 3.13 that
 #      starts, found as pythonX.Y or, with pyenv, as an installed X.Y.Z
 #      through PYENV_VERSION, so that 3.10 parses every file with its own
-#      grammar; it names each version it skips.
-# Not a step, since it needs a base revision: scripts/same_outputs.py REV
-# runs the CLI on the fixtures and the benchmark's inputs under this checkout
-# and under REV, and exits 1 on any difference in exit code, stdout, stderr,
-# report or written file.
+#      grammar; it names each version it skips;
+#   5. output stability: scripts/same_outputs.py --check runs the CLI on the
+#      fixtures, the benchmark's inputs and the script's other jobs, and
+#      exits 1, naming each job, when a job's exit code, stdout, stderr,
+#      report or written file no longer matches its digest in the committed
+#      scripts/outputs.json (--record rewrites that file; REV in place of
+#      --check compares with another revision instead, for diagnosis).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,3 +68,5 @@ for want in 3.10 3.11 3.12 3.13; do
   done
   [ -n "$checked" ] || echo "skipped CPython $want: no interpreter of it starts"
 done
+
+python3 scripts/same_outputs.py --check

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Check that the `ordeq` CLI gives the same outputs as at another revision.
+"""Check that the `ordeq` CLI gives the same outputs as recorded, or as at another revision.
 
+    python3 scripts/same_outputs.py --check
+    python3 scripts/same_outputs.py --record
     python3 scripts/same_outputs.py REV
 
-REV's `src/` is unpacked into a temporary directory with `git archive`, so
-nothing is written into `.git`.  The `src/` of this checkout and the `src/`
-of REV then each run, in one process per tree, the same list of
-`ordeq.cli.main` calls on the same input files:
+`--check` runs the list of `ordeq.cli.main` calls below under this
+checkout's `src/` and compares each run's digest with the one recorded in
+`scripts/outputs.json`; `--record` writes that file from this checkout.
+With REV, REV's `src/` is unpacked into a temporary directory with `git
+archive`, so nothing is written into `.git`, and both trees run the list,
+one process per tree, on the same input files.  The inputs are written under
+a fixed relative layout, `../inputs/` as each run sees it, fixtures
+included, so no temporary path enters an output.  The list:
 
 - every file under `fixtures/` under `validate`, `check`, `solve --force`,
   `solve --minimal --force`, `enumerate`, `game` and `game --force`, and an
@@ -65,10 +71,21 @@ Each run is hashed over its exit code, stdout, stderr, the `--report`
 document without `elapsed_seconds`, and the file `gen` writes; and hashed
 again with the instance digest masked: the hex after `digest=` on stdout,
 and the report's `instance_digest` and `schema`.  The script prints the
-number of runs, then every run that differs, marked when it differs only
-in those digest fields, with both sides' exit code and the start of their
-stdout and stderr, then the number of differences, split into digest-only
-and all others; it exits 1 on any difference.
+number of runs, then every run that differs, with its exit code and the
+start of its stdout and stderr (both sides' with REV, where a run is also
+marked when it differs only in those digest fields), then the number of
+differences; it exits 1 on any difference, and `--check` also on a recorded
+run that no longer runs.
+
+Versions: `scripts/outputs.json` is recorded under one interpreter, the
+`python3` that runs `scripts/ci.sh`, and it names that Python's and numpy's
+versions.  Per-version digests were not chosen: some texts come from the
+interpreter (`json`'s decode errors, `Fraction`'s messages), but where the
+file was made no other CPython had numpy, so no other version's digests
+could be made or checked.  Under another Python or numpy version `--check`
+still compares every run, and prints both sets of versions first.  A change
+that re-records the file changes a check's data: say so in `CHANGES.md`,
+with the runs whose digest moved (`--check` before `--record` lists them).
 """
 
 from __future__ import annotations
@@ -77,8 +94,10 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -86,6 +105,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+OUTPUTS = ROOT / "scripts" / "outputs.json"
 FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
                     "enumerate", "game", "game --force")
 SEEDED_COMMANDS = ("check", "solve --force", "game --force")
@@ -290,7 +310,8 @@ def _jobs(inputs: Path) -> list:
     from workloads import SHAPES, WORKLOADS, argv, gen_specs, write_instances
 
     jobs = []
-    for path in sorted((ROOT / "fixtures").glob("*.json")):
+    shutil.copytree(ROOT / "fixtures", inputs / "fixtures")
+    for path in sorted((inputs / "fixtures").glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         seeded = [_descent(path), *_seeded(path)] if "C" in doc and "D" in doc else []
         jobs += _command_jobs(path, [*FIXTURE_COMMANDS, *seeded])
@@ -325,6 +346,8 @@ def _jobs(inputs: Path) -> list:
 
 def _run_jobs(jobs_file: str) -> None:
     """Run every job in this process, in the current directory; print one JSON result."""
+    import numpy
+
     from ordeq.cli import main
 
     results = []
@@ -352,7 +375,8 @@ def _run_jobs(jobs_file: str) -> None:
         results.append([name, hashlib.sha256(blob.encode()).hexdigest(),
                         hashlib.sha256(masked.encode()).hexdigest(), code,
                         out.getvalue()[:300], err.getvalue()[:300]])
-    json.dump({"ordeq": sys.modules["ordeq"].__file__, "runs": results}, sys.stdout)
+    json.dump({"ordeq": sys.modules["ordeq"].__file__, "python": platform.python_version(),
+               "numpy": numpy.__version__, "runs": results}, sys.stdout)
 
 
 def _run_tree(tree: Path, jobs_file: Path, work: Path) -> subprocess.Popen:
@@ -360,6 +384,40 @@ def _run_tree(tree: Path, jobs_file: Path, work: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     return subprocess.Popen([sys.executable, __file__, "--run-jobs", str(jobs_file)],
                             cwd=work, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def _run(trees: dict, tmp: Path):
+    """Each named tree's result of the whole job list, one process per tree; None on a failure.
+
+    The inputs are written from tmp/jobs, and each tree runs in its own
+    directory beside it, so every input path is the same relative path.
+    """
+    (tmp / "jobs").mkdir()
+    cwd = os.getcwd()
+    os.chdir(tmp / "jobs")
+    try:
+        jobs = _jobs(Path("..", "inputs"))
+    finally:
+        os.chdir(cwd)
+    jobs_file = tmp / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs), encoding="utf-8")
+    procs = {name: _run_tree(tree, jobs_file, tmp / f"work-{k}")
+             for k, (name, tree) in enumerate(trees.items())}
+    outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
+    if any(proc.returncode for proc in procs.values()):
+        print("a tree's run process failed")
+        return None
+    results = {name: json.loads(output) for name, output in outputs.items()}
+    for name, result in results.items():
+        print(f"{name}: ordeq from {result['ordeq']}")
+        if not Path(result["ordeq"]).resolve().is_relative_to((trees[name] / "src").resolve()):
+            print(f"{name} did not import ordeq from its own src/")
+            return None
+    return results
+
+
+def _show(side: str, run: list) -> None:
+    print(f"  {side}: exit {run[3]}\n    stdout {run[4]!r}\n    stderr {run[5]!r}")
 
 
 def main(rev: str) -> int:
@@ -370,20 +428,10 @@ def main(rev: str) -> int:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        jobs_file = tmp / "jobs.json"
-        jobs_file.write_text(json.dumps(_jobs(tmp / "inputs")), encoding="utf-8")
-        procs = {tree: _run_tree(tree, jobs_file, tmp / f"work-{k}")
-                 for k, tree in enumerate((base, ROOT))}
-        outputs = {tree: proc.communicate()[0] for tree, proc in procs.items()}
-        if any(proc.returncode for proc in procs.values()):
-            print("a tree's run process failed")
-            return 1
-    (was, now) = (json.loads(outputs[tree]) for tree in (base, ROOT))
-    for side, tree, result in ((rev, base, was), ("this checkout", ROOT, now)):
-        print(f"{side}: ordeq from {result['ordeq']}")
-        if not Path(result["ordeq"]).resolve().is_relative_to((tree / "src").resolve()):
-            print(f"{side} did not import ordeq from its own src/")
-            return 1
+        results = _run({rev: base, "this checkout": ROOT}, tmp)
+    if results is None:
+        return 1
+    was, now = results.values()
     print(f"{len(now['runs'])} runs")
     differing = [(old, new) for old, new in zip(was["runs"], now["runs"]) if old[1] != new[1]]
     digest_only = 0
@@ -391,16 +439,47 @@ def main(rev: str) -> int:
         only = old[2] == new[2]
         digest_only += only
         print(f"difference{' (digest or report schema only)' if only else ''}: {old[0]}")
-        print(f"  {rev}: exit {old[3]}\n    stdout {old[4]!r}\n    stderr {old[5]!r}")
-        print(f"  this checkout: exit {new[3]}\n    stdout {new[4]!r}\n    stderr {new[5]!r}")
+        _show(rev, old)
+        _show("this checkout", new)
     print(f"{len(differing)} differences: {digest_only} only in the digest or report schema, "
           f"{len(differing) - digest_only} other")
     return 1 if differing else 0
 
 
+def record_or_check(record: bool) -> int:
+    """Write scripts/outputs.json from this checkout, or compare this checkout with it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        results = _run({"this checkout": ROOT}, Path(tmp))
+    if results is None:
+        return 1
+    (now,) = results.values()
+    digests = {run[0]: run[1] for run in now["runs"]}
+    if record:
+        doc = {"python": now["python"], "numpy": now["numpy"], "runs": digests}
+        OUTPUTS.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(f"recorded {len(digests)} runs in {OUTPUTS.relative_to(ROOT)}")
+        return 0
+    recorded = json.loads(OUTPUTS.read_text(encoding="utf-8"))
+    if (recorded["python"], recorded["numpy"]) != (now["python"], now["numpy"]):
+        print(f"recorded under Python {recorded['python']} and numpy {recorded['numpy']}; "
+              f"this run is Python {now['python']} and numpy {now['numpy']}")
+    print(f"{len(now['runs'])} runs")
+    differing = [run for run in now["runs"] if recorded["runs"].get(run[0]) != run[1]]
+    for run in differing:
+        print(f"{'difference' if run[0] in recorded['runs'] else 'not recorded'}: {run[0]}")
+        _show("this checkout", run)
+    gone = [name for name in recorded["runs"] if name not in digests]
+    for name in gone:
+        print(f"recorded, no longer run: {name}")
+    print(f"{len(differing) + len(gone)} differences")
+    return 1 if differing or gone else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--run-jobs"]:
         _run_jobs(sys.argv[2])
+    elif sys.argv[1:] in (["--record"], ["--check"]):
+        sys.exit(record_or_check(sys.argv[1] == "--record"))
     elif len(sys.argv) == 2:
         sys.exit(main(sys.argv[1]))
     else:

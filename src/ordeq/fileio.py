@@ -502,14 +502,15 @@ def replay_report(report: dict, instance) -> bool:
     ``direction`` says, and is its own highest, so any maximal (minimal)
     claim passes.  Every other field must equal the report rebuilt from
     them and from freshly computed hypotheses, solution set, certificate,
-    game value and exit code.
+    game value and exit code, as JSON: false is no 0, and 1 is no true.
     """
     if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected a {REPORT_SCHEMA!r} document")
     if report.get("instance_digest") != instance_digest(instance):
         return False
     try:
-        return _rebuild(report, instance) == report
+        rebuilt = _rebuild(report, instance)
+        return json.dumps(rebuilt, sort_keys=True) == json.dumps(report, sort_keys=True)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OrdeqError):
         return False  # a malformed claim is not a verified one
 

@@ -8,7 +8,11 @@ edge set over a shuffled element order, which guarantees acyclicity by
 construction, and each element's down-set is passed along its edges as
 they are drawn, so the order is closed when the last edge is.
 
-An instance attempt is drawn as codes: the orders of X, Y and U as leq
+An instance's sides X, Y and U are each fixed or drawn.  A fixed side is
+a poset built once per process and shared: C and D of any poset kind but
+random_poset, and U, a chain, under monotone_bias.  A drawn side is a size
+whose order each attempt draws: C and D of kind random_poset, and U
+otherwise.  An attempt is drawn as codes: the drawn sides' orders as leq
 matrices, T as positions in U, F and G as boolean masks.  Its integer draws
 (a random order's shuffle, T's cells, a subset's size and members) read
 getrandbits as Random's shuffle, choice, randint and sample do, so they
@@ -16,8 +20,9 @@ give the stdlib's values (scripts/check_rules.py checks that on
 each CPython at hand); a shuffle's swaps and T's cells are each one run of
 draws in one loop, and a subset's are one inline loop; random() and
 uniform() stay the stdlib's.  The hypothesis filter rejects attempts on
-these arrays in batches: phi is tested once on a batch's stacked codes, by
-the kernels an instance picks for the same U (T's ranks when U is total),
+these arrays in batches: phi is tested once per batch, on the attempts'
+stacked codes and a fixed side's own order, by the kernels an instance
+picks for the same U (a fixed U's ranks, read once, when it is total),
 and G is still each attempt's last draw, made only when its phi passes.
 The accepted attempt's codes become the instance as they are.
 """
@@ -35,8 +40,7 @@ import numpy as np
 from .equilibrium import ProblemInstance, _optima, _utility_order
 from .errors import FilterExhausted, InvalidSpec
 from .maps import increasing_upward
-from .poset import (_MAX_POSET_ELEMENTS, Poset, _bool_matmul, _down_set_matrix, _past_cap,
-                    _total_ranks, grid_poset)
+from .poset import _MAX_POSET_ELEMENTS, Poset, _bool_matmul, _down_set_matrix, _past_cap, grid_poset
 
 POSET_KINDS = ("chain", "antichain", "boolean_lattice", "grid", "random_poset")
 KINDS = POSET_KINDS + ("random_instance",)
@@ -167,18 +171,6 @@ def gen_poset(spec: GenSpec) -> Poset:
     return _poset(spec.kind, spec.sizes, rng, "e", spec.density)
 
 
-def _side(kind: str, n: int, prefix: str, density: float) -> tuple:
-    """One poset of an instance, of about n elements, and a draw of its order.
-
-    A random order is drawn from the attempt's rng, and the poset is then its
-    ids; any other is the poset itself, built once per process.
-    """
-    if kind == "random_poset":
-        return tuple(f"{prefix}{i}" for i in range(n)), lambda rng: _random_order(n, rng, density)
-    poset = _fixed_side(kind, n, prefix)
-    return poset, lambda rng: poset.leq_matrix
-
-
 @functools.cache  # at most 4 kinds x 12 sizes x 3 prefixes, within _CAPS
 def _fixed_side(kind: str, n: int, prefix: str) -> Poset:
     """A side of constant shape; it is immutable, so every instance can share it."""
@@ -241,11 +233,6 @@ def _draw_constraint(spec: GenSpec, rng: random.Random, n_dom: int, n_cod: int) 
     return [x + z for x in rows for z in _nonempty_subset(rng, n_cod)]
 
 
-def _stack(leqs: tuple) -> np.ndarray:
-    """The attempts' orders of one poset: the order when they all share it, else their stack."""
-    return leqs[0] if all(leq is leqs[0] for leq in leqs) else np.array(leqs)
-
-
 def _masks(positions: list, n_dom: int, n_cod: int) -> np.ndarray:
     """One (n_dom, n_cod) mask per attempt, set at that attempt's positions, in one scatter."""
     size = n_dom * n_cod
@@ -262,32 +249,33 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     check_hypotheses; the first passing pair in C x D order is recorded as
     the instance seed.  Each attempt is drawn as codes from its own rng and
     rejected on them: phi increasing upward is tested before G is drawn,
-    then psi, then the seed condition.  Attempts are drawn in batches of 1,
-    2, 4, ... up to _BATCH_CAP, and phi is tested once per batch, on the
-    stacked codes; the first attempt in order whose phi passes goes on to
-    G and psi.  The masks and flags come from the instance's own kernels on
-    the same codes, so the verdict is the instance's, and only the accepted
-    attempt becomes an instance.  Raises FilterExhausted honestly when the
-    cap is hit.
+    then psi, then the seed condition.  A side is fixed or drawn, as the
+    module docstring says: an attempt draws the order of each drawn side
+    only.  Attempts are drawn in batches of 1, 2, 4, ... up to _BATCH_CAP,
+    and phi is tested once per batch; the first attempt in order whose phi
+    passes goes on to G and psi.  The masks and flags come from the
+    instance's own kernels on the same codes, so the verdict is the
+    instance's, and only the accepted attempt becomes an instance.  Raises
+    FilterExhausted honestly when the cap is hit.
     """
     if spec.kind != "random_instance":
         raise InvalidSpec(f"kind {spec.kind!r} does not generate an instance")
     if any(s > c for s, c in zip(spec.sizes, _CAPS)):
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {_CAPS}")
 
-    kind, density, n_u = spec.poset_kind, spec.density, spec.sizes[2]
-    sides, draws = zip(
-        _side(kind, spec.sizes[0], "c", density),
-        _side(kind, spec.sizes[1], "d", density),
-        _side("chain" if spec.monotone_bias else "random_poset", n_u, "u", density),
-    )
-    n_c, n_d = len(sides[0]), len(sides[1])  # a boolean lattice may be smaller
+    kinds = (spec.poset_kind,) * 2 + ("chain" if spec.monotone_bias else "random_poset",)
+    sides = [n if kind == "random_poset" else _fixed_side(kind, n, prefix)
+             for kind, n, prefix in zip(kinds, spec.sizes, "cdu")]
+    drawn, density = [type(side) is int for side in sides], spec.density
+    # a Boolean lattice may have fewer elements than its size
+    n_c, n_d = (side if d else len(side) for side, d in zip(sides, drawn[:2]))
     master = random.Random(spec.rng_seed)
 
     def attempt() -> tuple:
         """An attempt's rng, orders, T and F; its G is drawn from the rng later, if at all."""
         rng = random.Random(master.getrandbits(63))
-        orders = tuple(draw(rng) for draw in draws)
+        orders = tuple(_random_order(side, rng, density) if d else side.leq_matrix
+                       for side, d in zip(sides, drawn))
         return (rng, orders, _draw_table(spec, rng, *orders[:2]),
                 _draw_constraint(spec, rng, n_c, n_d))
 
@@ -299,14 +287,15 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     while batch := list(islice(attempts, size)):
         size = min(2 * size, _BATCH_CAP)
         rngs, orders, T, F = zip(*batch)
-        c_leq, d_leq, u_leq = map(_stack, zip(*orders))
+        c_leq, d_leq, u_leq = (np.array(leqs) if d else side.leq_matrix
+                               for side, d, leqs in zip(sides, drawn, zip(*orders)))
         T, F = np.array(T), _masks(F, n_c, n_d)
-        # a shared U's ranks, if it is total; lt gives the same optima for any U
-        values, lt = _utility_order(T, _total_ranks(u_leq) if u_leq.ndim == 2 else None, u_leq)
+        # a fixed U's ranks, if it is total; lt gives the same optima for any U
+        values, lt = _utility_order(T, None if drawn[2] else sides[2]._ranks, u_leq)
         phi = _optima(values, F, lt, lowest=True)
         for k in compress(range(len(batch)), increasing_upward(phi, c_leq, d_leq).tolist()):
             G = _masks([_draw_constraint(spec, rngs[k], n_d, n_c)], n_d, n_c)[0]  # its last draw
-            psi = _optima(values[k].T, G, lt if u_leq.ndim == 2 else lt[k], lowest=False)
+            psi = _optima(values[k].T, G, lt[k] if drawn[2] else lt, lowest=False)
             c_k, d_k = orders[k][:2]
             if not increasing_upward(psi, d_k, c_k):
                 continue
@@ -320,14 +309,14 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     )
 
 
-def _build(sides: tuple, orders: tuple, T: np.ndarray, F: np.ndarray,
+def _build(sides: list, orders: tuple, T: np.ndarray, F: np.ndarray,
            G: np.ndarray, seed=None) -> ProblemInstance:
     """The instance made of an attempt's codes; G's row j is G(y_j), a seed is positions.
 
-    A side that is a poset is used as it is; one that is ids gets the attempt's order.
+    A fixed side is used as it is; a drawn side, a size, gets ids and the attempt's order.
     """
-    X, Y, U = (side if isinstance(side, Poset) else Poset._trusted(side, leq)
-               for side, leq in zip(sides, orders))
+    X, Y, U = (Poset._trusted([f"{prefix}{i}" for i in range(side)], leq)
+               if type(side) is int else side for side, prefix, leq in zip(sides, "cdu", orders))
     return ProblemInstance._from_codes(
         X.full_subset(), Y.full_subset(), U, T, F, G,
         seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),
