@@ -30,7 +30,9 @@
 #      exits 1, naming each job, when a job's exit code, stdout, stderr,
 #      report or written file no longer matches its digest in the committed
 #      scripts/outputs.json (--record rewrites that file; REV in place of
-#      --check compares with another revision instead, for diagnosis).
+#      --check compares with another revision instead, for diagnosis); the
+#      file holds one Python's and numpy's digests, so under other versions
+#      the step prints both sets of versions and is skipped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

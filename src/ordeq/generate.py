@@ -264,9 +264,9 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
         raise InvalidSpec(f"sizes {spec.sizes} exceed the caps {_CAPS}")
 
     kinds = (spec.poset_kind,) * 2 + ("chain" if spec.monotone_bias else "random_poset",)
-    sides = [n if kind == "random_poset" else _fixed_side(kind, n, prefix)
-             for kind, n, prefix in zip(kinds, spec.sizes, "cdu")]
-    drawn, density = [type(side) is int for side in sides], spec.density
+    drawn, density = [kind == "random_poset" for kind in kinds], spec.density
+    sides = [n if d else _fixed_side(kind, n, prefix)
+             for kind, d, n, prefix in zip(kinds, drawn, spec.sizes, "cdu")]
     # a Boolean lattice may have fewer elements than its size
     n_c, n_d = (side if d else len(side) for side, d in zip(sides, drawn[:2]))
     master = random.Random(spec.rng_seed)
@@ -282,7 +282,7 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
     if spec.filter == "none":
         rng, orders, T, F = attempt()
         G = _draw_constraint(spec, rng, n_d, n_c)
-        return _build(sides, orders, T, _masks([F], n_c, n_d)[0], _masks([G], n_d, n_c)[0])
+        return _build(sides, drawn, orders, T, _masks([F], n_c, n_d)[0], _masks([G], n_d, n_c)[0])
     attempts, size = (attempt() for _ in range(spec.max_retries)), 1
     while batch := list(islice(attempts, size)):
         size = min(2 * size, _BATCH_CAP)
@@ -302,21 +302,21 @@ def gen_instance(spec: GenSpec) -> ProblemInstance:
             # seed (x, y): some z in psi(y) above x and some u in phi(x) above y
             seeds = np.flatnonzero(_bool_matmul(c_k, psi.T) & _bool_matmul(phi[k], d_k.T))
             if len(seeds):
-                return _build(sides, orders[k], T[k], F[k], G, seed=divmod(int(seeds[0]), n_d))
+                return _build(sides, drawn, orders[k], T[k], F[k], G, divmod(int(seeds[0]), n_d))
     raise FilterExhausted(
         f"no instance passing check_hypotheses found in {spec.max_retries} attempts "
         f"(spec seed {spec.rng_seed})"
     )
 
 
-def _build(sides: list, orders: tuple, T: np.ndarray, F: np.ndarray,
+def _build(sides: list, drawn: list, orders: tuple, T: np.ndarray, F: np.ndarray,
            G: np.ndarray, seed=None) -> ProblemInstance:
     """The instance made of an attempt's codes; G's row j is G(y_j), a seed is positions.
 
     A fixed side is used as it is; a drawn side, a size, gets ids and the attempt's order.
     """
-    X, Y, U = (Poset._trusted([f"{prefix}{i}" for i in range(side)], leq)
-               if type(side) is int else side for side, prefix, leq in zip(sides, "cdu", orders))
+    X, Y, U = (Poset._trusted([f"{prefix}{i}" for i in range(side)], leq) if d else side
+               for side, d, prefix, leq in zip(sides, drawn, "cdu", orders))
     return ProblemInstance._from_codes(
         X.full_subset(), Y.full_subset(), U, T, F, G,
         seed=None if seed is None else (X.elements[seed[0]], Y.elements[seed[1]]),
