@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # The CI checks, runnable locally from any directory: scripts/ci.sh
+# They run in two lanes at once: step 1 in one, and steps 2 to 5 in order in
+# the other, whose output is printed when both lanes have ended; the script
+# fails if either lane fails.
 #   1. the Tier-1 test suite, with every warning an error but one: when a
 #      hypothesis test fails, hypothesis imports libcst to explain the
 #      failure, and libcst's type_inference_provider warns that
@@ -36,39 +39,49 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error \
-  -W "ignore::DeprecationWarning:libcst.metadata.type_inference_provider" \
-  --continue-on-collection-errors
-
 smoke=$(mktemp)
 scaling=$(mktemp)
-trap 'rm -f "$smoke" "$scaling"' EXIT
-out=$(python3 bench/run.py --workload all --seed 1 --seconds 1 --out "$smoke")
-echo "$out"
-echo "$out" | tail -n 1 | python3 -c 'import json, sys; r, d = json.load(sys.stdin), json.load(open(sys.argv[1], encoding="utf-8")); sys.exit(0 if r["correct"] is True and r["failed"] == 0 and all(w["trace"]["replay_errors"] == 0 for w in d["workloads"].values()) else 1)' "$smoke"
+lane=$(mktemp)
+trap 'rm -f "$smoke" "$scaling" "$lane"' EXIT
 
-python3 scripts/scaling.py --smallest --out "$scaling"
+checks() {  # steps 2 to 5, in order; the first that fails ends the lane
+  out=$(python3 bench/run.py --workload all --seed 1 --seconds 1 --out "$smoke")
+  echo "$out"
+  echo "$out" | tail -n 1 | python3 -c 'import json, sys; r, d = json.load(sys.stdin), json.load(open(sys.argv[1], encoding="utf-8")); sys.exit(0 if r["correct"] is True and r["failed"] == 0 and all(w["trace"]["replay_errors"] == 0 for w in d["workloads"].values()) else 1)' "$smoke"
 
-python3 scripts/check_rules.py
-ran=$(python3 -c 'import sys; print("%d.%d" % sys.version_info[:2])')
-for want in 3.10 3.11 3.12 3.13; do
-  [ "$want" = "$ran" ] && continue
-  candidates=("python$want")
-  installed=$(pyenv versions --bare 2>/dev/null || true)
-  for version in $(echo "$installed" | grep -E "^${want/./\\.}(\.[0-9]+)?$" || true); do
-    candidates+=("env PYENV_VERSION=$version python3")
+  python3 scripts/scaling.py --smallest --out "$scaling"
+
+  python3 scripts/check_rules.py
+  ran=$(python3 -c 'import sys; print("%d.%d" % sys.version_info[:2])')
+  for want in 3.10 3.11 3.12 3.13; do
+    [ "$want" = "$ran" ] && continue
+    candidates=("python$want")
+    installed=$(pyenv versions --bare 2>/dev/null || true)
+    for version in $(echo "$installed" | grep -E "^${want/./\\.}(\.[0-9]+)?$" || true); do
+      candidates+=("env PYENV_VERSION=$version python3")
+    done
+    checked=""
+    for interpreter in "${candidates[@]}"; do
+      got=$($interpreter -c 'import sys; print(sys.implementation.name, *sys.version_info[:2])' \
+            2>/dev/null || true)
+      if [ "$got" = "cpython ${want/./ }" ]; then
+        $interpreter scripts/check_rules.py
+        checked=yes
+        break
+      fi
+    done
+    [ -n "$checked" ] || echo "skipped CPython $want: no interpreter of it starts"
   done
-  checked=""
-  for interpreter in "${candidates[@]}"; do
-    got=$($interpreter -c 'import sys; print(sys.implementation.name, *sys.version_info[:2])' \
-          2>/dev/null || true)
-    if [ "$got" = "cpython ${want/./ }" ]; then
-      $interpreter scripts/check_rules.py
-      checked=yes
-      break
-    fi
-  done
-  [ -n "$checked" ] || echo "skipped CPython $want: no interpreter of it starts"
-done
 
-python3 scripts/same_outputs.py --check
+  python3 scripts/same_outputs.py --check
+}
+
+checks > "$lane" 2>&1 &
+checks_pid=$!
+status=0
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error \
+  -W "ignore::DeprecationWarning:libcst.metadata.type_inference_provider" \
+  --continue-on-collection-errors || status=1
+wait "$checks_pid" || status=1
+cat "$lane"
+exit "$status"

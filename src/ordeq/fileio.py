@@ -16,7 +16,10 @@ D number its ids, before the loop the API runs too codes the list (the
 instance's, under ``instance:``: a T value as its position in U; that of
 :mod:`ordeq.games`: a payoff as its slot among the distinct raw payoffs),
 so the first bad value in C x D order is refused in the API's words, and
-then the first missing pair.  Serialization normalizes: element ids become
+then the first missing pair.  A row costs one lookup of its two ids, and
+an edge one lookup of each endpoint; the type and membership tests run
+only to name the first refusal, in the order and words of a test per id
+(x before y, a before b).  Serialization normalizes: element ids become
 strings, relations become Hasse edges, rows are emitted in a canonical
 order; parse-then-serialize is idempotent after the first pass.  It reads
 the codes, so ids are converted once per element, never once per cell,
@@ -108,7 +111,7 @@ def _require(section: str, data: dict, key: str):
 
 
 def _strings(data) -> bool:
-    """A list of strings, the JSON rule for ids: a loop, twice as fast as all() per edge."""
+    """A list of strings, the JSON rule for ids: a loop, twice as fast as all()."""
     if not isinstance(data, list):
         return False
     for e in data:
@@ -140,8 +143,10 @@ def _parse_poset(section: str, data) -> Poset:
     if _past_cap([len(elements)]):
         raise ValidationError(f"{section}: more than {_MAX_POSET_ELEMENTS} elements")
     edges = data.get("edges", [])
-    if not isinstance(edges, list) or not all(_strings(e) and len(e) == 2 for e in edges):
-        raise ValidationError(f"{section}: edges must be a list of [a, b] pairs of strings")
+    for e in edges if isinstance(edges, list) else [None]:  # edges that are no list: refused
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], str)):
+            raise ValidationError(f"{section}: edges must be a list of [a, b] pairs of strings")
     if data.get("edge_kind", "hasse") not in ("hasse", "full"):
         raise ValidationError(f"{section}: edge_kind must be 'hasse' or 'full'")
     with _section(section):
@@ -181,19 +186,20 @@ def _parse_cells(section: str, data, C: Subset, D: Subset) -> list:
     """
     if not isinstance(data, list):
         raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
-    rows, cols, n_d = C._index, D._index, len(D)
+    cols, n_d = D._index, len(D)
+    first = {x: i * n_d for x, i in C._index.items()}  # each member of C to its row's first cell
     cells = [_HOLE] * (len(C) * n_d)
     for row in data:
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValidationError(f"{section}: malformed row {row!r}")
-        x, y, v = row
-        i = rows.get(x) if isinstance(x, str) else None
-        if i is None:
-            raise ValidationError(f"{section}: row references {x!r}, not a member of C")
-        j = cols.get(y) if isinstance(y, str) else None
-        if j is None:
-            raise ValidationError(f"{section}: row references {y!r}, not a member of D")
-        k = i * n_d + j
+        try:  # a row that is no list unpacks as (), so it fails as a list of the wrong length does
+            x, y, v = row if type(row) is list or isinstance(row, list) else ()
+            k = first[x] + cols[y]
+        except ValueError:
+            raise ValidationError(f"{section}: malformed row {row!r}") from None
+        except (KeyError, TypeError):  # a non-string id misses, or is unhashable
+            for end, ids, side in ((x, first, "C"), (y, cols, "D")):
+                if not isinstance(end, str) or end not in ids:
+                    raise ValidationError(
+                        f"{section}: row references {end!r}, not a member of {side}") from None
         if cells[k] is not _HOLE:
             raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
         cells[k] = v
@@ -261,7 +267,10 @@ def read_json(path):
     """The JSON document in a file; ParseError when it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_object_dict)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads's refusal, which the decoder leaves to it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -276,6 +285,9 @@ def _object_dict(pairs: list) -> dict:
         repeated = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
         raise ValueError(f"repeated key {repeated!r}")
     return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_dict)  # one per process, not per read
 
 
 def parse_instance(path) -> Union[ProblemInstance, ZeroSumGame]:

@@ -398,15 +398,18 @@ def load_poset(elements: Sequence[Element], edges: Iterable[Sequence[Element]] =
     An edge is a pair a <= b: any two-item sequence, so a tuple or a parsed
     JSON list.  The stored relation is the reflexive-transitive closure of
     the edges, so a Hasse diagram and any relation between it and its
-    closure give one poset.  Raises DuplicateElement, UnknownElement, or CycleDetected.
+    closure give one poset.  An edge costs one lookup of each endpoint;
+    membership is tested only to name the first undeclared endpoint, a
+    before b.  Raises DuplicateElement, UnknownElement, or CycleDetected.
     """
     elements = tuple(elements)
     index = _positions(elements)
     succ = [[] for _ in elements]
     for a, b in edges:
-        for end in (a, b):
-            if end not in index:
-                raise UnknownElement(f"edge endpoint {end!r} is not a declared element")
-        succ[index[a]].append(index[b])
+        try:
+            succ[index[a]].append(index[b])
+        except KeyError:
+            end = a if a not in index else b
+            raise UnknownElement(f"edge endpoint {end!r} is not a declared element") from None
     leq, acyclic = _close(succ)  # on a cycle Poset(...) refuses leq, naming a pair
     return Poset._trusted(elements, leq, index) if acyclic else Poset(elements, leq)

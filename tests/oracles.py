@@ -12,7 +12,9 @@ broadcast referee works on index codes, as the package's optima kernel
 does, but by another route.  The count referee finds the extremal
 solutions by counting, with float64 matmuls, where the solver takes one
 argmax of heights.  The digest referee lays out the digest's bytes from
-the normalized document alone.  The subset and map referees scan the
+the normalized document alone.  The row-layout referee lays a T or payoff
+table out with the per-row loop the parse used before it looked both ids
+up at once.  The subset and map referees scan the
 parent poset and test each cell for membership.  The grid referee lays the
 coordinates out with np.meshgrid and compares them axis by axis.
 """
@@ -606,6 +608,39 @@ def referee_digest(obj):
     fields.append(struct.pack("<2I", cs.index(seed[0]), ds.index(seed[1])) if seed else b"")
     blob = b"".join(struct.pack("<Q", len(f)) + f for f in fields)
     return hashlib.sha256(blob).hexdigest()
+
+
+# -- the row layout of a T or payoff table -------------------------------------
+#
+# Each row tests its shape, then each id's type and membership, x before y, and
+# only then takes its cell: the loop fileio._parse_cells ran before it looked
+# both ids up in one step and named a refusal only when that failed.
+
+
+def referee_cells(section, data, C, D):
+    """The [x, y, value] rows as a flat C x D list of raw values, _HOLE where none."""
+    from ordeq.equilibrium import _HOLE
+    from ordeq.errors import ValidationError
+
+    if not isinstance(data, list):
+        raise ValidationError(f"{section}: must be a list of [x, y, value] rows")
+    rows, cols, n_d = C._index, D._index, len(D)
+    cells = [_HOLE] * (len(C) * n_d)
+    for row in data:
+        if not isinstance(row, list) or len(row) != 3:
+            raise ValidationError(f"{section}: malformed row {row!r}")
+        x, y, v = row
+        i = rows.get(x) if isinstance(x, str) else None
+        if i is None:
+            raise ValidationError(f"{section}: row references {x!r}, not a member of C")
+        j = cols.get(y) if isinstance(y, str) else None
+        if j is None:
+            raise ValidationError(f"{section}: row references {y!r}, not a member of D")
+        k = i * n_d + j
+        if cells[k] is not _HOLE:
+            raise ValidationError(f"{section}: duplicate row for ({x!r}, {y!r})")
+        cells[k] = v
+    return cells
 
 
 # -- subsets and maps as codes -------------------------------------------------

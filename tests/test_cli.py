@@ -802,7 +802,23 @@ class TestPinnedOutputs:
         # every row is checked before any value is: the duplicate is reported
         (lambda rows: (rows[0].__setitem__(2, "u9"), rows.append(list(rows[3]))),
          "T: duplicate row for ('c1', 'd1')"),
-    ], ids=["hole", "duplicate", "not-in-U", "non-member", "precedence"])
+        # an id that misses the lookup, or cannot be looked up, is named with its JSON type's repr
+        (lambda rows: rows[2].__setitem__(0, "nope"),
+         "T: row references 'nope', not a member of C"),
+        (lambda rows: rows[2].__setitem__(0, 1), "T: row references 1, not a member of C"),
+        (lambda rows: rows[2].__setitem__(0, ["c1"]),
+         "T: row references ['c1'], not a member of C"),
+        (lambda rows: rows[2].__setitem__(1, None), "T: row references None, not a member of D"),
+        (lambda rows: rows[2].__setitem__(1, ["d0"]),
+         "T: row references ['d0'], not a member of D"),
+        (lambda rows: rows[2].__setitem__(slice(0, 2), ["nope", 1]),
+         "T: row references 'nope', not a member of C"),
+        # no row is unpacked before its shape passes: three characters are no [x, y, value]
+        (lambda rows: rows.__setitem__(2, "abc"), "T: malformed row 'abc'"),
+        (lambda rows: rows.__setitem__(2, {"a": 1, "b": 2, "c": 3}),
+         "T: malformed row {'a': 1, 'b': 2, 'c': 3}"),
+    ], ids=["hole", "duplicate", "not-in-U", "non-member", "precedence", "x-absent", "x-int",
+            "x-list", "y-null", "y-list", "both-bad", "three-characters", "three-keys"])
     def test_objective_table_errors(self, capsys, tmp_path, edit, message):
         doc = json.loads(Path(FIXTURES["i2"]).read_text())
         edit(doc["T"])
@@ -836,9 +852,18 @@ class TestPinnedOutputs:
         (lambda doc: doc.update(seed=["c0"]), "ValidationError: seed: must be a [x, y] pair"),
         (lambda doc: doc.pop("posets"),
          "ValidationError: document: missing required field 'posets'"),
+        # the first undeclared endpoint is named, a before b
+        (lambda doc: doc["posets"]["X"]["edges"].append(["q", "r"]),
+         "ValidationError: posets.X: UnknownElement: edge endpoint 'q' is not a declared element"),
+        (lambda doc: doc["posets"]["X"]["edges"].append(["c0", "q"]),
+         "ValidationError: posets.X: UnknownElement: edge endpoint 'q' is not a declared element"),
+        (lambda doc: doc["posets"]["X"]["edges"].append(["c0", 1]),
+         "ValidationError: posets.X: edges must be a list of [a, b] pairs of strings"),
+        (lambda doc: doc["posets"]["X"]["edges"].append(["c0", "c0", "c0"]),
+         "ValidationError: posets.X: edges must be a list of [a, b] pairs of strings"),
     ], ids=["list", "mode", "posets-list", "poset-list", "subset-list", "unknown-member",
             "empty-subset", "empty-D", "constraint-list", "table-object", "short-row", "short-seed",
-            "no-posets"])
+            "no-posets", "edge-unknown-a", "edge-unknown-b", "edge-int", "edge-triple"])
     def test_document_errors(self, capsys, tmp_path, edit, message):
         doc = json.loads(Path(FIXTURES["i2"]).read_text())
         edited = edit(doc)
@@ -984,6 +1009,14 @@ class TestMalformedDocuments:
             code, _, err = run(capsys, command, str(target))
             assert code == 1
             assert err.startswith(f"error: ParseError: cannot parse {target}: ")
+
+    def test_byte_order_mark_refused_in_json_words(self, capsys, tmp_path):
+        target = tmp_path / "bom.json"
+        target.write_text("\ufeff" + Path(FIXTURES["i2"]).read_text(), encoding="utf-8")
+        expected = (f"error: ParseError: {target} is not valid JSON: Unexpected UTF-8 BOM "
+                    "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+        for command in ("validate", "check"):
+            assert run(capsys, command, str(target)) == (1, "", expected)
 
     @pytest.mark.parametrize("name, opening, repeat, key", [
         ("i2", '"G": {', '"d1": ["c0"], ', "d1"),

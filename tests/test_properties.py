@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import operator
 import random
 import re
 import tempfile
@@ -31,9 +32,9 @@ from ordeq import (
 )
 from ordeq import equilibrium
 from ordeq.cli import main as cli_main
-from ordeq.errors import CycleDetected, NoSolution, OrdeqError
-from ordeq.fileio import (_rebuild, dump_instance, element_id, instance_digest, parse_instance,
-                          parse_instance_dict, replay_report, serialize_instance)
+from ordeq.errors import CycleDetected, NoSolution, OrdeqError, ValidationError
+from ordeq.fileio import (_parse_cells, _rebuild, dump_instance, element_id, instance_digest,
+                          parse_instance, parse_instance_dict, replay_report, serialize_instance)
 from ordeq.generate import POSET_KINDS
 
 from conftest import FIXTURES
@@ -50,6 +51,7 @@ from oracles import (
     edge_poset,
     pair_leq,
     pair_lt,
+    referee_cells,
     scan_order_matrix,
     scan_ordered,
     warshall,
@@ -706,6 +708,70 @@ def test_mutated_document_exits_0_to_3_and_round_trips(mutation):
         assert dumps[1].read_bytes() == dumps[0].read_bytes()
         for report in reports:
             assert replay_report(report, inst), report["command"]
+
+
+def _wide_table() -> tuple:
+    """("T", rows, C, D) in the style of the wide-oracle workload: 32-element antichains X and Y,
+    C the first 24 elements of X, so that X's other 8 ids are no members, and 16 values."""
+    rng = random.Random(1)
+    xs, ys = [f"c{i}" for i in range(32)], [f"d{i}" for i in range(32)]
+    rows = [[x, y, f"u{rng.randrange(16)}"] for x in xs[:24] for y in ys]
+    return "T", rows, load_poset(xs).subset(xs[:24]), load_poset(ys).subset(ys)
+
+
+def _document_table(doc) -> tuple:
+    """(section, rows, C, D) of a document's T or payoff table."""
+    obj, section = parse_instance_dict(doc), "payoff" if doc["mode"] == "game" else "T"
+    return section, doc[section], obj.C, obj.D
+
+
+_TABLES = {**{name: _document_table(doc) for name, doc in _DOCS.items()}, "wide": _wide_table()}
+
+
+@st.composite
+def _edited_table(draw):
+    """(section, rows, C, D): a table's rows after one to three edits, each a shuffle, a row
+    dropped or duplicated, the table or a row cut short, or one id or both replaced by a
+    hostile value or by an element id of X or Y."""
+    section, rows, C, D = _TABLES[draw(st.sampled_from(sorted(_TABLES)))]
+    rows, ids = copy.deepcopy(rows), [*C.parent.elements, *D.parent.elements]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["shuffle", "drop", "duplicate", "truncate", "ids"]))
+        if edit == "shuffle":
+            random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+            continue
+        if not rows:
+            continue
+        k = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop":
+            del rows[k]
+        elif edit == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), copy.deepcopy(rows[k]))
+        elif edit == "truncate" and draw(st.booleans()):
+            del rows[k:]
+        elif edit == "truncate":
+            rows[k] = rows[k][:draw(st.integers(0, 2))]
+        elif len(rows[k]) == 3:
+            for slot in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+                rows[k][slot] = draw(st.sampled_from(_HOSTILE + ids))
+    return section, rows, C, D
+
+
+def _cells_or_refusal(parse, section, rows, C, D):
+    try:
+        return parse(section, rows, C, D)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(_edited_table())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_cells_lays_out_or_refuses_rows_as_the_referee_does(table):
+    got, want = (_cells_or_refusal(parse, *table) for parse in (_parse_cells, referee_cells))
+    if isinstance(want, str):
+        assert got == want
+    else:  # each cell holds its row's own value object
+        assert len(got) == len(want) and all(map(operator.is_, got, want))
 
 
 @cache
