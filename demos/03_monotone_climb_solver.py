@@ -18,13 +18,16 @@ print("seed condition witness:", hyp.seed_witness)
 print("hypotheses pass:", hyp.passes)
 
 # The climb ascends through gamma until it hits a fixed point, then the
-# fixed point is promoted to a maximal solution above the seed.
+# fixed point is promoted to a maximal solution above the seed.  The report
+# holds the hypotheses at the seed, the climb, the solution and its
+# certificate; a solve claims one pair, and the solution set is the
+# instance's (what `enumerate` prints).
 rep = inst.solve_maximal(("c0", "d0"))
 print("\nclimb trace:", " -> ".join(map(str, rep.climb_trace)))
-print("maximal solution:", rep.solution)
-print("full solution set:", sorted(rep.solutions))
+print("maximal solution:", rep.solution, "existence guaranteed:", rep.hypotheses.passes)
+print("full solution set:", sorted(inst.solution_set))
 
-cert = rep.certificates[rep.solution]
+cert = rep.certificate
 print("\ncertificate: feasible:", cert.feasible_in_g and cert.feasible_in_f)
 print("row deviations checked:", cert.row_candidates, "violators:", cert.row_violators)
 print("col deviations checked:", cert.col_candidates, "violators:", cert.col_violators)

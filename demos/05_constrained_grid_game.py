@@ -26,10 +26,12 @@ G = SetValuedMap(D, C, {y: {x for x in C.ordered() if dominates(x, y)} for y in 
 game = ZeroSumGame(C, D, payoff, F=F, G=G, seed=((0, 0), (0, 0)))
 print("distinct payoff values (the utility chain):", [str(v) for v in game.U.elements])
 
+# solve_game returns only once the saddle inequalities hold on the raw
+# rationals (it raises InvariantBreach otherwise): the report's solution is
+# the equilibrium, and the value is the payoff there.
 result = solve_game(game)
 print("\nclimb:", " -> ".join(map(str, result.report.climb_trace)))
-print("equilibrium:", result.equilibrium, "value:", result.value)
-print("saddle inequalities re-verified on raw rationals:", result.saddle_verified)
+print("equilibrium:", result.report.solution, "value:", result.value)
 
 print("\nall", len(game.solution_set), "equilibria (brute force):")
 for s in sorted(game.solution_set, key=game.pair_index):

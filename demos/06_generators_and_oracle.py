@@ -35,7 +35,7 @@ print(f"\nfiltered instance digest: {instance_digest(inst)[:16]}")
 print("recorded seed:", inst.seed, "passes:", inst.check_hypotheses().passes)
 rep = inst.solve_maximal()
 print("solved:", rep.solution, "via", len(rep.climb_trace), "climb steps,",
-      f"|S| = {len(rep.solutions)}")
+      f"|S| = {len(inst.solution_set)}")
 
 # Determinism contract: the same spec yields the same instance, bytes and all.
 again = gen_instance(

@@ -36,6 +36,9 @@
 #      --check compares with another revision instead, for diagnosis); the
 #      file holds one Python's and numpy's digests, so under other versions
 #      the step prints both sets of versions and is skipped.
+# After each step (and after the rules checker under each interpreter) a line
+# "step N: <name> <seconds> s" gives its wall time, and the last line the
+# whole run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,13 +48,18 @@ lane=$(mktemp)
 trap 'rm -f "$smoke" "$scaling" "$lane"' EXIT
 
 checks() {  # steps 2 to 5, in order; the first that fails ends the lane
-  out=$(python3 bench/run.py --workload all --seed 1 --seconds 1 --out "$smoke")
-  echo "$out"
-  echo "$out" | tail -n 1 | python3 -c 'import json, sys; r, d = json.load(sys.stdin), json.load(open(sys.argv[1], encoding="utf-8")); sys.exit(0 if r["correct"] is True and r["failed"] == 0 and all(w["trace"]["replay_errors"] == 0 for w in d["workloads"].values()) else 1)' "$smoke"
+  TIMEFORMAT="step 2: benchmark smoke %1R s"
+  time {
+    out=$(python3 bench/run.py --workload all --seed 1 --seconds 1 --out "$smoke")
+    echo "$out"
+    echo "$out" | tail -n 1 | python3 -c 'import json, sys; r, d = json.load(sys.stdin), json.load(open(sys.argv[1], encoding="utf-8")); sys.exit(0 if r["correct"] is True and r["failed"] == 0 and all(w["trace"]["replay_errors"] == 0 for w in d["workloads"].values()) else 1)' "$smoke"
+  }
 
-  python3 scripts/scaling.py --smallest --out "$scaling"
+  TIMEFORMAT="step 3: scaling smoke %1R s"
+  time python3 scripts/scaling.py --smallest --out "$scaling"
 
-  python3 scripts/check_rules.py
+  TIMEFORMAT="step 4: rules checker under python3 %1R s"
+  time python3 scripts/check_rules.py
   ran=$(python3 -c 'import sys; print("%d.%d" % sys.version_info[:2])')
   for want in 3.10 3.11 3.12 3.13; do
     [ "$want" = "$ran" ] && continue
@@ -65,7 +73,8 @@ checks() {  # steps 2 to 5, in order; the first that fails ends the lane
       got=$($interpreter -c 'import sys; print(sys.implementation.name, *sys.version_info[:2])' \
             2>/dev/null || true)
       if [ "$got" = "cpython ${want/./ }" ]; then
-        $interpreter scripts/check_rules.py
+        TIMEFORMAT="step 4: rules checker under CPython $want %1R s"
+        time $interpreter scripts/check_rules.py
         checked=yes
         break
       fi
@@ -73,15 +82,20 @@ checks() {  # steps 2 to 5, in order; the first that fails ends the lane
     [ -n "$checked" ] || echo "skipped CPython $want: no interpreter of it starts"
   done
 
-  python3 scripts/same_outputs.py --check
+  TIMEFORMAT="step 5: outputs check %1R s"
+  time python3 scripts/same_outputs.py --check
 }
 
 checks > "$lane" 2>&1 &
 checks_pid=$!
 status=0
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error \
-  -W "ignore::DeprecationWarning:libcst.metadata.type_inference_provider" \
-  --continue-on-collection-errors || status=1
+TIMEFORMAT="step 1: test suite %1R s"
+time {
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error \
+    -W "ignore::DeprecationWarning:libcst.metadata.type_inference_provider" \
+    --continue-on-collection-errors || status=1
+}
 wait "$checks_pid" || status=1
 cat "$lane"
+echo "all steps: ${SECONDS} s"
 exit "$status"

@@ -18,6 +18,11 @@ included, so no temporary path enters an output.  The list:
   `solve --minimal --force`, `enumerate`, `game` and `game --force`, and an
   instance file also under `solve --minimal --force` seeded at the last
   members of its C and D, so a descending climb writes a report;
+- every file under `fixtures/` under `solve --force`, `solve --minimal
+  --force` and `game --force` again with no `--report` (`NO_REPORT_COMMANDS`;
+  such a run is named with a trailing "(no report)"), since every other
+  solve and game run writes a report, and a solve that writes none reads
+  no solution set;
 - every instance fixture under `check`, `solve --force` and `game --force`
   with `--seed` at the first members of its C and D and with `--seed q:q`
   (no member), and a roep fixture also under `game` seeded at the first
@@ -52,8 +57,9 @@ included, so no temporary path enters an output.  The list:
   integer, a float, a list, an object, an id of X), under the same two;
 - generated roep files of `LARGE_ROEP_SIDE` x `LARGE_ROEP_SIDE` T rows,
   with F and G written out and with them omitted, under `validate`,
-  `check`, `solve --force` and `enumerate`: enough rows that the cyclic
-  collector, when it is on, runs during the parse;
+  `check`, `solve --force` and `enumerate`, and `solve --force` with no
+  `--report`: enough rows that the cyclic collector, when it is on, runs
+  during the parse;
 - the seed-1 instance files of every benchmark workload (written by
   `bench/workloads.py`, which is imported and not changed) under
   `validate`, each of the workload's commands, and `solve --minimal
@@ -111,6 +117,7 @@ OUTPUTS = ROOT / "scripts" / "outputs.json"
 FIXTURE_COMMANDS = ("validate", "check", "solve --force", "solve --minimal --force",
                     "enumerate", "game", "game --force")
 SEEDED_COMMANDS = ("check", "solve --force", "game --force")
+NO_REPORT_COMMANDS = ("solve --force", "solve --minimal --force", "game --force")
 REPORT, WRITTEN = "report.json", "written.json"
 DIGEST_FIELDS = ("instance_digest", "schema")  # the report fields a digest-only change may move
 EDGE_CASES = {  # name: (elements, edges); i1's C members c0 and c1 are in each
@@ -184,11 +191,12 @@ def _bad(rows: list, *positions) -> list:
     return [[x, y, f"q{k}" if k in positions else v] for k, (x, y, v) in enumerate(rows)]
 
 
-def _command_jobs(path: Path, commands) -> list:
-    """(name, argv) of each command on one file, each but validate writing a report."""
-    return [(f"{path.name} {command}",
+def _command_jobs(path: Path, commands, report: bool = True) -> list:
+    """(name, argv) of each command on one file, each but validate writing a report unless
+    report is false; a run without one is named with a trailing "(no report)"."""
+    return [(f"{path.name} {command}" + ("" if report else " (no report)"),
              [*command.split()[:1], str(path), *command.split()[1:],
-              *([] if command == "validate" else ["--report", REPORT])])
+              *(["--report", REPORT] if report and command != "validate" else [])])
             for command in commands]
 
 
@@ -250,6 +258,7 @@ def _large_roep_jobs(inputs: Path) -> list:
         path = large / f"roep-{n}x{n}-{name}.json"
         path.write_text(json.dumps(body), encoding="utf-8")
         jobs += _command_jobs(path, LARGE_ROEP_COMMANDS)
+        jobs += _command_jobs(path, ["solve --force"], report=False)
     return jobs
 
 
@@ -317,6 +326,7 @@ def _jobs(inputs: Path) -> list:
         doc = json.loads(path.read_text(encoding="utf-8"))
         seeded = [_descent(path), *_seeded(path)] if "C" in doc and "D" in doc else []
         jobs += _command_jobs(path, [*FIXTURE_COMMANDS, *seeded])
+        jobs += _command_jobs(path, NO_REPORT_COMMANDS, report=False)
     base = json.loads((ROOT / "fixtures" / "i1_unconstrained.json").read_text(encoding="utf-8"))
     edge_cases = inputs / "edge-cases"
     edge_cases.mkdir(parents=True)

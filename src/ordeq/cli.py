@@ -107,8 +107,8 @@ def _solve(obj, args):
     solver = obj.solve_minimal if args.minimal else obj.solve_maximal
     rep = solver(_seed(args, obj), force=args.force)
     lines = ["climb: " + " -> ".join(map(_pair_str, rep.climb_trace)),
-             f"solution ({rep.direction}): {_pair_str(rep.solution)}"]
-    if not rep.existence_guaranteed:
+             f"solution ({rep.hypotheses.direction}): {_pair_str(rep.solution)}"]
+    if not rep.hypotheses.passes:
         lines.append("note: hypotheses failed; existence was not guaranteed (forced run)")
     return EXIT_OK, lines, {"solution_report": rep}
 
@@ -122,11 +122,11 @@ def _enumerate(obj, args):
 def _game(obj, args):
     if not isinstance(obj, ZeroSumGame):
         raise ValidationError("the 'game' command needs a mode=game instance file")
-    result = solve_game(obj, _seed(args, obj), force=args.force)
+    result = solve_game(obj, _seed(args, obj), force=args.force)  # raises unless verified
     lines = ["climb: " + " -> ".join(map(_pair_str, result.report.climb_trace)),
-             f"equilibrium: {_pair_str(result.equilibrium)}",
+             f"equilibrium: {_pair_str(result.report.solution)}",
              f"value: {result.value}",
-             f"saddle inequalities verified: {result.saddle_verified}"]
+             "saddle inequalities verified: True"]
     return EXIT_OK, lines, {"solution_report": result.report, "game_value": result.value}
 
 

@@ -73,7 +73,7 @@ class ObjectiveMap:
     def value(self, x, y):
         try:
             return self.table[(x, y)]
-        except KeyError:
+        except (KeyError, TypeError):  # no entry, or an unhashable id
             raise UnknownElement(f"objective table has no entry for {(x, y)!r}") from None
 
 
@@ -148,16 +148,16 @@ class HypothesisReport:
 
 @dataclass(frozen=True, eq=False)
 class SolutionReport:
-    """Outcome of a solve run: solution, trace, hypotheses, certificates."""
+    """A solve's claim: the hypotheses at the seed, the climb, the solution and its certificate.
 
-    direction: str  # "maximal" or "minimal"
-    seed: Pair
-    solutions: frozenset
-    solution: Pair  # maximal above the seed, or minimal below it, as direction says
+    The seed, the direction and whether existence was guaranteed (passes)
+    are the hypotheses'; the solution set is the instance's, and no solve builds it.
+    """
+
     hypotheses: HypothesisReport
     climb_trace: tuple
-    certificates: Mapping
-    existence_guaranteed: bool
+    solution: Pair  # maximal above the seed, or minimal below it, as the direction says
+    certificate: SolutionCertificate
 
 
 class ProblemInstance:
@@ -233,14 +233,16 @@ class ProblemInstance:
     # -- positions of elements ------------------------------------------------
 
     def _row(self, x) -> int:
-        if x not in self.C._index:
-            raise UnknownElement(f"{x!r} is not in C")
-        return self.C._index[x]
+        try:
+            return self.C._index[x]
+        except (KeyError, TypeError):  # no member, or unhashable
+            raise UnknownElement(f"{x!r} is not in C") from None
 
     def _col(self, y) -> int:
-        if y not in self.D._index:
-            raise UnknownElement(f"{y!r} is not in D")
-        return self.D._index[y]
+        try:
+            return self.D._index[y]
+        except (KeyError, TypeError):
+            raise UnknownElement(f"{y!r} is not in D") from None
 
     def _pair(self, p: tuple) -> Pair:
         """The (x, y) pair at positions p."""
@@ -505,13 +507,9 @@ class ProblemInstance:
         """
         if trace[:1] != [seed] or not self._climbs(trace, solution, direction):
             return None
-        ids = [self._pair(p) for p in trace + [solution]]
-        return SolutionReport(
-            direction=direction, seed=hyp.seed, solutions=self.solution_set,
-            solution=ids[-1], hypotheses=hyp, climb_trace=tuple(ids[:-1]),
-            existence_guaranteed=hyp.passes,
-            certificates={ids[-1]: self._certificate(*solution)},
-        )
+        return SolutionReport(hypotheses=hyp, climb_trace=tuple(map(self._pair, trace)),
+                              solution=self._pair(solution),
+                              certificate=self._certificate(*solution))
 
     # -- special cases and transforms -----------------------------------------
 

@@ -473,7 +473,8 @@ def build_report(command: str, instance, exit_code: int, elapsed: float,
                  game_value=None, digest=None) -> dict:
     """Machine-readable result document mirroring the solve/check output.
 
-    ``digest`` is the instance's digest when the caller has it already.
+    ``digest`` is the instance's digest when the caller has it already.  A
+    solve or game report's solutions are the instance's solution_set.
     """
     doc = {
         "schema": REPORT_SCHEMA,
@@ -489,17 +490,15 @@ def build_report(command: str, instance, exit_code: int, elapsed: float,
     if solutions is not None:
         doc["solutions"] = sorted(_pair_doc(s) for s in solutions)
     if solution_report is not None:
-        rep = solution_report
-        doc["direction"] = rep.direction
-        doc["seed"] = _pair_doc(rep.seed)
-        doc["solution"] = _pair_doc(rep.solution) if rep.solution else None
-        doc["solutions"] = sorted(_pair_doc(s) for s in rep.solutions)
+        rep, hyp = solution_report, solution_report.hypotheses
+        doc["direction"] = hyp.direction
+        doc["seed"] = _pair_doc(hyp.seed)
+        doc["solution"] = _pair_doc(rep.solution)
+        doc["solutions"] = sorted(_pair_doc(s) for s in instance.solution_set)
         doc["climb_trace"] = [_pair_doc(p) for p in rep.climb_trace]
-        doc["existence_guaranteed"] = rep.existence_guaranteed
-        doc["hypotheses"] = hypothesis_doc(rep.hypotheses)
-        doc["certificates"] = [
-            _certificate_doc(c) for _, c in sorted(rep.certificates.items())
-        ]
+        doc["existence_guaranteed"] = hyp.passes
+        doc["hypotheses"] = hypothesis_doc(hyp)
+        doc["certificates"] = [_certificate_doc(rep.certificate)]
     if game_value is not None:
         doc["game_value"] = str(game_value)
     return doc

@@ -204,12 +204,10 @@ def _approx(t: tuple) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GameReport:
-    """A solve report plus the exhaustively re-verified saddle inequalities."""
+    """A solve report whose solution (the equilibrium) passed the saddle check, and its value."""
 
     report: SolutionReport
-    equilibrium: Pair
     value: Fraction
-    saddle_verified: bool
 
 
 def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
@@ -220,7 +218,7 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
     payoff(x, y*) <= payoff(x*, y*) over all x in G(y*) and
     payoff(x*, y*) <= payoff(x*, y) over all y in F(x*) with exact
     rational comparisons (n/d <= n'/d' iff n * d' <= n' * d, on lowest
-    terms), independently of the solver's path.
+    terms), independently of the solver's path; a failure is an InvariantBreach.
     """
     rep = game.solve_maximal(seed, force=force)
     x, y = rep.solution
@@ -232,5 +230,4 @@ def solve_game(game: ZeroSumGame, seed: Optional[Pair] = None,
         raise InvariantBreach(
             f"reported equilibrium {(x, y)!r} failed the saddle re-verification"
         )
-    return GameReport(report=rep, equilibrium=(x, y), value=game.U._value(game._T[i, j]),
-                      saddle_verified=True)
+    return GameReport(report=rep, value=game.U._value(game._T[i, j]))

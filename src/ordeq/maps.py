@@ -54,7 +54,7 @@ class SetValuedMap:
     def __call__(self, x) -> frozenset:
         try:
             return self.table[x]
-        except KeyError:
+        except (KeyError, TypeError):  # no member, or unhashable
             raise UnknownElement(f"{x!r} is not in the map's domain") from None
 
     def entries(self):

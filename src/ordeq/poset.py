@@ -195,7 +195,7 @@ class Poset:
         """Position of ``a`` in the element list; raises UnknownElement."""
         try:
             return self._index[a]
-        except KeyError:
+        except (KeyError, TypeError):  # no element, or unhashable
             raise UnknownElement(f"{a!r} is not an element of {self!r}") from None
 
     def leq(self, a, b) -> bool:

@@ -169,7 +169,7 @@ def promotion_start(inst, rep):
     """
     trace = rep.climb_trace
     if trace[-1] != rep.solution:
-        start = rep.seed
+        start = rep.hypotheses.seed
     elif len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2]):
         start = trace[-2]
     else:
@@ -179,7 +179,7 @@ def promotion_start(inst, rep):
 
 def referee_pick(inst, rep):
     """The referee's first extremal cell beyond a solve report's promotion start, as positions."""
-    best = extremal_mask(inst, promotion_start(inst, rep), rep.direction)
+    best = extremal_mask(inst, promotion_start(inst, rep), rep.hypotheses.direction)
     return tuple(np.argwhere(best)[0].tolist())
 
 

@@ -170,8 +170,8 @@ def test_criterion_2_existence_theorem(theorem_runs):
         assert inst.solution_set, "solution set must be nonempty under the hypotheses"
         s = rep.solution
         assert s in inst.solution_set
-        assert pair_leq(inst, rep.seed, s)
-        above = {t for t in inst.solution_set if pair_leq(inst, rep.seed, t)}
+        assert pair_leq(inst, rep.hypotheses.seed, s)
+        above = {t for t in inst.solution_set if pair_leq(inst, rep.hypotheses.seed, t)}
         assert not any(pair_lt(inst, s, t) for t in above)
         # the highest solution is the count referee's first extremal cell
         assert (inst._row(s[0]), inst._col(s[1])) == referee_pick(inst, rep)
@@ -183,9 +183,9 @@ def test_criterion_3_bi_directional_bounded(bounded_increasing_runs):
     assert len(bounded_increasing_runs) >= 100
     for inst, up, down in bounded_increasing_runs:
         assert up.solution in inst.solution_set
-        assert pair_leq(inst, up.seed, up.solution)
+        assert pair_leq(inst, up.hypotheses.seed, up.solution)
         assert down.solution in inst.solution_set
-        assert pair_leq(inst, down.solution, down.seed)
+        assert pair_leq(inst, down.solution, down.hypotheses.seed)
     print(
         f"\n[acceptance] criterion 3 (bounded bi-directional, "
         f"{len(bounded_increasing_runs)} instances): PASS"
@@ -268,9 +268,9 @@ def test_criterion_8_game_fixtures():
     game = parse_instance(FIXTURES["game2x2"])
     result = solve_game(game)
     top = "1,1"
-    assert result.equilibrium == (top, top)
+    assert result.report.solution == (top, top)
     assert result.value == 0
-    x, y = result.equilibrium
+    x, y = result.report.solution
     assert all(game.payoff[(x2, y)] <= result.value for x2 in game.G(y))
     assert all(result.value <= game.payoff[(x, y2)] for y2 in game.F(x))
 
@@ -295,7 +295,7 @@ def test_criterion_8_game_fixtures():
     assert oracle == expected_set
 
     res3 = solve_game(constrained)
-    assert res3.equilibrium == tuple(expected["equilibrium"])
+    assert res3.report.solution == tuple(expected["equilibrium"])
     assert res3.value == Fraction(expected["value"])
     print(
         f"\n[acceptance] criterion 8 (game fixtures, |S|={len(expected_set)}): PASS"
@@ -311,7 +311,7 @@ def test_criterion_9_climb_bound(theorem_runs, bounded_increasing_runs, singleto
         bound = len(inst.C) * len(inst.D)
         assert len(rep.climb_trace) <= bound
         for a, b in zip(rep.climb_trace, rep.climb_trace[1:]):
-            if rep.direction == "maximal":
+            if rep.hypotheses.direction == "maximal":
                 assert pair_lt(inst, a, b)
             else:
                 assert pair_lt(inst, b, a)

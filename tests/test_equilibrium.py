@@ -389,3 +389,26 @@ def test_api_refusals(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+
+
+# an unhashable value is no element: each lookup refuses it as it refuses any other miss
+@pytest.mark.parametrize("value", [[1], {}], ids=["list", "dict"])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: _I1.phi(v), "{!r} is not in C"),
+    (lambda v: _I1.psi(v), "{!r} is not in D"),
+    (lambda v: _I1.solution_certificate(v, "d0"), "{!r} is not in C"),
+    (lambda v: _I1.scalar_saddle_check("c0", v), "{!r} is not in D"),
+    (lambda v: _I1.pair_index((v, "d0")), "{!r} is not an element of Poset(2 elements)"),
+    (lambda v: _I1.U.index(v), "{!r} is not an element of Poset(3 elements)"),
+    (lambda v: _I1.C.parent.leq(v, "c0"), "{!r} is not an element of Poset(2 elements)"),
+    (lambda v: _I1.C.parent.lt("c0", v), "{!r} is not an element of Poset(2 elements)"),
+    (lambda v: _I1.C.parent.comparable(v, "c0"), "{!r} is not an element of Poset(2 elements)"),
+    (lambda v: _I1.C.parent.up_set(v), "{!r} is not an element of Poset(2 elements)"),
+    (lambda v: _I1.F(v), "{!r} is not in the map's domain"),
+    (lambda v: _I1.T.value(v, "d0"), "objective table has no entry for ({!r}, 'd0')"),
+], ids=["phi", "psi", "certificate", "scalar-saddle", "pair-index", "index", "leq", "lt",
+        "comparable", "up-set", "map", "objective-value"])
+def test_unhashable_lookups_are_unknown_elements(call, message, value):
+    with pytest.raises(UnknownElement) as caught:
+        call(value)
+    assert str(caught.value) == message.format(value)

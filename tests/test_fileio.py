@@ -64,7 +64,7 @@ def _tampered_traces(inst, rep):
     for k in range(1, len(trace)):
         a = trace[k - 1]
         for q in pairs:
-            lo, hi = (q, a) if rep.direction == "minimal" else (a, q)
+            lo, hi = (q, a) if rep.hypotheses.direction == "minimal" else (a, q)
             if q != trace[k] and pair_lt(inst, lo, hi):
                 yield trace[:k] + [q] + trace[k + 1:]
     if len(trace) > 1:
@@ -85,7 +85,7 @@ def _referee_report(inst, rep):
         fixed = inst._pair(promotion_start(inst, rep))
         trace = trace[:trace.index(fixed) + 1] + ((pick,) if pick != fixed else ())
     rep = dataclasses.replace(rep, solution=pick, climb_trace=trace,
-                              certificates={pick: inst.solution_certificate(*pick)})
+                              certificate=inst.solution_certificate(*pick))
     return build_report("solve", inst, 0, 0.01, solution_report=rep)
 
 
@@ -882,9 +882,10 @@ class TestReports:
         # covers promoted last steps and climbs that strand short of the solution
         replayed = promoted = stranded = 0
         for seed, inst, rep in _forced_reports():
-            x, y = rep.seed
+            hyp = rep.hypotheses
+            x, y = hyp.seed
             doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
-            assert replay_report(doc, inst), (seed, x, y, rep.direction)
+            assert replay_report(doc, inst), (seed, x, y, hyp.direction)
             trace = rep.climb_trace
             replayed += 1
             promoted += len(trace) > 1 and trace[-1] not in inst.gamma(*trace[-2])
@@ -897,14 +898,15 @@ class TestReports:
         # promotion step dropped, the trace cut one step early
         verdicts = {True: 0, False: 0}
         for seed, inst, rep in _forced_reports():
+            hyp = rep.hypotheses
             doc = build_report("solve", inst, 0, 0.01, solution_report=rep)
             pos = lambda p: (inst._row(p[0]), inst._col(p[1]))  # noqa: E731
             for trace in _tampered_traces(inst, rep):
-                ok = climb_ok(inst, rep.seed, trace, rep.solution, rep.direction)
+                ok = climb_ok(inst, hyp.seed, trace, rep.solution, hyp.direction)
                 assert inst._climbs([pos(p) for p in trace], pos(rep.solution),
-                                    rep.direction) == ok, (seed, trace, rep.direction)
+                                    hyp.direction) == ok, (seed, trace, hyp.direction)
                 claim = dict(doc, climb_trace=[[element_id(x), element_id(y)] for x, y in trace])
-                assert replay_report(claim, inst) == ok, (seed, trace, rep.direction)
+                assert replay_report(claim, inst) == ok, (seed, trace, hyp.direction)
                 verdicts[ok] += 1
         assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
 
@@ -913,11 +915,12 @@ class TestReports:
         # hypotheses pass it is also the count kernel's pick, the first cell
         passing = changed = 0
         for seed, inst, rep in _forced_reports():
+            hyp = rep.hypotheses
             sol = inst._row(rep.solution[0]), inst._col(rep.solution[1])
-            assert extremal_mask(inst, promotion_start(inst, rep), rep.direction)[sol]
+            assert extremal_mask(inst, promotion_start(inst, rep), hyp.direction)[sol]
             first = referee_pick(inst, rep)
-            if rep.hypotheses.passes:
-                assert sol == first, (seed, rep.seed, rep.direction)
+            if hyp.passes:
+                assert sol == first, (seed, hyp.seed, hyp.direction)
                 passing += 1
             changed += sol != first
         assert passing > 100 and changed, (passing, changed)
@@ -926,20 +929,22 @@ class TestReports:
         # a claim q replays when it lies at or beyond the seed and is its own
         # highest solution: exactly the cells of the referee's mask
         for seed, inst, rep in _forced_reports():
-            i, j = inst._row(rep.seed[0]), inst._col(rep.seed[1])
-            best = extremal_mask(inst, (i, j), rep.direction)
-            c_leq, d_leq = inst._directed(rep.direction)[:2]
+            hyp = rep.hypotheses
+            i, j = inst._row(hyp.seed[0]), inst._col(hyp.seed[1])
+            best = extremal_mask(inst, (i, j), hyp.direction)
+            c_leq, d_leq = inst._directed(hyp.direction)[:2]
             for q in np.ndindex(best.shape):
-                claim = c_leq[i, q[0]] and d_leq[j, q[1]] and inst._highest(q, rep.direction) == q
-                assert claim == best[q], (seed, rep.seed, q, rep.direction)
+                claim = c_leq[i, q[0]] and d_leq[j, q[1]] and inst._highest(q, hyp.direction) == q
+                assert claim == best[q], (seed, hyp.seed, q, hyp.direction)
 
     def test_reports_of_the_count_referees_pick_replay(self):
         # what the solver wrote when it promoted with the count kernel
         rewritten = 0
         for seed, inst, rep in _forced_reports():
+            hyp = rep.hypotheses
             doc = _referee_report(inst, rep)
             if doc is not None:
-                assert replay_report(doc, inst), (seed, rep.seed, rep.direction)
+                assert replay_report(doc, inst), (seed, hyp.seed, hyp.direction)
                 rewritten += 1
         assert rewritten
 
@@ -962,20 +967,21 @@ class TestReports:
         # solution outside the seed's up-set (down-set) is its own highest, yet no claim
         refused = {"maximal": 0, "minimal": 0}
         for seed, inst, rep in _forced_reports():
+            hyp = rep.hypotheses
             if rep.climb_trace[-1] == rep.solution:
                 continue
-            c_leq, d_leq = inst._directed(rep.direction)[:2]
-            i, j = inst._row(rep.seed[0]), inst._col(rep.seed[1])
+            c_leq, d_leq = inst._directed(hyp.direction)[:2]
+            i, j = inst._row(hyp.seed[0]), inst._col(hyp.seed[1])
             for q in zip(*np.nonzero(inst._solution_mask)):
                 q = tuple(map(int, q))
-                if inst._highest(q, rep.direction) != q or c_leq[i, q[0]] and d_leq[j, q[1]]:
+                if inst._highest(q, hyp.direction) != q or c_leq[i, q[0]] and d_leq[j, q[1]]:
                     continue
                 pair = inst._pair(q)
                 claim = dataclasses.replace(  # its certificate is the claimed solution's
-                    rep, solution=pair, certificates={pair: inst.solution_certificate(*pair)})
+                    rep, solution=pair, certificate=inst.solution_certificate(*pair))
                 doc = build_report("solve", inst, 0, 0.01, solution_report=claim)
-                assert not replay_report(doc, inst), (seed, rep.seed, pair, rep.direction)
-                refused[rep.direction] += 1
+                assert not replay_report(doc, inst), (seed, hyp.seed, pair, hyp.direction)
+                refused[hyp.direction] += 1
         assert all(refused.values()), refused
 
     def test_replay_rejects_a_solution_that_is_not_maximal(self, constant_objective):

@@ -188,9 +188,9 @@ class TestSolveGame:
     def test_additive_2x2_equilibrium_at_top(self):
         game = additive_game((2, 2), seed=((0, 0), (0, 0)))
         result = solve_game(game)
-        assert result.equilibrium == ((1, 1), (1, 1))
+        assert result.report.solution == ((1, 1), (1, 1))
         assert result.value == 0
-        assert result.saddle_verified
+        assert game.scalar_saddle_check(*result.report.solution)
 
     def test_matching_pennies_forced_no_solution(self):
         X, Y = chain("c", 2), chain("d", 2)
@@ -208,7 +208,7 @@ class TestSolveGame:
         G = SetValuedMap(D, C, {"d0": {"c0", "c1"}, "d1": {"c1"}})
         game = ZeroSumGame(C, D, payoff, F=F, G=G)
         result = solve_game(game, seed=("c0", "d0"))
-        assert result.equilibrium == ("c1", "d1")
+        assert result.report.solution == ("c1", "d1")
         assert result.value == 0
 
     def test_value_and_saddle_against_the_callers_payoffs(self):
@@ -229,7 +229,7 @@ class TestSolveGame:
             except NoSolution:
                 continue
             solved += 1
-            x, y = result.equilibrium
+            x, y = result.report.solution
             assert result.value == Fraction(raw[x, y])
             assert all(Fraction(raw[x2, y]) <= result.value for x2 in (G[y] if G else cs))
             assert all(result.value <= Fraction(raw[x, y2]) for y2 in (F[x] if F else ds))
@@ -238,7 +238,7 @@ class TestSolveGame:
     def test_saddle_inequalities_hold_for_reported_equilibria(self):
         game = additive_game((2, 3), seed=((0, 0), (0, 0)))
         result = solve_game(game)
-        x, y = result.equilibrium
+        x, y = result.report.solution
         v = result.value
         assert all(game.payoff[(x2, y)] <= v for x2 in game.G(y))
         assert all(v <= game.payoff[(x, y2)] for y2 in game.F(x))

@@ -462,8 +462,8 @@ def test_existence_under_hypotheses(seed):
     assert inst.solution_set
     rep = inst.solve_maximal()
     assert rep.solution in inst.solution_set
-    assert pair_leq(inst, rep.seed, rep.solution)
-    above = {s for s in inst.solution_set if pair_leq(inst, rep.seed, s)}
+    assert pair_leq(inst, rep.hypotheses.seed, rep.solution)
+    above = {s for s in inst.solution_set if pair_leq(inst, rep.hypotheses.seed, s)}
     assert not any(pair_lt(inst, rep.solution, t) for t in above)
     # climb soundness
     assert len(rep.climb_trace) <= len(inst.C) * len(inst.D)

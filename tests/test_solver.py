@@ -17,6 +17,8 @@ from ordeq import (
     constant_map,
     grid_poset,
     load_poset,
+    parse_instance,
+    solve_game,
 )
 from ordeq.errors import HypothesisFailed, NoSolution
 
@@ -29,8 +31,8 @@ class TestSolveMaximal:
         rep = i2.solve_maximal(("c0", "d0"))
         assert rep.solution == ("c1", "d1")
         assert rep.climb_trace == (("c0", "d0"), ("c1", "d0"), ("c1", "d1"))
-        assert rep.existence_guaranteed
-        assert rep.certificates[rep.solution].ok
+        assert rep.hypotheses.passes
+        assert rep.certificate.pair == rep.solution and rep.certificate.ok
 
     def test_i1(self, i1):
         rep = i1.solve_maximal(("c0", "d0"))
@@ -53,7 +55,8 @@ class TestSolveMaximal:
         # every pair solves; from the bottom seed the promoted solution is the top
         rep = constant_objective.solve_maximal(("c0", "d0"))
         assert rep.solution == ("c1", "d1")
-        above = {s for s in rep.solutions if pair_leq(constant_objective, rep.seed, s)}
+        above = {s for s in constant_objective.solution_set
+                 if pair_leq(constant_objective, rep.hypotheses.seed, s)}
         assert not any(pair_lt(constant_objective, rep.solution, t) for t in above)
 
     def test_solution_above_seed(self, constant_objective):
@@ -69,12 +72,26 @@ class TestSolveMaximal:
                 assert pair_lt(inst, a, b)
 
 
+# a solve claims one pair: the solution set is the instance's, and no solve builds it
+@pytest.mark.parametrize("name, solve", [
+    ("i2", lambda inst: inst.solve_maximal(("c0", "d0"))),
+    ("i2", lambda inst: inst.solve_maximal(("c0", "d0"), force=True)),
+    ("i1", lambda inst: inst.solve_minimal(("c1", "d1"))),
+    ("i1", lambda inst: inst.solve_minimal(("c1", "d1"), force=True)),
+    ("game2x2", solve_game),
+], ids=["maximal", "maximal-forced", "minimal", "minimal-forced", "game"])
+def test_a_solve_builds_no_solution_set(name, solve):
+    inst = parse_instance(FIXTURES[name])
+    solve(inst)
+    assert "solution_set" not in inst.__dict__
+
+
 class TestSolveMinimal:
     def test_constant_objective_descends_to_bottom(self, constant_objective):
         rep = constant_objective.solve_minimal(("c1", "d1"))
         assert rep.solution == ("c0", "d0")
-        assert rep.direction == "minimal"
-        assert rep.solutions == {
+        assert rep.hypotheses.direction == "minimal"
+        assert constant_objective.solution_set == {
             (x, y)
             for x in constant_objective.C.ordered()
             for y in constant_objective.D.ordered()
@@ -96,7 +113,8 @@ class TestSolveMinimal:
     def test_minimality_contract(self, constant_objective):
         rep = constant_objective.solve_minimal(("c1", "d1"))
         below = {
-            s for s in rep.solutions if pair_leq(constant_objective, s, ("c1", "d1"))
+            s for s in constant_objective.solution_set
+            if pair_leq(constant_objective, s, ("c1", "d1"))
         }
         assert not any(pair_lt(constant_objective, t, rep.solution) for t in below)
 
@@ -121,7 +139,7 @@ class TestStrandedClimb:
         assert not inst.check_hypotheses(("a0", "d0")).passes
         rep = inst.solve_maximal(("a0", "d0"), force=True)
         assert rep.solution == ("a0", "d1")
-        assert not rep.existence_guaranteed
+        assert not rep.hypotheses.passes
 
     def test_gamma_points_sideways(self):
         inst = self.stranded_instance()
@@ -180,7 +198,7 @@ class TestGridGameScale:
         elapsed = time.perf_counter() - started
         assert hyp.passes
         assert rep.solution == ((15, 15), (15, 15))
-        assert rep.solutions == {((15, 15), (15, 15))}
+        assert inst.solution_set == {((15, 15), (15, 15))}
         assert elapsed < 10.0, f"build + check + solve took {elapsed:.2f} s"
 
     def test_sixteen_grid_game_with_a_long_utility_chain(self):
@@ -221,7 +239,7 @@ class TestGridGameScale:
         elapsed = time.perf_counter() - started
         assert hyp.passes
         assert rep.solution == ((31, 31), (31, 31))
-        assert rep.solutions == {((31, 31), (31, 31))}
+        assert inst.solution_set == {((31, 31), (31, 31))}
         assert elapsed < 5.0, f"build + check + solve took {elapsed:.2f} s"
 
 
@@ -244,8 +262,8 @@ class TestPosetCapScale:
             elapsed = time.perf_counter() - started
             sol = inst._row(rep.solution[0]), inst._col(rep.solution[1])
             start = inst._row(seed[0]), inst._col(seed[1])
-            assert extremal_mask(inst, start, rep.direction)[sol], rep.solution
-            assert elapsed < 0.3, f"{rep.direction} solve took {elapsed:.2f} s"
+            assert extremal_mask(inst, start, rep.hypotheses.direction)[sol], rep.solution
+            assert elapsed < 0.3, f"{rep.hypotheses.direction} solve took {elapsed:.2f} s"
 
 
 class TestInvariantBreach:
